@@ -164,7 +164,9 @@ def _predicate_for(tag: str):
     if tag.startswith("Sk:"):
         k = int(tag[3:])
         return lambda p: generalized.is_in_Sk(p, k)
-    return IdealSpec.parse(tag).contains
+    # The spec itself, not its bound `contains`, so that counting can see
+    # `prefix_closed` and walk the members.
+    return IdealSpec.parse(tag)
 
 
 def _run_enumerate(args) -> list[str]:
@@ -177,8 +179,7 @@ def _run_enumerate(args) -> list[str]:
     elif args.pred == "seqcong":
         found = counting.enumerate_seqcong_by_size(args.size)
     else:
-        pred = _predicate_for(args.pred)
-        found = [p for p in counting.enumerate_partitions(args.size) if pred(p)]
+        found = counting.enumerate_members(_predicate_for(args.pred), args.size)
     if args.limit is not None:
         found = found[: args.limit]
     return [_dumps(_partition_payload(p)) for p in found]

@@ -1,9 +1,10 @@
-"""Brute-force enumerators and generating-function coefficients.
+"""Enumerators, member counts and generating-function coefficients.
 
-The enumerators are the universal test oracles for everything else in the
-package: they walk partitions in reverse lexicographic order, duplicate-free,
-with optional part/length caps.  Counts are plain Python integers, so they
-stay exact however large the coefficients grow.
+The enumerators list partitions in reverse lexicographic order,
+duplicate-free: an iterative generator over all partitions of n with
+optional part/length caps, and a pruned walk over the members of size n of a
+prefix-closed ideal.  Counts are plain Python integers, so they stay exact
+however large the coefficients grow.
 """
 
 from __future__ import annotations
@@ -12,29 +13,57 @@ import threading
 from typing import Callable, Iterable, Iterator
 
 from .bijections import CNotation, from_c_notation
+from .errors import DomainError
 from .partition import Partition
 
 
 def iter_partition_tuples(
     n: int, max_part: int | None = None, max_length: int | None = None
 ) -> Iterator[tuple[int, ...]]:
-    """All partitions of n as tuples, reverse lexicographic, largest first."""
+    """All partitions of n as tuples, reverse lexicographic, largest first.
+
+    Parts are capped at ``max_part`` and lengths at ``max_length``; a cap
+    below 1 leaves only the empty partition of 0.  Each step decrements the
+    rightmost part whose suffix still fits the length cap and refills the
+    suffix greedily (ZS1, Zoghbi & Stojmenovic 1998, with caps).
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n == 0:
+        yield ()
+        return
     cap = n if max_part is None else min(max_part, n)
     room = n if max_length is None else max_length
-
-    def rec(remaining: int, cap: int, room: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            yield prefix
+    if cap < 1 or room < 1 or n > cap * room:
+        return
+    x: list[int] = []
+    j, t, r = 0, n, cap  # refill x[j:] with sum t greedily, parts at most r
+    while True:
+        del x[j:]
+        q, rem = divmod(t, r)
+        x += [r] * q
+        if rem:
+            x.append(rem)
+        h = j - 1 if r == 1 else len(x) - 1 - (rem == 1)  # the last part above 1
+        yield tuple(x)
+        while h >= 0 and x[h] == 2 and len(x) < room:
+            x[h] = 1
+            x.append(1)
+            h -= 1
+            yield tuple(x)
+        if h < 0:
             return
-        if room == 0 or cap == 0:
-            return
-        lo = -(-remaining // room)  # smallest head that still fits in `room` parts
-        for v in range(min(cap, remaining), lo - 1, -1):
-            yield from rec(remaining - v, v, room - 1, prefix + (v,))
-
-    yield from rec(n, cap, room, ())
+        # The suffix from j, of sum t, still fits after x[j] drops to r
+        # iff t <= r * (room - j).
+        j = h
+        t = x[h] + len(x) - 1 - h
+        r = x[h] - 1
+        while t > r * (room - j):
+            j -= 1
+            if j < 0:
+                return
+            t += x[j]
+            r = x[j] - 1
 
 
 def enumerate_partitions(n: int, max_part: int | None = None, max_length: int | None = None) -> list[Partition]:
@@ -42,22 +71,42 @@ def enumerate_partitions(n: int, max_part: int | None = None, max_length: int | 
     return [Partition(t) for t in iter_partition_tuples(n, max_part, max_length)]
 
 
+def _size_walk(n: int, child_ok: Callable[[tuple[int, ...], int], bool]) -> Iterator[tuple[int, ...]]:
+    """Partitions of n whose every prefix passes ``child_ok``, reverse lexicographic.
+
+    ``child_ok(t, v)`` decides whether part v may follow the prefix t.  The
+    walk keeps an explicit stack and pushes the smallest part first, so the
+    largest pops first and the order matches :func:`iter_partition_tuples`.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    stack = [((), n)]
+    while stack:
+        t, rest = stack.pop()
+        if not rest:
+            yield t
+            continue
+        for v in range(1, min(t[-1], rest) + 1 if t else rest + 1):
+            if child_ok(t, v):
+                stack.append((t + (v,), rest - v))
+
+
+def iter_members_of_size(spec, n: int) -> Iterator[tuple[int, ...]]:
+    """Members of size n of a prefix-closed spec, as tuples, reverse lexicographic.
+
+    Every prefix of a member is a member, so pruning on the spec's incremental
+    ``_child_ok`` test visits only member prefixes and yields exactly the
+    members, in the order a filter over all partitions of n would.
+    """
+    if not getattr(spec, "prefix_closed", False):
+        raise DomainError(f"{spec!r} is not prefix-closed; filter the partitions of n instead")
+    return _size_walk(n, spec._child_ok)
+
+
 def enumerate_with_parts_from(allowed: Iterable[int], n: int) -> list[Partition]:
     """Partitions of n using only the given part values, reverse lexicographic."""
-    values = sorted({v for v in allowed if 1 <= v <= n}, reverse=True)
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, start: int, prefix: tuple[int, ...]):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for idx in range(start, len(values)):
-            v = values[idx]
-            if v <= remaining:
-                rec(remaining - v, idx, prefix + (v,))
-
-    rec(n, 0, ())
-    return [Partition(t) for t in out]
+    values = {v for v in allowed if 1 <= v <= n}
+    return [Partition(t) for t in _size_walk(n, lambda t, v: v in values)]
 
 
 def _iter_c_vectors(weights: list[int], total: int) -> Iterator[tuple[int, ...]]:
@@ -160,13 +209,30 @@ def count_all_partitions(n: int) -> int:
 
 
 def count_members(pred, n: int) -> int:
-    """Brute-force count of partitions of n satisfying a predicate.
+    """Number of partitions of n satisfying a predicate.
 
     ``pred`` may be a callable on Partition or anything with a ``contains``
-    method, such as an IdealSpec from :mod:`seqcong.ideals`.
+    method, such as an IdealSpec from :mod:`seqcong.ideals`.  A prefix-closed
+    spec is counted by the member walk :func:`iter_members_of_size`; every
+    other predicate, the non-ideal kind S included, is tested on each
+    partition of n.
     """
+    if getattr(pred, "prefix_closed", False):
+        return sum(1 for _ in iter_members_of_size(pred, n))
     test = _as_predicate(pred)
     return sum(1 for t in iter_partition_tuples(n) if test(Partition(t)))
+
+
+def enumerate_members(pred, n: int) -> list[Partition]:
+    """Partitions of n satisfying a predicate, reverse lexicographic.
+
+    Takes the same predicates as :func:`count_members` and walks
+    prefix-closed specs the same way.
+    """
+    if getattr(pred, "prefix_closed", False):
+        return [Partition(t) for t in iter_members_of_size(pred, n)]
+    test = _as_predicate(pred)
+    return [p for p in map(Partition, iter_partition_tuples(n)) if test(p)]
 
 
 def _as_predicate(pred) -> Callable[[Partition], bool]:

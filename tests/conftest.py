@@ -1,7 +1,7 @@
 """Shared oracles and strategies.
 
 The oracles here are deliberately naive, independent reimplementations used to
-cross-check the library: a textbook recursive partition generator, the direct
+cross-check the library: textbook recursive partition generators, the direct
 summation forms of the core bijections, and brute-force box filtering for the
 ideal-kind enumerators.
 """
@@ -21,6 +21,28 @@ def naive_partitions(n, max_part=None):
         for rest in naive_partitions(n - head, head):
             out.append((head,) + rest)
     return out
+
+
+def recursive_partition_tuples(n, max_part=None, max_length=None):
+    """Partitions of n with part/length caps, reverse lexicographic, by recursion.
+
+    The library's former generator, kept as the oracle for the iterative one.
+    A negative ``max_length`` counts as 0.
+    """
+    cap = n if max_part is None else min(max_part, n)
+    room = n if max_length is None else max(max_length, 0)
+
+    def rec(remaining, cap, room, prefix):
+        if remaining == 0:
+            yield prefix
+            return
+        if room == 0 or cap <= 0:
+            return
+        lo = -(-remaining // room)  # smallest head that still fits in `room` parts
+        for v in range(min(cap, remaining), lo - 1, -1):
+            yield from rec(remaining - v, v, room - 1, prefix + (v,))
+
+    yield from rec(n, cap, room, ())
 
 
 def all_partitions_upto(n):

@@ -3,7 +3,10 @@ import json
 
 import pytest
 
+from seqcong import IdealSpec, counting
 from seqcong.cli import run
+
+from conftest import recursive_partition_tuples
 
 
 def cli(*argv):
@@ -138,6 +141,40 @@ class TestEnumerateAndCount:
         a = cli_ok("--format", "json", "count", "--pred", "seqcong", "--upto", "20")
         b = cli_ok("--format", "json", "count", "--pred", "squares", "--upto", "20")
         assert a == b
+
+
+class TestIdealCountsAndListings:
+    """`count`/`enumerate --pred <ideal>` against a filter over every partition."""
+
+    @staticmethod
+    def filtered(tag, n):
+        spec = IdealSpec.parse(tag)
+        return [t for t in recursive_partition_tuples(n) if spec._member(t)]
+
+    @pytest.mark.parametrize("tag", ["R", "D", "SA_maxlen:2", "S"])
+    def test_count_table(self, tag):
+        want = [f"{n:>2} {len(self.filtered(tag, n))}" for n in range(17)]
+        assert cli_ok("count", "--pred", tag, "--upto", "16").splitlines() == want
+
+    @pytest.mark.parametrize("tag", ["R", "D", "SA_maxlen:2", "S"])
+    def test_enumerate_by_size(self, tag):
+        for n in (0, 1, 7, 14):
+            want = ["[" + ",".join(map(str, t)) + "]" for t in self.filtered(tag, n)]
+            assert cli_ok("enumerate", "--pred", tag, "--size", str(n)).splitlines() == want
+
+    def test_walk_serves_ideals_and_not_s(self, monkeypatch):
+        walked = []
+        walk = counting.iter_members_of_size
+
+        def spy(spec, n):
+            walked.append(str(spec))
+            return walk(spec, n)
+
+        monkeypatch.setattr(counting, "iter_members_of_size", spy)
+        for tag in ("R", "SA_maxlen:2", "S"):
+            cli_ok("count", "--pred", tag, "--upto", "3")
+            cli_ok("enumerate", "--pred", tag, "--size", "3")
+        assert walked == ["R"] * 5 + ["SA_maxlen:2"] * 5
 
 
 class TestIdealCommands:

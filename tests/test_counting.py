@@ -2,22 +2,27 @@ import pytest
 
 from seqcong import (
     CountSeries,
+    DomainError,
     IdealSpec,
     Partition,
     count_all_partitions,
     count_into_powers,
     count_members,
     count_parity_ideal,
+    enumerate_members,
     enumerate_partitions,
     enumerate_seqcong_by_largest,
     enumerate_seqcong_by_size,
     enumerate_with_parts_from,
     is_in_Sk,
     is_seq_congruent,
+    iter_members_of_size,
     iter_partition_tuples,
 )
 
-from conftest import naive_partitions
+from seqcong.ideals import _KIND_NAMES
+
+from conftest import naive_partitions, recursive_partition_tuples
 
 # p(n) for n = 0..20, the classical sequence
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297, 385, 490, 627]
@@ -53,6 +58,38 @@ class TestEnumeratePartitions:
         assert got == want
 
 
+CAPS = (None, -1, 0, 1, 2, 3, 5, 8)
+
+
+class TestIterativeGenerator:
+    def test_matches_recursive_oracle_exhaustively(self):
+        for n in range(31):
+            for max_part in CAPS:
+                for max_length in CAPS:
+                    got = list(iter_partition_tuples(n, max_part, max_length))
+                    assert got == list(recursive_partition_tuples(n, max_part, max_length)), (
+                        n, max_part, max_length)
+
+    def test_matches_recursive_oracle_on_boxes(self):
+        for n in range(0, 97, 7):
+            for max_part, max_length in ((12, 8), (15, 7), (4, 30)):
+                got = list(iter_partition_tuples(n, max_part, max_length))
+                assert got == list(recursive_partition_tuples(n, max_part, max_length))
+
+    def test_negative_max_length_yields_nothing(self):
+        assert list(iter_partition_tuples(3, None, -1)) == []
+        assert list(iter_partition_tuples(3, 2, -5)) == []
+        assert list(iter_partition_tuples(0, None, -1)) == [()]
+
+    def test_deep_all_ones(self):
+        assert list(iter_partition_tuples(2000, 1)) == [(1,) * 2000]
+        assert list(iter_partition_tuples(2000, 1, 1999)) == []
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError):
+            list(iter_partition_tuples(-1))
+
+
 class TestRestrictedEnumeration:
     def test_two_values(self):
         got = {p.parts for p in enumerate_with_parts_from({1, 4}, 4)}
@@ -68,6 +105,16 @@ class TestRestrictedEnumeration:
             got = {p.parts for p in enumerate_with_parts_from(allowed, n)}
             want = {t for t in naive_partitions(n) if all(x in allowed for x in t)}
             assert got == want
+
+    def test_reverse_lexicographic_order(self):
+        for allowed in ({1, 3, 4}, {2, 5, 7}, {1, 4, 9, 16}):
+            for n in range(20):
+                got = [p.parts for p in enumerate_with_parts_from(allowed, n)]
+                want = [t for t in recursive_partition_tuples(n) if set(t) <= allowed]
+                assert got == want
+
+    def test_deep_all_ones(self):
+        assert enumerate_with_parts_from([1], 2000) == [Partition((1,) * 2000)]
 
 
 class TestSeqcongEnumerators:
@@ -140,3 +187,43 @@ class TestCountMembers:
     def test_rejects_unknown_predicate_object(self):
         with pytest.raises(TypeError):
             count_members(123, 4)
+
+    def test_rogers_ramanujan_at_50(self):
+        assert count_members(IdealSpec("R"), 50) == 1065
+
+    def test_non_ideal_s_is_filtered(self):
+        spec = IdealSpec("S")
+        for n in range(16):
+            want = [t for t in recursive_partition_tuples(n) if spec._member(t)]
+            assert count_members(spec, n) == len(want)
+            assert [p.parts for p in enumerate_members(spec, n)] == want
+
+
+PREFIX_CLOSED = [
+    IdealSpec.parse(tag)
+    for tag in ("SA", "SA_maxlen:1", "SA_maxlen:2", "SA_maxlen:3", "D", "R", "Rprime", "Adiff",
+                "N_maxlen:0", "N_maxlen:1", "N_maxlen:3", "P_parity", "P_mod:2", "P_mod:3",
+                "P_mod:5", "Pprime")
+]
+
+
+class TestMemberWalk:
+    def test_covers_every_prefix_closed_kind(self):
+        assert {s.kind for s in PREFIX_CLOSED} == set(_KIND_NAMES) - {"S"}
+        assert all(s.prefix_closed for s in PREFIX_CLOSED)
+
+    @pytest.mark.parametrize("spec", PREFIX_CLOSED, ids=str)
+    def test_equals_filtered_oracle_in_order(self, spec):
+        for n in range(23):
+            want = [t for t in recursive_partition_tuples(n) if spec._member(t)]
+            assert list(iter_members_of_size(spec, n)) == want
+            assert count_members(spec, n) == len(want)
+            assert [p.parts for p in enumerate_members(spec, n)] == want
+
+    def test_rejects_non_prefix_closed(self):
+        with pytest.raises(DomainError):
+            iter_members_of_size(IdealSpec("S"), 4)
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError):
+            count_members(IdealSpec("R"), -1)
