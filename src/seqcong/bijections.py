@@ -50,7 +50,8 @@ class CNotation:
 
     def __init__(self, coeffs: Iterable[int] = ()):
         t = tuple(coeffs)
-        if any(not isinstance(c, int) or c < 0 for c in t):
+        # plain ints pass on the type test alone; bools are rejected as Partition rejects them
+        if any(type(c) is not int and (type(c) is bool or not isinstance(c, int)) or c < 0 for c in t):
             raise ValueError(f"coefficients must be nonnegative integers, got {t}")
         if t and t[-1] == 0:
             raise CanonicalFormError(f"trailing coefficient must be nonzero, got {list(t)}")

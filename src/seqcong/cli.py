@@ -52,7 +52,9 @@ def _decode_any_form(payload) -> Partition:
         return _parse_partition(payload)
     if isinstance(payload, dict) and "c" in payload:
         coeffs = payload["c"]
-        if not isinstance(coeffs, list) or not all(isinstance(x, int) for x in coeffs):
+        if not isinstance(coeffs, list) or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in coeffs
+        ):
             raise DomainError('the "c" form needs an array of integers')
         return bijections.from_c_notation(bijections.CNotation(coeffs))
     if isinstance(payload, dict) and "freq" in payload:

@@ -250,7 +250,7 @@ class NNotation:
 
     def __init__(self, spec: GenSpec, coeffs: Iterable[int] = ()):
         t = tuple(coeffs)
-        if any(not isinstance(c, int) or c < 0 for c in t):
+        if any(type(c) is not int and (type(c) is bool or not isinstance(c, int)) or c < 0 for c in t):
             raise ValueError(f"coefficients must be nonnegative integers, got {t}")
         if t and t[-1] == 0:
             raise CanonicalFormError(f"trailing coefficient must be nonzero, got {list(t)}")

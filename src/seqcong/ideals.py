@@ -248,41 +248,50 @@ class AnalysisBound:
 # member enumeration
 # ---------------------------------------------------------------------------
 
-def _iter_member_tuples(spec: IdealSpec, max_part: int, max_length: int):
-    """Members within the box, in prefix order with parts tried largest first.
+def _walk(accept, max_part: int, max_length: int, min_part: int = 1):
+    """Box tuples whose every prefix passes ``accept(prefix, part)``, in prefix order.
 
-    Valid for prefix-closed kinds only: there a prefix of a member is itself a
-    member, so pruning on the incremental test loses nothing.
+    Parts lie in [min_part, max_part] and are tried largest first; each tuple
+    comes before its extensions, starting with ().  Walked with a prefix-closed
+    kind's ``_child_ok`` it yields exactly the kind's members in the box.  The
+    stack is explicit, so no length meets the recursion limit, and a tuple's
+    children are tested only after it is yielded, so callers may tighten
+    ``accept`` as they go.
     """
-    if not spec.prefix_closed:
-        raise DomainError(f"kind {spec.kind} is not prefix-closed; enumerate by size instead")
-    child_ok = spec._child_ok
+    stack = [()]
+    while stack:
+        t = stack.pop()
+        yield t
+        if len(t) < max_length:
+            top = t[-1] if t else max_part
+            # smallest first, so the largest part pops first
+            stack.extend([t + (v,) for v in range(min_part, top + 1) if accept(t, v)])
 
-    def rec(prefix, last):
-        for v in range(min(last, max_part), 0, -1):
-            if child_ok(prefix, v):
-                t = prefix + (v,)
-                yield t
-                if len(t) < max_length:
-                    yield from rec(t, v)
 
-    yield ()
-    yield from rec((), max_part)
+def _by_size(max_part: int, max_length: int, keep):
+    """Box tuples passing ``keep``, by increasing size, reverse lexicographic within a size."""
+    return (
+        t
+        for n in range(max_part * max_length + 1)
+        for t in iter_partition_tuples(n, max_part, max_length)
+        if keep(t)
+    )
+
+
+def _member_tuples(spec: IdealSpec, max_part: int, max_length: int):
+    """Members in the box: walked for prefix-closed kinds, scanned by size for S."""
+    if spec.prefix_closed:
+        return _walk(spec._child_ok, max_part, max_length)
+    return _by_size(max_part, max_length, spec._member)
+
+
+def _size_revlex(t):
+    return (sum(t), tuple(-x for x in t))
 
 
 def members_within(spec: IdealSpec, bound: AnalysisBound) -> list[Partition]:
-    """All members inside the bound box, DFS order."""
-    if spec.prefix_closed:
-        tuples = _iter_member_tuples(spec, bound.max_part, bound.max_length)
-    else:
-        member = spec._member
-        tuples = (
-            t
-            for n in range(bound.max_part * bound.max_length + 1)
-            for t in iter_partition_tuples(n, bound.max_part, bound.max_length)
-            if member(t)
-        )
-    return [Partition(t) for t in tuples]
+    """All members inside the bound box: prefix order for prefix-closed kinds, by size for S."""
+    return [Partition(t) for t in _member_tuples(spec, bound.max_part, bound.max_length)]
 
 
 # ---------------------------------------------------------------------------
@@ -324,39 +333,41 @@ def check_ideal_closure(spec: IdealSpec, bound: AnalysisBound) -> ClosureReport:
     """Verify every member in the box stays a member when any single part is removed.
 
     Single-part removal suffices: removing several parts is a chain of single
-    removals.  The first counterexample in enumeration order is reported.  For
-    the non-ideal kind S candidates are scanned in order of increasing size, so
-    the smallest witness is found.
+    removals.  The first counterexample in enumeration order is reported.
+    Prefix-closed kinds are walked in prefix order and each member's removal
+    list is carried down from its parent: the removals of t + (v,) are those
+    of t with v appended, then t itself when v is a new value.  For the
+    non-ideal kind S candidates are scanned in order of increasing size
+    (reverse lexicographic within a size), so the witness is the smallest in
+    (size, revlex) order.  Every removal is decided by the kind's membership
+    test, never by the walk.
     """
     member = spec._member
     memo: dict[tuple, bool] = {}
     checked = 0
-
-    def removal_fails(t):
-        for v, smaller in _removals(t):
+    walked = spec.prefix_closed
+    removals_at: list[list] = [[]]  # removals of the latest walked tuple of each length
+    for t in _member_tuples(spec, bound.max_part, bound.max_length):
+        checked += 1
+        if not walked:
+            removals = _removals(t)
+        elif t:
+            # in prefix order the latest tuple one shorter than t is its parent
+            v = t[-1]
+            removals = [(u, smaller + (v,)) for u, smaller in removals_at[len(t) - 1]]
+            if len(t) == 1 or t[-2] != v:
+                removals.append((v, t[:-1]))
+            del removals_at[len(t):]
+            removals_at.append(removals)
+        else:
+            removals = ()
+        for v, smaller in removals:
             ok = memo.get(smaller)
             if ok is None:
                 ok = member(smaller)
                 memo[smaller] = ok
             if not ok:
-                return v, smaller
-        return None
-
-    if spec.prefix_closed:
-        candidates = _iter_member_tuples(spec, bound.max_part, bound.max_length)
-    else:
-        candidates = (
-            t
-            for n in range(bound.max_part * bound.max_length + 1)
-            for t in iter_partition_tuples(n, bound.max_part, bound.max_length)
-            if member(t)
-        )
-    for t in candidates:
-        checked += 1
-        hit = removal_fails(t)
-        if hit is not None:
-            v, smaller = hit
-            return ClosureReport(spec, bound, False, checked, Partition(t), v, Partition(smaller))
+                return ClosureReport(spec, bound, False, checked, Partition(t), v, Partition(smaller))
     return ClosureReport(spec, bound, True, checked)
 
 
@@ -409,22 +420,50 @@ def _present_windows(t, k, max_part):
 
 
 def _order_refute(spec, k, bound, windows):
+    """The smallest non-member in (size, revlex) order whose k-windows are all members.
+
+    Prefix-closed kinds are walked, pruned to members and to tuples whose
+    windows are all members.  A window of a prefix is a prefix of the same
+    window of the whole tuple, so every prefix of a witness passes the window
+    test and the pruning loses no witness.  The walk is capped by size, the
+    cap doubling until a witness turns up or nothing was cut; within a walk a
+    witness lowers the cap to its own size.  S is scanned by size.
+    """
     member = spec._member
-    for n in range(1, bound.max_part * bound.max_length + 1):
-        for t in iter_partition_tuples(n, bound.max_part, bound.max_length):
-            if member(t):
-                continue
-            if all(member(w) for w in windows(t, k, bound.max_part)):
-                return Partition(t)
-    return None
+    max_part = bound.max_part
+
+    def windows_ok(t):
+        return all(member(w) for w in windows(t, k, max_part))
+
+    if not spec.prefix_closed:
+        t = next(_by_size(max_part, bound.max_length, lambda t: not member(t) and windows_ok(t)), None)
+        return None if t is None else Partition(t)
+
+    def accept(t, v):
+        nonlocal cut
+        if sum(t) + v > cap:
+            cut = True
+            return False
+        c = t + (v,)
+        return member(c) or windows_ok(c)
+
+    best, cap, cut = None, 0, True
+    while best is None and cut:
+        cap, cut = 2 * cap + 1, False
+        for t in _walk(accept, max_part, bound.max_length):
+            if not member(t) and (best is None or _size_revlex(t) < _size_revlex(best)):
+                best, cap = t, sum(t)
+    return None if best is None else Partition(best)
 
 
 def order_refute(spec: IdealSpec, k: int, bound: AnalysisBound) -> Partition | None:
     """Search for a non-member whose every k-wide frequency window is a member.
 
-    Such a witness shows the order exceeds k.  Candidates are scanned in order
-    of increasing size (reverse lexicographic within a size), so the report is
-    deterministic; None means no witness exists within the bound.
+    Such a witness shows the order exceeds k.  The witness reported is the
+    smallest in (size, revlex) order: by size, then reverse lexicographic
+    within a size, so the report is deterministic.  Prefix-closed kinds are
+    walked, pruned to tuples whose windows are all members; S is scanned by
+    size.  None means no witness exists within the bound.
     """
     if k < 1:
         raise DomainError("window width must be positive")
@@ -537,10 +576,6 @@ class LSetReport:
         }
 
 
-def _size_revlex_key(p: Partition):
-    return (p.size, tuple(-x for x in p.parts))
-
-
 def compute_L(spec: IdealSpec, m: int, bound: AnalysisBound) -> LSetReport:
     """Members with every part at most m, sorted by size then reverse lexicographic.
 
@@ -549,20 +584,9 @@ def compute_L(spec: IdealSpec, m: int, bound: AnalysisBound) -> LSetReport:
     """
     if m < 1:
         raise DomainError("modulus must be positive")
-    cap = min(m, bound.max_part)
-    if spec.prefix_closed:
-        tuples = list(_iter_member_tuples(spec, cap, bound.max_length))
-    else:
-        member = spec._member
-        tuples = [
-            t
-            for n in range(cap * bound.max_length + 1)
-            for t in iter_partition_tuples(n, cap, bound.max_length)
-            if member(t)
-        ]
+    tuples = sorted(_member_tuples(spec, min(m, bound.max_part), bound.max_length), key=_size_revlex)
     truncated = any(len(t) >= bound.max_length for t in tuples)
-    members = sorted((Partition(t) for t in tuples), key=_size_revlex_key)
-    return LSetReport(spec, m, bound, tuple(members), truncated)
+    return LSetReport(spec, m, bound, tuple(Partition(t) for t in tuples), truncated)
 
 
 def andrews_decompose(p: Partition, m: int) -> list[Partition]:
@@ -656,6 +680,27 @@ def _tail_tuple(t, m):
     return tuple(x for x in t if x <= m)
 
 
+def _remainders(spec, m, bound, tails):
+    """Per tail, the partitions into parts > m completing it to a member, by (size, revlex).
+
+    ``bigs + tail`` is a member only if its prefix ``bigs`` is, so for a
+    prefix-closed kind one walk over the members with parts > m serves every
+    tail; S scans the box once per tail.
+    """
+    member = spec._member
+    if not spec.prefix_closed:
+        return {
+            pi: list(_by_size(bound.max_part, bound.max_length - len(pi),
+                              lambda bigs: all(x > m for x in bigs) and member(bigs + pi)))
+            for pi in tails
+        }
+    pool = sorted(_walk(spec._child_ok, bound.max_part, bound.max_length, m + 1), key=_size_revlex)
+    return {
+        pi: [bigs for bigs in pool if len(bigs) + len(pi) <= bound.max_length and member(bigs + pi)]
+        for pi in tails
+    }
+
+
 def infer_linking(spec: IdealSpec, m: int, bound: AnalysisBound, span_cap: int = 4) -> LinkReport:
     """Search for spans and linking sets that tie tails to shifted remainders.
 
@@ -688,18 +733,7 @@ def infer_linking(spec: IdealSpec, m: int, bound: AnalysisBound, span_cap: int =
         return LinkReport(spec, m, bound, "L-infinite-within-bound", L_set=lset.members,
                           reason="small-part members still appear at the length cap")
 
-    # Remainders: for each tail pi, the partitions of big parts (> m) that
-    # complete it to a member inside the box, in (size, revlex) order.
-    bigs_by_tail: dict[tuple, list[tuple]] = {p.parts: [] for p in lset.members}
-    for pi in lset.members:
-        room = bound.max_length - len(pi)
-        found = [
-            bigs
-            for n in range(0, bound.max_part * max(room, 0) + 1)
-            for bigs in iter_partition_tuples(n, bound.max_part, room)
-            if all(x > m for x in bigs) and member(bigs + pi.parts)
-        ]
-        bigs_by_tail[pi.parts] = found
+    bigs_by_tail = _remainders(spec, m, bound, [p.parts for p in lset.members])
 
     entries: list[LinkEntry] = []
     first_bad: LinkEntry | None = None
@@ -734,7 +768,7 @@ def infer_linking(spec: IdealSpec, m: int, bound: AnalysisBound, span_cap: int =
             if bad is not None:
                 fallback = bad
                 continue
-            forced.sort(key=lambda t: (sum(t), tuple(-x for x in t)))
+            forced.sort(key=_size_revlex)
             violation = None
             for tau in forced:
                 for bigs in bigs_by_tail[tau]:

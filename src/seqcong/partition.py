@@ -109,9 +109,9 @@ class FrequencyMap:
     def __init__(self, entries=()):
         d = dict(entries)
         for part, freq in d.items():
-            if not isinstance(part, int) or part < 1:
+            if type(part) is not int and (type(part) is bool or not isinstance(part, int)) or part < 1:
                 raise ValueError(f"part values must be positive integers, got {part!r}")
-            if not isinstance(freq, int) or freq < 1:
+            if type(freq) is not int and (type(freq) is bool or not isinstance(freq, int)) or freq < 1:
                 raise ValueError(f"frequencies must be positive integers, got {freq!r}")
         self.entries = dict(sorted(d.items()))
 

@@ -2,13 +2,14 @@
 
 The oracles here are deliberately naive, independent reimplementations used to
 cross-check the library: textbook recursive partition generators, the direct
-summation forms of the core bijections, and brute-force box filtering for the
-ideal-kind enumerators.
+summation forms of the core bijections, brute-force box filtering for the
+ideal-kind enumerators, and the size-ordered scans the ideal engines' pruned
+walks replaced.
 """
 
 from hypothesis import strategies as st
 
-from seqcong import CNotation, Partition, from_c_notation
+from seqcong import CNotation, ClosureReport, Partition, from_c_notation, iter_partition_tuples
 
 
 def naive_partitions(n, max_part=None):
@@ -89,6 +90,92 @@ def _seqcong_largest_exactly(m):
 
     rec(m, m, [])
     return found
+
+
+def recursive_member_tuples(spec, max_part, max_length):
+    """Members in the box of a prefix-closed spec, in prefix order, by recursion.
+
+    The library's former box walker, kept as the oracle for the iterative one.
+    """
+    child_ok = spec._child_ok
+
+    def rec(prefix, last):
+        for v in range(min(last, max_part), 0, -1):
+            if child_ok(prefix, v):
+                t = prefix + (v,)
+                yield t
+                if len(t) < max_length:
+                    yield from rec(t, v)
+
+    yield ()
+    yield from rec((), max_part)
+
+
+def scan_order_refute(spec, k, bound, windows):
+    """First non-member with member k-windows, scanning the box by size then revlex.
+
+    The library's former order search, kept as the oracle for the pruned walk.
+    """
+    member = spec._member
+    for n in range(1, bound.max_part * bound.max_length + 1):
+        for t in iter_partition_tuples(n, bound.max_part, bound.max_length):
+            if member(t):
+                continue
+            if all(member(w) for w in windows(t, k, bound.max_part)):
+                return Partition(t)
+    return None
+
+
+def scan_remainders(spec, m, bound, tails):
+    """Per tail, the parts > m completing it to a member, by a box scan per tail."""
+    member = spec._member
+    found = {}
+    for pi in tails:
+        room = bound.max_length - len(pi)
+        found[pi] = [
+            bigs
+            for n in range(0, bound.max_part * max(room, 0) + 1)
+            for bigs in iter_partition_tuples(n, bound.max_part, room)
+            if all(x > m for x in bigs) and member(bigs + pi)
+        ]
+    return found
+
+
+def _removals(t):
+    """Single-part removals of t, one per distinct part value, with the value."""
+    for j, v in enumerate(t):
+        if j == 0 or t[j - 1] != v:
+            yield v, t[:j] + t[j + 1:]
+
+
+def scan_closure(spec, bound):
+    """Closure check recomputing each member's removals, over the former walk order.
+
+    The library's former closure loop, kept as the oracle for the one that
+    carries removal lists down the walk.
+    """
+    member = spec._member
+    memo = {}
+    if spec.prefix_closed:
+        candidates = recursive_member_tuples(spec, bound.max_part, bound.max_length)
+    else:
+        candidates = (
+            t
+            for n in range(bound.max_part * bound.max_length + 1)
+            for t in iter_partition_tuples(n, bound.max_part, bound.max_length)
+            if member(t)
+        )
+    checked = 0
+    for t in candidates:
+        checked += 1
+        for v, smaller in _removals(t):
+            ok = memo.get(smaller)
+            if ok is None:
+                ok = member(smaller)
+                memo[smaller] = ok
+            if not ok:
+                return ClosureReport(spec, bound, False, checked, Partition(t), v, Partition(smaller))
+    return ClosureReport(spec, bound, True, checked)
 
 
 partitions_st = st.lists(st.integers(1, 24), max_size=8).map(

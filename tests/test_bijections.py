@@ -76,6 +76,11 @@ class TestCNotationCodec:
         with pytest.raises(CanonicalFormError):
             CNotation([2, 0])
 
+    @pytest.mark.parametrize("coeffs", [[True], [1, False, 1], [1.0]])
+    def test_non_integer_coefficients_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            CNotation(coeffs)
+
     def test_invariant_fields(self):
         c = CNotation([1, 2, 2, 0, 1])
         assert c.size == 52 and c.largest == 16 and c.length == 5

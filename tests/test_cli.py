@@ -51,6 +51,9 @@ class TestConvert:
     def test_standard_from_cnotation(self):
         assert cli_ok("convert", "--to", "standard", "--input", '{"c":[2,1,0,1]}') == "[8,6,4,4]\n"
 
+    def test_boolean_coefficients_rejected(self):
+        assert cli("convert", "--to", "standard", "--input", '{"c":[true]}')[0] == 1
+
     def test_frequency_roundtrip(self):
         text = cli_ok("convert", "--to", "frequency", "--input", "[3,2,2]")
         payload = json.loads(text)
@@ -190,6 +193,10 @@ class TestIdealCommands:
         payload = json.loads(cli_ok("--format", "json", "ideal", "closure", "--ideal", "D",
                                     "--max-part", "10", "--max-len", "5"))
         assert payload["closed"] is True
+
+    def test_closure_of_a_box_longer_than_the_recursion_limit(self):
+        text = cli_ok("ideal", "closure", "--ideal", "P_parity", "--max-part", "1", "--max-len", "2000")
+        assert text == "P_parity: closed under part removal within bound (2001 members checked)\n"
 
     def test_order(self):
         text = cli_ok("ideal", "order", "--ideal", "R", "--max-part", "10", "--max-len", "6")

@@ -124,6 +124,11 @@ class TestCodec:
         assert n_decode(NNotation(STD, [])) == Partition()
         assert n_encode(Partition(), STD).coeffs == ()
 
+    @pytest.mark.parametrize("coeffs", [[True], [1, False, 1], [1.0]])
+    def test_non_integer_coefficients_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            NNotation(STD, coeffs)
+
     def test_roundtrip_over_sample_specs(self):
         for a_text, b_text, depth in [
             ("nat", "nat", 3), ("pow:2", "nat", 3), ("2,5", "1,3", 2), ("arith:3", "pow:2", 3),

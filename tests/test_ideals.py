@@ -24,10 +24,25 @@ from seqcong import (
     remove_parts,
     seqcong_ideal_exit,
     weak_order_estimate,
+    weak_order_refute,
 )
-from seqcong.ideals import _sa_member, _sa_member_lcm
+from seqcong import ideals
+from seqcong.ideals import (
+    _integer_windows,
+    _present_windows,
+    _remainders,
+    _sa_member,
+    _sa_member_lcm,
+    _walk,
+)
 
-from conftest import all_partitions_upto
+from conftest import (
+    all_partitions_upto,
+    recursive_member_tuples,
+    scan_closure,
+    scan_order_refute,
+    scan_remainders,
+)
 
 B12 = AnalysisBound(12, 6)
 
@@ -125,6 +140,34 @@ class TestMemberEnumeration:
             assert walked == expected, spec
 
 
+PREFIX_CLOSED = [spec for spec in ALL_KINDS if spec.prefix_closed] + [
+    IdealSpec("SA_maxlen", 1),
+    IdealSpec("N_maxlen", 0),
+    IdealSpec("N_maxlen", 1),
+    IdealSpec("P_mod", 2),
+]
+
+
+def _box_id(bound):
+    return f"{bound.max_part}x{bound.max_length}"
+
+
+class TestWalk:
+    @pytest.mark.parametrize("spec", PREFIX_CLOSED, ids=str)
+    def test_same_sequence_as_recursive_walk(self, spec):
+        for bound in (AnalysisBound(8, 4), AnalysisBound(5, 7)):
+            expected = list(recursive_member_tuples(spec, bound.max_part, bound.max_length))
+            assert [p.parts for p in members_within(spec, bound)] == expected
+            for m in (1, 2, 3):
+                walked = list(_walk(spec._child_ok, bound.max_part, bound.max_length, m + 1))
+                assert walked == [t for t in expected if all(x > m for x in t)]
+
+    def test_length_cap_beyond_the_recursion_limit(self):
+        members = members_within(IdealSpec("N_maxlen", 5000), AnalysisBound(1, 2000))
+        assert len(members) == 2001
+        assert members[-1] == Partition([1] * 2000)
+
+
 class TestClosure:
     def test_every_real_ideal_is_closed(self):
         bound = AnalysisBound(12, 6)
@@ -152,6 +195,46 @@ class TestClosure:
         spec = IdealSpec("D")
         p = Partition([5, 4, 2, 1])
         assert is_member(spec, remove_parts(p, FrequencyMap({4: 1, 1: 1})))
+
+
+class TestClosureMatchesScan:
+    @pytest.mark.parametrize("bound", [B12, AnalysisBound(20, 4)], ids=_box_id)
+    @pytest.mark.parametrize("spec", PREFIX_CLOSED + [IdealSpec("S")], ids=str)
+    def test_reports_equal(self, spec, bound):
+        assert check_ideal_closure(spec, bound) == scan_closure(spec, bound)
+
+    @pytest.mark.parametrize(
+        "kind,excluded,witness,removed,checked",
+        [
+            ("D", (4, 1), (12, 4, 1), 12, 1018),
+            ("D", (12, 3), (12, 11, 3), 11, 382),
+            ("P_parity", (5, 1, 1), (11, 5, 1, 1), 11, 903),
+            ("P_parity", (12,) * 5, (12,) * 6, 12, 7),
+            ("Rprime", (6, 5), (12, 6, 5), 12, 1004),
+        ],
+    )
+    def test_first_failing_removal(self, kind, excluded, witness, removed, checked):
+        # The walk still generates the kind's members; only the membership
+        # test that decides removals leaves out one tuple.
+        spec = IdealSpec(kind)
+        member = spec._member
+        spec._member = lambda t: t != excluded and member(t)
+        report = check_ideal_closure(spec, B12)
+        assert report == scan_closure(spec, B12)
+        assert not report.closed
+        assert report.witness == Partition(witness)
+        assert report.removed_part == removed
+        assert report.after_removal == Partition(excluded)
+        assert report.members_checked == checked
+
+    @pytest.mark.parametrize("kind", ["D", "P_parity", "Rprime", "N_maxlen:3", "SA"])
+    def test_every_single_exclusion_matches_scan(self, kind):
+        bound = AnalysisBound(6, 5)
+        for excluded in recursive_member_tuples(IdealSpec.parse(kind), 6, 3):
+            spec = IdealSpec.parse(kind)
+            member = spec._member
+            spec._member = lambda t: t != excluded and member(t)
+            assert check_ideal_closure(spec, bound) == scan_closure(spec, bound), excluded
 
 
 class TestOrder:
@@ -204,6 +287,54 @@ class TestOrder:
         bound = AnalysisBound(12, 8)
         for spec in (IdealSpec("Rprime"), IdealSpec("Adiff"), IdealSpec("N_maxlen", 3), IdealSpec("P_parity")):
             assert order_estimate(spec, bound).growing, spec
+
+
+ORDER_BOXES = [AnalysisBound(8, 5), AnalysisBound(10, 6), AnalysisBound(7, 7), AnalysisBound(9, 4)]
+
+
+def _scan_estimate(monkeypatch, estimate, spec, bound):
+    """The estimate as the size scan gives it, and the scan's witness at each width tried."""
+    found = {}
+
+    def scan(spec, k, bound, windows):
+        found[k] = scan_order_refute(spec, k, bound, windows)
+        return found[k]
+
+    with monkeypatch.context() as patched:
+        patched.setattr(ideals, "_order_refute", scan)
+        return estimate(spec, bound), found
+
+
+class TestOrderMatchesScan:
+    @pytest.mark.parametrize("bound", ORDER_BOXES + [AnalysisBound(12, 8)], ids=_box_id)
+    @pytest.mark.parametrize("spec", PREFIX_CLOSED, ids=str)
+    def test_order(self, monkeypatch, spec, bound):
+        expected, found = _scan_estimate(monkeypatch, order_estimate, spec, bound)
+        assert order_estimate(spec, bound) == expected
+        for k, witness in found.items():
+            assert order_refute(spec, k, bound) == witness
+
+    # The weak scans at 12x8 take about a second per kind, so that box is
+    # checked on the two kinds whose weak orders the other tests quote.
+    @pytest.mark.parametrize(
+        "spec,bound",
+        [(spec, bound) for spec in PREFIX_CLOSED for bound in ORDER_BOXES]
+        + [(IdealSpec("P_parity"), AnalysisBound(12, 8)),
+           (IdealSpec("N_maxlen", 3), AnalysisBound(12, 8))],
+        ids=lambda x: str(x) if isinstance(x, IdealSpec) else _box_id(x),
+    )
+    def test_weak_order(self, monkeypatch, spec, bound):
+        expected, found = _scan_estimate(monkeypatch, weak_order_estimate, spec, bound)
+        assert weak_order_estimate(spec, bound) == expected
+        for k, witness in found.items():
+            assert weak_order_refute(spec, k, bound) == witness
+
+    @pytest.mark.parametrize("windows", [_integer_windows, _present_windows])
+    def test_non_ideal_keeps_the_scan(self, windows):
+        bound = AnalysisBound(8, 5)
+        for k in range(1, bound.max_part):
+            assert ideals._order_refute(IdealSpec("S"), k, bound, windows) == scan_order_refute(
+                IdealSpec("S"), k, bound, windows)
 
 
 class TestModulus:
@@ -353,6 +484,49 @@ class TestLinking:
                 assert order.order is not None, spec
             if order.growing:
                 assert link.verdict in ("refuted", "L-infinite-within-bound"), spec
+
+
+class TestLinkingMatchesScan:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("spec", PREFIX_CLOSED, ids=str)
+    def test_remainders(self, spec, m):
+        tails = [p.parts for p in compute_L(spec, m, B12).members]
+        assert _remainders(spec, m, B12, tails) == scan_remainders(spec, m, B12, tails)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("spec", PREFIX_CLOSED + [IdealSpec("S")], ids=str)
+    def test_reports_equal(self, monkeypatch, spec, m):
+        bound = AnalysisBound(8, 4) if spec.kind == "S" else B12
+        report = infer_linking(spec, m, bound)
+        monkeypatch.setattr(ideals, "_remainders", scan_remainders)
+        assert report == infer_linking(spec, m, bound)
+
+
+class TestBoxScans:
+    """Prefix-closed kinds are walked; only the non-ideal S scans the whole box."""
+
+    @staticmethod
+    def _scans(monkeypatch, run):
+        calls = []
+        real = ideals.iter_partition_tuples
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(ideals, "iter_partition_tuples", spy)
+        run()
+        return len(calls)
+
+    def test_walked_kind_never_scans(self, monkeypatch):
+        r = IdealSpec("R")
+        assert self._scans(monkeypatch, lambda: order_estimate(r, AnalysisBound(12, 8))) == 0
+        assert self._scans(monkeypatch, lambda: infer_linking(r, 2, AnalysisBound(15, 7))) == 0
+
+    def test_non_ideal_still_scans(self, monkeypatch):
+        s = IdealSpec("S")
+        assert self._scans(monkeypatch, lambda: order_estimate(s, AnalysisBound(12, 8))) > 0
+        assert self._scans(monkeypatch, lambda: infer_linking(s, 2, AnalysisBound(15, 7))) > 0
 
 
 class TestMaximalityEvidence:

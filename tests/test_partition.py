@@ -183,6 +183,11 @@ class TestFrequencyMap:
         with pytest.raises(ValueError):
             FrequencyMap({2: 0})
 
+    @pytest.mark.parametrize("entries", [{True: 1}, {2: True}, {2.0: 1}])
+    def test_rejects_non_integers(self, entries):
+        with pytest.raises(ValueError, match="positive integers"):
+            FrequencyMap(entries)
+
     def test_from_frequencies_skips_zero_multiplicities(self):
         assert from_frequencies([(3, 2), (5, 0)]) == Partition([3, 3])
 
