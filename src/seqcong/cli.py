@@ -60,9 +60,11 @@ def _decode_any_form(payload) -> Partition:
     if isinstance(payload, dict) and "freq" in payload:
         pairs = payload["freq"]
         try:
-            return partition.from_frequencies((int(a), int(b)) for a, b in pairs)
+            if all(type(x) is int for pair in pairs for x in pair):
+                return partition.from_frequencies((a, b) for a, b in pairs)
         except (TypeError, ValueError):
-            raise DomainError('the "freq" form needs an array of [part, multiplicity] pairs')
+            pass
+        raise DomainError('the "freq" form needs an array of [part, multiplicity] pairs')
     raise DomainError(f"cannot interpret {payload!r} as a partition")
 
 

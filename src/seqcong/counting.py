@@ -71,12 +71,12 @@ def enumerate_partitions(n: int, max_part: int | None = None, max_length: int | 
     return [Partition(t) for t in iter_partition_tuples(n, max_part, max_length)]
 
 
-def _size_walk(n: int, child_ok: Callable[[tuple[int, ...], int], bool]) -> Iterator[tuple[int, ...]]:
+def _size_walk(n: int, child_ok: Callable[[tuple[int, ...], int, int], bool]) -> Iterator[tuple[int, ...]]:
     """Partitions of n whose every prefix passes ``child_ok``, reverse lexicographic.
 
-    ``child_ok(t, v)`` decides whether part v may follow the prefix t.  The
-    walk keeps an explicit stack and pushes the smallest part first, so the
-    largest pops first and the order matches :func:`iter_partition_tuples`.
+    ``child_ok(t, len(t), v)`` decides whether part v may follow the prefix t.
+    The walk keeps an explicit stack and pushes the smallest part first, so
+    the largest pops first and the order matches :func:`iter_partition_tuples`.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -86,8 +86,9 @@ def _size_walk(n: int, child_ok: Callable[[tuple[int, ...], int], bool]) -> Iter
         if not rest:
             yield t
             continue
+        i = len(t)
         for v in range(1, min(t[-1], rest) + 1 if t else rest + 1):
-            if child_ok(t, v):
+            if child_ok(t, i, v):
                 stack.append((t + (v,), rest - v))
 
 
@@ -106,7 +107,7 @@ def iter_members_of_size(spec, n: int) -> Iterator[tuple[int, ...]]:
 def enumerate_with_parts_from(allowed: Iterable[int], n: int) -> list[Partition]:
     """Partitions of n using only the given part values, reverse lexicographic."""
     values = {v for v in allowed if 1 <= v <= n}
-    return [Partition(t) for t in _size_walk(n, lambda t, v: v in values)]
+    return [Partition(t) for t in _size_walk(n, lambda t, i, v: v in values)]
 
 
 def _iter_c_vectors(weights: list[int], total: int) -> Iterator[tuple[int, ...]]:

@@ -18,7 +18,7 @@ import os
 from typing import Iterable
 
 from .errors import CanonicalFormError, DomainError, HorizonError, SpecError
-from .partition import EMPTY, Partition, conjugate, from_frequencies
+from .partition import EMPTY, Partition, from_frequencies
 
 DEFAULT_HORIZON = 64
 HORIZON_ENV_VAR = "SEQCONG_HORIZON"
@@ -297,11 +297,14 @@ def _drop_profile(p: Partition) -> dict[int, int]:
 
 
 def is_in_SBA(p: Partition, spec: GenSpec) -> bool:
-    """Membership test: conjugate parts all lie in B with b_i's multiplicity divisible by a_i."""
-    freq: dict[int, int] = {}
-    for x in conjugate(p).parts:
-        freq[x] = freq.get(x, 0) + 1
-    for value, mult in freq.items():
+    """Membership test: conjugate parts all lie in B with b_i's multiplicity divisible by a_i.
+
+    The conjugate is never built: its value h has multiplicity
+    part(h) - part(h+1), the drop profile.  Heights are tried in descending
+    order, the order of the conjugate's parts, so a height past the horizon
+    raises before a smaller height can answer False.
+    """
+    for value, mult in reversed(_drop_profile(p).items()):
         i = spec.b.index_of(value, spec.horizon)
         if i is None:
             return False

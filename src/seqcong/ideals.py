@@ -1,23 +1,32 @@
 """Partition-ideal analysis: membership, closure, order, modulus, linking.
 
-An ideal here is a set of partitions closed under removing parts.  The module
-ships the builtin families used throughout the analysis:
+An ideal here is a set of partitions closed under removing parts.  Every
+builtin kind but S is also prefix-closed (each prefix of a member is a member)
+and is defined once, by a row of ``_KINDS`` holding one incremental test
+``ok(t, i, v)``: may the part v follow the prefix t[:i]?  The test reads only
+t[:i] and v, and answers for a member prefix t[:i] and v <= min(t[:i]).
+Membership is its fold over a tuple's own positions (exact by induction), and
+the engines' walks prune on it directly.  The rows, with i parts before v:
 
-=============  ================================================================
-kind           membership
-=============  ================================================================
-``SA``         part at index i divisible by every positive integer up to i
-``SA_maxlen``  the above restricted to length <= r   (params: r)
-``S``          sequentially congruent (NOT an ideal; kept for refutation runs)
-``D``          distinct parts
-``R``          adjacent parts differ by at least 2 (Rogers-Ramanujan)
-``Rprime``     no parts below the Durfee square (smallest part >= length)
-``Adiff``      i-th difference from the tail at least i
-``N_maxlen``   length at most n                     (params: n)
-``P_parity``   all parts of one parity
-``P_mod``      all parts congruent to one another mod k  (params: k >= 2)
-``Pprime``     one parity and distinct parts
-=============  ================================================================
+=============  ========  ======================================================
+kind           param     part v may follow t[:i] when
+=============  ========  ======================================================
+``SA``                   every integer from 2 to i + 1 divides v
+``SA_maxlen``  r >= 1    i < r and the SA test holds (SA capped at length r)
+``S``                    no test: sequentially congruent, NOT an ideal (kept
+                         for refutation runs)
+``D``                    v < t[i-1] (distinct parts)
+``R``                    t[i-1] - v >= 2 (Rogers-Ramanujan gaps)
+``Rprime``               v > i (no parts below the Durfee square)
+``Adiff``                t[i-1] - v >= 1 and t[j-1] - t[j] >= i + 1 - j for
+                         0 < j < i (j-th difference from the tail at least j)
+``N_maxlen``   n >= 0    i < n (length at most n)
+``P_parity``             v = t[0] mod 2 (all parts of one parity)
+``P_mod``      k >= 2    v = t[0] mod k (all parts congruent mod k)
+``Pprime``               v < t[i-1] and v = t[0] mod 2 (one parity, distinct)
+=============  ========  ======================================================
+
+A condition on t[i-1] or t[0] holds for the first part (i = 0).
 
 Every analysis is exhaustive within an :class:`AnalysisBound` (a parts-times-
 length box) and reports bounded verdicts with explicit witnesses, never an
@@ -37,162 +46,87 @@ from .partition import Partition
 
 
 # ---------------------------------------------------------------------------
-# membership predicates (tuple level, hot paths)
+# the kinds: one incremental test each
 # ---------------------------------------------------------------------------
 
-def _sa_member(t):
-    # Literal reading of the divisibility characterization: every part is
-    # divisible by every positive integer up to its index.
-    for i, x in enumerate(t, 1):
-        for j in range(2, i + 1):
-            if x % j:
-                return False
-    return True
+def _sa_ok(t, i, v):
+    # the part at 1-based index i + 1 is divisible by every integer up to it
+    return all(v % j == 0 for j in range(2, i + 2))
 
 
-def _sa_member_lcm(t):
-    # Congruence-chain definition (part i congruent to part i+1 modulo
-    # lcm(1..i), with 0 past the end); retained as the oracle for _sa_member.
-    m = 1
-    for i in range(1, len(t) + 1):
-        m = lcm(m, i)
-        nxt = t[i] if i < len(t) else 0
-        if (t[i - 1] - nxt) % m:
+def _adiff_ok(t, i, v):
+    # each gap of t[:i] + (v,) is at least the number of parts after it
+    if i and t[i - 1] - v < 1:
+        return False
+    for j in range(1, i):
+        if t[j - 1] - t[j] < i + 1 - j:
             return False
     return True
+
+
+# kind -> (least parameter, or None when the kind takes none;
+#          parameter -> incremental test ok(t, i, v), or None for S)
+_KINDS = {
+    "SA": (None, lambda _: _sa_ok),
+    "SA_maxlen": (1, lambda r: lambda t, i, v: i < r and _sa_ok(t, i, v)),
+    "S": (None, None),
+    "D": (None, lambda _: lambda t, i, v: not i or v < t[i - 1]),
+    "R": (None, lambda _: lambda t, i, v: not i or t[i - 1] - v >= 2),
+    "Rprime": (None, lambda _: lambda t, i, v: v > i),
+    "Adiff": (None, lambda _: _adiff_ok),
+    "N_maxlen": (0, lambda n: lambda t, i, v: i < n),
+    "P_parity": (None, lambda _: lambda t, i, v: not i or (t[0] - v) % 2 == 0),
+    "P_mod": (2, lambda k: lambda t, i, v: not i or (t[0] - v) % k == 0),
+    "Pprime": (None, lambda _: lambda t, i, v: not i or (v < t[i - 1] and (t[0] - v) % 2 == 0)),
+}
+
+
+def _fold(ok):
+    """Membership as the fold of ``ok`` over the tuple's own positions.
+
+    Exact for a prefix-closed kind by induction: t[:i] is a member when
+    position i is tested, and t[i] <= min(t[:i]).
+    """
+    def member(t):
+        for i, v in enumerate(t):
+            if not ok(t, i, v):
+                return False
+        return True
+    return member
 
 
 def _seqcong_member(t):
     return _congruence_failure_index(t) is None
 
 
-def _distinct_member(t):
-    return len(set(t)) == len(t)
-
-
-def _rr_member(t):
-    for i in range(len(t) - 1):
-        if t[i] - t[i + 1] < 2:
-            return False
-    return True
-
-
-def _rprime_member(t):
-    return not t or t[-1] >= len(t)
-
-
-def _adiff_member(t):
-    r = len(t)
-    for j in range(1, r):
-        if t[j - 1] - t[j] < r - j:
-            return False
-    return True
-
-
-def _parity_member(t):
-    return not t or all((x - t[0]) % 2 == 0 for x in t)
-
-
-def _pprime_member(t):
-    return _parity_member(t) and _distinct_member(t)
-
-
-def _make_ops(kind, param):
-    """member / child_ok / prefix_closed triple for a kind.
-
-    ``child_ok(t, v)`` agrees with ``member(t + (v,))`` whenever t is a member
-    and v <= min(t); it powers the pruned member walk.  ``prefix_closed``
-    records that every prefix of a member is a member, which holds for all the
-    real ideals by their definitions and fails for S.
-    """
-    if kind == "SA":
-        def child(t, v):
-            return all(v % j == 0 for j in range(2, len(t) + 2))
-        return _sa_member, child, True
-    if kind == "SA_maxlen":
-        r = param
-
-        def member(t):
-            return len(t) <= r and _sa_member(t)
-
-        def child(t, v):
-            return len(t) < r and all(v % j == 0 for j in range(2, len(t) + 2))
-        return member, child, True
-    if kind == "S":
-        return _seqcong_member, None, False
-    if kind == "D":
-        def child(t, v):
-            return not t or v < t[-1]
-        return _distinct_member, child, True
-    if kind == "R":
-        def child(t, v):
-            return not t or t[-1] - v >= 2
-        return _rr_member, child, True
-    if kind == "Rprime":
-        def child(t, v):
-            return v > len(t)
-        return _rprime_member, child, True
-    if kind == "Adiff":
-        def child(t, v):
-            k = len(t)
-            if t and t[-1] - v < 1:
-                return False
-            for j in range(1, k):
-                if t[j - 1] - t[j] < k + 1 - j:
-                    return False
-            return True
-        return _adiff_member, child, True
-    if kind == "N_maxlen":
-        n = param
-
-        def member(t):
-            return len(t) <= n
-
-        def child(t, v):
-            return len(t) < n
-        return member, child, True
-    if kind == "P_parity":
-        def child(t, v):
-            return not t or (t[0] - v) % 2 == 0
-        return _parity_member, child, True
-    if kind == "P_mod":
-        k = param
-
-        def member(t):
-            return not t or all((x - t[0]) % k == 0 for x in t)
-
-        def child(t, v):
-            return not t or (t[0] - v) % k == 0
-        return member, child, True
-    if kind == "Pprime":
-        def child(t, v):
-            return not t or (v < t[-1] and (t[0] - v) % 2 == 0)
-        return _pprime_member, child, True
-    raise DomainError(f"unknown ideal kind {kind!r}")
-
-
-_PARAM_KINDS = {"SA_maxlen": 1, "N_maxlen": 0, "P_mod": 2}
-_KIND_NAMES = ("SA", "SA_maxlen", "S", "D", "R", "Rprime", "Adiff", "N_maxlen", "P_parity", "P_mod", "Pprime")
-
-
 class IdealSpec:
-    """A named builtin partition family, possibly with one integer parameter."""
+    """A named builtin partition family, possibly with one integer parameter.
+
+    ``_member(t)`` decides membership of a partition tuple.  For prefix-closed
+    kinds ``_child_ok(t, i, v)`` is the kind's incremental test and
+    ``_member`` its fold; S has no incremental test.
+    """
 
     __slots__ = ("kind", "param", "_member", "_child_ok", "prefix_closed")
 
     def __init__(self, kind: str, param: int | None = None):
-        if kind not in _KIND_NAMES:
-            raise DomainError(f"unknown ideal kind {kind!r}; choose from {', '.join(_KIND_NAMES)}")
-        if kind in _PARAM_KINDS:
+        if kind not in _KINDS:
+            raise DomainError(f"unknown ideal kind {kind!r}; choose from {', '.join(_KINDS)}")
+        least, test = _KINDS[kind]
+        if least is not None:
             if param is None:
                 raise DomainError(f"kind {kind} needs an integer parameter")
-            if param < _PARAM_KINDS[kind]:
-                raise DomainError(f"parameter for {kind} must be at least {_PARAM_KINDS[kind]}")
+            if param < least:
+                raise DomainError(f"parameter for {kind} must be at least {least}")
         elif param is not None:
             raise DomainError(f"kind {kind} takes no parameter")
         self.kind = kind
         self.param = param
-        self._member, self._child_ok, self.prefix_closed = _make_ops(kind, param)
+        if test is None:
+            self._member, self._child_ok, self.prefix_closed = _seqcong_member, None, False
+        else:
+            ok = test(param)
+            self._member, self._child_ok, self.prefix_closed = _fold(ok), ok, True
 
     @classmethod
     def parse(cls, text: str) -> "IdealSpec":
@@ -210,7 +144,7 @@ class IdealSpec:
 
     def is_true_ideal(self) -> bool:
         """S is the one builtin that is not actually closed under removal."""
-        return self.kind != "S"
+        return self.prefix_closed
 
     def __eq__(self, other) -> bool:
         if isinstance(other, IdealSpec):
@@ -244,12 +178,22 @@ class AnalysisBound:
             raise ValueError("bounds must be at least 1")
 
 
+def _report_json(spec: IdealSpec, bound: AnalysisBound, modulus: int | None = None, **fields) -> dict:
+    """A report's JSON: ``ideal``, ``modulus`` (when given) and ``bound``, then ``fields``."""
+    d = {"ideal": str(spec)}
+    if modulus is not None:
+        d["modulus"] = modulus
+    d["bound"] = {"max_part": bound.max_part, "max_length": bound.max_length}
+    d.update(fields)
+    return d
+
+
 # ---------------------------------------------------------------------------
 # member enumeration
 # ---------------------------------------------------------------------------
 
 def _walk(accept, max_part: int, max_length: int, min_part: int = 1):
-    """Box tuples whose every prefix passes ``accept(prefix, part)``, in prefix order.
+    """Box tuples whose every prefix passes ``accept(prefix, len(prefix), part)``, in prefix order.
 
     Parts lie in [min_part, max_part] and are tried largest first; each tuple
     comes before its extensions, starting with ().  Walked with a prefix-closed
@@ -262,10 +206,11 @@ def _walk(accept, max_part: int, max_length: int, min_part: int = 1):
     while stack:
         t = stack.pop()
         yield t
-        if len(t) < max_length:
+        n = len(t)
+        if n < max_length:
             top = t[-1] if t else max_part
             # smallest first, so the largest part pops first
-            stack.extend([t + (v,) for v in range(min_part, top + 1) if accept(t, v)])
+            stack.extend([t + (v,) for v in range(min_part, top + 1) if accept(t, n, v)])
 
 
 def _by_size(max_part: int, max_length: int, keep):
@@ -309,12 +254,7 @@ class ClosureReport:
     after_removal: Partition | None = None
 
     def to_json_dict(self):
-        d = {
-            "ideal": str(self.spec),
-            "bound": {"max_part": self.bound.max_part, "max_length": self.bound.max_length},
-            "closed": self.closed,
-            "members_checked": self.members_checked,
-        }
+        d = _report_json(self.spec, self.bound, closed=self.closed, members_checked=self.members_checked)
         if self.witness is not None:
             d["witness"] = list(self.witness.parts)
             d["removed_part"] = self.removed_part
@@ -386,14 +326,8 @@ class OrderReport:
     last_witness: Partition | None = None
 
     def to_json_dict(self):
-        d = {
-            "ideal": str(self.spec),
-            "bound": {"max_part": self.bound.max_part, "max_length": self.bound.max_length},
-            "weak": self.weak,
-            "order": self.order,
-            "growing_with_bound": self.growing,
-            "refuted_up_to": self.refuted_up_to,
-        }
+        d = _report_json(self.spec, self.bound, weak=self.weak, order=self.order,
+                         growing_with_bound=self.growing, refuted_up_to=self.refuted_up_to)
         if self.last_witness is not None:
             d["last_witness"] = list(self.last_witness.parts)
         return d
@@ -439,7 +373,7 @@ def _order_refute(spec, k, bound, windows):
         t = next(_by_size(max_part, bound.max_length, lambda t: not member(t) and windows_ok(t)), None)
         return None if t is None else Partition(t)
 
-    def accept(t, v):
+    def accept(t, i, v):
         nonlocal cut
         if sum(t) + v > cap:
             cut = True
@@ -522,12 +456,7 @@ class ModulusReport:
     direction: str | None = None      # "shift-escapes" or "unshift-escapes"
 
     def to_json_dict(self):
-        d = {
-            "ideal": str(self.spec),
-            "modulus": self.modulus,
-            "bound": {"max_part": self.bound.max_part, "max_length": self.bound.max_length},
-            "holds": self.holds,
-        }
+        d = _report_json(self.spec, self.bound, self.modulus, holds=self.holds)
         if self.witness is not None:
             d["witness"] = list(self.witness.parts)
             d["direction"] = self.direction
@@ -567,13 +496,8 @@ class LSetReport:
     truncated: bool                   # hit the length cap: bounded evidence of an infinite set
 
     def to_json_dict(self):
-        return {
-            "ideal": str(self.spec),
-            "modulus": self.modulus,
-            "bound": {"max_part": self.bound.max_part, "max_length": self.bound.max_length},
-            "members": [list(p.parts) for p in self.members],
-            "truncated": self.truncated,
-        }
+        return _report_json(self.spec, self.bound, self.modulus,
+                            members=[list(p.parts) for p in self.members], truncated=self.truncated)
 
 
 def compute_L(spec: IdealSpec, m: int, bound: AnalysisBound) -> LSetReport:
@@ -652,13 +576,11 @@ class LinkReport:
         return None
 
     def to_json_dict(self):
-        d = {
-            "ideal": str(self.spec),
-            "modulus": self.modulus,
-            "bound": {"max_part": self.bound.max_part, "max_length": self.bound.max_length},
-            "verdict": self.verdict,
-            "L_set": [list(p.parts) for p in self.L_set],
-            "entries": [
+        d = _report_json(
+            self.spec, self.bound, self.modulus,
+            verdict=self.verdict,
+            L_set=[list(p.parts) for p in self.L_set],
+            entries=[
                 {
                     "element": list(e.element.parts),
                     "span": e.span,
@@ -668,7 +590,7 @@ class LinkReport:
                 }
                 for e in self.entries
             ],
-        }
+        )
         if self.witness is not None:
             d["witness"] = list(self.witness.parts)
         if self.reason is not None:

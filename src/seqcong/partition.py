@@ -161,8 +161,8 @@ def conjugate(p: Partition) -> Partition:
     """Conjugate partition, computed from the part-difference closed form.
 
     The conjugate has the part value i with multiplicity part(i) - part(i+1),
-    for i from 1 to the length.  (The diagram-transpose definition is kept in
-    ``_conjugate_by_transpose`` as a test oracle.)
+    for i from 1 to the length.  (The tests keep the diagram-transpose
+    definition as its oracle.)
     """
     r = len(p)
     parts: list[int] = []
@@ -170,17 +170,6 @@ def conjugate(p: Partition) -> Partition:
         mult = p.part(i) - p.part(i + 1)
         parts.extend([i] * mult)
     return Partition(parts)
-
-
-def _conjugate_by_transpose(p: Partition) -> Partition:
-    # Column heights of the Young diagram; test oracle only.
-    if p.is_empty():
-        return EMPTY
-    cols = [0] * p.largest
-    for row in p.parts:
-        for j in range(row):
-            cols[j] += 1
-    return Partition(cols)
 
 
 def is_self_conjugate(p: Partition) -> bool:

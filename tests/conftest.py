@@ -2,14 +2,18 @@
 
 The oracles here are deliberately naive, independent reimplementations used to
 cross-check the library: textbook recursive partition generators, the direct
-summation forms of the core bijections, brute-force box filtering for the
+summation forms of the core bijections and of conjugation, closed-form
+membership predicates for the ideal kinds, brute-force box filtering for the
 ideal-kind enumerators, and the size-ordered scans the ideal engines' pruned
 walks replaced.
 """
 
+from math import lcm
+
 from hypothesis import strategies as st
 
-from seqcong import CNotation, ClosureReport, Partition, from_c_notation, iter_partition_tuples
+from seqcong import CNotation, ClosureReport, Partition, conjugate, from_c_notation, iter_partition_tuples
+from seqcong.partition import EMPTY
 
 
 def naive_partitions(n, max_part=None):
@@ -92,6 +96,110 @@ def _seqcong_largest_exactly(m):
     return found
 
 
+def conjugate_by_transpose(p: Partition) -> Partition:
+    """Column heights of the Young diagram; the oracle for ``conjugate``."""
+    if p.is_empty():
+        return EMPTY
+    cols = [0] * p.largest
+    for row in p.parts:
+        for j in range(row):
+            cols[j] += 1
+    return Partition(cols)
+
+
+def sba_by_conjugate(p, spec):
+    """Generalized membership read off the conjugate's multiplicities.
+
+    The library's former ``is_in_SBA``, kept as the oracle for the one that
+    reads the drop profile without building the conjugate.
+    """
+    freq = {}
+    for x in conjugate(p).parts:
+        freq[x] = freq.get(x, 0) + 1
+    for value, mult in freq.items():
+        i = spec.b.index_of(value, spec.horizon)
+        if i is None:
+            return False
+        if mult % spec.a_term(i):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# closed-form membership of the prefix-closed ideal kinds, the library's
+# former predicates, kept as oracles for the folds of the incremental tests
+# ---------------------------------------------------------------------------
+
+def sa_member(t):
+    # Literal reading of the divisibility characterization: every part is
+    # divisible by every positive integer up to its index.
+    for i, x in enumerate(t, 1):
+        for j in range(2, i + 1):
+            if x % j:
+                return False
+    return True
+
+
+def sa_member_lcm(t):
+    # Congruence-chain definition (part i congruent to part i+1 modulo
+    # lcm(1..i), with 0 past the end); the oracle for sa_member.
+    m = 1
+    for i in range(1, len(t) + 1):
+        m = lcm(m, i)
+        nxt = t[i] if i < len(t) else 0
+        if (t[i - 1] - nxt) % m:
+            return False
+    return True
+
+
+def distinct_member(t):
+    return len(set(t)) == len(t)
+
+
+def rr_member(t):
+    for i in range(len(t) - 1):
+        if t[i] - t[i + 1] < 2:
+            return False
+    return True
+
+
+def rprime_member(t):
+    return not t or t[-1] >= len(t)
+
+
+def adiff_member(t):
+    r = len(t)
+    for j in range(1, r):
+        if t[j - 1] - t[j] < r - j:
+            return False
+    return True
+
+
+def parity_member(t):
+    return not t or all((x - t[0]) % 2 == 0 for x in t)
+
+
+def pprime_member(t):
+    return parity_member(t) and distinct_member(t)
+
+
+def oracle_member(spec):
+    """The closed-form membership predicate of a prefix-closed spec."""
+    param = spec.param
+    return {
+        "SA": sa_member,
+        "SA_maxlen": lambda t: len(t) <= param and sa_member(t),
+        "D": distinct_member,
+        "R": rr_member,
+        "Rprime": rprime_member,
+        "Adiff": adiff_member,
+        "N_maxlen": lambda t: len(t) <= param,
+        "P_parity": parity_member,
+        "P_mod": lambda t: not t or all((x - t[0]) % param == 0 for x in t),
+        "Pprime": pprime_member,
+    }[spec.kind]
+
+
 def recursive_member_tuples(spec, max_part, max_length):
     """Members in the box of a prefix-closed spec, in prefix order, by recursion.
 
@@ -101,7 +209,7 @@ def recursive_member_tuples(spec, max_part, max_length):
 
     def rec(prefix, last):
         for v in range(min(last, max_part), 0, -1):
-            if child_ok(prefix, v):
+            if child_ok(prefix, len(prefix), v):
                 t = prefix + (v,)
                 yield t
                 if len(t) < max_length:

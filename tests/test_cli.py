@@ -54,6 +54,15 @@ class TestConvert:
     def test_boolean_coefficients_rejected(self):
         assert cli("convert", "--to", "standard", "--input", '{"c":[true]}')[0] == 1
 
+    @pytest.mark.parametrize("payload", ['{"freq":[[true,2]]}', '{"freq":[["3","1"],[2.7,1]]}',
+                                         '{"freq":[[3,1],[2.7,1]]}', '{"freq":{"12":1}}'])
+    def test_frequency_form_needs_integers(self, payload, capsys):
+        assert cli("convert", "--to", "standard", "--input", payload) == (1, "")
+        assert capsys.readouterr().err == 'error: the "freq" form needs an array of [part, multiplicity] pairs\n'
+
+    def test_frequency_form_standard(self):
+        assert cli_ok("convert", "--to", "standard", "--input", '{"freq":[[3,1],[2,2],[5,0]]}') == "[3,2,2]\n"
+
     def test_frequency_roundtrip(self):
         text = cli_ok("convert", "--to", "frequency", "--input", "[3,2,2]")
         payload = json.loads(text)
@@ -104,6 +113,16 @@ class TestGeneralizedCommands:
     def test_gmap_sigmak(self):
         assert cli_ok("gmap", "--fn", "sigmak", "--k", "2", "--input", "[4,4]") == "[4]\n"
         assert cli_ok("gmap", "--fn", "psik", "--k", "2", "--input", "[4,4]") == "[8]\n"
+
+    def test_gcheck_horizon_error_comes_before_a_false_verdict(self, capsys):
+        # the tall column (height 200, position 100 of arith:2) is tried before
+        # the height-1 column that alone would answer false
+        parts = "[2" + ",1" * 199 + "]"
+        assert cli("gcheck", "--B", "arith:2", "--input", parts) == (1, "")
+        assert capsys.readouterr().err == "error: value 200 sits at position 100, beyond the horizon 64\n"
+
+    def test_gcheck_huge_part(self):
+        assert cli_ok("gcheck", "--input", "[1000000000000]") == "true\n"
 
     def test_horizon_env(self, monkeypatch):
         monkeypatch.setenv("SEQCONG_HORIZON", "2")

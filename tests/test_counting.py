@@ -20,7 +20,7 @@ from seqcong import (
     iter_partition_tuples,
 )
 
-from seqcong.ideals import _KIND_NAMES
+from seqcong.ideals import _KINDS
 
 from conftest import naive_partitions, recursive_partition_tuples
 
@@ -209,7 +209,7 @@ PREFIX_CLOSED = [
 
 class TestMemberWalk:
     def test_covers_every_prefix_closed_kind(self):
-        assert {s.kind for s in PREFIX_CLOSED} == set(_KIND_NAMES) - {"S"}
+        assert {s.kind for s in PREFIX_CLOSED} == set(_KINDS) - {"S"}
         assert all(s.prefix_closed for s in PREFIX_CLOSED)
 
     @pytest.mark.parametrize("spec", PREFIX_CLOSED, ids=str)

@@ -31,7 +31,7 @@ from seqcong import (
 )
 from seqcong.counting import _iter_c_vectors
 
-from conftest import all_partitions_upto, seqcong_with_largest_upto
+from conftest import all_partitions_upto, sba_by_conjugate, seqcong_with_largest_upto
 
 STD = GenSpec.standard()
 
@@ -107,6 +107,22 @@ class TestMembership:
                 except DomainError:
                     encoded = False
                 assert claimed == encoded, (p, spec)
+
+    def test_drop_profile_matches_conjugate_oracle(self):
+        # horizon 3 makes tall columns raise; the verdict or the error must match
+        specs = [STD, _spec("2", "3"), _spec("pow:2", "nat"), _spec("2,5", "1,3"), _spec("arith:2", "nat"),
+                 _spec("nat", "arith:2"), _spec("1,2", "2,4,6"), GenSpec.parse("nat", "nat", 3),
+                 GenSpec.parse("2", "arith:2", 3)]
+        for spec in specs:
+            for p in all_partitions_upto(12):
+                try:
+                    want = sba_by_conjugate(p, spec)
+                except HorizonError as exc:
+                    with pytest.raises(HorizonError) as got:
+                        is_in_SBA(p, spec)
+                    assert str(got.value) == str(exc)
+                    continue
+                assert is_in_SBA(p, spec) == want, (p, spec)
 
 
 class TestCodec:

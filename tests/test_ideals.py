@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from seqcong import (
@@ -31,14 +33,15 @@ from seqcong.ideals import (
     _integer_windows,
     _present_windows,
     _remainders,
-    _sa_member,
-    _sa_member_lcm,
     _walk,
 )
 
 from conftest import (
     all_partitions_upto,
+    oracle_member,
     recursive_member_tuples,
+    sa_member,
+    sa_member_lcm,
     scan_closure,
     scan_order_refute,
     scan_remainders,
@@ -96,10 +99,11 @@ class TestMembership:
             assert is_member(spec, Partition())
 
     def test_sa_divisibility_matches_lcm_oracle(self):
+        sa = IdealSpec("SA")._member
         for p in all_partitions_upto(14):
-            assert _sa_member(p.parts) == _sa_member_lcm(p.parts)
+            assert sa(p.parts) == sa_member(p.parts) == sa_member_lcm(p.parts)
         for t in [(60,) * 5, (64,) * 5, (420, 60, 6), (12, 6, 6), (12, 10, 6)]:
-            assert _sa_member(t) == _sa_member_lcm(t)
+            assert sa(t) == sa_member(t) == sa_member_lcm(t)
 
     def test_rprime_is_durfee_condition(self):
         from seqcong import durfee_size
@@ -124,6 +128,44 @@ class TestMembership:
                     assert is_member(s, p)
                 if is_member(s, p):
                     assert is_member(rp, p)
+
+
+TABLE_SPECS = [
+    IdealSpec.parse(tag)
+    for tag in ("SA", "SA_maxlen:1", "SA_maxlen:2", "SA_maxlen:3", "D", "R", "Rprime", "Adiff",
+                "N_maxlen:0", "N_maxlen:1", "N_maxlen:2", "N_maxlen:3", "P_parity", "P_mod:2",
+                "P_mod:3", "P_mod:4", "Pprime")
+]
+# every partition of size <= 20 with at most 8 parts
+SMALL_TUPLES = [t for n in range(21) for t in iter_partition_tuples(n, None, 8)]
+
+
+class TestKindTable:
+    def test_covers_every_prefix_closed_kind(self):
+        assert {s.kind for s in TABLE_SPECS} == set(ideals._KINDS) - {"S"}
+        assert all(s.prefix_closed and s.is_true_ideal() for s in TABLE_SPECS)
+        assert not IdealSpec("S").prefix_closed and not IdealSpec("S").is_true_ideal()
+
+    @pytest.mark.parametrize("spec", TABLE_SPECS, ids=str)
+    def test_fold_and_incremental_test_match_closed_form(self, spec):
+        oracle, ok = oracle_member(spec), spec._child_ok
+        for t in SMALL_TUPLES:
+            member = oracle(t)
+            assert spec._member(t) == member, t
+            if member:
+                for v in range(1, (t[-1] if t else 21) + 1):
+                    assert ok(t, len(t), v) == oracle(t + (v,)), (t, v)
+
+    def test_incremental_test_reads_only_the_prefix(self):
+        for spec in TABLE_SPECS:
+            ok = spec._child_ok
+            for t in SMALL_TUPLES:
+                for i in range(len(t)):
+                    assert ok(t, i, t[i]) == ok(t[:i], i, t[i]), (spec, t, i)
+
+    def test_module_table_lists_the_rows_in_order(self):
+        rows = re.findall(r"^``(\w+)``  ", ideals.__doc__, re.M)
+        assert rows == list(ideals._KINDS)
 
 
 class TestMemberEnumeration:

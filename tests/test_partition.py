@@ -20,9 +20,9 @@ from seqcong import (
     tail,
     unshift,
 )
-from seqcong.partition import MAX_PART, _conjugate_by_transpose
+from seqcong.partition import MAX_PART
 
-from conftest import all_partitions_upto, partitions_st
+from conftest import all_partitions_upto, conjugate_by_transpose, partitions_st
 
 
 class TestConstruction:
@@ -60,7 +60,7 @@ class TestConjugate:
 
     def test_matches_transpose_oracle_exhaustively(self):
         for p in all_partitions_upto(14):
-            assert conjugate(p) == _conjugate_by_transpose(p)
+            assert conjugate(p) == conjugate_by_transpose(p)
 
     def test_involution_exhaustively(self):
         for p in all_partitions_upto(14):
