@@ -36,6 +36,8 @@ def _load_input(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DomainError(f"input is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DomainError("input is nested too deeply") from None
 
 
 def _partition_payload(p: Partition) -> list[int]:

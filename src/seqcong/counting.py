@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Iterator
 
 from .bijections import CNotation, from_c_notation
 from .errors import DomainError
-from .partition import Partition
+from .partition import MAX_PART, Partition
 
 
 def iter_partition_tuples(
@@ -25,8 +25,13 @@ def iter_partition_tuples(
     Parts are capped at ``max_part`` and lengths at ``max_length``; a cap
     below 1 leaves only the empty partition of 0.  Each step decrements the
     rightmost part whose suffix still fits the length cap and refills the
-    suffix greedily (ZS1, Zoghbi & Stojmenovic 1998, with caps).
+    suffix greedily (ZS1, Zoghbi & Stojmenovic 1998, with caps).  The parts
+    are plain ints in the 64-bit part range, so the enumerators may wrap the
+    tuples with ``Partition._of``.
     """
+    for arg in (n, max_part):  # the parts are built from these two
+        if arg is not None and type(arg) is not int:
+            raise TypeError(f"n and max_part must be integers, got {arg!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
@@ -36,6 +41,8 @@ def iter_partition_tuples(
     room = n if max_length is None else max_length
     if cap < 1 or room < 1 or n > cap * room:
         return
+    if cap > MAX_PART:
+        raise OverflowError(f"part {cap} exceeds the 64-bit part range")
     x: list[int] = []
     j, t, r = 0, n, cap  # refill x[j:] with sum t greedily, parts at most r
     while True:
@@ -68,7 +75,7 @@ def iter_partition_tuples(
 
 def enumerate_partitions(n: int, max_part: int | None = None, max_length: int | None = None) -> list[Partition]:
     """Partitions of n in reverse lexicographic order."""
-    return [Partition(t) for t in iter_partition_tuples(n, max_part, max_length)]
+    return [Partition._of(t) for t in iter_partition_tuples(n, max_part, max_length)]
 
 
 def _size_walk(n: int, child_ok: Callable[[tuple[int, ...], int, int], bool]) -> Iterator[tuple[int, ...]]:
@@ -107,7 +114,7 @@ def iter_members_of_size(spec, n: int) -> Iterator[tuple[int, ...]]:
 def enumerate_with_parts_from(allowed: Iterable[int], n: int) -> list[Partition]:
     """Partitions of n using only the given part values, reverse lexicographic."""
     values = {v for v in allowed if 1 <= v <= n}
-    return [Partition(t) for t in _size_walk(n, lambda t, i, v: v in values)]
+    return [Partition._of(t) for t in _size_walk(n, lambda t, i, v: v in values)]
 
 
 def _iter_c_vectors(weights: list[int], total: int) -> Iterator[tuple[int, ...]]:
@@ -221,7 +228,7 @@ def count_members(pred, n: int) -> int:
     if getattr(pred, "prefix_closed", False):
         return sum(1 for _ in iter_members_of_size(pred, n))
     test = _as_predicate(pred)
-    return sum(1 for t in iter_partition_tuples(n) if test(Partition(t)))
+    return sum(1 for t in iter_partition_tuples(n) if test(Partition._of(t)))
 
 
 def enumerate_members(pred, n: int) -> list[Partition]:
@@ -231,9 +238,9 @@ def enumerate_members(pred, n: int) -> list[Partition]:
     prefix-closed specs the same way.
     """
     if getattr(pred, "prefix_closed", False):
-        return [Partition(t) for t in iter_members_of_size(pred, n)]
+        return [Partition._of(t) for t in iter_members_of_size(pred, n)]
     test = _as_predicate(pred)
-    return [p for p in map(Partition, iter_partition_tuples(n)) if test(p)]
+    return [p for p in map(Partition._of, iter_partition_tuples(n)) if test(p)]
 
 
 def _as_predicate(pred) -> Callable[[Partition], bool]:

@@ -116,6 +116,8 @@ class IdealSpec:
         if least is not None:
             if param is None:
                 raise DomainError(f"kind {kind} needs an integer parameter")
+            if type(param) is not int:
+                raise DomainError(f"parameter for {kind} must be an integer, got {param!r}")
             if param < least:
                 raise DomainError(f"parameter for {kind} must be at least {least}")
         elif param is not None:
@@ -134,9 +136,10 @@ class IdealSpec:
         if ":" in text:
             kind, _, raw = text.partition(":")
             try:
-                return cls(kind.strip(), int(raw))
+                param = int(raw)
             except ValueError:
-                raise DomainError(f"bad ideal parameter in {text!r}")
+                raise DomainError(f"bad ideal parameter in {text!r}") from None
+            return cls(kind.strip(), param)
         return cls(text.strip())
 
     def contains(self, p: Partition) -> bool:
@@ -236,7 +239,7 @@ def _size_revlex(t):
 
 def members_within(spec: IdealSpec, bound: AnalysisBound) -> list[Partition]:
     """All members inside the bound box: prefix order for prefix-closed kinds, by size for S."""
-    return [Partition(t) for t in _member_tuples(spec, bound.max_part, bound.max_length)]
+    return [Partition._of(t) for t in _member_tuples(spec, bound.max_part, bound.max_length)]
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +513,7 @@ def compute_L(spec: IdealSpec, m: int, bound: AnalysisBound) -> LSetReport:
         raise DomainError("modulus must be positive")
     tuples = sorted(_member_tuples(spec, min(m, bound.max_part), bound.max_length), key=_size_revlex)
     truncated = any(len(t) >= bound.max_length for t in tuples)
-    return LSetReport(spec, m, bound, tuple(Partition(t) for t in tuples), truncated)
+    return LSetReport(spec, m, bound, tuple(map(Partition._of, tuples)), truncated)
 
 
 def andrews_decompose(p: Partition, m: int) -> list[Partition]:

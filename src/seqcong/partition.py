@@ -43,6 +43,18 @@ class Partition:
             prev = x
         self.parts = t
 
+    @classmethod
+    def _of(cls, t: tuple[int, ...]) -> "Partition":
+        """Wrap a tuple the library generated itself, skipping the checks.
+
+        The caller guarantees that ``t`` is a tuple of plain ints, each at
+        least 1 and at most MAX_PART, weakly decreasing.  Outside input goes
+        through ``Partition(...)``.
+        """
+        p = object.__new__(cls)
+        p.parts = t
+        return p
+
     @property
     def size(self) -> int:
         return sum(self.parts)

@@ -282,3 +282,11 @@ class TestErrorsAndDeterminism:
             ("--format", "json", "ideal", "link", "--ideal", "D", "--modulus", "1"),
         ):
             json.loads(cli_ok(*argv))
+
+    @pytest.mark.parametrize("via_stdin", [True, False], ids=["stdin", "argument"])
+    def test_deeply_nested_json_is_a_domain_error(self, monkeypatch, capsys, via_stdin):
+        text = "[" * 100000 + "]" * 100000
+        if via_stdin:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n"))
+        assert cli("map", "--fn", "pi", "--input", "-" if via_stdin else text) == (1, "")
+        assert capsys.readouterr().err == "error: input is nested too deeply\n"

@@ -1,10 +1,12 @@
 import pytest
 
 from seqcong import (
+    AnalysisBound,
     CountSeries,
     DomainError,
     IdealSpec,
     Partition,
+    compute_L,
     count_all_partitions,
     count_into_powers,
     count_members,
@@ -18,6 +20,7 @@ from seqcong import (
     is_seq_congruent,
     iter_members_of_size,
     iter_partition_tuples,
+    members_within,
 )
 
 from seqcong.ideals import _KINDS
@@ -227,3 +230,79 @@ class TestMemberWalk:
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             count_members(IdealSpec("R"), -1)
+
+
+def assert_trusted(partitions):
+    """Each partition an enumerator wrapped unchecked is one the checks accept."""
+    for p in partitions:
+        assert type(p.parts) is tuple
+        assert all(type(x) is int for x in p.parts), p.parts
+        assert p == Partition(p.parts)
+
+
+class TestTrustedConstruction:
+    """The enumerators wrap their own tuples with ``Partition._of``."""
+
+    def test_enumerate_partitions(self):
+        for n in range(26):
+            for max_part in CAPS:
+                for max_length in CAPS:
+                    assert_trusted(enumerate_partitions(n, max_part, max_length))
+
+    @pytest.mark.parametrize("pred", PREFIX_CLOSED + [IdealSpec("S"), is_seq_congruent],
+                             ids=lambda pred: getattr(pred, "__name__", str(pred)))
+    def test_enumerate_members(self, pred):
+        for n in range(26):
+            assert_trusted(enumerate_members(pred, n))
+
+    def test_enumerate_with_parts_from(self):
+        for allowed in ({1, 3, 4}, {2, 5, 7}, {1, 4, 9, 16}):
+            for n in range(26):
+                assert_trusted(enumerate_with_parts_from(allowed, n))
+
+    @pytest.mark.parametrize("spec", PREFIX_CLOSED + [IdealSpec("S")], ids=str)
+    def test_members_within_and_compute_L(self, spec):
+        for bound in (AnalysisBound(8, 4), AnalysisBound(5, 7), AnalysisBound(12, 6)):
+            assert_trusted(members_within(spec, bound))
+            for m in (1, 2, 3):
+                assert_trusted(compute_L(spec, m, bound).members)
+
+    def test_filter_candidates_are_trusted(self):
+        seen = []
+        assert count_members(lambda p: seen.append(p) or True, 20) == 627
+        assert len(seen) == 627
+        assert_trusted(seen)
+
+    def test_no_checked_construction_while_enumerating(self, monkeypatch):
+        calls = []
+        init = Partition.__init__
+
+        def spy(self, parts=()):
+            calls.append(parts)
+            init(self, parts)
+
+        monkeypatch.setattr(Partition, "__init__", spy)
+        assert count_members(lambda p: True, 20) == 627
+        assert len(enumerate_partitions(20)) == 627
+        assert len(enumerate_members(IdealSpec("S"), 20)) == count_members(IdealSpec("S"), 20)
+        assert len(members_within(IdealSpec("R"), AnalysisBound(8, 4))) > 0
+        assert compute_L(IdealSpec("D"), 2, AnalysisBound(8, 4)).members
+        assert calls == []
+        Partition((2, 1))
+        assert calls == [(2, 1)]
+
+    def test_arguments_that_would_leave_the_contract(self):
+        # bool and float sizes or part caps would become parts
+        for args in ((True,), (5.0,), (5, True), (5, 2.5)):
+            with pytest.raises(TypeError):
+                enumerate_partitions(*args)
+        with pytest.raises(TypeError):
+            count_members(lambda p: True, True)
+        # the first partition of 2**63 is one part past the 64-bit range
+        with pytest.raises(OverflowError):
+            enumerate_partitions(2**63)
+        with pytest.raises(OverflowError):
+            count_members(IdealSpec("S"), 2**63)
+        with pytest.raises(OverflowError):
+            enumerate_members(lambda p: True, 2**63)
+        assert [p.parts for p in enumerate_partitions(5, None, 2.0)] == [(5,), (4, 1), (3, 2)]

@@ -84,6 +84,12 @@ class TestSpecParsing:
         with pytest.raises(DomainError):
             IdealSpec("P_mod", 1)
 
+    @pytest.mark.parametrize("kind, param", [("N_maxlen", True), ("SA_maxlen", False),
+                                             ("P_mod", 2.5), ("P_mod", "3")])
+    def test_non_integer_parameter_rejected(self, kind, param):
+        with pytest.raises(DomainError, match=f"parameter for {kind} must be an integer"):
+            IdealSpec(kind, param)
+
 
 class TestMembership:
     def test_sa_paper_examples(self):
