@@ -85,6 +85,8 @@ def _size_walk(n: int, child_ok: Callable[[tuple[int, ...], int, int], bool]) ->
     The walk keeps an explicit stack and pushes the smallest part first, so
     the largest pops first and the order matches :func:`iter_partition_tuples`.
     """
+    if type(n) is not int:
+        raise TypeError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     stack = [((), n)]

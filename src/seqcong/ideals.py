@@ -124,11 +124,9 @@ class IdealSpec:
             raise DomainError(f"kind {kind} takes no parameter")
         self.kind = kind
         self.param = param
-        if test is None:
-            self._member, self._child_ok, self.prefix_closed = _seqcong_member, None, False
-        else:
-            ok = test(param)
-            self._member, self._child_ok, self.prefix_closed = _fold(ok), ok, True
+        self._child_ok = ok = None if test is None else test(param)
+        self.prefix_closed = ok is not None
+        self._member = _fold(ok) if self.prefix_closed else _seqcong_member
 
     @classmethod
     def parse(cls, text: str) -> "IdealSpec":
@@ -177,6 +175,8 @@ class AnalysisBound:
     max_length: int
 
     def __post_init__(self):
+        if type(self.max_part) is not int or type(self.max_length) is not int:
+            raise TypeError(f"bounds must be integers, got {self.max_part!r} and {self.max_length!r}")
         if self.max_part < 1 or self.max_length < 1:
             raise ValueError("bounds must be at least 1")
 
@@ -265,52 +265,48 @@ class ClosureReport:
         return d
 
 
-def _removals(t):
-    """Single-part removals of t, one per distinct part value, with the value."""
-    for j, v in enumerate(t):
-        if j == 0 or t[j - 1] != v:
-            yield v, t[:j] + t[j + 1:]
-
-
 def check_ideal_closure(spec: IdealSpec, bound: AnalysisBound) -> ClosureReport:
     """Verify every member in the box stays a member when any single part is removed.
 
     Single-part removal suffices: removing several parts is a chain of single
     removals.  The first counterexample in enumeration order is reported.
-    Prefix-closed kinds are walked in prefix order and each member's removal
-    list is carried down from its parent: the removals of t + (v,) are those
-    of t with v appended, then t itself when v is a new value.  For the
-    non-ideal kind S candidates are scanned in order of increasing size
-    (reverse lexicographic within a size), so the witness is the smallest in
-    (size, revlex) order.  Every removal is decided by the kind's membership
-    test, never by the walk.
+    Prefix-closed kinds are walked in prefix order, and the removals of
+    t + (v,) are those s of its parent t, each already passed, with v
+    appended, then t itself.  One call ``_child_ok(s, len(s), v)`` decides
+    s + (v,) exactly, since membership is the fold of that test: closure
+    certifies the kind's test.  S is scanned by increasing size (reverse
+    lexicographic within a size), so its witness is the smallest in (size,
+    revlex) order, and each removal is decided by membership.
     """
-    member = spec._member
-    memo: dict[tuple, bool] = {}
     checked = 0
-    walked = spec.prefix_closed
-    removals_at: list[list] = [[]]  # removals of the latest walked tuple of each length
-    for t in _member_tuples(spec, bound.max_part, bound.max_length):
+    if not spec.prefix_closed:
+        for t in _by_size(bound.max_part, bound.max_length, spec._member):
+            checked += 1
+            for j, v in enumerate(t):  # one removal per distinct part value
+                smaller = t[:j] + t[j + 1:]
+                if (not j or t[j - 1] != v) and not spec._member(smaller):
+                    return ClosureReport(spec, bound, False, checked, Partition(t), v, Partition(smaller))
+        return ClosureReport(spec, bound, True, checked)
+    ok, cap = spec._child_ok, bound.max_length
+    removals_at: list[list] = [[]]  # removals of the latest walked tuple of each length below cap
+    for t in _walk(ok, bound.max_part, cap):
         checked += 1
-        if not walked:
-            removals = _removals(t)
-        elif t:
-            # in prefix order the latest tuple one shorter than t is its parent
-            v = t[-1]
-            removals = [(u, smaller + (v,)) for u, smaller in removals_at[len(t) - 1]]
-            if len(t) == 1 or t[-2] != v:
+        n = len(t)
+        if not n:
+            continue
+        # the latest tuple one shorter than t is its parent; its removals have
+        # n - 2 parts, and when v repeats, the last one plus v is the parent
+        v, parent_removals = t[-1], removals_at[n - 1]
+        new = n == 1 or t[-2] != v
+        for u, s in parent_removals if new else parent_removals[:-1]:
+            if not ok(s, n - 2, v):
+                return ClosureReport(spec, bound, False, checked, Partition(t), u, Partition(s + (v,)))
+        if n < cap:  # a tuple at the cap has no children to carry removals to
+            removals = [(u, s + (v,)) for u, s in parent_removals]
+            if new:
                 removals.append((v, t[:-1]))
-            del removals_at[len(t):]
+            del removals_at[n:]
             removals_at.append(removals)
-        else:
-            removals = ()
-        for v, smaller in removals:
-            ok = memo.get(smaller)
-            if ok is None:
-                ok = member(smaller)
-                memo[smaller] = ok
-            if not ok:
-                return ClosureReport(spec, bound, False, checked, Partition(t), v, Partition(smaller))
     return ClosureReport(spec, bound, True, checked)
 
 

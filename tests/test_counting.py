@@ -231,6 +231,18 @@ class TestMemberWalk:
         with pytest.raises(ValueError):
             count_members(IdealSpec("R"), -1)
 
+    @pytest.mark.parametrize("n", [True, False, 4.0, 2.5, "4"])
+    @pytest.mark.parametrize("spec", [IdealSpec("R"), IdealSpec("SA_maxlen", 2), IdealSpec("S")], ids=str)
+    def test_non_integer_size_rejected(self, spec, n):
+        # the walk refuses what the filter over iter_partition_tuples refuses
+        with pytest.raises(TypeError, match="must be (an )?integers?, got"):
+            count_members(spec, n)
+        with pytest.raises(TypeError, match="must be (an )?integers?, got"):
+            enumerate_members(spec, n)
+        if spec.prefix_closed:
+            with pytest.raises(TypeError, match="n must be an integer"):
+                list(iter_members_of_size(spec, n))
+
 
 def assert_trusted(partitions):
     """Each partition an enumerator wrapped unchecked is one the checks accept."""

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import pytest
 
@@ -30,6 +31,7 @@ from seqcong import (
 )
 from seqcong import ideals
 from seqcong.ideals import (
+    _fold,
     _integer_windows,
     _present_windows,
     _remainders,
@@ -89,6 +91,19 @@ class TestSpecParsing:
     def test_non_integer_parameter_rejected(self, kind, param):
         with pytest.raises(DomainError, match=f"parameter for {kind} must be an integer"):
             IdealSpec(kind, param)
+
+
+class TestBoundArguments:
+    @pytest.mark.parametrize("value", [True, False, 2.5, 3.0, "3", None])
+    def test_non_integer_rejected(self, value):
+        for args in ((value, 3), (3, value)):
+            with pytest.raises(TypeError, match="bounds must be integers"):
+                AnalysisBound(*args)
+
+    def test_below_one_rejected(self):
+        for args in ((0, 3), (3, 0), (-1, -1)):
+            with pytest.raises(ValueError, match="bounds must be at least 1"):
+                AnalysisBound(*args)
 
 
 class TestMembership:
@@ -257,16 +272,14 @@ class TestClosureMatchesScan:
             ("D", (4, 1), (12, 4, 1), 12, 1018),
             ("D", (12, 3), (12, 11, 3), 11, 382),
             ("P_parity", (5, 1, 1), (11, 5, 1, 1), 11, 903),
-            ("P_parity", (12,) * 5, (12,) * 6, 12, 7),
+            ("P_parity", (12, 12, 12, 12, 10), (12, 12, 12, 12, 12, 10), 12, 8),
             ("Rprime", (6, 5), (12, 6, 5), 12, 1004),
         ],
     )
     def test_first_failing_removal(self, kind, excluded, witness, removed, checked):
-        # The walk still generates the kind's members; only the membership
-        # test that decides removals leaves out one tuple.
-        spec = IdealSpec(kind)
-        member = spec._member
-        spec._member = lambda t: t != excluded and member(t)
+        # The kind's test refuses one transition, so the walk leaves out the
+        # excluded tuple and its extensions, while a removal still reaches it.
+        spec = exclude_transition(IdealSpec(kind), excluded)
         report = check_ideal_closure(spec, B12)
         assert report == scan_closure(spec, B12)
         assert not report.closed
@@ -278,11 +291,73 @@ class TestClosureMatchesScan:
     @pytest.mark.parametrize("kind", ["D", "P_parity", "Rprime", "N_maxlen:3", "SA"])
     def test_every_single_exclusion_matches_scan(self, kind):
         bound = AnalysisBound(6, 5)
+        refuted = 0
         for excluded in recursive_member_tuples(IdealSpec.parse(kind), 6, 3):
-            spec = IdealSpec.parse(kind)
-            member = spec._member
-            spec._member = lambda t: t != excluded and member(t)
-            assert check_ideal_closure(spec, bound) == scan_closure(spec, bound), excluded
+            spec = exclude_transition(IdealSpec.parse(kind), excluded)
+            report = check_ideal_closure(spec, bound)
+            assert report == scan_closure(spec, bound), excluded
+            refuted += not report.closed
+        assert refuted
+
+
+def exclude_transition(spec, excluded):
+    """Make ``spec``'s incremental test refuse the step to ``excluded``; membership is its fold."""
+    ok = spec._child_ok
+    spec._child_ok = lambda t, i, v: t[:i] + (v,) != excluded and ok(t, i, v)
+    spec._member = _fold(spec._child_ok)
+    return spec
+
+
+def count_calls(spec, attr):
+    """Wrap ``spec.<attr>`` to count its calls; returns the one-element count list."""
+    calls = [0]
+    inner = getattr(spec, attr)
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    setattr(spec, attr, counted)
+    return calls
+
+
+class TestClosureWork:
+    @pytest.mark.parametrize("spec", PREFIX_CLOSED, ids=str)
+    def test_prefix_closed_kinds_never_call_member(self, spec):
+        spec = IdealSpec(spec.kind, spec.param)
+        calls = count_calls(spec, "_member")
+        assert check_ideal_closure(spec, B12).closed
+        assert calls[0] == 0
+
+    def test_s_decides_removals_by_member(self):
+        spec = IdealSpec("S")
+        calls = count_calls(spec, "_member")
+        report = check_ideal_closure(spec, B12)
+        assert report.members_checked == 19
+        assert calls[0] > report.members_checked
+
+    @pytest.mark.parametrize("kind,tests,members", [("D", 13873, 2510), ("P_parity", 6917, 1847)])
+    def test_child_ok_calls_pinned(self, kind, tests, members):
+        # the walk's own tests, plus one per removal of each member other
+        # than the parent (one removal per distinct part value)
+        walk_spec = IdealSpec(kind)
+        walk_calls = count_calls(walk_spec, "_child_ok")
+        walked = list(_walk(walk_spec._child_ok, 12, 6))
+        spec = IdealSpec(kind)
+        calls = count_calls(spec, "_child_ok")
+        assert check_ideal_closure(spec, B12).members_checked == members == len(walked)
+        assert calls[0] == tests == walk_calls[0] + sum(len(set(t)) - 1 for t in walked if t)
+
+    def test_memory_holds_no_memo(self):
+        # a memo of every removal peaked at 1777 KiB on this box; the removal
+        # lists of one walk path take a few KiB
+        tracemalloc.start()
+        try:
+            check_ideal_closure(IdealSpec("D"), AnalysisBound(16, 7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
 
 class TestOrder:
