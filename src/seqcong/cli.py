@@ -163,8 +163,6 @@ def _square_parts(p: Partition) -> bool:
 def _predicate_for(tag: str):
     if tag == "all":
         return lambda p: True
-    if tag == "seqcong":
-        return bijections.is_seq_congruent
     if tag == "squares":
         return _square_parts
     if tag.startswith("Sk:"):
@@ -194,7 +192,7 @@ def _run_enumerate(args) -> list[str]:
 def _counts_for(tag: str, upto: int) -> list[int]:
     if tag == "all":
         return [counting.count_into_powers(n, 1) for n in range(upto + 1)]
-    if tag == "squares":
+    if tag in ("squares", "seqcong"):  # psi: members of size n <-> partitions of n into squares
         return [counting.count_into_powers(n, 2) for n in range(upto + 1)]
     if tag.startswith("powers:"):
         k = int(tag[7:])

@@ -10,9 +10,10 @@ however large the coefficients grow.
 from __future__ import annotations
 
 import threading
+from math import isqrt
 from typing import Callable, Iterable, Iterator
 
-from .bijections import CNotation, from_c_notation
+from .bijections import pi_map, psi_inverse
 from .errors import DomainError
 from .partition import MAX_PART, Partition
 
@@ -29,9 +30,9 @@ def iter_partition_tuples(
     are plain ints in the 64-bit part range, so the enumerators may wrap the
     tuples with ``Partition._of``.
     """
-    for arg in (n, max_part):  # the parts are built from these two
+    for arg in (n, max_part, max_length):
         if arg is not None and type(arg) is not int:
-            raise TypeError(f"n and max_part must be integers, got {arg!r}")
+            raise TypeError(f"n, max_part and max_length must be integers, got {arg!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
@@ -78,6 +79,14 @@ def enumerate_partitions(n: int, max_part: int | None = None, max_length: int | 
     return [Partition._of(t) for t in iter_partition_tuples(n, max_part, max_length)]
 
 
+def _check_size(n: int) -> int:
+    if type(n) is not int:
+        raise TypeError(f"n must be an integer, got {n!r}")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return n
+
+
 def _size_walk(n: int, child_ok: Callable[[tuple[int, ...], int, int], bool]) -> Iterator[tuple[int, ...]]:
     """Partitions of n whose every prefix passes ``child_ok``, reverse lexicographic.
 
@@ -85,10 +94,7 @@ def _size_walk(n: int, child_ok: Callable[[tuple[int, ...], int, int], bool]) ->
     The walk keeps an explicit stack and pushes the smallest part first, so
     the largest pops first and the order matches :func:`iter_partition_tuples`.
     """
-    if type(n) is not int:
-        raise TypeError(f"n must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_size(n)
     stack = [((), n)]
     while stack:
         t, rest = stack.pop()
@@ -119,43 +125,15 @@ def enumerate_with_parts_from(allowed: Iterable[int], n: int) -> list[Partition]
     return [Partition._of(t) for t in _size_walk(n, lambda t, i, v: v in values)]
 
 
-def _iter_c_vectors(weights: list[int], total: int) -> Iterator[tuple[int, ...]]:
-    """Coefficient vectors c with sum(weights[i] * c[i]) == total, trailing nonzero."""
-    if total == 0:
-        yield ()
-        return
-    for r_used in range(1, len(weights) + 1):
-        # Fixing the last nonzero position keeps vectors canonical.
-        w_last = weights[r_used - 1]
-        for c_last in range(1, total // w_last + 1):
-            rest = total - c_last * w_last
-            for head in _bounded_vectors(weights[: r_used - 1], rest):
-                yield head + (c_last,)
-
-
-def _bounded_vectors(weights: list[int], total: int) -> Iterator[tuple[int, ...]]:
-    if not weights:
-        if total == 0:
-            yield ()
-        return
-    w = weights[0]
-    for c in range(total // w, -1, -1):
-        for rest in _bounded_vectors(weights[1:], total - c * w):
-            yield (c,) + rest
-
-
 def enumerate_seqcong_by_size(n: int) -> list[Partition]:
-    """Sequentially congruent partitions of size n, via square-count vectors."""
-    weights = [i * i for i in range(1, n + 1) if i * i <= n]
-    found = [from_c_notation(CNotation(v)) for v in _iter_c_vectors(weights, n)]
-    return sorted(found, key=lambda p: p.parts, reverse=True)
+    """Sequentially congruent partitions of size n: psi_inverse of those into squares."""
+    squares = [i * i for i in range(1, isqrt(_check_size(n)) + 1)]
+    return sorted(map(psi_inverse, enumerate_with_parts_from(squares, n)), reverse=True)
 
 
 def enumerate_seqcong_by_largest(n: int) -> list[Partition]:
-    """Sequentially congruent partitions with largest part n."""
-    weights = list(range(1, n + 1))
-    found = [from_c_notation(CNotation(v)) for v in _iter_c_vectors(weights, n)]
-    return sorted(found, key=lambda p: p.parts, reverse=True)
+    """Sequentially congruent partitions with largest part n: pi_map of the partitions of n."""
+    return sorted(map(pi_map, enumerate_partitions(n)), reverse=True)
 
 
 class CountSeries:

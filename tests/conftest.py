@@ -2,7 +2,8 @@
 
 The oracles here are deliberately naive, independent reimplementations used to
 cross-check the library: textbook recursive partition generators, the direct
-summation forms of the core bijections and of conjugation, closed-form
+summation forms of the core bijections and of conjugation, the square-count
+vector generators of the sequentially congruent partitions, closed-form
 membership predicates for the ideal kinds, brute-force box filtering for the
 ideal-kind enumerators, and the size-ordered scans the ideal engines' pruned
 walks replaced.
@@ -82,18 +83,51 @@ def seqcong_with_largest_upto(n):
 
 
 def _seqcong_largest_exactly(m):
+    """Every c-vector of weight sum(i * c_i) == m, trailing zeros dropped, decoded."""
     found = []
 
     def rec(i, remaining, coeffs):
         if i == 0:
-            if remaining == 0 and (not coeffs or coeffs[0]):
-                found.append(from_c_notation(CNotation(reversed(coeffs))))
+            if remaining == 0:
+                c = coeffs[::-1]
+                while c and not c[-1]:
+                    c.pop()
+                found.append(from_c_notation(CNotation(c)))
             return
         for c in range(remaining // i, -1, -1):
             rec(i - 1, remaining - c * i, coeffs + [c])
 
     rec(m, m, [])
     return found
+
+
+def _iter_c_vectors(weights, total):
+    """Coefficient vectors c with sum(weights[i] * c[i]) == total, trailing nonzero.
+
+    The library's former generator of the square-count vectors of S, kept as
+    the oracle for the listings that the bijections pi and psi now build.
+    """
+    if total == 0:
+        yield ()
+        return
+    for r_used in range(1, len(weights) + 1):
+        # Fixing the last nonzero position keeps vectors canonical.
+        w_last = weights[r_used - 1]
+        for c_last in range(1, total // w_last + 1):
+            rest = total - c_last * w_last
+            for head in _bounded_vectors(weights[: r_used - 1], rest):
+                yield head + (c_last,)
+
+
+def _bounded_vectors(weights, total):
+    if not weights:
+        if total == 0:
+            yield ()
+        return
+    w = weights[0]
+    for c in range(total // w, -1, -1):
+        for rest in _bounded_vectors(weights[1:], total - c * w):
+            yield (c,) + rest
 
 
 def conjugate_by_transpose(p: Partition) -> Partition:

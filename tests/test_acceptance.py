@@ -54,7 +54,7 @@ from seqcong import (
     to_c_notation,
     weak_order_estimate,
 )
-from seqcong.counting import _iter_c_vectors
+from conftest import _iter_c_vectors, _seqcong_largest_exactly
 from seqcong.generalized import SequenceRule
 
 
@@ -119,7 +119,7 @@ def test_criterion_05_pi_bijectivity():
             domain = enumerate_partitions(n)
             image = {pi_map(p) for p in domain}
             assert len(image) == len(domain)  # no collisions
-            assert image == set(enumerate_seqcong_by_largest(n))
+            assert image == set(_seqcong_largest_exactly(n))
 
 
 def test_criterion_06_arithmetic_width_scaling():

@@ -10,7 +10,6 @@ from seqcong import (
     Partition,
     conjugate,
     enumerate_partitions,
-    enumerate_seqcong_by_largest,
     enumerate_seqcong_by_size,
     enumerate_with_parts_from,
     from_c_notation,
@@ -25,7 +24,9 @@ from seqcong import (
 )
 
 from conftest import (
+    _seqcong_largest_exactly,
     all_partitions_upto,
+    naive_partitions,
     partitions_st,
     pi_direct,
     seqcong_st,
@@ -125,7 +126,7 @@ class TestPiMap:
             domain = enumerate_partitions(n)
             image = {pi_map(p) for p in domain}
             assert len(image) == len(domain)
-            assert image == set(enumerate_seqcong_by_largest(n))
+            assert image == set(_seqcong_largest_exactly(n))
 
 
 class TestSigmaMap:
@@ -199,7 +200,7 @@ class TestPsi:
     def test_size_preserving_bijection_counts(self):
         squares = [i * i for i in range(1, 6)]
         for n in range(31):
-            members = enumerate_seqcong_by_size(n)
+            members = [Partition(t) for t in naive_partitions(n) if is_seq_congruent(Partition(t))]
             targets = enumerate_with_parts_from(squares, n)
             assert len(members) == len(targets)
             assert {psi_map(p) for p in members} == set(targets)

@@ -1,9 +1,10 @@
 import io
 import json
+from math import isqrt
 
 import pytest
 
-from seqcong import IdealSpec, counting
+from seqcong import IdealSpec, Partition, counting, is_seq_congruent
 from seqcong.cli import run
 
 from conftest import recursive_partition_tuples
@@ -148,6 +149,11 @@ class TestEnumerateAndCount:
         lines = cli_ok("enumerate", "--pred", "R", "--size", "4").splitlines()
         assert lines == ["[4]", "[3,1]"]
 
+    def test_enumerate_negative_size_exits_1(self, capsys):
+        for mode in ("--size", "--largest"):
+            assert cli("enumerate", "--pred", "seqcong", mode, "-1") == (1, "")
+            assert capsys.readouterr().err == "error: n must be nonnegative\n"
+
     def test_enumerate_needs_exactly_one_mode(self):
         assert cli("enumerate", "--pred", "all")[0] == 1
         assert cli("enumerate", "--pred", "all", "--size", "3", "--largest", "3")[0] == 1
@@ -160,9 +166,11 @@ class TestEnumerateAndCount:
         assert cli_ok("--format", "json", "count", "--pred", "squares", "--upto", "9") == "[1,1,1,1,2,2,2,2,3,4]\n"
 
     def test_count_agreement_between_tags(self):
-        a = cli_ok("--format", "json", "count", "--pred", "seqcong", "--upto", "20")
-        b = cli_ok("--format", "json", "count", "--pred", "squares", "--upto", "20")
-        assert a == b
+        # both tags read the square series; each must match a filter over every partition
+        squares = lambda p: all(isqrt(x) ** 2 == x for x in p.parts)
+        for tag, member in (("seqcong", is_seq_congruent), ("squares", squares)):
+            want = [sum(member(Partition(t)) for t in recursive_partition_tuples(n)) for n in range(21)]
+            assert json.loads(cli_ok("--format", "json", "count", "--pred", tag, "--upto", "20")) == want
 
 
 class TestIdealCountsAndListings:

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from seqcong import (
     AnalysisBound,
+    CNotation,
     CountSeries,
     DomainError,
     IdealSpec,
@@ -11,11 +14,13 @@ from seqcong import (
     count_into_powers,
     count_members,
     count_parity_ideal,
+    counting,
     enumerate_members,
     enumerate_partitions,
     enumerate_seqcong_by_largest,
     enumerate_seqcong_by_size,
     enumerate_with_parts_from,
+    from_c_notation,
     is_in_Sk,
     is_seq_congruent,
     iter_members_of_size,
@@ -25,7 +30,7 @@ from seqcong import (
 
 from seqcong.ideals import _KINDS
 
-from conftest import naive_partitions, recursive_partition_tuples
+from conftest import _iter_c_vectors, _seqcong_largest_exactly, naive_partitions, recursive_partition_tuples
 
 # p(n) for n = 0..20, the classical sequence
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297, 385, 490, 627]
@@ -142,6 +147,30 @@ class TestSeqcongEnumerators:
             for p in enumerate_seqcong_by_largest(n):
                 assert is_seq_congruent(p) and p.largest == n
 
+    def test_by_largest_equals_sorted_vector_oracle(self):
+        # pi does not preserve reverse-lex order, so the listing sorts its images
+        for n in range(17):
+            want = sorted((p.parts for p in _seqcong_largest_exactly(n)), reverse=True)
+            assert [p.parts for p in enumerate_seqcong_by_largest(n)] == want
+
+    def test_by_size_equals_sorted_vector_oracle(self):
+        for n in range(41):
+            squares = [i * i for i in range(1, 7) if i * i <= n]
+            vectors = _iter_c_vectors(squares, n)
+            want = sorted((from_c_notation(CNotation(c)).parts for c in vectors), reverse=True)
+            assert [p.parts for p in enumerate_seqcong_by_size(n)] == want
+
+    @pytest.mark.parametrize("n", [True, False, 4.0, 2.5, "4"])
+    @pytest.mark.parametrize("enumerate_s", [enumerate_seqcong_by_size, enumerate_seqcong_by_largest])
+    def test_non_integer_size_rejected(self, enumerate_s, n):
+        with pytest.raises(TypeError, match="must be (an )?integers?, got"):
+            enumerate_s(n)
+
+    @pytest.mark.parametrize("enumerate_s", [enumerate_seqcong_by_size, enumerate_seqcong_by_largest])
+    def test_negative_size_rejected(self, enumerate_s):
+        with pytest.raises(ValueError, match="n must be nonnegative"):
+            enumerate_s(-1)
+
 
 class TestCountSeries:
     def test_leading_coefficient_is_one(self):
@@ -200,6 +229,37 @@ class TestCountMembers:
             want = [t for t in recursive_partition_tuples(n) if spec._member(t)]
             assert count_members(spec, n) == len(want)
             assert [p.parts for p in enumerate_members(spec, n)] == want
+
+
+# Orders of count_parity_ideal sizes (None: extend the shared p(n) series to
+# 700 first) that mix series writes, reads below them and foreign writes.
+PARITY_ORDERS = {
+    "ascending": list(range(301)),
+    "descending": list(range(300, -1, -1)),
+    "shuffled": random.Random(7).sample(range(301), 301),
+    "write_then_reads": [m for k in range(0, 301, 25) for m in (k, *range(k - 1, max(k - 25, -1), -1))],
+    "after_foreign_write": [None, *random.Random(8).sample(range(301), 301)],
+}
+
+
+class TestParitySeries:
+    """The even-part coefficient of the one-parity count is read as p(n/2)."""
+
+    @pytest.mark.parametrize("order", PARITY_ORDERS)
+    def test_matches_even_and_odd_part_products(self, monkeypatch, order):
+        monkeypatch.setattr(counting, "_series_cache", {})
+        odd = CountSeries.from_degrees(range(1, 301, 2), 300)
+        even = CountSeries.from_degrees(range(2, 301, 2), 300)
+        seen = set()
+        for n in PARITY_ORDERS[order]:
+            if n is None:
+                count_all_partitions(700)
+                continue
+            assert count_parity_ideal(n) == odd[n] + even[n] - (n == 0)
+            assert ("parity", 0) not in counting._series_cache
+            seen.add(n)
+        assert seen == set(range(301))
+        assert set(counting._series_cache) == {("parity", 1), ("powers", 1)}
 
 
 PREFIX_CLOSED = [
@@ -304,8 +364,10 @@ class TestTrustedConstruction:
         assert calls == [(2, 1)]
 
     def test_arguments_that_would_leave_the_contract(self):
-        # bool and float sizes or part caps would become parts
-        for args in ((True,), (5.0,), (5, True), (5, 2.5)):
+        # bool and float sizes or part caps would become parts; a float length
+        # cap of 2.5 let three parts through
+        for args in ((True,), (5.0,), (5, True), (5, 2.5), (5, None, True), (5, None, 2.0), (5, None, 2.5),
+                     (5, None, "2")):
             with pytest.raises(TypeError):
                 enumerate_partitions(*args)
         with pytest.raises(TypeError):
@@ -317,4 +379,4 @@ class TestTrustedConstruction:
             count_members(IdealSpec("S"), 2**63)
         with pytest.raises(OverflowError):
             enumerate_members(lambda p: True, 2**63)
-        assert [p.parts for p in enumerate_partitions(5, None, 2.0)] == [(5,), (4, 1), (3, 2)]
+        assert [p.parts for p in enumerate_partitions(5, None, 2)] == [(5,), (4, 1), (3, 2)]

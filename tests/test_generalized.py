@@ -29,7 +29,7 @@ from seqcong import (
     tau,
     to_c_notation,
 )
-from seqcong.counting import _iter_c_vectors
+from conftest import _iter_c_vectors
 
 from conftest import all_partitions_upto, sba_by_conjugate, seqcong_with_largest_upto
 
