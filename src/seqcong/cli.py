@@ -160,13 +160,21 @@ def _square_parts(p: Partition) -> bool:
     return all(bijections._exact_sqrt(x) is not None for x in p.parts)
 
 
+def _tag_param(tag: str) -> int:
+    """The integer after the colon of a ``name:param`` predicate tag."""
+    try:
+        return int(tag.partition(":")[2])
+    except ValueError:
+        raise DomainError(f"bad predicate parameter in {tag!r}") from None
+
+
 def _predicate_for(tag: str):
     if tag == "all":
         return lambda p: True
     if tag == "squares":
         return _square_parts
     if tag.startswith("Sk:"):
-        k = int(tag[3:])
+        k = _tag_param(tag)
         return lambda p: generalized.is_in_Sk(p, k)
     # The spec itself, not its bound `contains`, so that counting can see
     # `prefix_closed` and walk the members.
@@ -195,7 +203,7 @@ def _counts_for(tag: str, upto: int) -> list[int]:
     if tag in ("squares", "seqcong"):  # psi: members of size n <-> partitions of n into squares
         return [counting.count_into_powers(n, 2) for n in range(upto + 1)]
     if tag.startswith("powers:"):
-        k = int(tag[7:])
+        k = _tag_param(tag)
         return [counting.count_into_powers(n, k) for n in range(upto + 1)]
     if tag == "parity":
         return [ideals.count_parity_ideal(n) for n in range(upto + 1)]

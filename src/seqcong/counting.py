@@ -5,12 +5,22 @@ duplicate-free: an iterative generator over all partitions of n with
 optional part/length caps, and a pruned walk over the members of size n of a
 prefix-closed ideal.  Counts are plain Python integers, so they stay exact
 however large the coefficients grow.
+
+Generating-function coefficients come from cached product series
+prod_{d in D} 1/(1 - q^d).  The product DP builds a series once; a request
+past its cached length extends it by Euler's divisor-sum recurrence
+n*a(n) = sum_{k=1..n} sigma_D(k)*a(n-k), at O(n) per new coefficient.  A cost
+rule on the cached length, the size asked and |D| rebuilds instead when that
+is cheaper.
 """
 
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
+from itertools import count, takewhile
 from math import isqrt
+from operator import mul
 from typing import Callable, Iterable, Iterator
 
 from .bijections import pi_map, psi_inverse
@@ -120,9 +130,29 @@ def iter_members_of_size(spec, n: int) -> Iterator[tuple[int, ...]]:
 
 
 def enumerate_with_parts_from(allowed: Iterable[int], n: int) -> list[Partition]:
-    """Partitions of n using only the given part values, reverse lexicographic."""
-    values = {v for v in allowed if 1 <= v <= n}
-    return [Partition._of(t) for t in _size_walk(n, lambda t, i, v: v in values)]
+    """Partitions of n using only the given part values, reverse lexicographic.
+
+    The parts are the integers in 1..n equal to an allowed value.  A node
+    tries only the values up to its last part and its rest, pushed smallest
+    first so the largest pops first, as in :func:`iter_partition_tuples`.
+    A child that takes the smallest value can only repeat it, so it is
+    completed at once: when that value divides the rest, else dropped.
+    """
+    _check_size(n)
+    values = sorted({int(v) for v in allowed if 1 <= v <= n and v == int(v)})
+    found = []
+    stack = [((), n, len(values))]  # prefix, rest, how many values fit under its last part
+    while stack:
+        t, rest, fit = stack.pop()
+        if not rest:
+            found.append(Partition._of(t))
+            continue
+        top = bisect_right(values, rest, 0, fit)
+        if top and not rest % values[0]:
+            stack.append((t + (values[0],) * (rest // values[0]), 0, 1))
+        for j in range(1, top):
+            stack.append((t + (values[j],), rest - values[j], j + 1))
+    return found
 
 
 def enumerate_seqcong_by_size(n: int) -> list[Partition]:
@@ -169,27 +199,69 @@ class CountSeries:
         return f"CountSeries({list(self.coefficients)!r})"
 
 
-_series_cache: dict[tuple, CountSeries] = {}
+# key -> (series, divisor sums): sigma[k] is the sum of the key's degrees
+# that divide k.  Rebuilds keep sigma, which does not depend on the length.
+_series_cache: dict[tuple, tuple[CountSeries, list[int]]] = {}
 _series_lock = threading.Lock()
 
 
+def _divisor_sums(sigma: list[int], degrees: list[int], upto: int) -> list[int]:
+    """``sigma`` grown to index ``upto``: each of ``degrees``, every degree up
+    to ``upto``, is added at its multiples past the old length."""
+    lo = len(sigma)
+    sigma = sigma + [0] * (upto + 1 - lo)
+    for d in degrees:
+        for j in range(-(-lo // d) * d, upto + 1, d):
+            sigma[j] += d
+    return sigma
+
+
 def _cached_series(key: tuple, degrees_for: Callable[[int], Iterable[int]], upto: int) -> CountSeries:
+    """The product over ``degrees_for(upto)`` to index ``upto``, cached by key.
+
+    A longer request extends the cached series by the divisor-sum recurrence
+    (Euler; Apostol 1976, ch. 14) unless a rebuild costs less.
+    """
     with _series_lock:
-        series = _series_cache.get(key)
-        if series is None or len(series) <= upto:
-            series = CountSeries.from_degrees(degrees_for(upto), upto)
-            _series_cache[key] = series
+        cached = _series_cache.get(key)
+        if cached is not None and len(cached[0]) > upto:
+            return cached[0]
+        degrees = list(degrees_for(upto))
+        size, sigma = (0, [0]) if cached is None else (len(cached[0]), cached[1])
+        # Coefficient n costs the recurrence n dot-product terms, and a rebuild
+        # costs one addition per degree and coefficient.  A term measured 0.7
+        # (cubes at 4000) to 2.7 (all parts at 1000, longer coefficients)
+        # additions; extend while the terms are at most the additions.
+        if size and (upto + 1 - size) * (upto + size) <= 2 * len(degrees) * upto:
+            if len(sigma) <= upto:  # grow ahead, so an ascent pays the degree loop O(log n) times
+                sigma = _divisor_sums(sigma, list(degrees_for(2 * upto)), 2 * upto)
+            a = list(cached[0].coefficients)
+            for n in range(size, upto + 1):
+                a.append(sum(map(mul, sigma[1 : n + 1], a[n - 1 :: -1])) // n)
+            series = CountSeries(a)
+        else:
+            series = CountSeries.from_degrees(degrees, upto)
+        _series_cache[key] = series, sigma
         return series
+
+
+def _power_degrees(k: int, m: int) -> list[int]:
+    """The k-th powers i**k <= m of the integers i >= 1, ascending."""
+    if k == 1 or m < 2:
+        return list(range(1, m + 1))
+    if k >= m.bit_length():  # 2**k > m already
+        return [1]
+    return list(takewhile(lambda p: p <= m, (i**k for i in count(1))))
 
 
 def count_into_powers(n: int, k: int) -> int:
     """Number of partitions of n into perfect k-th powers (k = 1 counts all partitions)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_size(n)
+    if type(k) is not int:
+        raise TypeError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("k must be positive")
-    series = _cached_series(("powers", k), lambda m: (i**k for i in range(1, m + 1)), n)
-    return series[n]
+    return _cached_series(("powers", k), lambda m: _power_degrees(k, m), n)[n]
 
 
 def count_all_partitions(n: int) -> int:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from math import lcm
 
 from .bijections import _congruence_failure_index, is_seq_congruent
-from .counting import _cached_series, count_all_partitions, iter_partition_tuples
+from .counting import _cached_series, _check_size, count_all_partitions, iter_partition_tuples
 from .errors import DomainError
 from .partition import Partition
 
@@ -728,8 +728,7 @@ def count_parity_ideal(n: int) -> int:
     Coefficient of q^n in the odd-part product, plus p(n/2) for even n (halve
     every part), minus 1 to stop counting the empty partition twice.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    _check_size(n)
     odd = _cached_series(("parity", 1), lambda m: range(1, m + 1, 2), n)
     return odd[n] + (0 if n % 2 else count_all_partitions(n // 2)) - (1 if n == 0 else 0)
 

@@ -4,7 +4,7 @@ from math import isqrt
 
 import pytest
 
-from seqcong import IdealSpec, Partition, counting, is_seq_congruent
+from seqcong import CountSeries, IdealSpec, Partition, counting, is_seq_congruent
 from seqcong.cli import run
 
 from conftest import recursive_partition_tuples
@@ -164,6 +164,31 @@ class TestEnumerateAndCount:
 
     def test_count_json(self):
         assert cli_ok("--format", "json", "count", "--pred", "squares", "--upto", "9") == "[1,1,1,1,2,2,2,2,3,4]\n"
+
+    def test_count_all_builds_the_series_once(self, monkeypatch):
+        # Each size past the cached length extends the k = 1 series; only the
+        # first request builds it.
+        monkeypatch.setattr(counting, "_series_cache", {})
+        want = [f"{n:>4} {c}" for n, c in enumerate(CountSeries.from_degrees(range(1, 1001), 1000).coefficients)]
+        builds = []
+        build = CountSeries.from_degrees.__func__
+
+        def spy(cls, degrees, upto):
+            builds.append(upto)
+            return build(cls, degrees, upto)
+
+        monkeypatch.setattr(CountSeries, "from_degrees", classmethod(spy))
+        assert cli_ok("count", "--pred", "all", "--upto", "1000").splitlines() == want
+        assert builds == [0]
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "--pred", "powers:x", "--upto", "3"),
+        ("count", "--pred", "Sk:x", "--upto", "3"),
+        ("enumerate", "--pred", "Sk:", "--size", "3"),
+    ])
+    def test_bad_tag_parameter_names_the_tag(self, argv, capsys):
+        assert cli(*argv) == (1, "")
+        assert capsys.readouterr().err == f"error: bad predicate parameter in {argv[2]!r}\n"
 
     def test_count_agreement_between_tags(self):
         # both tags read the square series; each must match a filter over every partition

@@ -1,4 +1,8 @@
+import functools
 import random
+import sys
+import threading
+from operator import mul
 
 import pytest
 
@@ -124,6 +128,23 @@ class TestRestrictedEnumeration:
     def test_deep_all_ones(self):
         assert enumerate_with_parts_from([1], 2000) == [Partition((1,) * 2000)]
 
+    def test_children_tried_pinned(self, monkeypatch):
+        # Each node tries the allowed values up to its last part and rest
+        # (the bisect bound); a filter over 1..min(last part, rest) made
+        # 1270 child tests here.
+        tried = [0]
+        bound = counting.bisect_right
+
+        def spy(*args):
+            top = bound(*args)
+            tried[0] += top
+            return top
+
+        monkeypatch.setattr(counting, "bisect_right", spy)
+        squares = [i * i for i in range(1, 7)]
+        assert len(enumerate_with_parts_from(squares, 45)) == 78
+        assert tried[0] == 148
+
 
 class TestSeqcongEnumerators:
     def test_by_size_4(self):
@@ -196,6 +217,33 @@ class TestCountSeries:
         small = count_into_powers(3, 4)
         assert count_into_powers(50, 4) >= small
 
+    def test_power_degrees_stop_at_m(self):
+        for k in range(1, 9):
+            for m in range(70):
+                assert counting._power_degrees(k, m) == [i**k for i in range(1, m + 1) if i**k <= m]
+
+    def test_huge_power_counts_only_ones(self):
+        assert count_into_powers(12, 10**9) == 1
+        assert count_into_powers(0, 10**9) == 1
+
+    @pytest.mark.parametrize("bad", [True, False, 2.5, 4.0, "3"], ids=repr)
+    @pytest.mark.parametrize("call", [
+        lambda x: count_into_powers(x, 2),
+        lambda x: count_into_powers(4, x),
+        count_all_partitions,
+        count_parity_ideal,
+    ], ids=["powers_n", "powers_k", "all", "parity"])
+    def test_series_counters_reject_non_integers(self, call, bad):
+        with pytest.raises(TypeError, match=f"must be an integer, got {bad!r}"):
+            call(bad)
+
+    def test_series_counters_keep_value_errors(self):
+        for call in (lambda: count_into_powers(-1, 2), lambda: count_all_partitions(-1), lambda: count_parity_ideal(-1)):
+            with pytest.raises(ValueError, match="n must be nonnegative"):
+                call()
+        with pytest.raises(ValueError, match="k must be positive"):
+            count_into_powers(4, 0)
+
 
 class TestCountMembers:
     def test_examples(self):
@@ -260,6 +308,154 @@ class TestParitySeries:
             seen.add(n)
         assert seen == set(range(301))
         assert set(counting._series_cache) == {("parity", 1), ("powers", 1)}
+
+
+SERIES_UPTO = 1500
+SERIES_KEYS = [("powers", k) for k in range(1, 6)] + [("parity", 1)]
+
+
+@functools.cache
+def series_oracle(key) -> tuple[int, ...]:
+    """Coefficients 0..SERIES_UPTO of the series cached under ``key``, by the product DP."""
+    kind, k = key
+    degrees = range(1, SERIES_UPTO + 1, 2) if kind == "parity" else [i**k for i in range(1, SERIES_UPTO + 1) if i**k <= SERIES_UPTO]
+    return CountSeries.from_degrees(degrees, SERIES_UPTO).coefficients
+
+
+def series_request(key, n) -> int:
+    """Ask the library for the size-n count that reads the series under ``key``."""
+    if key[0] == "powers":
+        return count_into_powers(n, key[1])
+    return count_parity_ideal(n)
+
+
+def series_answer(key, n) -> int:
+    if key[0] == "powers":
+        return series_oracle(key)[n]
+    return series_oracle(key)[n] + (0 if n % 2 else series_oracle(("powers", 1))[n // 2]) - (n == 0)
+
+
+def _interleaved_requests(seed):
+    """Each key's writes ascend by random steps and its reads fall below them;
+    the keys' requests are shuffled together, keeping each key's own order."""
+    rng = random.Random(seed)
+    queues = []
+    for key in SERIES_KEYS:
+        high, queue = 0, []
+        while high < SERIES_UPTO:
+            high = min(SERIES_UPTO, high + rng.choice([1, 2, 7, 40, 300]))
+            queue += [(key, high)] + [(key, rng.randint(0, high)) for _ in range(rng.randint(0, 2))]
+        queues.append(queue)
+    order = []
+    while queues:
+        queue = rng.choice(queues)
+        order.append(queue.pop(0))
+        if not queue:
+            queues.remove(queue)
+    return order
+
+
+# Request orders over every series key, as (key, size) pairs; the ascent by
+# one is TestExtendedSeries.test_ascent_divides_exactly.
+SERIES_ORDERS = {
+    # The benchmark's write steps: the odd-part series by 3, squares by 10, cubes by 15.
+    "workload_steps": [(key, first + step * i) for key, first, step in
+                       [(("parity", 1), 600, 3), (("powers", 2), 1000, 10), (("powers", 3), 1200, 15)]
+                       for i in range((SERIES_UPTO - first) // step + 1)],
+    "jumps": [(key, n) for key in SERIES_KEYS for n in (5, 40, 400, 1500)],
+    "reads_below": [(key, m) for key in SERIES_KEYS for w in range(0, SERIES_UPTO + 1, 250)
+                    for m in (w, *range(w - 1, max(w - 250, -1), -13))],
+    "interleaved": _interleaved_requests(3),
+}
+
+
+class TestExtendedSeries:
+    """Series extended by the divisor-sum recurrence equal the product DP."""
+
+    @pytest.mark.parametrize("order", SERIES_ORDERS)
+    def test_matches_product_oracle(self, monkeypatch, order):
+        monkeypatch.setattr(counting, "_series_cache", {})
+        for key, n in SERIES_ORDERS[order]:
+            assert series_request(key, n) == series_answer(key, n), (key, n)
+        for key, (series, _) in counting._series_cache.items():
+            assert series.coefficients == series_oracle(key)[: len(series)]
+
+    def test_ascent_divides_exactly(self, monkeypatch):
+        # Ascending by one extends every key at every size.  There the cached
+        # divisor sums give n * a(n) = sum_{k=1..n} sigma(k) * a(n - k), so the
+        # recurrence's division by n is exact.
+        monkeypatch.setattr(counting, "_series_cache", {})
+        for key in SERIES_KEYS:
+            for n in range(SERIES_UPTO + 1):
+                assert series_request(key, n) == series_answer(key, n), (key, n)
+        for key in SERIES_KEYS:
+            a = series_oracle(key)
+            sigma = counting._series_cache[key][1]
+            for n in range(1, SERIES_UPTO + 1):
+                total = sum(map(mul, sigma[1 : n + 1], a[n - 1 :: -1]))
+                assert total % n == 0 and total // n == a[n], (key, n)
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        builds = []
+        build = CountSeries.from_degrees.__func__
+
+        def spy(cls, degrees, upto):
+            builds.append(upto)
+            return build(cls, degrees, upto)
+
+        monkeypatch.setattr(CountSeries, "from_degrees", classmethod(spy))
+        return builds
+
+    def test_workload_writes_extend(self, monkeypatch):
+        # counting_mix's write steps, from its first sizes: after the first
+        # write of each key, every write extends.
+        monkeypatch.setattr(counting, "_series_cache", {})
+        cubes = CountSeries.from_degrees([i**3 for i in range(1, 17)], 4180)
+        builds = self.count_builds(monkeypatch)
+        plan = [(("parity", 1), 600, 3), (("powers", 2), 2400, 10), (("powers", 3), 4000, 15)]
+        for key, first, _ in plan:
+            series_request(key, first)
+        assert sorted(builds) == [300, 600, 2400, 4000]  # p(n/2) reads the k = 1 series
+        for i in range(1, 13):
+            for key, first, step in plan:
+                series_request(key, first + step * i)
+        assert len(builds) == 4
+        assert counting._series_cache[("powers", 3)][0] == cubes
+
+    def test_threads_share_the_cache(self, monkeypatch):
+        # Writers on every key at once, with frequent thread switches: each
+        # answer and each cached series must still equal the product DP.
+        monkeypatch.setattr(counting, "_series_cache", {})
+        answers = {key: series_oracle(key) for key in SERIES_KEYS}
+        wrong = []
+
+        def worker(seed):
+            for key, n in _interleaved_requests(seed)[::3]:
+                if series_request(key, n) != series_answer(key, n):
+                    wrong.append((key, n))
+
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        for key, (series, _) in counting._series_cache.items():
+            assert series.coefficients == answers[key][: len(series)]
+
+    def test_large_jumps_rebuild(self, monkeypatch):
+        monkeypatch.setattr(counting, "_series_cache", {})
+        builds = self.count_builds(monkeypatch)
+        for n in (40, 1500):
+            assert count_into_powers(n, 2) == series_oracle(("powers", 2))[n]
+        assert builds == [40, 1500]
 
 
 PREFIX_CLOSED = [
