@@ -11,6 +11,11 @@ partition's c-notation and drives everything in this module:
 * ``psi_map``     size-preserving bijection onto partitions into squares
 * ``pi_sigma_closed_form``  the self-map pi ∘ sigma evaluated directly from
   the part differences (the "squish-flip-stretch" diagram transformation)
+
+The maps build their answers from loops over the input's parts and wrap them
+with ``Partition._of``: an answer is valid by construction, so only the checks
+a valid input can still fail are made (the congruence chain, square parts, a
+largest part past ``MAX_PART``, an answer longer than ``MAX_OUTPUT_PARTS``).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from math import isqrt
 from typing import Iterable, Sequence
 
 from .errors import CanonicalFormError, DomainError, NotSequentiallyCongruentError
-from .partition import EMPTY, Partition, from_frequencies
+from .partition import EMPTY, Partition, _check_largest, _check_output_length, _runs
 
 
 def _congruence_failure_index(parts: Sequence[int]) -> int | None:
@@ -57,6 +62,13 @@ class CNotation:
             raise CanonicalFormError(f"trailing coefficient must be nonzero, got {list(t)}")
         self.coeffs = t
 
+    @classmethod
+    def _of(cls, t: tuple[int, ...]) -> "CNotation":
+        """Wrap a canonical coefficient tuple the library computed, skipping the checks."""
+        c = object.__new__(cls)
+        c.coeffs = t
+        return c
+
     @property
     def length(self) -> int:
         """Length of the encoded partition."""
@@ -84,28 +96,42 @@ class CNotation:
         return f"CNotation({list(self.coeffs)!r})"
 
 
+def _coeffs(t: tuple[int, ...]) -> list[int]:
+    """[c_1, ..., c_r] of a partition tuple, after its congruence check."""
+    bad = _congruence_failure_index(t)
+    if bad is not None:
+        raise NotSequentiallyCongruentError(bad)
+    r = len(t)
+    c = [(t[i - 1] - t[i]) // i for i in range(1, r)]
+    if r:
+        c.append(t[-1] // r)
+    return c
+
+
+def _from_coeffs(c: Sequence[int]) -> Partition:
+    """Suffix sums of j * c_j for a coefficient sequence with a nonzero last entry."""
+    parts: list[int] = []
+    acc = 0
+    for j in range(len(c), 0, -1):
+        acc += j * c[j - 1]
+        parts.append(acc)
+    _check_largest(acc)
+    parts.reverse()
+    return Partition._of(tuple(parts))
+
+
 def to_c_notation(p: Partition) -> CNotation:
     """Extract [c_1, ..., c_r] with c_i = (p_i - p_{i+1}) / i.
 
     Raises NotSequentiallyCongruentError naming the first index whose
     congruence fails.
     """
-    bad = _congruence_failure_index(p.parts)
-    if bad is not None:
-        raise NotSequentiallyCongruentError(bad)
-    r = len(p)
-    return CNotation((p.part(i) - p.part(i + 1)) // i for i in range(1, r + 1))
+    return CNotation._of(tuple(_coeffs(p.parts)))
 
 
 def from_c_notation(c: CNotation) -> Partition:
     """Rebuild the partition: part i is the suffix sum of j * c_j for j >= i."""
-    parts: list[int] = []
-    acc = 0
-    for j in range(len(c.coeffs), 0, -1):
-        acc += j * c.coeffs[j - 1]
-        parts.append(acc)
-    parts.reverse()
-    return Partition(parts)
+    return _from_coeffs(c.coeffs)
 
 
 def pi_map(p: Partition) -> Partition:
@@ -115,11 +141,8 @@ def pi_map(p: Partition) -> Partition:
     square, so the c-notation of the image is the first-difference vector of
     the input parts.
     """
-    r = len(p)
-    if r == 0:
-        return EMPTY
-    diffs = [p.part(i) - p.part(i + 1) for i in range(1, r + 1)]
-    return from_c_notation(CNotation(diffs))
+    t = p.parts
+    return _from_coeffs([x - y for x, y in zip(t, t[1:] + (0,))])
 
 
 def sigma_map(p: Partition) -> Partition:
@@ -128,24 +151,27 @@ def sigma_map(p: Partition) -> Partition:
     The top row of each square becomes one part: the image is
     <1^{c_1}, ..., r^{c_r}> for the square counts c of the input.
     """
-    c = to_c_notation(p)
-    return from_frequencies((i, ci) for i, ci in enumerate(c.coeffs, 1))
+    c = _coeffs(p.parts)
+    return _runs(range(len(c), 0, -1), c[::-1])
 
 
 def pi_sigma_closed_form(p: Partition) -> Partition:
     """Evaluate pi ∘ sigma directly from the part differences of the input.
 
     The k-th frequency entry has exponent c_k and part value equal to the
-    double suffix-difference sum over j <= k, i >= j of (p_i - p_{i+1}) / i.
-    Zero-exponent entries are skipped when materializing the partition.
+    double suffix-difference sum over j <= k, i >= j of (p_i - p_{i+1}) / i,
+    accumulated here as prefix sums of the suffix sums of c.  The values
+    strictly increase with k, the last being p_1.
     """
-    c = to_c_notation(p).coeffs
-    r = len(c)
-    pairs = []
-    for k in range(1, r + 1):
-        value = sum(c[i - 1] for j in range(1, k + 1) for i in range(j, r + 1))
-        pairs.append((value, c[k - 1]))
-    return from_frequencies(pairs)
+    c = _coeffs(p.parts)
+    values: list[int] = []
+    suffix, value = sum(c), 0
+    for ck in c:
+        value += suffix
+        values.append(value)
+        suffix -= ck
+    values.reverse()
+    return _runs(values, c[::-1])
 
 
 def psi_map(p: Partition) -> Partition:
@@ -153,8 +179,8 @@ def psi_map(p: Partition) -> Partition:
 
     Each i-by-i square of the diagram is flattened into one row of i^2 boxes.
     """
-    c = to_c_notation(p)
-    return from_frequencies((i * i, ci) for i, ci in enumerate(c.coeffs, 1))
+    c = _coeffs(p.parts)
+    return _runs([i * i for i in range(len(c), 0, -1)], c[::-1])
 
 
 def _exact_sqrt(n: int) -> int | None:
@@ -166,14 +192,17 @@ def psi_inverse(p: Partition) -> Partition:
     """Inverse of :func:`psi_map`; every part must be a perfect square."""
     if p.is_empty():
         return EMPTY
-    counts: dict[int, int] = {}
+    roots = []
     for x in p.parts:
         root = _exact_sqrt(x)
         if root is None:
             raise DomainError(f"part {x} is not a perfect square")
-        counts[root] = counts.get(root, 0) + 1
-    r = max(counts)
-    return from_c_notation(CNotation(counts.get(i, 0) for i in range(1, r + 1)))
+        roots.append(root)
+    _check_output_length(roots[0])  # the image has one part per root up to the largest
+    c = [0] * roots[0]
+    for root in roots:
+        c[root - 1] += 1
+    return _from_coeffs(c)
 
 
 def render_square_decomposition(p: Partition) -> str:
@@ -186,6 +215,7 @@ def render_square_decomposition(p: Partition) -> str:
     c = to_c_notation(p)
     if not c.coeffs:
         return "(empty)"
+    _check_output_length(p.size, "cells")
     blocks: list[int] = []
     for i in range(len(c.coeffs), 0, -1):
         blocks.extend([i] * c.coeffs[i - 1])

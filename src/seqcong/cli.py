@@ -2,8 +2,11 @@
 
 Partitions travel as compact JSON arrays (``[7,5,5,4,1]``, empty ``[]``), both
 on the command line and one-per-line on stdin when ``--input -`` is given.
-Identical invocations produce byte-identical output.  Exit codes: 0 success,
-1 domain error, 2 usage error.
+A bad stdin line is reported on stderr as ``error: line N: ...`` and the
+remaining lines are still answered (a one-line batch reports as ``--input``
+does, without the line number).  Identical invocations produce
+byte-identical output, one write per answer line.  Exit codes: 0 success,
+1 domain error (on any line of a batch), 2 usage error.
 """
 
 from __future__ import annotations
@@ -13,20 +16,19 @@ import json
 import sys
 
 from . import bijections, counting, generalized, ideals, partition
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .generalized import GenSpec, SequenceRule, horizon_from_env
 from .ideals import AnalysisBound, IdealSpec
 from .partition import FrequencyMap, Partition
 
 
-def _dumps(value) -> str:
-    return json.dumps(value, separators=(",", ":"))
+# One encoder for the process: json.dumps with separators builds a new one per call.
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _parse_partition(payload) -> Partition:
-    if not isinstance(payload, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in payload
-    ):
+    # JSON gives plain ints, so the exact type test also turns away bools
+    if type(payload) is not list or not all(type(x) is int for x in payload):
         raise DomainError(f"a partition must be a JSON array of integers, got {payload!r}")
     return Partition(payload)
 
@@ -54,9 +56,7 @@ def _decode_any_form(payload) -> Partition:
         return _parse_partition(payload)
     if isinstance(payload, dict) and "c" in payload:
         coeffs = payload["c"]
-        if not isinstance(coeffs, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in coeffs
-        ):
+        if type(coeffs) is not list or not all(type(x) is int for x in coeffs):
             raise DomainError('the "c" form needs an array of integers')
         return bijections.from_c_notation(bijections.CNotation(coeffs))
     if isinstance(payload, dict) and "freq" in payload:
@@ -64,6 +64,8 @@ def _decode_any_form(payload) -> Partition:
         try:
             if all(type(x) is int for pair in pairs for x in pair):
                 return partition.from_frequencies((a, b) for a, b in pairs)
+        except ResourceError:
+            raise
         except (TypeError, ValueError):
             pass
         raise DomainError('the "freq" form needs an array of [part, multiplicity] pairs')
@@ -124,7 +126,7 @@ def _run_gmap(args, payload) -> str:
     fn = args.fn
     horizon = horizon_from_env()
     if fn in ("sigmaAB", "piAB", "piPrimeAB", "sigmaPrimeAB"):
-        spec = _genspec(args)
+        spec = GenSpec.parse(args.A, args.B, horizon)
         if fn == "sigmaAB":
             return _dumps(_partition_payload(generalized.sigma_AB(generalized.n_encode(p, spec))))
         if fn == "piAB":
@@ -378,32 +380,62 @@ _BATCHABLE = {
 }
 
 
+def _error(message) -> None:
+    print(f"error: {message}", file=sys.stderr)
+
+
+def _run_batch(handler, args, write) -> int:
+    """Answer every non-blank stdin line; a bad line is reported and skipped.
+
+    Each error names its line, unless the batch has no other non-blank line:
+    a one-line batch reports as ``--input`` does.  So the first line's error
+    waits for the next non-blank line, or for the end of input.
+    """
+    code, count, held = 0, 0, None
+    for number, line in enumerate(sys.stdin, 1):
+        line = line.strip()
+        if not line:
+            continue
+        count += 1
+        if held is not None:
+            _error(f"line {held[0]}: {held[1]}")
+            held = None
+        try:
+            answer = handler(args, _load_input(line))
+        except (ValueError, OverflowError) as exc:
+            code = 1
+            if count == 1:
+                held = (number, exc)
+            else:
+                _error(f"line {number}: {exc}")
+            continue
+        write(answer + "\n")
+    if held is not None:
+        _error(held[1])
+    return code
+
+
 def run(argv, out=None) -> int:
-    out = sys.stdout if out is None else out
+    write = (sys.stdout if out is None else out).write
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command in _BATCHABLE:
             handler = _BATCHABLE[args.command]
             if args.input == "-":
-                for line in sys.stdin:
-                    line = line.strip()
-                    if line:
-                        print(handler(args, _load_input(line)), file=out)
-            else:
-                print(handler(args, _load_input(args.input)), file=out)
+                return _run_batch(handler, args, write)
+            lines = [handler(args, _load_input(args.input))]
         elif args.command == "enumerate":
-            for line in _run_enumerate(args):
-                print(line, file=out)
+            lines = _run_enumerate(args)
         elif args.command == "count":
-            for line in _run_count(args):
-                print(line, file=out)
-        elif args.command == "ideal":
-            for line in _run_ideal(args):
-                print(line, file=out)
+            lines = _run_count(args)
+        else:
+            lines = _run_ideal(args)
+        for line in lines:
+            write(line + "\n")
         return 0
     except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(exc)
         return 1
 
 

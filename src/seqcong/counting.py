@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator
 
 from .bijections import pi_map, psi_inverse
 from .errors import DomainError
-from .partition import MAX_PART, Partition
+from .partition import Partition, _check_largest
 
 
 def iter_partition_tuples(
@@ -52,8 +52,7 @@ def iter_partition_tuples(
     room = n if max_length is None else max_length
     if cap < 1 or room < 1 or n > cap * room:
         return
-    if cap > MAX_PART:
-        raise OverflowError(f"part {cap} exceeds the 64-bit part range")
+    _check_largest(cap)
     x: list[int] = []
     j, t, r = 0, n, cap  # refill x[j:] with sum t greedily, parts at most r
     while True:

@@ -31,3 +31,7 @@ class SpecError(DomainError):
 
 class HorizonError(SpecError):
     """A sequence term beyond the configured realization horizon was needed."""
+
+
+class ResourceError(DomainError):
+    """An answer would exceed the output-size limit (``partition.MAX_OUTPUT_PARTS``)."""

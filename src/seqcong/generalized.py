@@ -18,7 +18,7 @@ import os
 from typing import Iterable
 
 from .errors import CanonicalFormError, DomainError, HorizonError, SpecError
-from .partition import EMPTY, Partition, from_frequencies
+from .partition import EMPTY, Partition, _check_largest, _check_output_length, _runs, from_frequencies
 
 DEFAULT_HORIZON = 64
 HORIZON_ENV_VAR = "SEQCONG_HORIZON"
@@ -288,11 +288,11 @@ class NNotation:
 
 def _drop_profile(p: Partition) -> dict[int, int]:
     """Map h -> (column count of height exactly h), i.e. part(h) - part(h+1) > 0."""
+    t = p.parts
     drops: dict[int, int] = {}
-    for h in range(1, len(p) + 1):
-        d = p.part(h) - p.part(h + 1)
-        if d:
-            drops[h] = d
+    for h, (x, y) in enumerate(zip(t, t[1:] + (0,)), 1):
+        if x != y:
+            drops[h] = x - y
     return drops
 
 
@@ -335,19 +335,24 @@ def n_encode(p: Partition, spec: GenSpec) -> NNotation:
 
 
 def n_decode(n: NNotation) -> Partition:
-    """Standard form of the encoded partition: suffix sums on the height runs."""
+    """Standard form of the encoded partition: suffix sums on the height runs.
+
+    The length is the last height b_r, checked before the parts are built.
+    """
     spec, coeffs = n.spec, n.coeffs
     if not coeffs:
         return EMPTY
     r = len(coeffs)
+    _check_output_length(spec.b_term(r))
     parts: list[int] = []
     value = 0
     for i in range(r, 0, -1):
         value += spec.a_term(i) * coeffs[i - 1]
         run = spec.b_term(i) - (spec.b_term(i - 1) if i > 1 else 0)
-        parts.extend([value] * run)
+        parts += [value] * run
+    _check_largest(value)
     parts.reverse()
-    return Partition(parts)
+    return Partition._of(tuple(parts))
 
 
 def sigma_AB(n: NNotation) -> Partition:
@@ -386,17 +391,16 @@ def pi_AB(p: Partition, spec: GenSpec) -> NNotation:
 
 def pi_prime_AB(p: Partition, spec: GenSpec) -> Partition:
     """Stretch: coefficients are the part differences of any input partition."""
-    r = len(p)
-    if r == 0:
+    t = p.parts
+    if not t:
         return EMPTY
-    coeffs = [p.part(i) - p.part(i + 1) for i in range(1, r + 1)]
-    return n_decode(NNotation(spec, coeffs))
+    return n_decode(NNotation(spec, [x - y for x, y in zip(t, t[1:] + (0,))]))
 
 
 def sigma_prime_AB(p: Partition, spec: GenSpec) -> Partition:
     """Squish-flip: <1^{n_1}, ..., r^{n_r}> for the coordinates of a member."""
-    n = n_encode(p, spec)
-    return from_frequencies((i, c) for i, c in enumerate(n.coeffs, 1))
+    c = n_encode(p, spec).coeffs
+    return _runs(range(len(c), 0, -1), c[::-1])
 
 
 def is_in_Sk(p: Partition, k: int) -> bool:

@@ -31,12 +31,13 @@ A condition on t[i-1] or t[0] holds for the first part (i = 0).
 Every analysis is exhaustive within an :class:`AnalysisBound` (a parts-times-
 length box) and reports bounded verdicts with explicit witnesses, never an
 unqualified "infinite".  Enumeration orders are fixed, so reports are
-deterministic.
+deterministic.  The bound and the reports are frozen slotted records (see
+``_Record``): they compare and hash by their fields, print like dataclasses,
+refuse assignment, and copy and pickle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
 from .bijections import _congruence_failure_index, is_seq_congruent
@@ -167,18 +168,63 @@ def is_member(spec: IdealSpec, p: Partition) -> bool:
     return spec.contains(p)
 
 
-@dataclass(frozen=True)
-class AnalysisBound:
+class _Record:
+    """A frozen record whose fields are its class's ``__slots__``, in order.
+
+    Fields are given by position or keyword; ``_defaults`` holds the values of
+    the optional ones.  Records of one class are equal, and hash alike, when
+    their field values are; the repr is ``Name(field=value, ...)``.  Fields
+    cannot be assigned or deleted, and copy and pickle rebuild the record
+    from its field values.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+        if len(args) > len(names) or values.keys() != set(names) or kwargs.keys() & set(names[:len(args)]):
+            raise TypeError(f"{type(self).__name__} takes the fields {names}, got {args!r} and {kwargs!r}")
+        for name in names:
+            object.__setattr__(self, name, values[name])
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class AnalysisBound(_Record):
     """Search box for the exhaustive analyses: parts <= max_part, length <= max_length."""
 
-    max_part: int
-    max_length: int
+    __slots__ = ("max_part", "max_length")
 
-    def __post_init__(self):
-        if type(self.max_part) is not int or type(self.max_length) is not int:
-            raise TypeError(f"bounds must be integers, got {self.max_part!r} and {self.max_length!r}")
-        if self.max_part < 1 or self.max_length < 1:
+    def __init__(self, max_part: int, max_length: int):
+        if type(max_part) is not int or type(max_length) is not int:
+            raise TypeError(f"bounds must be integers, got {max_part!r} and {max_length!r}")
+        if max_part < 1 or max_length < 1:
             raise ValueError("bounds must be at least 1")
+        super().__init__(max_part, max_length)
 
 
 def _report_json(spec: IdealSpec, bound: AnalysisBound, modulus: int | None = None, **fields) -> dict:
@@ -246,15 +292,11 @@ def members_within(spec: IdealSpec, bound: AnalysisBound) -> list[Partition]:
 # closure under part removal
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClosureReport:
-    spec: IdealSpec
-    bound: AnalysisBound
-    closed: bool
-    members_checked: int
-    witness: Partition | None = None          # the member that breaks closure
-    removed_part: int | None = None
-    after_removal: Partition | None = None
+class ClosureReport(_Record):
+    """Closure verdict; when not closed, the member ``witness`` that breaks it."""
+
+    __slots__ = ("spec", "bound", "closed", "members_checked", "witness", "removed_part", "after_removal")
+    _defaults = dict.fromkeys(("witness", "removed_part", "after_removal"))
 
     def to_json_dict(self):
         d = _report_json(self.spec, self.bound, closed=self.closed, members_checked=self.members_checked)
@@ -314,15 +356,14 @@ def check_ideal_closure(spec: IdealSpec, bound: AnalysisBound) -> ClosureReport:
 # order and weak order
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrderReport:
-    spec: IdealSpec
-    bound: AnalysisBound
-    weak: bool
-    order: int | None                 # smallest window width with no refutation
-    growing: bool                     # evidence the true order grows with the bound
-    refuted_up_to: int                 # every k <= this was refuted
-    last_witness: Partition | None = None
+class OrderReport(_Record):
+    """``order``: smallest window width with no refutation, or None when ``growing``
+    (evidence the true order grows with the bound); every width up to
+    ``refuted_up_to`` was refuted.
+    """
+
+    __slots__ = ("spec", "bound", "weak", "order", "growing", "refuted_up_to", "last_witness")
+    _defaults = {"last_witness": None}
 
     def to_json_dict(self):
         d = _report_json(self.spec, self.bound, weak=self.weak, order=self.order,
@@ -445,14 +486,11 @@ def weak_order_estimate(spec: IdealSpec, bound: AnalysisBound) -> OrderReport:
 # modulus
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModulusReport:
-    spec: IdealSpec
-    modulus: int
-    bound: AnalysisBound
-    holds: bool
-    witness: Partition | None = None
-    direction: str | None = None      # "shift-escapes" or "unshift-escapes"
+class ModulusReport(_Record):
+    """Modulus verdict; ``direction`` is "shift-escapes" or "unshift-escapes"."""
+
+    __slots__ = ("spec", "modulus", "bound", "holds", "witness", "direction")
+    _defaults = dict.fromkeys(("witness", "direction"))
 
     def to_json_dict(self):
         d = _report_json(self.spec, self.bound, self.modulus, holds=self.holds)
@@ -486,13 +524,10 @@ def check_modulus(spec: IdealSpec, m: int, bound: AnalysisBound) -> ModulusRepor
 # L-sets and the layer decomposition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LSetReport:
-    spec: IdealSpec
-    modulus: int
-    bound: AnalysisBound
-    members: tuple[Partition, ...]
-    truncated: bool                   # hit the length cap: bounded evidence of an infinite set
+class LSetReport(_Record):
+    """``truncated``: a member hit the length cap, bounded evidence of an infinite set."""
+
+    __slots__ = ("spec", "modulus", "bound", "members", "truncated")
 
     def to_json_dict(self):
         return _report_json(self.spec, self.bound, self.modulus,
@@ -544,29 +579,22 @@ def andrews_compose(pieces: list[Partition], m: int) -> Partition:
 # linked-ideal inference
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinkEntry:
-    element: Partition
-    span: int | None = None
-    linking_set: tuple[Partition, ...] | None = None
-    witness: Partition | None = None  # set when no consistent span exists for this element
-    reason: str | None = None
+class LinkEntry(_Record):
+    """One small member's span and linking set, or the ``witness`` that no span fits."""
+
+    __slots__ = ("element", "span", "linking_set", "witness", "reason")
+    _defaults = dict.fromkeys(("span", "linking_set", "witness", "reason"))
 
     @property
     def found(self) -> bool:
         return self.span is not None
 
 
-@dataclass(frozen=True)
-class LinkReport:
-    spec: IdealSpec
-    modulus: int
-    bound: AnalysisBound
-    verdict: str                      # linked-within-bound | refuted | L-infinite-within-bound
-    L_set: tuple[Partition, ...] = ()
-    entries: tuple[LinkEntry, ...] = ()
-    witness: Partition | None = None
-    reason: str | None = None
+class LinkReport(_Record):
+    """``verdict``: linked-within-bound, refuted or L-infinite-within-bound."""
+
+    __slots__ = ("spec", "modulus", "bound", "verdict", "L_set", "entries", "witness", "reason")
+    _defaults = {"L_set": (), "entries": (), "witness": None, "reason": None}
 
     def entry_for(self, p: Partition) -> LinkEntry | None:
         for e in self.entries:
@@ -749,16 +777,11 @@ def seqcong_ideal_exit(p: Partition) -> Partition:
     raise DomainError("partition is in the maximal ideal; every part divides out")
 
 
-@dataclass(frozen=True)
-class SubidealRefutation:
+class SubidealRefutation(_Record):
     """The constructive obstruction to linking a length-capped SA subideal."""
 
-    max_length: int
-    modulus: int
-    member: Partition
-    member_in_subideal: bool
-    escalated: Partition
-    escalated_seq_congruent: bool
+    __slots__ = ("max_length", "modulus", "member", "member_in_subideal", "escalated",
+                 "escalated_seq_congruent")
 
 
 def linked_refutation_example(r: int) -> SubidealRefutation:

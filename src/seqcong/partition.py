@@ -8,15 +8,24 @@ Parts are bounded by the signed 64-bit range.  Arithmetic that would push a
 part past that bound raises ``OverflowError`` instead of silently producing a
 huge Python integer; counts of partitions (which genuinely need arbitrary
 precision) live in :mod:`seqcong.counting`.
+
+Answers are bounded too.  A map whose output can be far longer than its input
+(conjugation and the frequency form here, sigma, psi and the n-notation
+decoder elsewhere) works out the output's length first and raises
+``ResourceError`` when it exceeds ``MAX_OUTPUT_PARTS``, ten million parts; a
+Young diagram is held to as many cells.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import ContainmentError
+from .errors import ContainmentError, ResourceError
 
 MAX_PART = 2**63 - 1
+# Ten million parts take about 80 MB as a tuple, and as much again in the list
+# the tuple is built from.
+MAX_OUTPUT_PARTS = 10**7
 
 
 class Partition:
@@ -109,6 +118,31 @@ class Partition:
 EMPTY = Partition()
 
 
+def _check_largest(x: int) -> None:
+    """Raise the OverflowError ``Partition(...)`` raises when a part passes MAX_PART."""
+    if x > MAX_PART:
+        raise OverflowError(f"part {x} exceeds the 64-bit part range")
+
+
+def _check_output_length(n: int, unit: str = "parts") -> None:
+    """Refuse an answer of n parts (or diagram cells) above MAX_OUTPUT_PARTS."""
+    if n > MAX_OUTPUT_PARTS:
+        raise ResourceError(f"the answer would have {n} {unit}, above the limit of {MAX_OUTPUT_PARTS}")
+
+
+def _runs(values, mults) -> Partition:
+    """values[i] repeated mults[i] times, once the length passes the check.
+
+    The caller guarantees plain int values in [1, MAX_PART], strictly
+    decreasing, and nonnegative int multiplicities, both as sequences.
+    """
+    _check_output_length(sum(mults))
+    parts: list[int] = []
+    for v, m in zip(values, mults):
+        parts += [v] * m
+    return Partition._of(tuple(parts))
+
+
 class FrequencyMap:
     """Part-value -> multiplicity view of a partition.
 
@@ -135,10 +169,10 @@ class FrequencyMap:
         return cls(d)
 
     def to_partition(self) -> Partition:
-        parts: list[int] = []
-        for value in sorted(self.entries, reverse=True):
-            parts.extend([value] * self.entries[value])
-        return Partition(parts)
+        values = list(reversed(self.entries))
+        if values:
+            _check_largest(values[0])
+        return _runs(values, [self.entries[v] for v in values])
 
     def frequency(self, part: int) -> int:
         return self.entries.get(part, 0)
@@ -176,12 +210,14 @@ def conjugate(p: Partition) -> Partition:
     for i from 1 to the length.  (The tests keep the diagram-transpose
     definition as its oracle.)
     """
-    r = len(p)
+    t = p.parts
+    _check_output_length(t[0] if t else 0)
     parts: list[int] = []
-    for i in range(r, 0, -1):
-        mult = p.part(i) - p.part(i + 1)
-        parts.extend([i] * mult)
-    return Partition(parts)
+    below = 0
+    for i in range(len(t), 0, -1):
+        parts += [i] * (t[i - 1] - below)
+        below = t[i - 1]
+    return Partition._of(tuple(parts))
 
 
 def is_self_conjugate(p: Partition) -> bool:
@@ -280,4 +316,5 @@ def render_diagram(p: Partition) -> str:
     """Monospace Young diagram, one row per part, one cell glyph per box."""
     if p.is_empty():
         return "(empty)"
+    _check_output_length(p.size, "cells")
     return "\n".join(" ".join([CELL] * x) for x in p.parts)

@@ -1,10 +1,14 @@
+import contextlib
 import io
 import json
+import sys
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from seqcong import CountSeries, IdealSpec, Partition, counting, is_seq_congruent
+from seqcong import CNotation, CountSeries, IdealSpec, Partition, counting, from_c_notation, is_seq_congruent
 from seqcong.cli import run
 
 from conftest import recursive_partition_tuples
@@ -323,3 +327,142 @@ class TestErrorsAndDeterminism:
             monkeypatch.setattr("sys.stdin", io.StringIO(text + "\n"))
         assert cli("map", "--fn", "pi", "--input", "-" if via_stdin else text) == (1, "")
         assert capsys.readouterr().err == "error: input is nested too deeply\n"
+
+
+class TestBatchIsolation:
+    """A bad stdin line is reported with its number; the other lines are answered."""
+
+    def batch(self, monkeypatch, capsys, text, *argv):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out = cli(*argv, "--input", "-")
+        return code, out, capsys.readouterr().err
+
+    def test_mixed_batch(self, monkeypatch, capsys):
+        assert self.batch(monkeypatch, capsys, "[3,1]\n[x\n[2]\n", "map", "--fn", "sigma") == (
+            1, "[1,1]\n",
+            "error: line 1: not sequentially congruent: congruence fails at index 2\n"
+            "error: line 2: input is not valid JSON: Expecting value: line 1 column 2 (char 1)\n")
+
+    def test_lines_after_a_bad_line_are_answered(self, monkeypatch, capsys):
+        text = "[2]\n\n[6,4,2]\n[3]\n[8,6,4,4]\n"
+        assert self.batch(monkeypatch, capsys, text, "map", "--fn", "sigma") == (
+            1, "[1,1]\n[1,1,1]\n[4,2,1,1]\n",
+            "error: line 3: not sequentially congruent: congruence fails at index 3\n")
+
+    def test_one_line_batch_reports_as_input_does(self, monkeypatch, capsys):
+        code, out, err = self.batch(monkeypatch, capsys, "\n[6,4,2]\n\n", "map", "--fn", "sigma")
+        assert (code, out) == (1, "")
+        assert err == "error: not sequentially congruent: congruence fails at index 3\n"
+        assert cli("map", "--fn", "sigma", "--input", "[6,4,2]") == (1, "")
+        assert capsys.readouterr().err == err
+
+    def test_good_batch_exits_0(self, monkeypatch, capsys):
+        assert self.batch(monkeypatch, capsys, "[4]\n[2,1]\n", "check", "--pred", "seqcong") == (
+            0, "true\nfalse\n", "")
+
+
+class TestOutputSizeGuard:
+    """Answers past MAX_OUTPUT_PARTS exit 1 at once with the ResourceError message."""
+
+    @pytest.mark.parametrize("argv", [
+        ("map", "--fn", "sigma", "--input", "[1000000000000]"),
+        ("map", "--fn", "conjugate", "--input", "[1000000000000]"),
+        ("convert", "--to", "standard", "--input", '{"freq":[[1,1000000000000]]}'),
+    ], ids=["sigma", "conjugate", "freq"])
+    def test_refused(self, capsys, argv):
+        assert cli(*argv) == (1, "")
+        assert capsys.readouterr().err == (
+            "error: the answer would have 1000000000000 parts, above the limit of 10000000\n")
+
+
+class CountingWriter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+class TestOneWritePerAnswer:
+    def test_batch(self, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[12,8,4,3,3]\n[1,1,1]\n\n[2]\n"))
+        out = CountingWriter()
+        assert run(["map", "--fn", "pi", "--input", "-"], out=out) == 0
+        assert out.getvalue() == "[30,26,18,15,15]\n[3,3,3]\n[2]\n"
+        assert out.writes == 3
+
+    def test_listing(self):
+        out = CountingWriter()
+        assert run(["enumerate", "--pred", "seqcong", "--size", "12", "--limit", "3"], out=out) == 0
+        assert out.writes == 3 == len(out.getvalue().splitlines())
+
+
+# Sequence rules for --A/--B, valid and not.
+_RULES = st.sampled_from(["nat", "pow:2", "pow:0", "arith:3", "2,5,9", "3,1", "pow:x", "pow:-1"])
+_SMALL = st.one_of(st.none(), st.integers(-2, 5))
+
+
+def _gmap_argv(fn):
+    return st.tuples(_RULES, _RULES, _SMALL, _SMALL, _SMALL).map(
+        lambda a: ["gmap", "--fn", fn, "--A", a[0], "--B", a[1]] + [
+            tok for flag, v in zip(("--k", "--p", "--q"), a[2:]) if v is not None for tok in (flag, str(v))])
+
+
+# batch command -> its argv before --input
+_COMMANDS = {
+    **{f"map {fn}": st.just(["map", "--fn", fn])
+       for fn in ("pi", "sigma", "pisigma", "psi", "psi-inv", "conjugate")},
+    **{f"convert {to}": st.just(["convert", "--to", to]) for to in ("standard", "frequency", "cnotation")},
+    "check": st.just(["check", "--pred", "seqcong"]),
+    "diagram": st.just(["diagram"]),
+    "diagram squares": st.just(["diagram", "--squares"]),
+    "gcheck": st.tuples(_RULES, _RULES).map(lambda ab: ["gcheck", "--A", ab[0], "--B", ab[1]]),
+    **{f"gmap {fn}": _gmap_argv(fn)
+       for fn in ("sigmaAB", "piAB", "piPrimeAB", "sigmaPrimeAB", "sigmak", "psik", "eta", "tau")},
+    "usage errors": st.lists(st.sampled_from(["map", "gmap", "--fn", "pi", "--k", "x", "--input"]), max_size=3),
+}
+# Small values, or values past the output limit: answers up to the limit are
+# legal but slow to build, and would only slow the property down.
+_INT = st.one_of(st.integers(-2, 70), st.integers(2**40, 2**66))
+_CVEC = st.lists(st.one_of(st.integers(0, 3), st.integers(2**40, 2**41)), max_size=5).map(lambda c: c + [1])
+_PAYLOAD = st.one_of(
+    st.lists(_INT, max_size=8).map(lambda xs: sorted(xs, reverse=True)),
+    st.lists(st.one_of(st.integers(1, 12), st.integers(10**7, 2**31)), max_size=6).map(
+        lambda xs: sorted((x * x for x in xs), reverse=True)),
+    _CVEC.map(lambda c: list(from_c_notation(CNotation(c)).parts)),
+    _CVEC.map(lambda c: {"c": c}),
+    st.lists(st.tuples(_INT, _INT).map(list), max_size=3).map(lambda pairs: {"freq": pairs}),
+    st.recursive(st.none() | st.booleans() | st.floats() | _INT | st.text(max_size=3),
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.sampled_from(["c", "freq", "x"]), inner, max_size=2),
+                 max_leaves=6),
+)
+_TEXT = st.one_of(_PAYLOAD.map(json.dumps), st.text(max_size=8))
+
+
+class TestFuzz:
+    """Batch commands on generated argv and JSON answer or exit 1 or 2; nothing else escapes."""
+
+    @pytest.mark.parametrize("name", sorted(_COMMANDS))
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data(), fmt=st.booleans(), texts=st.lists(_TEXT, min_size=1, max_size=3),
+           via_stdin=st.booleans())
+    def test_exit_codes(self, name, data, fmt, texts, via_stdin):
+        argv = data.draw(_COMMANDS[name])
+        full = (["--format", "json"] if fmt else []) + argv
+        if via_stdin:
+            full += ["--input", "-"]
+        else:
+            full += ["--input", texts[0]]
+        stdin = sys.stdin
+        sys.stdin = io.StringIO("\n".join(texts) + "\n")
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = run(full, out=io.StringIO())
+        except SystemExit as exc:
+            code = exc.code
+        finally:
+            sys.stdin = stdin
+        assert code in (0, 1, 2)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 import tracemalloc
 
@@ -8,6 +10,10 @@ from seqcong import (
     DomainError,
     FrequencyMap,
     IdealSpec,
+    LinkEntry,
+    LinkReport,
+    ModulusReport,
+    OrderReport,
     Partition,
     andrews_compose,
     andrews_decompose,
@@ -104,6 +110,58 @@ class TestBoundArguments:
         for args in ((0, 3), (3, 0), (-1, -1)):
             with pytest.raises(ValueError, match="bounds must be at least 1"):
                 AnalysisBound(*args)
+
+
+class TestRecords:
+    """The bound and the reports are frozen slotted records that behave as dataclasses did."""
+
+    def test_keyword_construction_and_defaults(self):
+        spec, bound = IdealSpec("R"), AnalysisBound(max_length=4, max_part=8)
+        assert bound == AnalysisBound(8, 4)
+        report = OrderReport(spec=spec, bound=bound, weak=False, order=2, growing=False, refuted_up_to=1)
+        assert report == OrderReport(spec, bound, False, 2, False, 1, None)
+        assert report.last_witness is None
+        link = LinkReport(spec, 2, bound, "refuted", reason="r")
+        assert (link.L_set, link.entries, link.witness, link.reason) == ((), (), None, "r")
+
+    def test_wrong_fields_are_type_errors(self):
+        for build in (lambda: LinkEntry(), lambda: LinkEntry(Partition([1]), nope=1),
+                      lambda: LinkEntry(Partition([1]), element=Partition([2])),
+                      lambda: ModulusReport(*range(7)), lambda: AnalysisBound(1)):
+            with pytest.raises(TypeError):
+                build()
+
+    def test_repr(self):
+        assert repr(AnalysisBound(8, 4)) == "AnalysisBound(max_part=8, max_length=4)"
+        assert repr(check_modulus(IdealSpec("S"), 2, AnalysisBound(8, 4))) == (
+            "ModulusReport(spec=IdealSpec('S'), modulus=2, bound=AnalysisBound(max_part=8, max_length=4), "
+            "holds=False, witness=Partition([3, 3, 3]), direction='shift-escapes')")
+        assert repr(LinkEntry(Partition([2]), span=1, linking_set=(Partition([]),))) == (
+            "LinkEntry(element=Partition([2]), span=1, linking_set=(Partition([]),), witness=None, reason=None)")
+
+    def test_equality_and_hash_by_fields(self):
+        a, b = order_estimate(IdealSpec("R"), B12), order_estimate(IdealSpec("R"), AnalysisBound(12, 6))
+        assert a == b and hash(a) == hash(b) and a is not b
+        assert a != order_estimate(IdealSpec("D"), B12)
+        assert AnalysisBound(8, 4) != (8, 4)
+        assert len({AnalysisBound(8, 4), AnalysisBound(8, 4), AnalysisBound(4, 8)}) == 2
+
+    def test_assignment_refused(self):
+        report = check_ideal_closure(IdealSpec("S"), AnalysisBound(8, 4))
+        for name in ("closed", "witness", "other"):
+            with pytest.raises(AttributeError):
+                setattr(report, name, None)
+        with pytest.raises(AttributeError):
+            del report.closed
+        assert report.closed is False
+
+    def test_copy_and_pickle_round_trips(self):
+        records = [AnalysisBound(8, 4), linked_refutation_example(3), LinkEntry(Partition([2]), span=1),
+                   check_modulus(IdealSpec("S"), 2, AnalysisBound(8, 4)),
+                   infer_linking(IdealSpec("S"), 2, AnalysisBound(8, 4))]
+        for r in records:
+            for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+                assert twin == r and type(twin) is type(r) and repr(twin) == repr(r)
 
 
 class TestMembership:
