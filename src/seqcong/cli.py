@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from . import bijections, counting, generalized, ideals, partition
 from .errors import DomainError, ResourceError
@@ -112,21 +113,28 @@ def _run_diagram(args, payload) -> str:
     return partition.render_diagram(p)
 
 
-def _genspec(args) -> GenSpec:
-    return GenSpec.parse(args.A, args.B, horizon_from_env())
+def _gcheck_answer(args):
+    spec = GenSpec.parse(args.A, args.B, horizon_from_env())
+    return lambda payload: _dumps(generalized.is_in_SBA(_parse_partition(payload), spec))
 
 
-def _run_gcheck(args, payload) -> str:
-    p = _parse_partition(payload)
-    return _dumps(generalized.is_in_SBA(p, _genspec(args)))
-
-
-def _run_gmap(args, payload) -> str:
-    p = _parse_partition(payload)
-    fn = args.fn
-    horizon = horizon_from_env()
+def _gmap_answer(args):
+    fn, horizon = args.fn, horizon_from_env()
     if fn in ("sigmaAB", "piAB", "piPrimeAB", "sigmaPrimeAB"):
         spec = GenSpec.parse(args.A, args.B, horizon)
+    elif args.k is None:
+        raise DomainError(f"--fn {fn} needs --k")
+    elif fn == "tau":
+        if args.p is None or args.q is None:
+            raise DomainError("--fn tau needs --p and --q")
+        spec = GenSpec(SequenceRule.powers(args.k - args.p), SequenceRule.powers(args.p), horizon)
+    else:
+        if fn == "eta" and args.p is None:
+            raise DomainError("--fn eta needs --p")
+        spec = GenSpec(SequenceRule.powers(args.k), SequenceRule.parse(args.B), horizon)
+
+    def answer(payload):
+        p = _parse_partition(payload)
         if fn == "sigmaAB":
             return _dumps(_partition_payload(generalized.sigma_AB(generalized.n_encode(p, spec))))
         if fn == "piAB":
@@ -135,27 +143,19 @@ def _run_gmap(args, payload) -> str:
                            "partition": _partition_payload(generalized.n_decode(n))})
         if fn == "piPrimeAB":
             return _dumps(_partition_payload(generalized.pi_prime_AB(p, spec)))
-        return _dumps(_partition_payload(generalized.sigma_prime_AB(p, spec)))
-    if args.k is None:
-        raise DomainError(f"--fn {fn} needs --k")
-    k = args.k
-    if fn in ("sigmak", "psik"):
-        spec = GenSpec(SequenceRule.powers(k), SequenceRule.parse(args.B), horizon)
+        if fn == "sigmaPrimeAB":
+            return _dumps(_partition_payload(generalized.sigma_prime_AB(p, spec)))
         n = generalized.n_encode(p, spec)
-        out = generalized.sigma_k(n) if fn == "sigmak" else generalized.psi_k(n)
-        return _dumps(_partition_payload(out))
-    if fn == "eta":
-        if args.p is None:
-            raise DomainError("--fn eta needs --p")
-        spec = GenSpec(SequenceRule.powers(k), SequenceRule.parse(args.B), horizon)
-        out = generalized.eta(generalized.n_encode(p, spec), k, args.p)
-    else:  # tau
-        if args.p is None or args.q is None:
-            raise DomainError("--fn tau needs --p and --q")
-        spec = GenSpec(SequenceRule.powers(k - args.p), SequenceRule.powers(args.p), horizon)
-        out = generalized.tau(generalized.n_encode(p, spec), k, args.p, args.q)
-    return _dumps({"n": list(out.coeffs), "A": str(out.spec.a), "B": str(out.spec.b),
-                   "partition": _partition_payload(generalized.n_decode(out))})
+        if fn in ("sigmak", "psik"):
+            out = generalized.sigma_k(n) if fn == "sigmak" else generalized.psi_k(n)
+            return _dumps(_partition_payload(out))
+        if fn == "eta":
+            out = generalized.eta(n, args.k, args.p)
+        else:
+            out = generalized.tau(n, args.k, args.p, args.q)
+        return _dumps({"n": list(out.coeffs), "A": str(out.spec.a), "B": str(out.spec.b),
+                       "partition": _partition_payload(generalized.n_decode(out))})
+    return answer
 
 
 def _square_parts(p: Partition) -> bool:
@@ -370,13 +370,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _each_line(handler):
+    return lambda args: partial(handler, args)
+
+
+# command -> setup(args) -> answer(payload).  The setup runs once per process,
+# so an argument error (bad --A or --B, a missing --k, --p or --q, a bad
+# SEQCONG_HORIZON) is reported once, without a line number.
 _BATCHABLE = {
-    "convert": _run_convert,
-    "map": _run_map,
-    "check": _run_check,
-    "diagram": _run_diagram,
-    "gcheck": _run_gcheck,
-    "gmap": _run_gmap,
+    "convert": _each_line(_run_convert),
+    "map": _each_line(_run_map),
+    "check": _each_line(_run_check),
+    "diagram": _each_line(_run_diagram),
+    "gcheck": _gcheck_answer,
+    "gmap": _gmap_answer,
 }
 
 
@@ -384,7 +391,7 @@ def _error(message) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
-def _run_batch(handler, args, write) -> int:
+def _run_batch(answer, write) -> int:
     """Answer every non-blank stdin line; a bad line is reported and skipped.
 
     Each error names its line, unless the batch has no other non-blank line:
@@ -401,7 +408,7 @@ def _run_batch(handler, args, write) -> int:
             _error(f"line {held[0]}: {held[1]}")
             held = None
         try:
-            answer = handler(args, _load_input(line))
+            reply = answer(_load_input(line))
         except (ValueError, OverflowError) as exc:
             code = 1
             if count == 1:
@@ -409,7 +416,7 @@ def _run_batch(handler, args, write) -> int:
             else:
                 _error(f"line {number}: {exc}")
             continue
-        write(answer + "\n")
+        write(reply + "\n")
     if held is not None:
         _error(held[1])
     return code
@@ -421,10 +428,10 @@ def run(argv, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command in _BATCHABLE:
-            handler = _BATCHABLE[args.command]
+            answer = _BATCHABLE[args.command](args)
             if args.input == "-":
-                return _run_batch(handler, args, write)
-            lines = [handler(args, _load_input(args.input))]
+                return _run_batch(answer, write)
+            lines = [answer(_load_input(args.input))]
         elif args.command == "enumerate":
             lines = _run_enumerate(args)
         elif args.command == "count":

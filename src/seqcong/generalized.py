@@ -96,10 +96,13 @@ class SequenceRule:
         text = text.strip()
         if text == "nat":
             return cls.naturals()
-        if text.startswith("pow:"):
-            return cls.powers(int(text[4:]))
-        if text.startswith("arith:"):
-            return cls.arithmetic(int(text[6:]))
+        if text.startswith(("pow:", "arith:")):
+            tag, _, raw = text.partition(":")
+            try:
+                param = int(raw)
+            except ValueError:
+                raise SpecError(f"cannot parse sequence rule {text!r}") from None
+            return cls.powers(param) if tag == "pow" else cls.arithmetic(param)
         try:
             return cls.explicit(int(tok) for tok in text.split(","))
         except ValueError:

@@ -6,25 +6,32 @@ and is defined once, by a row of ``_KINDS`` holding one incremental test
 ``ok(t, i, v)``: may the part v follow the prefix t[:i]?  The test reads only
 t[:i] and v, and answers for a member prefix t[:i] and v <= min(t[:i]).
 Membership is its fold over a tuple's own positions (exact by induction), and
-the engines' walks prune on it directly.  The rows, with i parts before v:
+the engines' walks prune on it directly.  A row also declares a *summary*:
+what the test reads of a prefix besides its length and last part (None when
+it reads nothing else; Adiff, which reads every gap, declares none).  Closure
+decides a kind with a summary on classes of members that its test cannot tell
+apart.  The rows, with i parts before v:
 
-=============  ========  ======================================================
-kind           param     part v may follow t[:i] when
-=============  ========  ======================================================
-``SA``                   every integer from 2 to i + 1 divides v
-``SA_maxlen``  r >= 1    i < r and the SA test holds (SA capped at length r)
-``S``                    no test: sequentially congruent, NOT an ideal (kept
-                         for refutation runs)
-``D``                    v < t[i-1] (distinct parts)
-``R``                    t[i-1] - v >= 2 (Rogers-Ramanujan gaps)
-``Rprime``               v > i (no parts below the Durfee square)
-``Adiff``                t[i-1] - v >= 1 and t[j-1] - t[j] >= i + 1 - j for
-                         0 < j < i (j-th difference from the tail at least j)
-``N_maxlen``   n >= 0    i < n (length at most n)
-``P_parity``             v = t[0] mod 2 (all parts of one parity)
-``P_mod``      k >= 2    v = t[0] mod k (all parts congruent mod k)
-``Pprime``               v < t[i-1] and v = t[0] mod 2 (one parity, distinct)
-=============  ========  ======================================================
+=============  ========  =========  ===========================================
+kind           param     summary    part v may follow t[:i] when
+=============  ========  =========  ===========================================
+``SA``                   None       every integer from 2 to i + 1 divides v
+``SA_maxlen``  r >= 1    None       i < r and the SA test holds (SA capped at
+                                    length r)
+``S``                               no test: sequentially congruent, NOT an
+                                    ideal (kept for refutation runs)
+``D``                    None       v < t[i-1] (distinct parts)
+``R``                    None       t[i-1] - v >= 2 (Rogers-Ramanujan gaps)
+``Rprime``               None       v > i (no parts below the Durfee square)
+``Adiff``                           t[i-1] - v >= 1 and t[j-1] - t[j] >=
+                                    i + 1 - j for 0 < j < i (j-th difference
+                                    from the tail at least j)
+``N_maxlen``   n >= 0    None       i < n (length at most n)
+``P_parity``             t[0] % 2   v = t[0] mod 2 (all parts of one parity)
+``P_mod``      k >= 2    t[0] % k   v = t[0] mod k (all parts congruent mod k)
+``Pprime``               t[0] % 2   v < t[i-1] and v = t[0] mod 2 (one
+                                    parity, distinct)
+=============  ========  =========  ===========================================
 
 A condition on t[i-1] or t[0] holds for the first part (i = 0).
 
@@ -65,20 +72,31 @@ def _adiff_ok(t, i, v):
     return True
 
 
+def _blank(_):
+    # a summary that tells no two prefixes apart
+    return lambda t: None
+
+
+def _first_mod(k):
+    return lambda t: t[0] % k
+
+
 # kind -> (least parameter, or None when the kind takes none;
-#          parameter -> incremental test ok(t, i, v), or None for S)
+#          parameter -> incremental test ok(t, i, v), or None for S;
+#          parameter -> summary of a nonempty prefix, or None when the kind declares none)
 _KINDS = {
-    "SA": (None, lambda _: _sa_ok),
-    "SA_maxlen": (1, lambda r: lambda t, i, v: i < r and _sa_ok(t, i, v)),
-    "S": (None, None),
-    "D": (None, lambda _: lambda t, i, v: not i or v < t[i - 1]),
-    "R": (None, lambda _: lambda t, i, v: not i or t[i - 1] - v >= 2),
-    "Rprime": (None, lambda _: lambda t, i, v: v > i),
-    "Adiff": (None, lambda _: _adiff_ok),
-    "N_maxlen": (0, lambda n: lambda t, i, v: i < n),
-    "P_parity": (None, lambda _: lambda t, i, v: not i or (t[0] - v) % 2 == 0),
-    "P_mod": (2, lambda k: lambda t, i, v: not i or (t[0] - v) % k == 0),
-    "Pprime": (None, lambda _: lambda t, i, v: not i or (v < t[i - 1] and (t[0] - v) % 2 == 0)),
+    "SA": (None, lambda _: _sa_ok, _blank),
+    "SA_maxlen": (1, lambda r: lambda t, i, v: i < r and _sa_ok(t, i, v), _blank),
+    "S": (None, None, None),
+    "D": (None, lambda _: lambda t, i, v: not i or v < t[i - 1], _blank),
+    "R": (None, lambda _: lambda t, i, v: not i or t[i - 1] - v >= 2, _blank),
+    "Rprime": (None, lambda _: lambda t, i, v: v > i, _blank),
+    "Adiff": (None, lambda _: _adiff_ok, None),
+    "N_maxlen": (0, lambda n: lambda t, i, v: i < n, _blank),
+    "P_parity": (None, lambda _: lambda t, i, v: not i or (t[0] - v) % 2 == 0, lambda _: _first_mod(2)),
+    "P_mod": (2, lambda k: lambda t, i, v: not i or (t[0] - v) % k == 0, _first_mod),
+    "Pprime": (None, lambda _: lambda t, i, v: not i or (v < t[i - 1] and (t[0] - v) % 2 == 0),
+               lambda _: _first_mod(2)),
 }
 
 
@@ -105,15 +123,17 @@ class IdealSpec:
 
     ``_member(t)`` decides membership of a partition tuple.  For prefix-closed
     kinds ``_child_ok(t, i, v)`` is the kind's incremental test and
-    ``_member`` its fold; S has no incremental test.
+    ``_member`` its fold; S has no incremental test.  ``_summary(t)``, when
+    the kind declares one, is what the test reads of a nonempty member prefix
+    t besides its length and last part.
     """
 
-    __slots__ = ("kind", "param", "_member", "_child_ok", "prefix_closed")
+    __slots__ = ("kind", "param", "_member", "_child_ok", "_summary", "prefix_closed")
 
     def __init__(self, kind: str, param: int | None = None):
         if kind not in _KINDS:
             raise DomainError(f"unknown ideal kind {kind!r}; choose from {', '.join(_KINDS)}")
-        least, test = _KINDS[kind]
+        least, test, summary = _KINDS[kind]
         if least is not None:
             if param is None:
                 raise DomainError(f"kind {kind} needs an integer parameter")
@@ -128,6 +148,7 @@ class IdealSpec:
         self._child_ok = ok = None if test is None else test(param)
         self.prefix_closed = ok is not None
         self._member = _fold(ok) if self.prefix_closed else _seqcong_member
+        self._summary = None if summary is None else summary(param)
 
     @classmethod
     def parse(cls, text: str) -> "IdealSpec":
@@ -307,19 +328,66 @@ class ClosureReport(_Record):
         return d
 
 
+def _class_closure(spec: IdealSpec, bound: AnalysisBound) -> int | None:
+    """Members in the box when every removal of each passes the kind's test, else None.
+
+    Steps length by length over classes of members.  A member t's key is
+    (summary, last part), and its class is its key with the set of its
+    removals' keys.  The test answers alike for prefixes of one length and
+    key, and their members extend to equal keys, so the members of a class
+    have children in the same classes and removals that pass alike: each
+    class's children and removal representatives are tested once, and the
+    class counts the members it stands for.
+    """
+    ok, summary = spec._child_ok, spec._summary
+    # class -> [members it stands for, representative, one representative per removal key]
+    layer = {None: [1, (), ()]}
+    checked = 1
+    for n in range(bound.max_length):
+        longer = {}
+        for count, t, removals in layer.values():
+            itself = {(summary(t), t[-1]): t} if t else {None: ()}
+            for v in range(1, (t[-1] if t else bound.max_part) + 1):
+                if not ok(t, n, v):
+                    continue
+                child_removals = dict(itself)
+                for s in removals:
+                    if not ok(s, n - 1, v):
+                        return None
+                    s += (v,)
+                    child_removals[summary(s), v] = s
+                checked += count
+                c = t + (v,)
+                key = (summary(c), v, frozenset(child_removals))
+                entry = longer.get(key)
+                if entry is None:
+                    longer[key] = [count, c, tuple(child_removals.values())]
+                else:
+                    entry[0] += count
+        layer = longer
+    return checked
+
+
 def check_ideal_closure(spec: IdealSpec, bound: AnalysisBound) -> ClosureReport:
     """Verify every member in the box stays a member when any single part is removed.
 
     Single-part removal suffices: removing several parts is a chain of single
     removals.  The first counterexample in enumeration order is reported.
-    Prefix-closed kinds are walked in prefix order, and the removals of
-    t + (v,) are those s of its parent t, each already passed, with v
+    A kind that declares a summary is first decided on classes of members
+    its test cannot tell apart (``_class_closure``); ``members_checked``
+    still counts every member.  Otherwise, or when a class has a failing
+    removal, prefix-closed kinds are walked in prefix order, and the removals
+    of t + (v,) are those s of its parent t, each already passed, with v
     appended, then t itself.  One call ``_child_ok(s, len(s), v)`` decides
     s + (v,) exactly, since membership is the fold of that test: closure
     certifies the kind's test.  S is scanned by increasing size (reverse
     lexicographic within a size), so its witness is the smallest in (size,
     revlex) order, and each removal is decided by membership.
     """
+    if spec._summary is not None:
+        checked = _class_closure(spec, bound)
+        if checked is not None:
+            return ClosureReport(spec, bound, True, checked)
     checked = 0
     if not spec.prefix_closed:
         for t in _by_size(bound.max_part, bound.max_length, spec._member):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqcong import CNotation, CountSeries, IdealSpec, Partition, counting, from_c_notation, is_seq_congruent
+from seqcong import cli as cli_module
 from seqcong.cli import run
 
 from conftest import recursive_partition_tuples
@@ -359,6 +360,33 @@ class TestBatchIsolation:
     def test_good_batch_exits_0(self, monkeypatch, capsys):
         assert self.batch(monkeypatch, capsys, "[4]\n[2,1]\n", "check", "--pred", "seqcong") == (
             0, "true\nfalse\n", "")
+
+    @pytest.mark.parametrize("argv,err", [
+        (("gmap", "--fn", "eta", "--k", "2"), "--fn eta needs --p"),
+        (("gmap", "--fn", "psik"), "--fn psik needs --k"),
+        (("gmap", "--fn", "tau", "--k", "3", "--p", "1"), "--fn tau needs --p and --q"),
+        (("gmap", "--fn", "sigmaAB", "--A", "pow:x"), "cannot parse sequence rule 'pow:x'"),
+        (("gcheck", "--B", "arith:y"), "cannot parse sequence rule 'arith:y'"),
+        (("gcheck", "--A", "pow:-1"), "power exponent must be nonnegative"),
+    ])
+    def test_argument_error_reported_once(self, monkeypatch, capsys, argv, err):
+        assert self.batch(monkeypatch, capsys, "[2]\n[4,2]\n[3]\n", *argv) == (1, "", f"error: {err}\n")
+
+    def test_bad_horizon_reported_once(self, monkeypatch, capsys):
+        monkeypatch.setenv("SEQCONG_HORIZON", "x")
+        assert self.batch(monkeypatch, capsys, "[2]\n[1]\n", "gcheck") == (
+            1, "", "error: SEQCONG_HORIZON must be an integer, got 'x'\n")
+
+    @pytest.mark.parametrize("argv,rules", [(("gcheck", "--A", "arith:2"), 2), (("gmap", "--fn", "piAB"), 2),
+                                            (("gmap", "--fn", "eta", "--k", "2", "--p", "1"), 1)])
+    def test_spec_built_once_per_batch(self, monkeypatch, capsys, argv, rules):
+        calls = []
+        parse, horizon = cli_module.SequenceRule.parse, cli_module.horizon_from_env
+        monkeypatch.setattr(cli_module.SequenceRule, "parse", lambda text: calls.append(text) or parse(text))
+        monkeypatch.setattr(cli_module, "horizon_from_env", lambda: calls.append(None) or horizon())
+        code, out, _ = self.batch(monkeypatch, capsys, "[2]\n[4,4]\n[4]\n", *argv)
+        assert (code, out.count("\n")) == (0, 3)
+        assert calls.count(None) == 1 and len(calls) == 1 + rules
 
 
 class TestOutputSizeGuard:

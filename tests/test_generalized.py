@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from seqcong import (
@@ -54,6 +56,17 @@ class TestSequenceRule:
     def test_parse_garbage(self):
         with pytest.raises(SpecError):
             SequenceRule.parse("fibonacci")
+
+    @pytest.mark.parametrize("text", ["pow:x", "arith:y", "pow:", "arith:2.5"])
+    def test_family_parameter_must_be_an_integer(self, text):
+        with pytest.raises(SpecError, match=re.escape(f"cannot parse sequence rule {text!r}")):
+            SequenceRule.parse(text)
+
+    def test_family_parameter_keeps_its_range_message(self):
+        with pytest.raises(SpecError, match="power exponent must be nonnegative"):
+            SequenceRule.parse("pow:-1")
+        with pytest.raises(SpecError, match="arithmetic step must be positive"):
+            SequenceRule.parse("arith:0")
 
     def test_index_of(self):
         assert SequenceRule.parse("pow:2").index_of(9, 64) == 3

@@ -2,11 +2,13 @@ import copy
 import pickle
 import re
 import tracemalloc
+from math import comb
 
 import pytest
 
 from seqcong import (
     AnalysisBound,
+    ClosureReport,
     DomainError,
     FrequencyMap,
     IdealSpec,
@@ -37,6 +39,7 @@ from seqcong import (
 )
 from seqcong import ideals
 from seqcong.ideals import (
+    _class_closure,
     _fold,
     _integer_windows,
     _present_windows,
@@ -45,6 +48,7 @@ from seqcong.ideals import (
 )
 
 from conftest import (
+    _removals,
     all_partitions_upto,
     oracle_member,
     recursive_member_tuples,
@@ -215,6 +219,7 @@ TABLE_SPECS = [
                 "N_maxlen:0", "N_maxlen:1", "N_maxlen:2", "N_maxlen:3", "P_parity", "P_mod:2",
                 "P_mod:3", "P_mod:4", "Pprime")
 ]
+SUMMARY_SPECS = [spec for spec in TABLE_SPECS if spec._summary is not None]
 # every partition of size <= 20 with at most 8 parts
 SMALL_TUPLES = [t for n in range(21) for t in iter_partition_tuples(n, None, 8)]
 
@@ -241,6 +246,25 @@ class TestKindTable:
             for t in SMALL_TUPLES:
                 for i in range(len(t)):
                     assert ok(t, i, t[i]) == ok(t[:i], i, t[i]), (spec, t, i)
+
+    def test_every_kind_but_adiff_declares_a_summary(self):
+        assert {s.kind for s in TABLE_SPECS if s._summary is None} == {"Adiff"}
+        assert IdealSpec("S")._summary is None
+
+    @pytest.mark.parametrize("spec", SUMMARY_SPECS, ids=str)
+    def test_summary_tells_apart_what_the_test_reads(self, spec):
+        # member prefixes of one length, summary and last part get the same
+        # answer for every v <= last part, and their member extensions get
+        # equal summaries
+        ok, summary = spec._child_ok, spec._summary
+        seen = {}
+        for t in SMALL_TUPLES:
+            if not t or not spec._member(t):
+                continue
+            answers = tuple(
+                (True, summary(t + (v,))) if ok(t, len(t), v) else (False,) for v in range(1, t[-1] + 1)
+            )
+            assert seen.setdefault((len(t), summary(t), t[-1]), answers) == answers, t
 
     def test_module_table_lists_the_rows_in_order(self):
         rows = re.findall(r"^``(\w+)``  ", ideals.__doc__, re.M)
@@ -359,11 +383,75 @@ class TestClosureMatchesScan:
 
 
 def exclude_transition(spec, excluded):
-    """Make ``spec``'s incremental test refuse the step to ``excluded``; membership is its fold."""
+    """Make ``spec``'s incremental test refuse the step to ``excluded``; membership is its fold.
+
+    The excluded step depends on the whole prefix, so the spec declares no summary.
+    """
     ok = spec._child_ok
     spec._child_ok = lambda t, i, v: t[:i] + (v,) != excluded and ok(t, i, v)
     spec._member = _fold(spec._child_ok)
+    spec._summary = None
     return spec
+
+
+class TestClassClosure:
+    @pytest.mark.parametrize(
+        "bound", [AnalysisBound(8, 5), B12, AnalysisBound(20, 4), AnalysisBound(16, 7)], ids=_box_id)
+    @pytest.mark.parametrize("spec", SUMMARY_SPECS, ids=str)
+    def test_reports_equal_scan(self, spec, bound):
+        report = check_ideal_closure(spec, bound)
+        assert report == scan_closure(spec, bound)
+        assert _class_closure(spec, bound) == report.members_checked
+
+    @pytest.mark.parametrize("kind", ["D", "Rprime"])
+    def test_large_box(self, kind):
+        # scan_closure reads this same report at 24x8 (about 11 s per kind,
+        # so it is pinned here); the count is sum(comb(24, k) for k <= 8)
+        # for D, and the same for Rprime, counted here over last parts
+        bound = AnalysisBound(24, 8)
+        counts = [0] * 24 + [1]  # members of the current length, by last part
+        members = 1
+        for i in range(8):
+            counts = [sum(counts[v:]) if v > i else 0 for v in range(25)]
+            members += sum(counts)
+        assert members == sum(comb(24, k) for k in range(9)) == 1271626
+        spec = IdealSpec(kind)
+        assert check_ideal_closure(spec, bound) == ClosureReport(spec, bound, True, members)
+        assert _class_closure(spec, bound) == members
+
+    def test_refused_for_a_spec_that_is_not_closed(self):
+        # runs of consecutive parts: removing an inner part breaks the run
+        spec = IdealSpec("D")
+        spec._child_ok = lambda t, i, v: not i or v == t[i - 1] - 1
+        spec._member = _fold(spec._child_ok)
+        spec._summary = lambda t: None
+        assert _class_closure(spec, B12) is None
+        report = check_ideal_closure(spec, B12)
+        assert report == scan_closure(spec, B12)
+        assert not report.closed
+        assert report.witness == Partition([12, 11, 10])
+        assert report.after_removal == Partition([12, 10])
+
+
+def class_tests(spec, bound):
+    """``_child_ok`` calls of the class closure, derived from the walked members.
+
+    Members below the cap are grouped by length, key (summary, last part) and
+    their removals' keys; each class tests its children, and each child it
+    accepts tests one removal per removal key.
+    """
+    def key(t):
+        return (spec._summary(t), t[-1]) if t else None
+
+    classes = {}
+    for t in _walk(spec._child_ok, bound.max_part, bound.max_length):
+        if len(t) < bound.max_length:
+            classes.setdefault((len(t), key(t), frozenset(key(s) for _, s in _removals(t))), t)
+    tests = 0
+    for (n, _, removal_keys), t in classes.items():
+        top = t[-1] if t else bound.max_part
+        tests += top + len(removal_keys) * sum(spec._child_ok(t, n, v) for v in range(1, top + 1))
+    return tests
 
 
 def count_calls(spec, attr):
@@ -394,14 +482,22 @@ class TestClosureWork:
         assert report.members_checked == 19
         assert calls[0] > report.members_checked
 
+    @pytest.mark.parametrize("kind,tests,members", [("D", 2125, 2510), ("P_parity", 1672, 1847)])
+    def test_class_child_ok_calls_pinned(self, kind, tests, members):
+        spec = IdealSpec(kind)
+        calls = count_calls(spec, "_child_ok")
+        assert check_ideal_closure(spec, B12).members_checked == members
+        assert calls[0] == tests == class_tests(IdealSpec(kind), B12)
+
     @pytest.mark.parametrize("kind,tests,members", [("D", 13873, 2510), ("P_parity", 6917, 1847)])
     def test_child_ok_calls_pinned(self, kind, tests, members):
-        # the walk's own tests, plus one per removal of each member other
-        # than the parent (one removal per distinct part value)
+        # with the summary cleared, the walk's own tests, plus one per removal
+        # of each member other than the parent (one per distinct part value)
         walk_spec = IdealSpec(kind)
         walk_calls = count_calls(walk_spec, "_child_ok")
         walked = list(_walk(walk_spec._child_ok, 12, 6))
         spec = IdealSpec(kind)
+        spec._summary = None
         calls = count_calls(spec, "_child_ok")
         assert check_ideal_closure(spec, B12).members_checked == members == len(walked)
         assert calls[0] == tests == walk_calls[0] + sum(len(set(t)) - 1 for t in walked if t)
