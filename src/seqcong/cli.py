@@ -190,7 +190,7 @@ def _run_enumerate(args) -> list[str]:
         if args.pred != "seqcong":
             raise DomainError("--largest enumeration is defined for --pred seqcong")
         found = counting.enumerate_seqcong_by_largest(args.largest)
-    elif args.pred == "seqcong":
+    elif args.pred in ("seqcong", "S"):  # the ideal kind S is the sequentially congruent set
         found = counting.enumerate_seqcong_by_size(args.size)
     else:
         found = counting.enumerate_members(_predicate_for(args.pred), args.size)
@@ -202,7 +202,7 @@ def _run_enumerate(args) -> list[str]:
 def _counts_for(tag: str, upto: int) -> list[int]:
     if tag == "all":
         return [counting.count_into_powers(n, 1) for n in range(upto + 1)]
-    if tag in ("squares", "seqcong"):  # psi: members of size n <-> partitions of n into squares
+    if tag in ("squares", "seqcong", "S"):  # psi: members of size n <-> partitions of n into squares
         return [counting.count_into_powers(n, 2) for n in range(upto + 1)]
     if tag.startswith("powers:"):
         k = _tag_param(tag)

@@ -104,9 +104,10 @@ class SequenceRule:
                 raise SpecError(f"cannot parse sequence rule {text!r}") from None
             return cls.powers(param) if tag == "pow" else cls.arithmetic(param)
         try:
-            return cls.explicit(int(tok) for tok in text.split(","))
+            terms = [int(tok) for tok in text.split(",")]
         except ValueError:
-            raise SpecError(f"cannot parse sequence rule {text!r}")
+            raise SpecError(f"cannot parse sequence rule {text!r}") from None
+        return cls.explicit(terms)
 
     def term(self, i: int, horizon: int) -> int:
         """1-based term access, bounded by the horizon (or the explicit list)."""

@@ -18,8 +18,9 @@ kind           param     summary    part v may follow t[:i] when
 ``SA``                   None       every integer from 2 to i + 1 divides v
 ``SA_maxlen``  r >= 1    None       i < r and the SA test holds (SA capped at
                                     length r)
-``S``                               no test: sequentially congruent, NOT an
-                                    ideal (kept for refutation runs)
+``S``                               prefix rule v > i and v = t[i-1] mod i;
+                                    a member's last part is also a multiple
+                                    of its length (NOT an ideal)
 ``D``                    None       v < t[i-1] (distinct parts)
 ``R``                    None       t[i-1] - v >= 2 (Rogers-Ramanujan gaps)
 ``Rprime``               None       v > i (no parts below the Durfee square)
@@ -114,8 +115,21 @@ def _fold(ok):
     return member
 
 
+def _fold_from(ok, t, start):
+    """Whether t is a member, given that t[:start] is: the fold of ``ok`` over the later positions."""
+    for i in range(start, len(t)):
+        if not ok(t, i, t[i]):
+            return False
+    return True
+
+
 def _seqcong_member(t):
     return _congruence_failure_index(t) is None
+
+
+def _seqcong_prefix_ok(t, i, v):
+    # a member of S with r parts has every part >= r, its last a multiple of r
+    return not i or (v > i and (t[i - 1] - v) % i == 0)
 
 
 class IdealSpec:
@@ -294,10 +308,14 @@ def _by_size(max_part: int, max_length: int, keep):
 
 
 def _member_tuples(spec: IdealSpec, max_part: int, max_length: int):
-    """Members in the box: walked for prefix-closed kinds, scanned by size for S."""
+    """Members in the box: in prefix order for prefix-closed kinds, by (size, revlex) for S.
+
+    S is walked by its prefix rule and kept by its terminal test, the last part a multiple of the length.
+    """
     if spec.prefix_closed:
         return _walk(spec._child_ok, max_part, max_length)
-    return _by_size(max_part, max_length, spec._member)
+    walked = _walk(_seqcong_prefix_ok, max_part, max_length)
+    return sorted((t for t in walked if not t or t[-1] % len(t) == 0), key=_size_revlex)
 
 
 def _size_revlex(t):
@@ -471,6 +489,8 @@ def _order_refute(spec, k, bound, windows):
     cap doubling until a witness turns up or nothing was cut; within a walk a
     witness lowers the cap to its own size.  S is scanned by size.
     """
+    if k < 1:
+        raise DomainError("window width must be positive")
     member = spec._member
     max_part = bound.max_part
 
@@ -507,15 +527,11 @@ def order_refute(spec: IdealSpec, k: int, bound: AnalysisBound) -> Partition | N
     walked, pruned to tuples whose windows are all members; S is scanned by
     size.  None means no witness exists within the bound.
     """
-    if k < 1:
-        raise DomainError("window width must be positive")
     return _order_refute(spec, k, bound, _integer_windows)
 
 
 def weak_order_refute(spec: IdealSpec, k: int, bound: AnalysisBound) -> Partition | None:
     """Same search with windows over k consecutive present parts."""
-    if k < 1:
-        raise DomainError("window width must be positive")
     return _order_refute(spec, k, bound, _present_windows)
 
 
@@ -573,18 +589,31 @@ def check_modulus(spec: IdealSpec, m: int, bound: AnalysisBound) -> ModulusRepor
 
     Two directions, both exhaustive within the bound: every member shifted by
     m must stay a member, and every member whose parts all exceed m must come
-    from a member by shifting.  The first failing partition is reported.
+    from a member by shifting.  The first failing member in ``members_within``
+    order is reported.  A prefix-closed kind carries the shifts down its walk:
+    t + (v,) shifts as its parent t did, with v + m or v - m appended, so one
+    call of the kind's test decides each; S tests each shift whole.
     """
     if m < 1:
         raise DomainError("modulus must be positive")
-    member = spec._member
-    for p in members_within(spec, bound):
-        t = p.parts
-        up = tuple(x + m for x in t)
-        if not member(up):
-            return ModulusReport(spec, m, bound, False, p, "shift-escapes")
-        if t and t[-1] > m and not member(tuple(x - m for x in t)):
-            return ModulusReport(spec, m, bound, False, p, "unshift-escapes")
+    member, carried, cap = spec._member, spec.prefix_closed, bound.max_length
+    ok = spec._child_ok if carried else lambda s, i, v: member(s + (v,))
+    shifts_at = [((), ())]  # shifts up and down of the latest walked member of each length below cap
+    for t in _member_tuples(spec, bound.max_part, cap):
+        if not t:
+            continue
+        n, v = len(t), t[-1]
+        if carried:  # the latest walked member one shorter than t is its parent
+            up, down = shifts_at[n - 1]
+        else:
+            up, down = tuple(x + m for x in t[:-1]), tuple(x - m for x in t[:-1])
+        if not ok(up, n - 1, v + m):
+            return ModulusReport(spec, m, bound, False, Partition._of(t), "shift-escapes")
+        if v > m and not ok(down, n - 1, v - m):
+            return ModulusReport(spec, m, bound, False, Partition._of(t), "unshift-escapes")
+        if carried and n < cap:
+            del shifts_at[n:]
+            shifts_at.append((up + (v + m,), down + (v - m,) if v > m else None))
     return ModulusReport(spec, m, bound, True)
 
 
@@ -693,29 +722,71 @@ class LinkReport(_Record):
         return d
 
 
-def _tail_tuple(t, m):
-    return tuple(x for x in t if x <= m)
-
-
 def _remainders(spec, m, bound, tails):
     """Per tail, the partitions into parts > m completing it to a member, by (size, revlex).
 
     ``bigs + tail`` is a member only if its prefix ``bigs`` is, so for a
     prefix-closed kind one walk over the members with parts > m serves every
-    tail; S scans the box once per tail.
+    tail, tested on top of each; S scans the box once per tail.
     """
-    member = spec._member
     if not spec.prefix_closed:
+        member = spec._member
         return {
             pi: list(_by_size(bound.max_part, bound.max_length - len(pi),
                               lambda bigs: all(x > m for x in bigs) and member(bigs + pi)))
             for pi in tails
         }
-    pool = sorted(_walk(spec._child_ok, bound.max_part, bound.max_length, m + 1), key=_size_revlex)
-    return {
-        pi: [bigs for bigs in pool if len(bigs) + len(pi) <= bound.max_length and member(bigs + pi)]
-        for pi in tails
-    }
+    ok, cap = spec._child_ok, bound.max_length
+    pool = sorted(_walk(ok, bound.max_part, cap, m + 1), key=_size_revlex)
+    return {pi: [bigs for bigs in pool if len(bigs) + len(pi) <= cap and _fold_from(ok, bigs + pi, len(bigs))]
+            for pi in tails}
+
+
+class _Moves(dict):
+    """Member t -> t with every part moved by d (staying positive), or None when not a member.
+
+    Filled on first use: no member lies above a non-member, and a member's
+    move is its parent's plus one part, so each prefix costs one ``ok`` call.
+    """
+
+    def __init__(self, ok, d):
+        super().__init__({(): ()})
+        self.ok, self.d = ok, d
+
+    def __missing__(self, t):
+        j = len(t) - 1
+        while t[:j] not in self:
+            j -= 1
+        s = self[t[:j]]
+        for j in range(j, len(t)):
+            if s is not None:
+                v = t[j] + self.d
+                s = s + (v,) if self.ok(s, j, v) else None
+            self[t[:j + 1]] = s
+        return s
+
+
+def _span_entry(pi, l, m, bigs_by_tail, moved, builds):
+    """``pi``'s entry for span l: the forced linking set, or the first construction that breaks it."""
+    shift, forced = l * m, set()
+    for bigs in bigs_by_tail[pi.parts]:
+        rem = moved(bigs, -shift)
+        if rem is None:
+            return LinkEntry(pi, witness=Partition(bigs + pi.parts), reason=(
+                f"member remainder shifted down by {shift} leaves the ideal"))
+        key = tuple(x for x in rem if x <= m)
+        if key not in bigs_by_tail:
+            return LinkEntry(pi, witness=Partition(bigs + pi.parts), reason=(
+                "member remainder's tail is outside the small-member set"))
+        forced.add(key)
+    forced = sorted(forced, key=_size_revlex)
+    for tau in forced:
+        for bigs in bigs_by_tail[tau]:
+            # bigs + tau is a member and pi's parts are <= m, so the built partition stays sorted
+            if not builds(bigs + tau, pi.parts, shift):
+                return LinkEntry(pi, witness=Partition(tuple(x + shift for x in bigs + tau) + pi.parts), reason=(
+                    f"tail {Partition(tau)} with span {l} builds a non-member"))
+    return LinkEntry(pi, span=l, linking_set=tuple(map(Partition, forced)))
 
 
 def infer_linking(spec: IdealSpec, m: int, bound: AnalysisBound, span_cap: int = 4) -> LinkReport:
@@ -729,13 +800,13 @@ def infer_linking(spec: IdealSpec, m: int, bound: AnalysisBound, span_cap: int =
     chooses l: the largest feasible span up to ``span_cap`` that survives the
     exhaustive check wins, matching the spans quoted for the classical
     examples.  Any element with no workable span refutes linkedness; the
-    violating construction is reported.
+    violating construction is reported.  A prefix-closed kind decides each
+    shifted remainder from its parent's (``_Moves``) and tests pi on top.
     """
     if m < 1:
         raise DomainError("modulus must be positive")
     if span_cap < 1:
         raise DomainError("span cap must be positive")
-    member = spec._member
 
     mod_report = check_modulus(spec, m, bound)
     if not mod_report.holds:
@@ -751,63 +822,31 @@ def infer_linking(spec: IdealSpec, m: int, bound: AnalysisBound, span_cap: int =
                           reason="small-part members still appear at the length cap")
 
     bigs_by_tail = _remainders(spec, m, bound, [p.parts for p in lset.members])
+    ok, member, moves = spec._child_ok, spec._member, {}  # d -> _Moves, never empty so never falsy
+
+    def moved(bigs, d):
+        if ok is None:
+            s = tuple(x + d for x in bigs)
+            return s if member(s) else None
+        return (moves.get(d) or moves.setdefault(d, _Moves(ok, d)))[bigs]
+
+    def builds(t, pi, shift):
+        if ok is None:
+            return member(tuple(x + shift for x in t) + pi)
+        s = moved(t, shift)
+        return s is not None and _fold_from(ok, s + pi, len(s))
 
     entries: list[LinkEntry] = []
-    first_bad: LinkEntry | None = None
     for pi in lset.members:
-        remainders = bigs_by_tail[pi.parts]
-        nonempty = [b for b in remainders if b]
-        max_l = span_cap
-        if nonempty:
-            min_big = min(b[-1] for b in nonempty)
-            max_l = min(span_cap, (min_big - 1) // m)
-        entry = None
-        fallback = None
-        for l in range(max_l, 0, -1):
-            shift = l * m
-            forced: list[tuple] = []
-            seen = set()
-            bad = None
-            for bigs in remainders:
-                rem = tuple(x - shift for x in bigs)
-                if not member(rem):
-                    bad = LinkEntry(pi, witness=Partition(bigs + pi.parts), reason=(
-                        f"member remainder shifted down by {shift} leaves the ideal"))
-                    break
-                key = _tail_tuple(rem, m)
-                if key not in bigs_by_tail:
-                    bad = LinkEntry(pi, witness=Partition(bigs + pi.parts), reason=(
-                        "member remainder's tail is outside the small-member set"))
-                    break
-                if key not in seen:
-                    seen.add(key)
-                    forced.append(key)
-            if bad is not None:
-                fallback = bad
-                continue
-            forced.sort(key=_size_revlex)
-            violation = None
-            for tau in forced:
-                for bigs in bigs_by_tail[tau]:
-                    # bigs > m >= tau parts, so the concatenations stay sorted
-                    built = tuple(x + shift for x in bigs + tau) + pi.parts
-                    if not member(built):
-                        violation = LinkEntry(pi, witness=Partition(built), reason=(
-                            f"tail {Partition(tau)} with span {l} builds a non-member"))
-                        break
-                if violation is not None:
-                    break
-            if violation is None:
-                entry = LinkEntry(pi, span=l, linking_set=tuple(Partition(t) for t in forced))
+        lasts = [b[-1] for b in bigs_by_tail[pi.parts] if b]
+        entry = LinkEntry(pi, witness=None, reason="no feasible span")
+        for l in range(min(span_cap, (min(lasts) - 1) // m) if lasts else span_cap, 0, -1):
+            entry = _span_entry(pi, l, m, bigs_by_tail, moved, builds)
+            if entry.found:
                 break
-            fallback = violation
-        if entry is None:
-            entry = fallback if fallback is not None else LinkEntry(
-                pi, witness=None, reason="no feasible span")
-            if first_bad is None:
-                first_bad = entry
         entries.append(entry)
 
+    first_bad = next((e for e in entries if not e.found), None)
     if first_bad is not None:
         return LinkReport(spec, m, bound, "refuted", L_set=lset.members, entries=tuple(entries),
                           witness=first_bad.witness, reason=first_bad.reason)

@@ -5,15 +5,27 @@ cross-check the library: textbook recursive partition generators, the direct
 summation forms of the core bijections and of conjugation, the square-count
 vector generators of the sequentially congruent partitions, closed-form
 membership predicates for the ideal kinds, brute-force box filtering for the
-ideal-kind enumerators, and the size-ordered scans the ideal engines' pruned
-walks replaced.
+ideal-kind enumerators, the size-ordered scans the ideal engines' pruned
+walks replaced, and the modulus and linking checks that fold every shifted
+tuple from its first part.
 """
 
 from math import lcm
 
 from hypothesis import strategies as st
 
-from seqcong import CNotation, ClosureReport, Partition, conjugate, from_c_notation, iter_partition_tuples
+from seqcong import (
+    CNotation,
+    ClosureReport,
+    DomainError,
+    LinkEntry,
+    LinkReport,
+    ModulusReport,
+    Partition,
+    conjugate,
+    from_c_notation,
+    iter_partition_tuples,
+)
 from seqcong.partition import EMPTY
 
 
@@ -283,6 +295,18 @@ def scan_remainders(spec, m, bound, tails):
     return found
 
 
+def scan_members(spec, max_part, max_length):
+    """Members in the box: the recursive walk for prefix-closed kinds, else a scan by size."""
+    if spec.prefix_closed:
+        return recursive_member_tuples(spec, max_part, max_length)
+    return (
+        t
+        for n in range(max_part * max_length + 1)
+        for t in iter_partition_tuples(n, max_part, max_length)
+        if spec._member(t)
+    )
+
+
 def _removals(t):
     """Single-part removals of t, one per distinct part value, with the value."""
     for j, v in enumerate(t):
@@ -298,17 +322,8 @@ def scan_closure(spec, bound):
     """
     member = spec._member
     memo = {}
-    if spec.prefix_closed:
-        candidates = recursive_member_tuples(spec, bound.max_part, bound.max_length)
-    else:
-        candidates = (
-            t
-            for n in range(bound.max_part * bound.max_length + 1)
-            for t in iter_partition_tuples(n, bound.max_part, bound.max_length)
-            if member(t)
-        )
     checked = 0
-    for t in candidates:
+    for t in scan_members(spec, bound.max_part, bound.max_length):
         checked += 1
         for v, smaller in _removals(t):
             ok = memo.get(smaller)
@@ -318,6 +333,132 @@ def scan_closure(spec, bound):
             if not ok:
                 return ClosureReport(spec, bound, False, checked, Partition(t), v, Partition(smaller))
     return ClosureReport(spec, bound, True, checked)
+
+
+def _size_revlex(t):
+    return (sum(t), tuple(-x for x in t))
+
+
+def scan_modulus(spec, m, bound):
+    """Modulus check folding every shifted member from its first part.
+
+    The library's former ``check_modulus``, kept as the oracle for the one
+    that carries the shifts down the walk.
+    """
+    if m < 1:
+        raise DomainError("modulus must be positive")
+    member = spec._member
+    for t in scan_members(spec, bound.max_part, bound.max_length):
+        if not member(tuple(x + m for x in t)):
+            return ModulusReport(spec, m, bound, False, Partition(t), "shift-escapes")
+        if t and t[-1] > m and not member(tuple(x - m for x in t)):
+            return ModulusReport(spec, m, bound, False, Partition(t), "unshift-escapes")
+    return ModulusReport(spec, m, bound, True)
+
+
+def walked_remainders(spec, m, bound, tails):
+    """Per tail, the members with parts > m completing it, each completion folded whole.
+
+    The library's former ``_remainders``: S scans the box per tail.
+    """
+    if not spec.prefix_closed:
+        return scan_remainders(spec, m, bound, tails)
+    member = spec._member
+    pool = sorted((t for t in recursive_member_tuples(spec, bound.max_part, bound.max_length)
+                   if all(x > m for x in t)), key=_size_revlex)
+    return {
+        pi: [bigs for bigs in pool if len(bigs) + len(pi) <= bound.max_length and member(bigs + pi)]
+        for pi in tails
+    }
+
+
+def scan_linking(spec, m, bound, span_cap=4, remainders=walked_remainders, modulus=scan_modulus):
+    """Linking search folding every shifted remainder and built partition whole.
+
+    The library's former ``infer_linking`` over the oracles above, kept as the
+    oracle for the one that decides shifts from their parents'.
+    """
+    if m < 1:
+        raise DomainError("modulus must be positive")
+    if span_cap < 1:
+        raise DomainError("span cap must be positive")
+    member = spec._member
+
+    mod_report = modulus(spec, m, bound)
+    if not mod_report.holds:
+        return LinkReport(
+            spec, m, bound, "refuted",
+            witness=mod_report.witness,
+            reason=f"no modulus {m} within bound ({mod_report.direction})",
+        )
+
+    small = sorted(scan_members(spec, min(m, bound.max_part), bound.max_length), key=_size_revlex)
+    L_set = tuple(map(Partition, small))
+    if any(len(t) >= bound.max_length for t in small):
+        return LinkReport(spec, m, bound, "L-infinite-within-bound", L_set=L_set,
+                          reason="small-part members still appear at the length cap")
+
+    bigs_by_tail = remainders(spec, m, bound, small)
+
+    entries = []
+    first_bad = None
+    for pi in L_set:
+        remainders_pi = bigs_by_tail[pi.parts]
+        nonempty = [b for b in remainders_pi if b]
+        max_l = span_cap
+        if nonempty:
+            min_big = min(b[-1] for b in nonempty)
+            max_l = min(span_cap, (min_big - 1) // m)
+        entry = None
+        fallback = None
+        for l in range(max_l, 0, -1):
+            shift = l * m
+            forced = []
+            seen = set()
+            bad = None
+            for bigs in remainders_pi:
+                rem = tuple(x - shift for x in bigs)
+                if not member(rem):
+                    bad = LinkEntry(pi, witness=Partition(bigs + pi.parts), reason=(
+                        f"member remainder shifted down by {shift} leaves the ideal"))
+                    break
+                key = tuple(x for x in rem if x <= m)
+                if key not in bigs_by_tail:
+                    bad = LinkEntry(pi, witness=Partition(bigs + pi.parts), reason=(
+                        "member remainder's tail is outside the small-member set"))
+                    break
+                if key not in seen:
+                    seen.add(key)
+                    forced.append(key)
+            if bad is not None:
+                fallback = bad
+                continue
+            forced.sort(key=_size_revlex)
+            violation = None
+            for tau in forced:
+                for bigs in bigs_by_tail[tau]:
+                    built = tuple(x + shift for x in bigs + tau) + pi.parts
+                    if not member(built):
+                        violation = LinkEntry(pi, witness=Partition(built), reason=(
+                            f"tail {Partition(tau)} with span {l} builds a non-member"))
+                        break
+                if violation is not None:
+                    break
+            if violation is None:
+                entry = LinkEntry(pi, span=l, linking_set=tuple(Partition(t) for t in forced))
+                break
+            fallback = violation
+        if entry is None:
+            entry = fallback if fallback is not None else LinkEntry(
+                pi, witness=None, reason="no feasible span")
+            if first_bad is None:
+                first_bad = entry
+        entries.append(entry)
+
+    if first_bad is not None:
+        return LinkReport(spec, m, bound, "refuted", L_set=L_set, entries=tuple(entries),
+                          witness=first_bad.witness, reason=first_bad.reason)
+    return LinkReport(spec, m, bound, "linked-within-bound", L_set=L_set, entries=tuple(entries))
 
 
 partitions_st = st.lists(st.integers(1, 24), max_size=8).map(

@@ -236,6 +236,23 @@ class TestIdealCountsAndListings:
             cli_ok("enumerate", "--pred", tag, "--size", "3")
         assert walked == ["R"] * 5 + ["SA_maxlen:2"] * 5
 
+    def test_s_prints_the_seqcong_bytes(self, monkeypatch):
+        # S is exactly the sequentially congruent set, so it is answered the
+        # same way: the squares series and the psi listing, no filter
+        def refuse(*args):
+            raise AssertionError("filtered every partition")
+
+        monkeypatch.setattr(counting, "count_members", refuse)
+        monkeypatch.setattr(counting, "enumerate_members", refuse)
+        for head, tail in (
+            (("count",), ("--upto", "45")),
+            (("--format", "json", "count"), ("--upto", "30")),
+            (("enumerate",), ("--size", "0")),
+            (("enumerate",), ("--size", "24")),
+            (("--format", "json", "enumerate"), ("--size", "18", "--limit", "3")),
+        ):
+            assert cli(*head, "--pred", "S", *tail) == cli(*head, "--pred", "seqcong", *tail)
+
 
 class TestIdealCommands:
     def test_check(self):
@@ -368,6 +385,7 @@ class TestBatchIsolation:
         (("gmap", "--fn", "sigmaAB", "--A", "pow:x"), "cannot parse sequence rule 'pow:x'"),
         (("gcheck", "--B", "arith:y"), "cannot parse sequence rule 'arith:y'"),
         (("gcheck", "--A", "pow:-1"), "power exponent must be nonnegative"),
+        (("gcheck", "--A", "0,1"), "explicit sequence needs positive integers, got (0, 1)"),
     ])
     def test_argument_error_reported_once(self, monkeypatch, capsys, argv, err):
         assert self.batch(monkeypatch, capsys, "[2]\n[4,2]\n[3]\n", *argv) == (1, "", f"error: {err}\n")

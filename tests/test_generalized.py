@@ -62,6 +62,12 @@ class TestSequenceRule:
         with pytest.raises(SpecError, match=re.escape(f"cannot parse sequence rule {text!r}")):
             SequenceRule.parse(text)
 
+    def test_explicit_list_keeps_its_own_message(self):
+        with pytest.raises(SpecError, match=re.escape("explicit sequence needs positive integers, got (0, 1)")):
+            SequenceRule.parse("0,1")
+        with pytest.raises(SpecError, match=re.escape("cannot parse sequence rule '1,x'")):
+            SequenceRule.parse("1,x")
+
     def test_family_parameter_keeps_its_range_message(self):
         with pytest.raises(SpecError, match="power exponent must be nonnegative"):
             SequenceRule.parse("pow:-1")

@@ -39,11 +39,14 @@ from seqcong import (
 )
 from seqcong import ideals
 from seqcong.ideals import (
+    _by_size,
     _class_closure,
     _fold,
     _integer_windows,
+    _member_tuples,
     _present_windows,
     _remainders,
+    _seqcong_member,
     _walk,
 )
 
@@ -55,8 +58,11 @@ from conftest import (
     sa_member,
     sa_member_lcm,
     scan_closure,
+    scan_linking,
+    scan_modulus,
     scan_order_refute,
     scan_remainders,
+    walked_remainders,
 )
 
 B12 = AnalysisBound(12, 6)
@@ -311,6 +317,23 @@ class TestWalk:
         members = members_within(IdealSpec("N_maxlen", 5000), AnalysisBound(1, 2000))
         assert len(members) == 2001
         assert members[-1] == Partition([1] * 2000)
+
+    def test_s_walk_matches_size_scan(self):
+        # the members of a smaller box are those of 14x7 that fit it, in the same order
+        scanned = list(_by_size(14, 7, _seqcong_member))
+        for max_part in range(1, 15):
+            for max_length in range(1, 8):
+                expected = [t for t in scanned if len(t) <= max_length and (not t or t[0] <= max_part)]
+                assert list(_member_tuples(IdealSpec("S"), max_part, max_length)) == expected
+
+    def test_s_walk_node_count_pinned(self, monkeypatch):
+        # the prefix rule visits 523 tuples where the size scan tests every box tuple
+        nodes = []
+        walk = ideals._walk
+        monkeypatch.setattr(ideals, "_walk", lambda *args: (nodes.append(t) or t for t in walk(*args)))
+        assert len(list(_member_tuples(IdealSpec("S"), 12, 6))) == 227
+        assert len(nodes) == 523
+        assert sum(1 for n in range(73) for _ in iter_partition_tuples(n, 12, 6)) == 18564
 
 
 class TestClosure:
@@ -779,8 +802,122 @@ class TestLinkingMatchesScan:
         assert report == infer_linking(spec, m, bound)
 
 
+LINK_BOXES = [AnalysisBound(8, 5), AnalysisBound(10, 5), B12, AnalysisBound(9, 7)]
+
+
+class TestModulusAndLinkingMatchScan:
+    @pytest.mark.parametrize("spec", PREFIX_CLOSED + [IdealSpec("S")], ids=str)
+    def test_reports_equal(self, spec):
+        for bound in LINK_BOXES:
+            for m in (1, 2, 3):
+                modulus = scan_modulus(spec, m, bound)
+                assert check_modulus(spec, m, bound) == modulus, (bound, m)
+                listed = []  # the oracle's remainders, listed once for both span caps
+
+                def remainders(*args):
+                    listed[:] = listed or [walked_remainders(*args)]
+                    return listed[0]
+
+                for span_cap in (1, 4):
+                    expected = scan_linking(spec, m, bound, span_cap, remainders, lambda *_: modulus)
+                    assert infer_linking(spec, m, bound, span_cap) == expected, (bound, m, span_cap)
+
+    def test_every_single_exclusion_matches_scan(self):
+        bound, seen = AnalysisBound(6, 4), set()
+        for excluded in recursive_member_tuples(IdealSpec("D"), 6, 4):
+            spec = exclude_transition(IdealSpec("D"), excluded)
+            for m in (1, 2):
+                report = check_modulus(spec, m, bound)
+                assert report == scan_modulus(spec, m, bound), (excluded, m)
+                seen.add(report.direction)
+                for span_cap in (1, 4):
+                    link = infer_linking(spec, m, bound, span_cap)
+                    assert link == scan_linking(spec, m, bound, span_cap), (excluded, m, span_cap)
+                    seen.update(e.reason.split()[-1] for e in link.entries if e.reason)
+        assert {"shift-escapes", "unshift-escapes", "non-member"} <= seen
+
+    def test_remainder_tail_outside_the_small_members(self):
+        # distinct parts with an odd first part: shifts by 2 keep both rules,
+        # but the tail (2,) of the remainder (3, 2) of (5, 4) is no member.
+        # (A remainder shifted down never leaves the ideal once the modulus
+        # holds, since it is reached by shifts down by m inside the box.)
+        spec = IdealSpec("D")
+        spec._child_ok = lambda t, i, v: v < t[i - 1] if i else v % 2 == 1
+        spec._member = _fold(spec._child_ok)
+        spec._summary = None
+        report = infer_linking(spec, 2, AnalysisBound(8, 4))
+        assert report == scan_linking(spec, 2, AnalysisBound(8, 4))
+        assert report.reason == "member remainder's tail is outside the small-member set"
+        assert report.witness == Partition([5, 4])
+
+
+class TestMoves:
+    def test_moves_match_membership(self):
+        # a move is the shifted tuple when that is a member and None otherwise,
+        # also above a prefix whose move failed; children are asked for before
+        # their parents, so each answer climbs to a decided prefix first
+        members = list(recursive_member_tuples(IdealSpec("D"), 7, 3))[::-1]
+        for excluded in [(5,), (4, 2), (7, 6, 1)]:
+            spec = exclude_transition(IdealSpec("D"), excluded)
+            for d in (2, -1):
+                moves = ideals._Moves(spec._child_ok, d)
+                for t in members:
+                    if t and t[-1] + d > 0:
+                        moved = tuple(x + d for x in t)
+                        assert moves[t] == (moved if spec._member(moved) else None), (excluded, d, t)
+
+
+def walk_tests(spec, max_part, max_length, min_part=1):
+    """``_child_ok`` calls of one walk: every part tried under each tuple below the length cap."""
+    return sum(t[-1] - min_part + 1 if t else max_part - min_part + 1
+               for t in _walk(spec._child_ok, max_part, max_length, min_part) if len(t) < max_length)
+
+
+def modulus_tests(spec, m, bound):
+    """``_child_ok`` calls of a modulus check that holds: the walk's, then one per shift of each member."""
+    walked = _walk(spec._child_ok, bound.max_part, bound.max_length)
+    return walk_tests(spec, bound.max_part, bound.max_length) + sum(1 + (t[-1] > m) for t in walked if t)
+
+
+class TestModulusAndLinkingWork:
+    @pytest.mark.parametrize("spec", PREFIX_CLOSED, ids=str)
+    def test_prefix_closed_kinds_never_call_member(self, spec):
+        spec = IdealSpec(spec.kind, spec.param)
+        calls = count_calls(spec, "_member")
+        for m in (1, 2, 3):
+            check_modulus(spec, m, B12)
+            infer_linking(spec, m, B12)
+        assert calls[0] == 0
+
+    def test_modulus_child_ok_calls_pinned(self):
+        # folding each shifted member whole took 23,400 calls here
+        spec = IdealSpec("D")
+        calls = count_calls(spec, "_child_ok")
+        assert check_modulus(spec, 1, B12).holds
+        assert calls[0] == 8088 == modulus_tests(IdealSpec("D"), 1, B12)
+
+    def test_link_child_ok_calls_pinned(self):
+        # D at 10x5 with m = 1: L is {(), (1,)}, every span is 1 and nothing
+        # fails; folding every shifted tuple whole took 16,309 calls here.
+        # Past the modulus check and the walks of L and of the pool P (the
+        # members with parts >= 2), the tail (1,) is tested under P4 (P's
+        # members of length <= 4) when listing remainders; each member of P
+        # is moved down and up once (one test each, () none), and bigs + (1,)
+        # up once more for bigs in P4; then pi = (1,) is tested on top of
+        # each built prefix, the moves of P and of those of P4 + (1,).
+        spec, bound = IdealSpec("D"), AnalysisBound(10, 5)
+        calls = count_calls(spec, "_child_ok")
+        assert infer_linking(spec, 1, bound).verdict == "linked-within-bound"
+        plain = IdealSpec("D")
+        pool = list(_walk(plain._child_ok, 10, 5, 2))
+        p4 = sum(len(t) <= 4 for t in pool)
+        derived = (modulus_tests(plain, 1, bound) + walk_tests(plain, 1, 5) + walk_tests(plain, 10, 5, 2)
+                   + p4 + 2 * (len(pool) - 1) + p4 + len(pool) + p4)
+        assert calls[0] == 4590 == derived
+
+
 class TestBoxScans:
-    """Prefix-closed kinds are walked; only the non-ideal S scans the whole box."""
+    """Prefix-closed kinds are walked; only the non-ideal S's order search and remainders scan the box."""
 
     @staticmethod
     def _scans(monkeypatch, run):
@@ -801,9 +938,11 @@ class TestBoxScans:
         assert self._scans(monkeypatch, lambda: infer_linking(r, 2, AnalysisBound(15, 7))) == 0
 
     def test_non_ideal_still_scans(self, monkeypatch):
-        s = IdealSpec("S")
+        s, bound = IdealSpec("S"), AnalysisBound(15, 7)
         assert self._scans(monkeypatch, lambda: order_estimate(s, AnalysisBound(12, 8))) > 0
-        assert self._scans(monkeypatch, lambda: infer_linking(s, 2, AnalysisBound(15, 7))) > 0
+        assert self._scans(monkeypatch, lambda: _remainders(s, 2, AnalysisBound(8, 4), [(), (1,)])) > 0
+        # the walked modulus check refutes S before its remainders are listed
+        assert self._scans(monkeypatch, lambda: infer_linking(s, 2, bound)) == 0
 
 
 class TestMaximalityEvidence:
