@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator
 
 from .bijections import pi_map, psi_inverse
 from .errors import DomainError
-from .partition import Partition, _check_largest
+from .partition import Partition, _check_largest, _check_output_length
 
 
 def iter_partition_tuples(
@@ -148,6 +148,7 @@ def enumerate_with_parts_from(allowed: Iterable[int], n: int) -> list[Partition]
             continue
         top = bisect_right(values, rest, 0, fit)
         if top and not rest % values[0]:
+            _check_output_length(len(t) + rest // values[0])
             stack.append((t + (values[0],) * (rest // values[0]), 0, 1))
         for j in range(1, top):
             stack.append((t + (values[j],), rest - values[j], j + 1))

@@ -8,9 +8,11 @@ t[:i] and v, and answers for a member prefix t[:i] and v <= min(t[:i]).
 Membership is its fold over a tuple's own positions (exact by induction), and
 the engines' walks prune on it directly.  A row also declares a *summary*:
 what the test reads of a prefix besides its length and last part (None when
-it reads nothing else; Adiff, which reads every gap, declares none).  Closure
-decides a kind with a summary on classes of members that its test cannot tell
-apart.  The rows, with i parts before v:
+it reads nothing else; Adiff, which reads every gap, declares none).  Closure,
+modulus and linking decide a kind with a summary on classes of members that
+its test cannot tell apart (``_class_layers``); a failing class, or a kind
+with no summary, walks the members to name the first witness.  The rows,
+with i parts before v:
 
 =============  ========  =========  ===========================================
 kind           param     summary    part v may follow t[:i] when
@@ -54,9 +56,7 @@ from .errors import DomainError
 from .partition import Partition
 
 
-# ---------------------------------------------------------------------------
-# the kinds: one incremental test each
-# ---------------------------------------------------------------------------
+# ---- the kinds: one incremental test each ---------------------------------
 
 def _sa_ok(t, i, v):
     # the part at 1-based index i + 1 is divisible by every integer up to it
@@ -206,11 +206,10 @@ def is_member(spec: IdealSpec, p: Partition) -> bool:
 class _Record:
     """A frozen record whose fields are its class's ``__slots__``, in order.
 
-    Fields are given by position or keyword; ``_defaults`` holds the values of
-    the optional ones.  Records of one class are equal, and hash alike, when
-    their field values are; the repr is ``Name(field=value, ...)``.  Fields
-    cannot be assigned or deleted, and copy and pickle rebuild the record
-    from its field values.
+    Fields are given by position or keyword, ``_defaults`` holding the optional
+    ones.  Records compare and hash by class and field values, print as
+    ``Name(field=value, ...)``, refuse assignment and deletion, and copy and
+    pickle by their field values.
     """
 
     __slots__ = ()
@@ -262,6 +261,13 @@ class AnalysisBound(_Record):
         super().__init__(max_part, max_length)
 
 
+def _positive(value, name: str) -> None:
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise DomainError(f"{name} must be positive")
+
+
 def _report_json(spec: IdealSpec, bound: AnalysisBound, modulus: int | None = None, **fields) -> dict:
     """A report's JSON: ``ideal``, ``modulus`` (when given) and ``bound``, then ``fields``."""
     d = {"ideal": str(spec)}
@@ -272,19 +278,16 @@ def _report_json(spec: IdealSpec, bound: AnalysisBound, modulus: int | None = No
     return d
 
 
-# ---------------------------------------------------------------------------
-# member enumeration
-# ---------------------------------------------------------------------------
+# ---- member enumeration ---------------------------------------------------
 
 def _walk(accept, max_part: int, max_length: int, min_part: int = 1):
     """Box tuples whose every prefix passes ``accept(prefix, len(prefix), part)``, in prefix order.
 
     Parts lie in [min_part, max_part] and are tried largest first; each tuple
-    comes before its extensions, starting with ().  Walked with a prefix-closed
-    kind's ``_child_ok`` it yields exactly the kind's members in the box.  The
-    stack is explicit, so no length meets the recursion limit, and a tuple's
-    children are tested only after it is yielded, so callers may tighten
-    ``accept`` as they go.
+    comes before its extensions, starting with ().  With a prefix-closed kind's
+    ``_child_ok`` it yields exactly the kind's members in the box.  The stack
+    is explicit, so no length meets the recursion limit, and children are
+    tested only after their parent is yielded.
     """
     stack = [()]
     while stack:
@@ -327,9 +330,7 @@ def members_within(spec: IdealSpec, bound: AnalysisBound) -> list[Partition]:
     return [Partition._of(t) for t in _member_tuples(spec, bound.max_part, bound.max_length)]
 
 
-# ---------------------------------------------------------------------------
-# closure under part removal
-# ---------------------------------------------------------------------------
+# ---- closure under part removal -------------------------------------------
 
 class ClosureReport(_Record):
     """Closure verdict; when not closed, the member ``witness`` that breaks it."""
@@ -346,44 +347,52 @@ class ClosureReport(_Record):
         return d
 
 
+def _class_layers(spec, bound, step, carried, min_part=1):
+    """Classes [members, representative, carried] of the box's members with parts >= min_part.
+
+    Steps length by length.  A member's class is its length, summary, last
+    part and what an engine carries from it: ``step(t, n, v, carried)``
+    gives t + (v,)'s (key, carried) from its parent t's, or None to refuse,
+    and then this returns None.  The test answers alike for prefixes of one
+    length, summary and last part, and their members extend to equal
+    summaries, so each class's children are tested and stepped once.
+    """
+    ok, summary = spec._child_ok, spec._summary
+    layer, classes = [[1, (), carried]], []
+    for n in range(bound.max_length):
+        classes += layer
+        longer = {}
+        for count, t, carried in layer:
+            for v in range(min_part, (t[-1] if t else bound.max_part) + 1):
+                if ok(t, n, v):
+                    stepped = step(t, n, v, carried)
+                    if stepped is None:
+                        return None
+                    c = t + (v,)
+                    longer.setdefault((summary(c), v, stepped[0]), [0, c, stepped[1]])[0] += count
+        layer = list(longer.values())
+    return classes + layer
+
+
 def _class_closure(spec: IdealSpec, bound: AnalysisBound) -> int | None:
     """Members in the box when every removal of each passes the kind's test, else None.
 
-    Steps length by length over classes of members.  A member t's key is
-    (summary, last part), and its class is its key with the set of its
-    removals' keys.  The test answers alike for prefixes of one length and
-    key, and their members extend to equal keys, so the members of a class
-    have children in the same classes and removals that pass alike: each
-    class's children and removal representatives are tested once, and the
-    class counts the members it stands for.
+    A class carries one removal per summary and last part: a child's are its
+    parent's, each tested with v appended, and the parent itself.
     """
     ok, summary = spec._child_ok, spec._summary
-    # class -> [members it stands for, representative, one representative per removal key]
-    layer = {None: [1, (), ()]}
-    checked = 1
-    for n in range(bound.max_length):
-        longer = {}
-        for count, t, removals in layer.values():
-            itself = {(summary(t), t[-1]): t} if t else {None: ()}
-            for v in range(1, (t[-1] if t else bound.max_part) + 1):
-                if not ok(t, n, v):
-                    continue
-                child_removals = dict(itself)
-                for s in removals:
-                    if not ok(s, n - 1, v):
-                        return None
-                    s += (v,)
-                    child_removals[summary(s), v] = s
-                checked += count
-                c = t + (v,)
-                key = (summary(c), v, frozenset(child_removals))
-                entry = longer.get(key)
-                if entry is None:
-                    longer[key] = [count, c, tuple(child_removals.values())]
-                else:
-                    entry[0] += count
-        layer = longer
-    return checked
+
+    def step(t, n, v, removals):  # removals: key -> representative
+        child = {(summary(t), t[-1]): t} if t else {None: ()}
+        for s in removals.values():
+            if not ok(s, n - 1, v):
+                return None
+            s += (v,)
+            child[summary(s), v] = s
+        return frozenset(child), child
+
+    classes = _class_layers(spec, bound, step, {})
+    return classes and sum(c[0] for c in classes)
 
 
 def check_ideal_closure(spec: IdealSpec, bound: AnalysisBound) -> ClosureReport:
@@ -391,16 +400,13 @@ def check_ideal_closure(spec: IdealSpec, bound: AnalysisBound) -> ClosureReport:
 
     Single-part removal suffices: removing several parts is a chain of single
     removals.  The first counterexample in enumeration order is reported.
-    A kind that declares a summary is first decided on classes of members
-    its test cannot tell apart (``_class_closure``); ``members_checked``
-    still counts every member.  Otherwise, or when a class has a failing
-    removal, prefix-closed kinds are walked in prefix order, and the removals
-    of t + (v,) are those s of its parent t, each already passed, with v
-    appended, then t itself.  One call ``_child_ok(s, len(s), v)`` decides
-    s + (v,) exactly, since membership is the fold of that test: closure
-    certifies the kind's test.  S is scanned by increasing size (reverse
-    lexicographic within a size), so its witness is the smallest in (size,
-    revlex) order, and each removal is decided by membership.
+    A kind with a summary is first decided on classes (``_class_closure``);
+    ``members_checked`` still counts every member.  Otherwise, or when a
+    class fails, prefix-closed kinds are walked, and the removals of
+    t + (v,) are those s of its parent t, each already passed, with v
+    appended, then t itself: one call ``_child_ok(s, len(s), v)`` decides
+    each, so closure certifies the kind's test.  S is scanned by (size,
+    revlex) and decides each removal by membership.
     """
     if spec._summary is not None:
         checked = _class_closure(spec, bound)
@@ -438,9 +444,7 @@ def check_ideal_closure(spec: IdealSpec, bound: AnalysisBound) -> ClosureReport:
     return ClosureReport(spec, bound, True, checked)
 
 
-# ---------------------------------------------------------------------------
-# order and weak order
-# ---------------------------------------------------------------------------
+# ---- order and weak order -------------------------------------------------
 
 class OrderReport(_Record):
     """``order``: smallest window width with no refutation, or None when ``growing``
@@ -540,9 +544,7 @@ def _estimate(spec, bound, windows, weak):
     for k in range(1, bound.max_part):
         w = _order_refute(spec, k, bound, windows)
         if w is None:
-            if last is not None and (
-                last.largest + (k - 1) > bound.max_part or len(last) >= bound.max_length
-            ):
+            if last is not None and (last.largest + (k - 1) > bound.max_part or len(last) >= bound.max_length):
                 # The last witness presses against the box: treat the streak as
                 # evidence of a bound-scaling witness family, not a true order.
                 return OrderReport(spec, bound, weak, None, True, k - 1, last)
@@ -566,9 +568,7 @@ def weak_order_estimate(spec: IdealSpec, bound: AnalysisBound) -> OrderReport:
     return _estimate(spec, bound, _present_windows, True)
 
 
-# ---------------------------------------------------------------------------
-# modulus
-# ---------------------------------------------------------------------------
+# ---- modulus --------------------------------------------------------------
 
 class ModulusReport(_Record):
     """Modulus verdict; ``direction`` is "shift-escapes" or "unshift-escapes"."""
@@ -590,36 +590,34 @@ def check_modulus(spec: IdealSpec, m: int, bound: AnalysisBound) -> ModulusRepor
     Two directions, both exhaustive within the bound: every member shifted by
     m must stay a member, and every member whose parts all exceed m must come
     from a member by shifting.  The first failing member in ``members_within``
-    order is reported.  A prefix-closed kind carries the shifts down its walk:
-    t + (v,) shifts as its parent t did, with v + m or v - m appended, so one
-    call of the kind's test decides each; S tests each shift whole.
+    order is reported.  t + (v,) shifts as its parent t, already passed, with
+    v + m or v - m appended, so one call of the kind's test decides each
+    shift.  A kind with a summary runs on classes, each carrying its
+    representative's shifts; when a shift fails, or the kind has no summary,
+    the members are walked, and S tests each shift whole.
     """
-    if m < 1:
-        raise DomainError("modulus must be positive")
-    member, carried, cap = spec._member, spec.prefix_closed, bound.max_length
-    ok = spec._child_ok if carried else lambda s, i, v: member(s + (v,))
-    shifts_at = [((), ())]  # shifts up and down of the latest walked member of each length below cap
-    for t in _member_tuples(spec, bound.max_part, cap):
-        if not t:
-            continue
-        n, v = len(t), t[-1]
-        if carried:  # the latest walked member one shorter than t is its parent
-            up, down = shifts_at[n - 1]
-        else:
-            up, down = tuple(x + m for x in t[:-1]), tuple(x - m for x in t[:-1])
-        if not ok(up, n - 1, v + m):
-            return ModulusReport(spec, m, bound, False, Partition._of(t), "shift-escapes")
-        if v > m and not ok(down, n - 1, v - m):
-            return ModulusReport(spec, m, bound, False, Partition._of(t), "unshift-escapes")
-        if carried and n < cap:
-            del shifts_at[n:]
-            shifts_at.append((up + (v + m,), down + (v - m,) if v > m else None))
+    _positive(m, "modulus")
+    ok, summary = spec._child_ok, spec._summary
+
+    def step(t, n, v, shifts):
+        up, down = shifts
+        if not ok(up, n, v + m) or v > m and not ok(down, n, v - m):
+            return None
+        up, down = up + (v + m,), down + (v - m,) if v > m else None
+        return (summary(up), down and summary(down)), (up, down)
+
+    if summary is not None and _class_layers(spec, bound, step, ((), ())) is not None:
+        return ModulusReport(spec, m, bound, True)
+    ok = ok if spec.prefix_closed else lambda s, i, v: spec._member(s + (v,))
+    for t in _member_tuples(spec, bound.max_part, bound.max_length):
+        for d, direction in ((m, "shift-escapes"), (-m, "unshift-escapes")):
+            # a walked member's parent came before it, so the parent's shift passed
+            if t and t[-1] + d > 0 and not ok(tuple(x + d for x in t[:-1]), len(t) - 1, t[-1] + d):
+                return ModulusReport(spec, m, bound, False, Partition._of(t), direction)
     return ModulusReport(spec, m, bound, True)
 
 
-# ---------------------------------------------------------------------------
-# L-sets and the layer decomposition
-# ---------------------------------------------------------------------------
+# ---- L-sets and the layer decomposition -----------------------------------
 
 class LSetReport(_Record):
     """``truncated``: a member hit the length cap, bounded evidence of an infinite set."""
@@ -637,8 +635,7 @@ def compute_L(spec: IdealSpec, m: int, bound: AnalysisBound) -> LSetReport:
     Enumeration stops at the bound's length cap; reaching the cap is reported
     as ``truncated`` (bounded evidence that the set is infinite).
     """
-    if m < 1:
-        raise DomainError("modulus must be positive")
+    _positive(m, "modulus")
     tuples = sorted(_member_tuples(spec, min(m, bound.max_part), bound.max_length), key=_size_revlex)
     truncated = any(len(t) >= bound.max_length for t in tuples)
     return LSetReport(spec, m, bound, tuple(map(Partition._of, tuples)), truncated)
@@ -650,8 +647,7 @@ def andrews_decompose(p: Partition, m: int) -> list[Partition]:
     Interior empty layers are kept so composition can re-shift by position;
     trailing empties are trimmed.  The empty partition gives no layers.
     """
-    if m < 1:
-        raise DomainError("layer width must be positive")
+    _positive(m, "layer width")
     if p.is_empty():
         return []
     layers = -(-p.largest // m)
@@ -664,17 +660,14 @@ def andrews_decompose(p: Partition, m: int) -> list[Partition]:
 
 def andrews_compose(pieces: list[Partition], m: int) -> Partition:
     """Inverse of :func:`andrews_decompose`: overlay layer i shifted up by (i-1)m."""
-    if m < 1:
-        raise DomainError("layer width must be positive")
+    _positive(m, "layer width")
     parts: list[int] = []
     for i, piece in enumerate(pieces):
         parts.extend(x + i * m for x in piece.parts)
     return Partition(sorted(parts, reverse=True))
 
 
-# ---------------------------------------------------------------------------
-# linked-ideal inference
-# ---------------------------------------------------------------------------
+# ---- linked-ideal inference -----------------------------------------------
 
 class LinkEntry(_Record):
     """One small member's span and linking set, or the ``witness`` that no span fits."""
@@ -694,27 +687,17 @@ class LinkReport(_Record):
     _defaults = {"L_set": (), "entries": (), "witness": None, "reason": None}
 
     def entry_for(self, p: Partition) -> LinkEntry | None:
-        for e in self.entries:
-            if e.element == p:
-                return e
-        return None
+        return next((e for e in self.entries if e.element == p), None)
 
     def to_json_dict(self):
-        d = _report_json(
-            self.spec, self.bound, self.modulus,
-            verdict=self.verdict,
-            L_set=[list(p.parts) for p in self.L_set],
-            entries=[
-                {
-                    "element": list(e.element.parts),
-                    "span": e.span,
-                    "linking_set": None if e.linking_set is None else [list(q.parts) for q in e.linking_set],
-                    "witness": None if e.witness is None else list(e.witness.parts),
-                    "reason": e.reason,
-                }
-                for e in self.entries
-            ],
-        )
+        def parts(p):
+            return None if p is None else list(p.parts)
+
+        entries = [{"element": parts(e.element), "span": e.span,
+                    "linking_set": None if e.linking_set is None else list(map(parts, e.linking_set)),
+                    "witness": parts(e.witness), "reason": e.reason} for e in self.entries]
+        d = _report_json(self.spec, self.bound, self.modulus, verdict=self.verdict,
+                         L_set=list(map(parts, self.L_set)), entries=entries)
         if self.witness is not None:
             d["witness"] = list(self.witness.parts)
         if self.reason is not None:
@@ -730,12 +713,8 @@ def _remainders(spec, m, bound, tails):
     tail, tested on top of each; S scans the box once per tail.
     """
     if not spec.prefix_closed:
-        member = spec._member
-        return {
-            pi: list(_by_size(bound.max_part, bound.max_length - len(pi),
-                              lambda bigs: all(x > m for x in bigs) and member(bigs + pi)))
-            for pi in tails
-        }
+        return {pi: list(_by_size(bound.max_part, bound.max_length - len(pi),
+                                  lambda b: all(x > m for x in b) and spec._member(b + pi))) for pi in tails}
     ok, cap = spec._child_ok, bound.max_length
     pool = sorted(_walk(ok, bound.max_part, cap, m + 1), key=_size_revlex)
     return {pi: [bigs for bigs in pool if len(bigs) + len(pi) <= cap and _fold_from(ok, bigs + pi, len(bigs))]
@@ -766,15 +745,12 @@ class _Moves(dict):
         return s
 
 
-def _span_entry(pi, l, m, bigs_by_tail, moved, builds):
+def _span_entry(pi, l, m, bigs_by_tail, builds):
     """``pi``'s entry for span l: the forced linking set, or the first construction that breaks it."""
     shift, forced = l * m, set()
     for bigs in bigs_by_tail[pi.parts]:
-        rem = moved(bigs, -shift)
-        if rem is None:
-            return LinkEntry(pi, witness=Partition(bigs + pi.parts), reason=(
-                f"member remainder shifted down by {shift} leaves the ideal"))
-        key = tuple(x for x in rem if x <= m)
+        # bigs - shift is a member: the modulus holds, and it is reached by l shifts down by m in the box
+        key = tuple(x - shift for x in bigs if x <= m + shift)
         if key not in bigs_by_tail:
             return LinkEntry(pi, witness=Partition(bigs + pi.parts), reason=(
                 "member remainder's tail is outside the small-member set"))
@@ -789,6 +765,43 @@ def _span_entry(pi, l, m, bigs_by_tail, moved, builds):
     return LinkEntry(pi, span=l, linking_set=tuple(map(Partition, forced)))
 
 
+def _class_links(spec, m, bound, span_cap, small):
+    """Each small member's (span, sorted linking set) when every one finds a span, else None.
+
+    Runs on classes of remainders, the members with parts > m.  Per span l a
+    class carries its representative b shifted up by l*m (None when no
+    member) and b's tail: its parts <= (l+1)*m, each less l*m.  Whether b + pi
+    is a member, or b + l*m extends by tau + l*m and pi, depends on the class.
+    """
+    ok, summary, cap = spec._child_ok, spec._summary, bound.max_length
+    shifts = range(m, span_cap * m + 1, m)
+
+    def step(t, n, v, carried):
+        out = []
+        for d, (s, tail) in zip(shifts, carried):
+            if s is not None:
+                s = s + (v + d,) if ok(s, n, v + d) else None
+            out.append((s, tail + (v - d,) if v <= m + d else tail))
+        return tuple((s and (summary(s),), tail) for s, tail in out), out
+
+    pool = _class_layers(spec, bound, step, [((), ())] * span_cap, m + 1)
+    fits = {pi: [(t, c) for _, t, c in pool if len(t) + len(pi) <= cap and _fold_from(ok, t + pi, len(t))]
+            for pi in small}
+    found = []
+    for pi in small:
+        lasts = [t[-1] for t, _ in fits[pi] if t]
+        for l in range(min(span_cap, (min(lasts) - 1) // m) if lasts else span_cap, 0, -1):
+            d, forced = l * m, {c[l - 1][1] for _, c in fits[pi]}
+            if forced <= fits.keys() and all(
+                    s is not None and _fold_from(ok, s + tuple(x + d for x in tau) + pi, len(s))
+                    for tau in forced for _, c in fits[tau] for s in [c[l - 1][0]]):
+                found.append((l, sorted(forced, key=_size_revlex)))
+                break
+        else:
+            return None
+    return found
+
+
 def infer_linking(spec: IdealSpec, m: int, bound: AnalysisBound, span_cap: int = 4) -> LinkReport:
     """Search for spans and linking sets that tie tails to shifted remainders.
 
@@ -800,40 +813,39 @@ def infer_linking(spec: IdealSpec, m: int, bound: AnalysisBound, span_cap: int =
     chooses l: the largest feasible span up to ``span_cap`` that survives the
     exhaustive check wins, matching the spans quoted for the classical
     examples.  Any element with no workable span refutes linkedness; the
-    violating construction is reported.  A prefix-closed kind decides each
-    shifted remainder from its parent's (``_Moves``) and tests pi on top.
+    violating construction is reported.  A kind with a summary decides on
+    classes of remainders (``_class_links``); when some element finds no span
+    there, or the kind has no summary, the remainders are walked to name the
+    witness, each shifted remainder decided from its parent's (``_Moves``).
     """
-    if m < 1:
-        raise DomainError("modulus must be positive")
-    if span_cap < 1:
-        raise DomainError("span cap must be positive")
+    _positive(m, "modulus")
+    _positive(span_cap, "span cap")
 
-    mod_report = check_modulus(spec, m, bound)
-    if not mod_report.holds:
-        return LinkReport(
-            spec, m, bound, "refuted",
-            witness=mod_report.witness,
-            reason=f"no modulus {m} within bound ({mod_report.direction})",
-        )
+    modulus = check_modulus(spec, m, bound)
+    if not modulus.holds:
+        return LinkReport(spec, m, bound, "refuted", witness=modulus.witness,
+                          reason=f"no modulus {m} within bound ({modulus.direction})")
 
     lset = compute_L(spec, m, bound)
     if lset.truncated:
         return LinkReport(spec, m, bound, "L-infinite-within-bound", L_set=lset.members,
                           reason="small-part members still appear at the length cap")
 
-    bigs_by_tail = _remainders(spec, m, bound, [p.parts for p in lset.members])
-    ok, member, moves = spec._child_ok, spec._member, {}  # d -> _Moves, never empty so never falsy
+    small = [p.parts for p in lset.members]
+    # classes carry every span up to the cap, so a cap past the box's parts is left to the walk
+    found = spec._summary is not None and span_cap <= bound.max_part and _class_links(spec, m, bound, span_cap, small)
+    if found:
+        return LinkReport(spec, m, bound, "linked-within-bound", L_set=lset.members, entries=tuple(
+            LinkEntry(pi, span=l, linking_set=tuple(map(Partition, forced)))
+            for pi, (l, forced) in zip(lset.members, found)))
 
-    def moved(bigs, d):
-        if ok is None:
-            s = tuple(x + d for x in bigs)
-            return s if member(s) else None
-        return (moves.get(d) or moves.setdefault(d, _Moves(ok, d)))[bigs]
+    bigs_by_tail = _remainders(spec, m, bound, small)
+    ok, member, moves = spec._child_ok, spec._member, {}  # shift -> _Moves, never empty so never falsy
 
     def builds(t, pi, shift):
         if ok is None:
             return member(tuple(x + shift for x in t) + pi)
-        s = moved(t, shift)
+        s = (moves.get(shift) or moves.setdefault(shift, _Moves(ok, shift)))[t]
         return s is not None and _fold_from(ok, s + pi, len(s))
 
     entries: list[LinkEntry] = []
@@ -841,21 +853,17 @@ def infer_linking(spec: IdealSpec, m: int, bound: AnalysisBound, span_cap: int =
         lasts = [b[-1] for b in bigs_by_tail[pi.parts] if b]
         entry = LinkEntry(pi, witness=None, reason="no feasible span")
         for l in range(min(span_cap, (min(lasts) - 1) // m) if lasts else span_cap, 0, -1):
-            entry = _span_entry(pi, l, m, bigs_by_tail, moved, builds)
+            entry = _span_entry(pi, l, m, bigs_by_tail, builds)
             if entry.found:
                 break
         entries.append(entry)
 
-    first_bad = next((e for e in entries if not e.found), None)
-    if first_bad is not None:
-        return LinkReport(spec, m, bound, "refuted", L_set=lset.members, entries=tuple(entries),
-                          witness=first_bad.witness, reason=first_bad.reason)
-    return LinkReport(spec, m, bound, "linked-within-bound", L_set=lset.members, entries=tuple(entries))
+    bad = next((e for e in entries if not e.found), None)  # the first element with no span
+    return LinkReport(spec, m, bound, "linked-within-bound" if bad is None else "refuted", L_set=lset.members,
+                      entries=tuple(entries), witness=bad and bad.witness, reason=bad and bad.reason)
 
 
-# ---------------------------------------------------------------------------
-# counting and the constructive counterexamples
-# ---------------------------------------------------------------------------
+# ---- counting and the constructive counterexamples ------------------------
 
 def count_parity_ideal(n: int) -> int:
     """Partitions of n with all parts of one parity.
@@ -901,14 +909,6 @@ def linked_refutation_example(r: int) -> SubidealRefutation:
     if r < 2:
         raise DomainError("the construction needs a length bound of at least 2")
     m = lcm(*range(1, r + 1))
-    sub = IdealSpec("SA_maxlen", r)
-    member = Partition((m + 2, 2))
-    escalated = Partition((2 * m + 2, m + 2, 2))
-    return SubidealRefutation(
-        max_length=r,
-        modulus=m,
-        member=member,
-        member_in_subideal=sub.contains(member),
-        escalated=escalated,
-        escalated_seq_congruent=is_seq_congruent(escalated),
-    )
+    member, escalated = Partition((m + 2, 2)), Partition((2 * m + 2, m + 2, 2))
+    return SubidealRefutation(r, m, member, IdealSpec("SA_maxlen", r).contains(member), escalated,
+                              is_seq_congruent(escalated))

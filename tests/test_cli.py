@@ -414,7 +414,9 @@ class TestOutputSizeGuard:
         ("map", "--fn", "sigma", "--input", "[1000000000000]"),
         ("map", "--fn", "conjugate", "--input", "[1000000000000]"),
         ("convert", "--to", "standard", "--input", '{"freq":[[1,1000000000000]]}'),
-    ], ids=["sigma", "conjugate", "freq"])
+        ("enumerate", "--pred", "seqcong", "--size", "1000000000000"),
+        ("enumerate", "--pred", "S", "--size", "1000000000000"),
+    ], ids=["sigma", "conjugate", "freq", "enumerate-seqcong", "enumerate-S"])
     def test_refused(self, capsys, argv):
         assert cli(*argv) == (1, "")
         assert capsys.readouterr().err == (

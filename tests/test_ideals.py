@@ -663,6 +663,33 @@ class TestModulus:
         assert len(report.witness) >= 3
 
 
+class TestIntegerArguments:
+    """A modulus, layer width or span cap that is not an int (a bool included) is a TypeError."""
+
+    @pytest.mark.parametrize("value", [True, 2.5, 2.0, "2"])
+    def test_non_integer_rejected(self, value):
+        d, p = IdealSpec("D"), Partition([5, 3, 1])
+        calls = [
+            lambda: check_modulus(d, value, B12),
+            lambda: compute_L(d, value, B12),
+            lambda: infer_linking(d, value, B12),
+            lambda: infer_linking(d, 1, B12, value),
+            lambda: andrews_decompose(p, value),
+            lambda: andrews_compose([p], value),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match=f"must be an integer, got {re.escape(repr(value))}"):
+                call()
+
+    def test_below_one_still_a_domain_error(self):
+        d = IdealSpec("D")
+        for call, message in [(lambda: check_modulus(d, 0, B12), "modulus"),
+                              (lambda: infer_linking(d, 1, B12, 0), "span cap"),
+                              (lambda: andrews_decompose(Partition([1]), -1), "layer width")]:
+            with pytest.raises(DomainError, match=f"^{message} must be positive$"):
+                call()
+
+
 class TestLSet:
     def test_distinct_m1(self):
         report = compute_L(IdealSpec("D"), 1, B12)
@@ -851,6 +878,54 @@ class TestModulusAndLinkingMatchScan:
         assert report.witness == Partition([5, 4])
 
 
+class TestClassModulusAndLinking:
+    """The class path, for kinds with a summary, against the walk of the same spec with its summary cleared."""
+
+    @pytest.mark.parametrize("spec", SUMMARY_SPECS, ids=str)
+    def test_reports_equal_walk(self, spec):
+        walk = walk_spec(spec.kind, spec.param)
+        for bound in LINK_BOXES:
+            for m in (1, 2, 3, 6):
+                modulus = check_modulus(spec, m, bound)
+                assert modulus == check_modulus(walk, m, bound), (bound, m)
+                for span_cap in (1, 4):
+                    report = infer_linking(spec, m, bound, span_cap)
+                    assert report == infer_linking(walk, m, bound, span_cap), (bound, m, span_cap)
+                    if report.verdict == "refuted" and modulus.holds:  # the class path found no span: the walk ran
+                        small = [p.parts for p in report.L_set]
+                        assert ideals._class_links(spec, m, bound, span_cap, small) is None
+
+    def test_remainder_tail_outside_the_small_members(self):
+        # the hand-built spec of TestModulusAndLinkingMatchScan, whose test
+        # reads only the length and last part, so it may declare the blank
+        # summary: the tail (2,) is outside L, no span passes on classes, and
+        # the walk names the witness
+        spec = IdealSpec("D")
+        spec._child_ok = lambda t, i, v: v < t[i - 1] if i else v % 2 == 1
+        spec._member = _fold(spec._child_ok)
+        spec._summary = lambda t: None
+        bound = AnalysisBound(8, 4)
+        assert ideals._class_links(spec, 2, bound, 4, [(), (1,)]) is None
+        report = infer_linking(spec, 2, bound)
+        assert report == scan_linking(spec, 2, bound)
+        assert report.reason == "member remainder's tail is outside the small-member set"
+
+    def test_span_cap_past_the_box_walks(self):
+        # classes carry one shift per span up to the cap; a cap past the box's
+        # parts goes to the walk, which tries only spans below the least remainder part
+        bound = AnalysisBound(8, 4)
+        report = infer_linking(IdealSpec("D"), 1, bound, 10**9)
+        assert report == infer_linking(walk_spec("D"), 1, bound, 10**9) == infer_linking(IdealSpec("D"), 1, bound)
+
+    def test_sweep_decides_and_refutes_past_the_modulus(self):
+        seen = set()
+        for spec in SUMMARY_SPECS:
+            for m in (1, 2, 3):
+                if check_modulus(spec, m, AnalysisBound(8, 5)).holds:
+                    seen.add(infer_linking(spec, m, AnalysisBound(8, 5)).verdict)
+        assert seen == {"linked-within-bound", "refuted", "L-infinite-within-bound"}
+
+
 class TestMoves:
     def test_moves_match_membership(self):
         # a move is the shifted tuple when that is a member and None otherwise,
@@ -874,9 +949,87 @@ def walk_tests(spec, max_part, max_length, min_part=1):
 
 
 def modulus_tests(spec, m, bound):
-    """``_child_ok`` calls of a modulus check that holds: the walk's, then one per shift of each member."""
+    """``_child_ok`` calls of a walked modulus check that holds: the walk's, then one per shift of each member."""
     walked = _walk(spec._child_ok, bound.max_part, bound.max_length)
     return walk_tests(spec, bound.max_part, bound.max_length) + sum(1 + (t[-1] > m) for t in walked if t)
+
+
+def shifted(t, d):
+    return tuple(x + d for x in t)
+
+
+def class_reps(spec, bound, carried, min_part=1):
+    """One representative per class of the walked members, by (length, key, ``carried(t)``).
+
+    The key is (summary, last part), None for the empty tuple.
+    """
+    reps = {}
+    for t in _walk(spec._child_ok, bound.max_part, bound.max_length, min_part):
+        reps.setdefault((len(t), t and (spec._summary(t), t[-1]), carried(t)), t)
+    return list(reps.values())
+
+
+def class_modulus_tests(spec, m, bound):
+    """``_child_ok`` calls of the class modulus check when it holds, derived from the walked members.
+
+    A class also keys its shifts' summaries.  Each class below the cap tests
+    its children, and each child it accepts tests its shift up, and its shift
+    down when the child's last part exceeds m.
+    """
+    def shift_summaries(t):
+        return t and (spec._summary(shifted(t, m)), t[-1] > m and spec._summary(shifted(t, -m)))
+
+    ok, tests = spec._child_ok, 0
+    for t in class_reps(spec, bound, shift_summaries):
+        if len(t) < bound.max_length:
+            top = t[-1] if t else bound.max_part
+            tests += top + sum(1 + (v > m) for v in range(1, top + 1) if ok(t, len(t), v))
+    return tests
+
+
+def class_link_tests(spec, m, bound, span_cap, report):
+    """``_child_ok`` calls of a linking search that the class path decides, derived from the walked members.
+
+    Past the class modulus check and the walk of L, a pool class (members
+    with parts > m) also keys, per span l, the summary of its shift up by
+    l*m (None when that is no member) and its tail for l.  Each pool class
+    below the cap tests its children, and each child it accepts tests its
+    shift for every l whose parent shift is a member.  Then each element pi
+    of L is tested on top of every pool class with room for it.  For the span
+    found (the first tried, in these boxes), each tail tau in pi's linking
+    set and then pi are tested on top of the shift of every class that tau
+    completes.  With every construction a member, each test of a tuple runs
+    over all its parts.
+    """
+    ok, member, cap = spec._child_ok, spec._member, bound.max_length
+    ds = [l * m for l in range(1, span_cap + 1)]
+
+    def carried(t):
+        # per span: (summary of the shift up,) when that is a member, else None; and the tail
+        return tuple(((t and spec._summary(shifted(t, d)),) if member(shifted(t, d)) else None,
+                      tuple(x - d for x in t if x <= m + d)) for d in ds)
+
+    pool = class_reps(spec, bound, carried, m + 1)
+    tests = class_modulus_tests(spec, m, bound) + walk_tests(spec, m, cap)
+    for t in pool:
+        if len(t) < cap:
+            top = t[-1] if t else bound.max_part
+            live = sum(member(shifted(t, d)) for d in ds)
+            tests += top - m + live * sum(ok(t, len(t), v) for v in range(m + 1, top + 1))
+    fits = {pi.parts: [t for t in pool if len(t) + len(pi) <= cap] for pi in report.L_set}
+    assert all(member(t + pi) for pi in fits for t in fits[pi])
+    for e in report.entries:
+        pi = e.element.parts
+        tests += len(pi) * len(fits[pi])
+        tests += sum(len(tau.parts) + len(pi) for tau in e.linking_set for _ in fits[tau.parts])
+    return tests
+
+
+def walk_spec(kind, param=None):
+    """The kind with its summary cleared, so every engine walks."""
+    spec = IdealSpec(kind, param)
+    spec._summary = None
+    return spec
 
 
 class TestModulusAndLinkingWork:
@@ -890,30 +1043,48 @@ class TestModulusAndLinkingWork:
         assert calls[0] == 0
 
     def test_modulus_child_ok_calls_pinned(self):
-        # folding each shifted member whole took 23,400 calls here
-        spec = IdealSpec("D")
+        # the walk: folding each shifted member whole took 23,400 calls here
+        spec = walk_spec("D")
         calls = count_calls(spec, "_child_ok")
         assert check_modulus(spec, 1, B12).holds
         assert calls[0] == 8088 == modulus_tests(IdealSpec("D"), 1, B12)
 
+    @pytest.mark.parametrize("kind,m,tests", [("D", 1, 730), ("P_parity", 2, 784)])
+    def test_class_modulus_child_ok_calls_pinned(self, kind, m, tests):
+        spec = IdealSpec(kind)
+        calls = count_calls(spec, "_child_ok")
+        assert check_modulus(spec, m, B12).holds
+        assert calls[0] == tests == class_modulus_tests(IdealSpec(kind), m, B12)
+
     def test_link_child_ok_calls_pinned(self):
-        # D at 10x5 with m = 1: L is {(), (1,)}, every span is 1 and nothing
-        # fails; folding every shifted tuple whole took 16,309 calls here.
-        # Past the modulus check and the walks of L and of the pool P (the
-        # members with parts >= 2), the tail (1,) is tested under P4 (P's
-        # members of length <= 4) when listing remainders; each member of P
-        # is moved down and up once (one test each, () none), and bigs + (1,)
-        # up once more for bigs in P4; then pi = (1,) is tested on top of
-        # each built prefix, the moves of P and of those of P4 + (1,).
-        spec, bound = IdealSpec("D"), AnalysisBound(10, 5)
+        # the walk, for D at 10x5 with m = 1: L is {(), (1,)}, every span is
+        # 1 and nothing fails; folding every shifted tuple whole took 16,309
+        # calls here.  Past the modulus check and the walks of L and of the
+        # pool P (the members with parts >= 2), the tail (1,) is tested under
+        # P4 (P's members of length <= 4) when listing remainders; each member
+        # of P is moved up once (one test each, () none), and bigs + (1,) up
+        # once more for bigs in P4; then pi = (1,) is tested on top of each
+        # built prefix, the moves of P and of those of P4 + (1,).
+        spec, bound = walk_spec("D"), AnalysisBound(10, 5)
         calls = count_calls(spec, "_child_ok")
         assert infer_linking(spec, 1, bound).verdict == "linked-within-bound"
         plain = IdealSpec("D")
         pool = list(_walk(plain._child_ok, 10, 5, 2))
         p4 = sum(len(t) <= 4 for t in pool)
         derived = (modulus_tests(plain, 1, bound) + walk_tests(plain, 1, 5) + walk_tests(plain, 10, 5, 2)
-                   + p4 + 2 * (len(pool) - 1) + p4 + len(pool) + p4)
-        assert calls[0] == 4590 == derived
+                   + p4 + (len(pool) - 1) + p4 + len(pool) + p4)
+        assert calls[0] == 4209 == derived
+
+    @pytest.mark.parametrize("bound,tests", [(AnalysisBound(10, 5), 1403), (AnalysisBound(14, 6), 3195)],
+                             ids=["10x5", "14x6"])
+    def test_class_link_child_ok_calls_pinned(self, bound, tests):
+        # the walk took 4,590 calls at 10x5 and 46,419 at 14x6 before the
+        # remainders shifted down went untested
+        spec = IdealSpec("D")
+        calls = count_calls(spec, "_child_ok")
+        report = infer_linking(spec, 1, bound)
+        assert report.verdict == "linked-within-bound"
+        assert calls[0] == tests == class_link_tests(IdealSpec("D"), 1, bound, 4, report)
 
 
 class TestBoxScans:
