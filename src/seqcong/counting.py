@@ -157,7 +157,8 @@ def enumerate_with_parts_from(allowed: Iterable[int], n: int) -> list[Partition]
 
 def enumerate_seqcong_by_size(n: int) -> list[Partition]:
     """Sequentially congruent partitions of size n: psi_inverse of those into squares."""
-    squares = [i * i for i in range(1, isqrt(_check_size(n)) + 1)]
+    _check_output_length(_check_size(n))  # 1^n is one of them, so refuse before listing squares
+    squares = [i * i for i in range(1, isqrt(n) + 1)]
     return sorted(map(psi_inverse, enumerate_with_parts_from(squares, n)), reverse=True)
 
 

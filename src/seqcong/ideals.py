@@ -9,10 +9,10 @@ Membership is its fold over a tuple's own positions (exact by induction), and
 the engines' walks prune on it directly.  A row also declares a *summary*:
 what the test reads of a prefix besides its length and last part (None when
 it reads nothing else; Adiff, which reads every gap, declares none).  Closure,
-modulus and linking decide a kind with a summary on classes of members that
-its test cannot tell apart (``_class_layers``); a failing class, or a kind
-with no summary, walks the members to name the first witness.  The rows,
-with i parts before v:
+modulus and linking each state their rule once, run on classes of members that
+the test cannot tell apart (``_class_layers``) for a kind with a summary, and
+down the walk (``_carry``), naming the first witness, when a class fails or
+there is none.  The rows, with i parts before v:
 
 =============  ========  =========  ===========================================
 kind           param     summary    part v may follow t[:i] when
@@ -48,6 +48,7 @@ refuse assignment, and copy and pickle.
 
 from __future__ import annotations
 
+from itertools import takewhile
 from math import lcm
 
 from .bijections import _congruence_failure_index, is_seq_congruent
@@ -300,6 +301,27 @@ def _walk(accept, max_part: int, max_length: int, min_part: int = 1):
             stack.extend([t + (v,) for v in range(min_part, top + 1) if accept(t, n, v)])
 
 
+def _carry(accept, step, carried, max_part: int, max_length: int):
+    """``_walk`` with each t + (v,) carrying ``step(t, n, v, carried)`` from its parent t.
+
+    (tuples walked, None), or (tuples walked up to t, t) for the first t whose step gave None.  A step runs
+    when its tuple is walked, so the stack holds only parents' carried values.
+    """
+    stack, count = [((), 0, carried)], 0  # (parent, part, parent's carried); part 0 is the root
+    while stack:
+        t, v, carried = stack.pop()
+        if v:
+            carried = step(t, len(t), v, carried)
+            t += (v,)
+        count += 1
+        if carried is None:
+            return count, t
+        n = len(t)
+        if n < max_length:
+            stack.extend([(t, v, carried) for v in range(1, (t[-1] if t else max_part) + 1) if accept(t, n, v)])
+    return count, None
+
+
 def _by_size(max_part: int, max_length: int, keep):
     """Box tuples passing ``keep``, by increasing size, reverse lexicographic within a size."""
     return (
@@ -347,15 +369,13 @@ class ClosureReport(_Record):
         return d
 
 
-def _class_layers(spec, bound, step, carried, min_part=1):
-    """Classes [members, representative, carried] of the box's members with parts >= min_part.
+def _class_layers(spec, bound, step, carried, key, min_part=1):
+    """Classes [members, representative, carried] of the box's members with parts >= min_part, by length.
 
-    Steps length by length.  A member's class is its length, summary, last
-    part and what an engine carries from it: ``step(t, n, v, carried)``
-    gives t + (v,)'s (key, carried) from its parent t's, or None to refuse,
-    and then this returns None.  The test answers alike for prefixes of one
-    length, summary and last part, and their members extend to equal
-    summaries, so each class's children are tested and stepped once.
+    A member's class is its length, summary, last part and ``key`` of what an engine carries:
+    ``step(t, n, v, carried)`` gives t + (v,)'s from t's, or None to refuse, and then this returns None.
+    The test answers alike for prefixes of one length, summary and last part, and their members
+    extend to equal summaries, so each class's children are tested and stepped once.
     """
     ok, summary = spec._child_ok, spec._summary
     layer, classes = [[1, (), carried]], []
@@ -369,79 +389,59 @@ def _class_layers(spec, bound, step, carried, min_part=1):
                     if stepped is None:
                         return None
                     c = t + (v,)
-                    longer.setdefault((summary(c), v, stepped[0]), [0, c, stepped[1]])[0] += count
+                    longer.setdefault((summary(c), v, key(stepped)), [0, c, stepped])[0] += count
         layer = list(longer.values())
     return classes + layer
 
 
-def _class_closure(spec: IdealSpec, bound: AnalysisBound) -> int | None:
-    """Members in the box when every removal of each passes the kind's test, else None.
-
-    A class carries one removal per summary and last part: a child's are its
-    parent's, each tested with v appended, and the parent itself.
-    """
-    ok, summary = spec._child_ok, spec._summary
-
-    def step(t, n, v, removals):  # removals: key -> representative
-        child = {(summary(t), t[-1]): t} if t else {None: ()}
-        for s in removals.values():
-            if not ok(s, n - 1, v):
-                return None
-            s += (v,)
-            child[summary(s), v] = s
-        return frozenset(child), child
-
-    classes = _class_layers(spec, bound, step, {})
-    return classes and sum(c[0] for c in classes)
+def _first_exit(member, t):
+    """The first single-part removal of t, by position, that is no member: (part, rest), or None."""
+    return next(((v, t[:j] + t[j + 1:]) for j, v in enumerate(t)
+                 if (not j or t[j - 1] != v) and not member(t[:j] + t[j + 1:])), None)
 
 
 def check_ideal_closure(spec: IdealSpec, bound: AnalysisBound) -> ClosureReport:
     """Verify every member in the box stays a member when any single part is removed.
 
     Single-part removal suffices: removing several parts is a chain of single
-    removals.  The first counterexample in enumeration order is reported.
-    A kind with a summary is first decided on classes (``_class_closure``);
-    ``members_checked`` still counts every member.  Otherwise, or when a
-    class fails, prefix-closed kinds are walked, and the removals of
-    t + (v,) are those s of its parent t, each already passed, with v
-    appended, then t itself: one call ``_child_ok(s, len(s), v)`` decides
-    each, so closure certifies the kind's test.  S is scanned by (size,
-    revlex) and decides each removal by membership.
+    removals.  The first counterexample in enumeration order is reported.  On a
+    prefix-closed kind the removals of t + (v,) are t and each removal s of t,
+    already passed, plus v: one call ``_child_ok(s, len(s), v)`` decides each,
+    so closure certifies the kind's test.  That step runs on classes (one
+    removal per summary and last part; ``members_checked`` counts every
+    member), or down the walk when a class fails or there is no summary.  S is
+    scanned by (size, revlex) and tests removals by membership.
     """
-    if spec._summary is not None:
-        checked = _class_closure(spec, bound)
-        if checked is not None:
-            return ClosureReport(spec, bound, True, checked)
-    checked = 0
+    ok, summary, cap = spec._child_ok, spec._summary or sum, bound.max_length  # sum: removals differ in size
+
+    def step(t, n, v, removals):  # removals: key -> representative, t's own parent first
+        carry = n + 1 < cap  # a child at the cap has no children to carry removals to
+        child = {(summary(t), t[-1]) if t else None: t} if carry else {}
+        rest = iter(removals.values())
+        if t and t[-1] == v:
+            next(rest)  # t's parent plus v is t
+        for s in rest:
+            if not ok(s, n - 1, v):
+                return None
+            if carry:
+                s += (v,)
+                child[summary(s), v] = s
+        return child
+
     if not spec.prefix_closed:
-        for t in _by_size(bound.max_part, bound.max_length, spec._member):
-            checked += 1
-            for j, v in enumerate(t):  # one removal per distinct part value
-                smaller = t[:j] + t[j + 1:]
-                if (not j or t[j - 1] != v) and not spec._member(smaller):
-                    return ClosureReport(spec, bound, False, checked, Partition(t), v, Partition(smaller))
+        for checked, witness in enumerate(_by_size(bound.max_part, bound.max_length, spec._member), 1):
+            if _first_exit(spec._member, witness):
+                break
+        else:
+            witness = None
+    elif spec._summary is not None and (classes := _class_layers(spec, bound, step, {}, frozenset)):
+        checked, witness = sum(c[0] for c in classes), None
+    else:
+        checked, witness = _carry(ok, step, {}, bound.max_part, bound.max_length)
+    if witness is None:
         return ClosureReport(spec, bound, True, checked)
-    ok, cap = spec._child_ok, bound.max_length
-    removals_at: list[list] = [[]]  # removals of the latest walked tuple of each length below cap
-    for t in _walk(ok, bound.max_part, cap):
-        checked += 1
-        n = len(t)
-        if not n:
-            continue
-        # the latest tuple one shorter than t is its parent; its removals have
-        # n - 2 parts, and when v repeats, the last one plus v is the parent
-        v, parent_removals = t[-1], removals_at[n - 1]
-        new = n == 1 or t[-2] != v
-        for u, s in parent_removals if new else parent_removals[:-1]:
-            if not ok(s, n - 2, v):
-                return ClosureReport(spec, bound, False, checked, Partition(t), u, Partition(s + (v,)))
-        if n < cap:  # a tuple at the cap has no children to carry removals to
-            removals = [(u, s + (v,)) for u, s in parent_removals]
-            if new:
-                removals.append((v, t[:-1]))
-            del removals_at[n:]
-            removals_at.append(removals)
-    return ClosureReport(spec, bound, True, checked)
+    removed, rest = _first_exit(spec._member, witness)
+    return ClosureReport(spec, bound, False, checked, Partition(witness), removed, Partition(rest))
 
 
 # ---- order and weak order -------------------------------------------------
@@ -463,7 +463,7 @@ class OrderReport(_Record):
         return d
 
 
-def _integer_windows(t, k, max_part):
+def _integer_windows(t, k):
     """Sub-partitions keeping k consecutive integer values' frequencies."""
     if not t:
         return
@@ -473,7 +473,7 @@ def _integer_windows(t, k, max_part):
         yield tuple(x for x in t if m <= x <= hi)
 
 
-def _present_windows(t, k, max_part):
+def _present_windows(t, k):
     """Sub-partitions keeping k consecutive present part values."""
     if not t:
         return
@@ -496,13 +496,12 @@ def _order_refute(spec, k, bound, windows):
     if k < 1:
         raise DomainError("window width must be positive")
     member = spec._member
-    max_part = bound.max_part
 
     def windows_ok(t):
-        return all(member(w) for w in windows(t, k, max_part))
+        return all(member(w) for w in windows(t, k))
 
     if not spec.prefix_closed:
-        t = next(_by_size(max_part, bound.max_length, lambda t: not member(t) and windows_ok(t)), None)
+        t = next(_by_size(bound.max_part, bound.max_length, lambda t: not member(t) and windows_ok(t)), None)
         return None if t is None else Partition(t)
 
     def accept(t, i, v):
@@ -516,7 +515,7 @@ def _order_refute(spec, k, bound, windows):
     best, cap, cut = None, 0, True
     while best is None and cut:
         cap, cut = 2 * cap + 1, False
-        for t in _walk(accept, max_part, bound.max_length):
+        for t in _walk(accept, bound.max_part, bound.max_length):
             if not member(t) and (best is None or _size_revlex(t) < _size_revlex(best)):
                 best, cap = t, sum(t)
     return None if best is None else Partition(best)
@@ -590,31 +589,36 @@ def check_modulus(spec: IdealSpec, m: int, bound: AnalysisBound) -> ModulusRepor
     Two directions, both exhaustive within the bound: every member shifted by
     m must stay a member, and every member whose parts all exceed m must come
     from a member by shifting.  The first failing member in ``members_within``
-    order is reported.  t + (v,) shifts as its parent t, already passed, with
-    v + m or v - m appended, so one call of the kind's test decides each
-    shift.  A kind with a summary runs on classes, each carrying its
-    representative's shifts; when a shift fails, or the kind has no summary,
-    the members are walked, and S tests each shift whole.
+    order is reported.  On a prefix-closed kind t + (v,) shifts as its parent
+    t, already passed, plus v + m or v - m: one call of the kind's test decides
+    each shift.  That step runs on classes carrying their representative's
+    shifts, or down the walk when a class fails or there is no summary.  S
+    tests each member's shifts whole.
     """
     _positive(m, "modulus")
-    ok, summary = spec._child_ok, spec._summary
+    ok, summary = spec._child_ok or (lambda s, i, v: spec._member(s + (v,))), spec._summary  # S: shifts whole
 
-    def step(t, n, v, shifts):
+    def step(t, n, v, shifts):  # t shifted up by m, and down by m while its parts exceed m
         up, down = shifts
         if not ok(up, n, v + m) or v > m and not ok(down, n, v - m):
             return None
-        up, down = up + (v + m,), down + (v - m,) if v > m else None
-        return (summary(up), down and summary(down)), (up, down)
+        return up + (v + m,), down + (v - m,) if v > m else None
 
-    if summary is not None and _class_layers(spec, bound, step, ((), ())) is not None:
+    def escapes(t, d):  # whether t shifted by d is no member, given that its parent's shift is one
+        return not ok(tuple(x + d for x in t[:-1]), len(t) - 1, t[-1] + d)
+
+    if not spec.prefix_closed:
+        witness = next((t for t in _member_tuples(spec, bound.max_part, bound.max_length)
+                        if t and (escapes(t, m) or t[-1] > m and escapes(t, -m))), None)
+    elif summary is not None and _class_layers(spec, bound, step, ((), ()),
+                                              lambda s: (summary(s[0]), s[1] and summary(s[1]))) is not None:
+        witness = None
+    else:
+        witness = _carry(ok, step, ((), ()), bound.max_part, bound.max_length)[1]
+    if witness is None:
         return ModulusReport(spec, m, bound, True)
-    ok = ok if spec.prefix_closed else lambda s, i, v: spec._member(s + (v,))
-    for t in _member_tuples(spec, bound.max_part, bound.max_length):
-        for d, direction in ((m, "shift-escapes"), (-m, "unshift-escapes")):
-            # a walked member's parent came before it, so the parent's shift passed
-            if t and t[-1] + d > 0 and not ok(tuple(x + d for x in t[:-1]), len(t) - 1, t[-1] + d):
-                return ModulusReport(spec, m, bound, False, Partition._of(t), direction)
-    return ModulusReport(spec, m, bound, True)
+    return ModulusReport(spec, m, bound, False, Partition._of(witness),
+                         "shift-escapes" if escapes(witness, m) else "unshift-escapes")
 
 
 # ---- L-sets and the layer decomposition -----------------------------------
@@ -705,27 +709,11 @@ class LinkReport(_Record):
         return d
 
 
-def _remainders(spec, m, bound, tails):
-    """Per tail, the partitions into parts > m completing it to a member, by (size, revlex).
-
-    ``bigs + tail`` is a member only if its prefix ``bigs`` is, so for a
-    prefix-closed kind one walk over the members with parts > m serves every
-    tail, tested on top of each; S scans the box once per tail.
-    """
-    if not spec.prefix_closed:
-        return {pi: list(_by_size(bound.max_part, bound.max_length - len(pi),
-                                  lambda b: all(x > m for x in b) and spec._member(b + pi))) for pi in tails}
-    ok, cap = spec._child_ok, bound.max_length
-    pool = sorted(_walk(ok, bound.max_part, cap, m + 1), key=_size_revlex)
-    return {pi: [bigs for bigs in pool if len(bigs) + len(pi) <= cap and _fold_from(ok, bigs + pi, len(bigs))]
-            for pi in tails}
-
-
 class _Moves(dict):
     """Member t -> t with every part moved by d (staying positive), or None when not a member.
 
-    Filled on first use: no member lies above a non-member, and a member's
-    move is its parent's plus one part, so each prefix costs one ``ok`` call.
+    Filled on first use: no member lies above a non-member, and a member's move is its parent's
+    plus one part, so each prefix costs one ``ok`` call.
     """
 
     def __init__(self, ok, d):
@@ -745,61 +733,92 @@ class _Moves(dict):
         return s
 
 
-def _span_entry(pi, l, m, bigs_by_tail, builds):
+def _fits(spec, pool, tails, cap):
+    """Per tail pi, the pool's remainders b, in order, that b + pi completes to a member (b passed the walk)."""
+    ok, member = spec._child_ok, spec._member
+    return {pi: [b for b in pool if len(b) + len(pi) <= cap and (
+        member(b + pi) if ok is None else _fold_from(ok, b + pi, len(b)))] for pi in tails}
+
+
+def _class_pool(spec, m, bound, span_cap, tails):
+    """(``_fits``, tail, builds) over classes of the remainders, the members with parts > m.
+
+    Per span l a class carries its representative b moved up by l*m (None when
+    no member) and b's tail: its parts <= (l+1)*m, each less l*m.
+    """
+    ok, summary = spec._child_ok, spec._summary
+
+    def step(t, n, v, carried):
+        out = []
+        for d, (s, tail) in zip(range(m, span_cap * m + 1, m), carried):
+            if s is not None:
+                s = s + (v + d,) if ok(s, n, v + d) else None
+            out.append((s, tail + (v - d,) if v <= m + d else tail))
+        return out
+
+    spans = {t: c for _, t, c in _class_layers(spec, bound, step, [((), ())] * span_cap,
+                                               lambda c: tuple((s and (summary(s),), d) for s, d in c), m + 1)}
+
+    def builds(b, tau, pi, l):
+        s = spans[b][l - 1][0]
+        return s is not None and _fold_from(ok, s + tuple(x + l * m for x in tau) + pi, len(s))
+
+    return _fits(spec, spans, tails, bound.max_length), lambda b, l: spans[b][l - 1][1], builds
+
+
+def _single_pool(spec, m, bound, tails):
+    """(``_fits``, tail, builds) over every remainder alone, by (size, revlex), moved up from its parent (``_Moves``).
+
+    S walks its prefix rule, which every prefix of a member passes, and builds by membership.
+    """
+    ok, member = spec._child_ok, spec._member
+    pool = sorted(_walk(ok or _seqcong_prefix_ok, bound.max_part, bound.max_length, m + 1), key=_size_revlex)
+    moves = {}  # l -> _Moves, never empty so never falsy
+
+    def builds(b, tau, pi, l):
+        if ok is None:
+            return member(tuple(x + l * m for x in b + tau) + pi)
+        s = (moves.get(l) or moves.setdefault(l, _Moves(ok, l * m)))[b + tau]
+        return s is not None and _fold_from(ok, s + pi, len(s))
+
+    return (_fits(spec, pool, tails, bound.max_length),
+            lambda b, l: tuple(x - l * m for x in b if x <= (l + 1) * m), builds)
+
+
+def _span_entry(pi, l, m, fits, tail, builds):
     """``pi``'s entry for span l: the forced linking set, or the first construction that breaks it."""
-    shift, forced = l * m, set()
-    for bigs in bigs_by_tail[pi.parts]:
-        # bigs - shift is a member: the modulus holds, and it is reached by l shifts down by m in the box
-        key = tuple(x - shift for x in bigs if x <= m + shift)
-        if key not in bigs_by_tail:
-            return LinkEntry(pi, witness=Partition(bigs + pi.parts), reason=(
+    forced = set()
+    for b in fits[pi.parts]:
+        # b - l*m is a member: the modulus holds, and it is reached by l shifts down by m in the box
+        key = tail(b, l)
+        if key not in fits:
+            return LinkEntry(pi, witness=Partition(b + pi.parts), reason=(
                 "member remainder's tail is outside the small-member set"))
         forced.add(key)
     forced = sorted(forced, key=_size_revlex)
     for tau in forced:
-        for bigs in bigs_by_tail[tau]:
-            # bigs + tau is a member and pi's parts are <= m, so the built partition stays sorted
-            if not builds(bigs + tau, pi.parts, shift):
-                return LinkEntry(pi, witness=Partition(tuple(x + shift for x in bigs + tau) + pi.parts), reason=(
+        for b in fits[tau]:
+            # b + tau is a member and pi's parts are <= m, so the built partition stays sorted
+            if not builds(b, tau, pi.parts, l):
+                return LinkEntry(pi, witness=Partition(tuple(x + l * m for x in b + tau) + pi.parts), reason=(
                     f"tail {Partition(tau)} with span {l} builds a non-member"))
     return LinkEntry(pi, span=l, linking_set=tuple(map(Partition, forced)))
 
 
-def _class_links(spec, m, bound, span_cap, small):
-    """Each small member's (span, sorted linking set) when every one finds a span, else None.
+def _span_search(m, span_cap, small, fits, tail, builds):
+    """Yield each small member's entry for the largest span up to the cap that passes ``_span_entry``.
 
-    Runs on classes of remainders, the members with parts > m.  Per span l a
-    class carries its representative b shifted up by l*m (None when no
-    member) and b's tail: its parts <= (l+1)*m, each less l*m.  Whether b + pi
-    is a member, or b + l*m extends by tau + l*m and pi, depends on the class.
+    ``fits`` lists per tail a pool's remainders, each standing for all that ``tail(b, l)`` (b's tail for span l)
+    and ``builds(b, tau, pi, l)`` (is b + tau moved up by l*m, then pi, a member) answer alike for.
     """
-    ok, summary, cap = spec._child_ok, spec._summary, bound.max_length
-    shifts = range(m, span_cap * m + 1, m)
-
-    def step(t, n, v, carried):
-        out = []
-        for d, (s, tail) in zip(shifts, carried):
-            if s is not None:
-                s = s + (v + d,) if ok(s, n, v + d) else None
-            out.append((s, tail + (v - d,) if v <= m + d else tail))
-        return tuple((s and (summary(s),), tail) for s, tail in out), out
-
-    pool = _class_layers(spec, bound, step, [((), ())] * span_cap, m + 1)
-    fits = {pi: [(t, c) for _, t, c in pool if len(t) + len(pi) <= cap and _fold_from(ok, t + pi, len(t))]
-            for pi in small}
-    found = []
     for pi in small:
-        lasts = [t[-1] for t, _ in fits[pi] if t]
+        lasts = [b[-1] for b in fits[pi.parts] if b]
+        entry = LinkEntry(pi, witness=None, reason="no feasible span")
         for l in range(min(span_cap, (min(lasts) - 1) // m) if lasts else span_cap, 0, -1):
-            d, forced = l * m, {c[l - 1][1] for _, c in fits[pi]}
-            if forced <= fits.keys() and all(
-                    s is not None and _fold_from(ok, s + tuple(x + d for x in tau) + pi, len(s))
-                    for tau in forced for _, c in fits[tau] for s in [c[l - 1][0]]):
-                found.append((l, sorted(forced, key=_size_revlex)))
+            entry = _span_entry(pi, l, m, fits, tail, builds)
+            if entry.found:
                 break
-        else:
-            return None
-    return found
+        yield entry
 
 
 def infer_linking(spec: IdealSpec, m: int, bound: AnalysisBound, span_cap: int = 4) -> LinkReport:
@@ -813,10 +832,9 @@ def infer_linking(spec: IdealSpec, m: int, bound: AnalysisBound, span_cap: int =
     chooses l: the largest feasible span up to ``span_cap`` that survives the
     exhaustive check wins, matching the spans quoted for the classical
     examples.  Any element with no workable span refutes linkedness; the
-    violating construction is reported.  A kind with a summary decides on
-    classes of remainders (``_class_links``); when some element finds no span
-    there, or the kind has no summary, the remainders are walked to name the
-    witness, each shifted remainder decided from its parent's (``_Moves``).
+    violating construction is reported.  One span search runs over classes of remainders for a kind with a
+    summary, and over every remainder alone, naming the witness, when some element finds no span there or
+    there is no summary.
     """
     _positive(m, "modulus")
     _positive(span_cap, "span cap")
@@ -831,35 +849,15 @@ def infer_linking(spec: IdealSpec, m: int, bound: AnalysisBound, span_cap: int =
         return LinkReport(spec, m, bound, "L-infinite-within-bound", L_set=lset.members,
                           reason="small-part members still appear at the length cap")
 
-    small = [p.parts for p in lset.members]
-    # classes carry every span up to the cap, so a cap past the box's parts is left to the walk
-    found = spec._summary is not None and span_cap <= bound.max_part and _class_links(spec, m, bound, span_cap, small)
-    if found:
-        return LinkReport(spec, m, bound, "linked-within-bound", L_set=lset.members, entries=tuple(
-            LinkEntry(pi, span=l, linking_set=tuple(map(Partition, forced)))
-            for pi, (l, forced) in zip(lset.members, found)))
-
-    bigs_by_tail = _remainders(spec, m, bound, small)
-    ok, member, moves = spec._child_ok, spec._member, {}  # shift -> _Moves, never empty so never falsy
-
-    def builds(t, pi, shift):
-        if ok is None:
-            return member(tuple(x + shift for x in t) + pi)
-        s = (moves.get(shift) or moves.setdefault(shift, _Moves(ok, shift)))[t]
-        return s is not None and _fold_from(ok, s + pi, len(s))
-
-    entries: list[LinkEntry] = []
-    for pi in lset.members:
-        lasts = [b[-1] for b in bigs_by_tail[pi.parts] if b]
-        entry = LinkEntry(pi, witness=None, reason="no feasible span")
-        for l in range(min(span_cap, (min(lasts) - 1) // m) if lasts else span_cap, 0, -1):
-            entry = _span_entry(pi, l, m, bigs_by_tail, builds)
-            if entry.found:
-                break
-        entries.append(entry)
-
+    small, tails, entries = lset.members, [p.parts for p in lset.members], []
+    # classes carry every span up to the cap, so a cap past the box's parts is left to single remainders
+    if spec._summary is not None and span_cap <= bound.max_part:
+        entries = list(takewhile(lambda e: e.found, _span_search(
+            m, span_cap, small, *_class_pool(spec, m, bound, span_cap, tails))))
+    if len(entries) < len(small):  # no class run, or some element found no span there
+        entries = list(_span_search(m, span_cap, small, *_single_pool(spec, m, bound, tails)))
     bad = next((e for e in entries if not e.found), None)  # the first element with no span
-    return LinkReport(spec, m, bound, "linked-within-bound" if bad is None else "refuted", L_set=lset.members,
+    return LinkReport(spec, m, bound, "linked-within-bound" if bad is None else "refuted", L_set=small,
                       entries=tuple(entries), witness=bad and bad.witness, reason=bad and bad.reason)
 
 

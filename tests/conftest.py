@@ -275,7 +275,7 @@ def scan_order_refute(spec, k, bound, windows):
         for t in iter_partition_tuples(n, bound.max_part, bound.max_length):
             if member(t):
                 continue
-            if all(member(w) for w in windows(t, k, bound.max_part)):
+            if all(member(w) for w in windows(t, k)):
                 return Partition(t)
     return None
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from seqcong import CNotation, CountSeries, IdealSpec, Partition, counting, from_c_notation, is_seq_congruent
 from seqcong import cli as cli_module
 from seqcong.cli import run
+from seqcong.partition import MAX_OUTPUT_PARTS
 
 from conftest import recursive_partition_tuples
 
@@ -421,6 +422,21 @@ class TestOutputSizeGuard:
         assert cli(*argv) == (1, "")
         assert capsys.readouterr().err == (
             "error: the answer would have 1000000000000 parts, above the limit of 10000000\n")
+
+    @pytest.mark.parametrize("pred", ["seqcong", "S"])
+    def test_enumerate_refused_before_listing(self, monkeypatch, capsys, pred):
+        # the partition 1^n of the size alone is too long, so no partition into squares is listed
+        sizes = []
+        listing = counting.enumerate_with_parts_from
+        monkeypatch.setattr(counting, "enumerate_with_parts_from",
+                            lambda allowed, n: sizes.append(n) or listing(allowed, n))
+        assert cli("enumerate", "--pred", pred, "--size", "1000000000000") == (1, "")
+        assert capsys.readouterr().err == (
+            "error: the answer would have 1000000000000 parts, above the limit of 10000000\n")
+        assert cli("enumerate", "--pred", pred, "--size", str(MAX_OUTPUT_PARTS + 1))[0] == 1
+        assert sizes == []
+        assert cli_ok("enumerate", "--pred", pred, "--size", "12")
+        assert sizes == [12]
 
 
 class CountingWriter(io.StringIO):

@@ -40,13 +40,12 @@ from seqcong import (
 from seqcong import ideals
 from seqcong.ideals import (
     _by_size,
-    _class_closure,
     _fold,
     _integer_windows,
     _member_tuples,
     _present_windows,
-    _remainders,
     _seqcong_member,
+    _single_pool,
     _walk,
 )
 
@@ -417,17 +416,30 @@ def exclude_transition(spec, excluded):
     return spec
 
 
+def class_runs(monkeypatch):
+    """What each later ``_class_layers`` call returns, in order: its classes, or None when a step refused."""
+    runs = []
+    layers = ideals._class_layers
+    monkeypatch.setattr(ideals, "_class_layers", lambda *args: runs.append(layers(*args)) or runs[-1])
+    return runs
+
+
+def class_members(classes):
+    return sum(c[0] for c in classes)
+
+
 class TestClassClosure:
     @pytest.mark.parametrize(
         "bound", [AnalysisBound(8, 5), B12, AnalysisBound(20, 4), AnalysisBound(16, 7)], ids=_box_id)
     @pytest.mark.parametrize("spec", SUMMARY_SPECS, ids=str)
-    def test_reports_equal_scan(self, spec, bound):
+    def test_reports_equal_scan(self, monkeypatch, spec, bound):
+        runs = class_runs(monkeypatch)
         report = check_ideal_closure(spec, bound)
         assert report == scan_closure(spec, bound)
-        assert _class_closure(spec, bound) == report.members_checked
+        assert [class_members(classes) for classes in runs] == [report.members_checked]
 
     @pytest.mark.parametrize("kind", ["D", "Rprime"])
-    def test_large_box(self, kind):
+    def test_large_box(self, monkeypatch, kind):
         # scan_closure reads this same report at 24x8 (about 11 s per kind,
         # so it is pinned here); the count is sum(comb(24, k) for k <= 8)
         # for D, and the same for Rprime, counted here over last parts
@@ -439,17 +451,19 @@ class TestClassClosure:
             members += sum(counts)
         assert members == sum(comb(24, k) for k in range(9)) == 1271626
         spec = IdealSpec(kind)
+        runs = class_runs(monkeypatch)
         assert check_ideal_closure(spec, bound) == ClosureReport(spec, bound, True, members)
-        assert _class_closure(spec, bound) == members
+        assert [class_members(classes) for classes in runs] == [members]
 
-    def test_refused_for_a_spec_that_is_not_closed(self):
+    def test_refused_for_a_spec_that_is_not_closed(self, monkeypatch):
         # runs of consecutive parts: removing an inner part breaks the run
         spec = IdealSpec("D")
         spec._child_ok = lambda t, i, v: not i or v == t[i - 1] - 1
         spec._member = _fold(spec._child_ok)
         spec._summary = lambda t: None
-        assert _class_closure(spec, B12) is None
+        runs = class_runs(monkeypatch)
         report = check_ideal_closure(spec, B12)
+        assert runs == [None]
         assert report == scan_closure(spec, B12)
         assert not report.closed
         assert report.witness == Partition([12, 11, 10])
@@ -461,7 +475,8 @@ def class_tests(spec, bound):
 
     Members below the cap are grouped by length, key (summary, last part) and
     their removals' keys; each class tests its children, and each child it
-    accepts tests one removal per removal key.
+    accepts tests one removal per removal key, but for the key of t's own
+    parent when the child's part repeats t's last (t's parent plus it is t).
     """
     def key(t):
         return (spec._summary(t), t[-1]) if t else None
@@ -473,7 +488,8 @@ def class_tests(spec, bound):
     tests = 0
     for (n, _, removal_keys), t in classes.items():
         top = t[-1] if t else bound.max_part
-        tests += top + len(removal_keys) * sum(spec._child_ok(t, n, v) for v in range(1, top + 1))
+        tests += top + sum(len(removal_keys) - (bool(t) and v == t[-1])
+                           for v in range(1, top + 1) if spec._child_ok(t, n, v))
     return tests
 
 
@@ -505,7 +521,7 @@ class TestClosureWork:
         assert report.members_checked == 19
         assert calls[0] > report.members_checked
 
-    @pytest.mark.parametrize("kind,tests,members", [("D", 2125, 2510), ("P_parity", 1672, 1847)])
+    @pytest.mark.parametrize("kind,tests,members", [("D", 2125, 2510), ("P_parity", 1492, 1847)])
     def test_class_child_ok_calls_pinned(self, kind, tests, members):
         spec = IdealSpec(kind)
         calls = count_calls(spec, "_child_ok")
@@ -813,20 +829,42 @@ class TestLinking:
                 assert link.verdict in ("refuted", "L-infinite-within-bound"), spec
 
 
+def scanned_pool(spec, m, bound, tails):
+    """``_single_pool`` with the remainders per tail listed by the box scan."""
+    _, tail, builds = _single_pool(spec, m, bound, tails)
+    return scan_remainders(spec, m, bound, tails), tail, builds
+
+
 class TestLinkingMatchesScan:
     @pytest.mark.parametrize("m", [1, 2, 3])
-    @pytest.mark.parametrize("spec", PREFIX_CLOSED, ids=str)
+    @pytest.mark.parametrize("spec", PREFIX_CLOSED + [IdealSpec("S")], ids=str)
     def test_remainders(self, spec, m):
+        # the single pool's remainders per tail; S walks its prefix rule
         tails = [p.parts for p in compute_L(spec, m, B12).members]
-        assert _remainders(spec, m, B12, tails) == scan_remainders(spec, m, B12, tails)
+        assert _single_pool(spec, m, B12, tails)[0] == scan_remainders(spec, m, B12, tails)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("spec", PREFIX_CLOSED + [IdealSpec("S")], ids=str)
     def test_reports_equal(self, monkeypatch, spec, m):
         bound = AnalysisBound(8, 4) if spec.kind == "S" else B12
         report = infer_linking(spec, m, bound)
-        monkeypatch.setattr(ideals, "_remainders", scan_remainders)
+        monkeypatch.setattr(ideals, "_single_pool", scanned_pool)
         assert report == infer_linking(spec, m, bound)
+
+    @pytest.mark.parametrize("max_part", [1, 2])
+    def test_s_where_its_modulus_holds(self, max_part):
+        # S fails the modulus on the other boxes, before its remainders are listed
+        s, listed = IdealSpec("S"), 0
+        for max_length in range(2, 6):
+            bound = AnalysisBound(max_part, max_length)
+            for m in (1, 2, 3):
+                if not check_modulus(s, m, bound).holds:
+                    continue
+                for span_cap in (1, 4):
+                    report = infer_linking(s, m, bound, span_cap)
+                    assert report == scan_linking(s, m, bound, span_cap), (bound, m, span_cap)
+                    listed += bool(report.entries)
+        assert listed
 
 
 LINK_BOXES = [AnalysisBound(8, 5), AnalysisBound(10, 5), B12, AnalysisBound(9, 7)]
@@ -878,24 +916,36 @@ class TestModulusAndLinkingMatchScan:
         assert report.witness == Partition([5, 4])
 
 
+def span_runs(monkeypatch):
+    """Every entry of each later ``_span_search`` run, in order: a class run comes first."""
+    runs = []
+    search = ideals._span_search
+    monkeypatch.setattr(ideals, "_span_search", lambda *args: runs.append(list(search(*args))) or iter(runs[-1]))
+    return runs
+
+
 class TestClassModulusAndLinking:
     """The class path, for kinds with a summary, against the walk of the same spec with its summary cleared."""
 
     @pytest.mark.parametrize("spec", SUMMARY_SPECS, ids=str)
-    def test_reports_equal_walk(self, spec):
-        walk = walk_spec(spec.kind, spec.param)
+    def test_reports_equal_walk(self, monkeypatch, spec):
+        walk, runs = walk_spec(spec.kind, spec.param), span_runs(monkeypatch)
         for bound in LINK_BOXES:
             for m in (1, 2, 3, 6):
                 modulus = check_modulus(spec, m, bound)
                 assert modulus == check_modulus(walk, m, bound), (bound, m)
                 for span_cap in (1, 4):
+                    runs.clear()
                     report = infer_linking(spec, m, bound, span_cap)
+                    searched = list(runs)
                     assert report == infer_linking(walk, m, bound, span_cap), (bound, m, span_cap)
-                    if report.verdict == "refuted" and modulus.holds:  # the class path found no span: the walk ran
-                        small = [p.parts for p in report.L_set]
-                        assert ideals._class_links(spec, m, bound, span_cap, small) is None
+                    if report.verdict == "refuted" and modulus.holds:
+                        # the class run leaves an element without a span, and single remainders run
+                        assert len(searched) == 2 and not all(e.found for e in searched[0])
+                    elif report.verdict == "linked-within-bound":
+                        assert len(searched) == 1
 
-    def test_remainder_tail_outside_the_small_members(self):
+    def test_remainder_tail_outside_the_small_members(self, monkeypatch):
         # the hand-built spec of TestModulusAndLinkingMatchScan, whose test
         # reads only the length and last part, so it may declare the blank
         # summary: the tail (2,) is outside L, no span passes on classes, and
@@ -904,9 +954,10 @@ class TestClassModulusAndLinking:
         spec._child_ok = lambda t, i, v: v < t[i - 1] if i else v % 2 == 1
         spec._member = _fold(spec._child_ok)
         spec._summary = lambda t: None
-        bound = AnalysisBound(8, 4)
-        assert ideals._class_links(spec, 2, bound, 4, [(), (1,)]) is None
+        bound, runs = AnalysisBound(8, 4), span_runs(monkeypatch)
         report = infer_linking(spec, 2, bound)
+        assert [[e.element.parts for e in entries] for entries in runs] == [[(), (1,)]] * 2
+        assert not all(e.found for e in runs[0])
         assert report == scan_linking(spec, 2, bound)
         assert report.reason == "member remainder's tail is outside the small-member set"
 
@@ -1088,7 +1139,7 @@ class TestModulusAndLinkingWork:
 
 
 class TestBoxScans:
-    """Prefix-closed kinds are walked; only the non-ideal S's order search and remainders scan the box."""
+    """Prefix-closed kinds are walked; only the non-ideal S's order search and closure scan the box."""
 
     @staticmethod
     def _scans(monkeypatch, run):
@@ -1111,7 +1162,9 @@ class TestBoxScans:
     def test_non_ideal_still_scans(self, monkeypatch):
         s, bound = IdealSpec("S"), AnalysisBound(15, 7)
         assert self._scans(monkeypatch, lambda: order_estimate(s, AnalysisBound(12, 8))) > 0
-        assert self._scans(monkeypatch, lambda: _remainders(s, 2, AnalysisBound(8, 4), [(), (1,)])) > 0
+        assert self._scans(monkeypatch, lambda: check_ideal_closure(s, AnalysisBound(8, 4))) > 0
+        # S's remainders are walked by its prefix rule, not scanned
+        assert self._scans(monkeypatch, lambda: _single_pool(s, 2, AnalysisBound(8, 4), [(), (1,)])) == 0
         # the walked modulus check refutes S before its remainders are listed
         assert self._scans(monkeypatch, lambda: infer_linking(s, 2, bound)) == 0
 
