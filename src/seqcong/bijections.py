@@ -43,6 +43,17 @@ def is_seq_congruent(p: Partition) -> bool:
     return _congruence_failure_index(p.parts) is None
 
 
+def _canonical(coeffs: Iterable[int]) -> tuple[int, ...]:
+    """The vector as a tuple of nonnegative ints (no bools, as in Partition) ending nonzero."""
+    t = tuple(coeffs)
+    for c in t:
+        if type(c) is not int and (type(c) is bool or not isinstance(c, int)) or c < 0:
+            raise ValueError(f"coefficients must be nonnegative integers, got {t}")
+    if t and t[-1] == 0:
+        raise CanonicalFormError(f"trailing coefficient must be nonzero, got {list(t)}")
+    return t
+
+
 class CNotation:
     """Square-count coefficients [c_1, ..., c_r] of a sequentially congruent partition.
 
@@ -54,13 +65,7 @@ class CNotation:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        t = tuple(coeffs)
-        # plain ints pass on the type test alone; bools are rejected as Partition rejects them
-        if any(type(c) is not int and (type(c) is bool or not isinstance(c, int)) or c < 0 for c in t):
-            raise ValueError(f"coefficients must be nonnegative integers, got {t}")
-        if t and t[-1] == 0:
-            raise CanonicalFormError(f"trailing coefficient must be nonzero, got {list(t)}")
-        self.coeffs = t
+        self.coeffs = _canonical(coeffs)
 
     @classmethod
     def _of(cls, t: tuple[int, ...]) -> "CNotation":

@@ -7,9 +7,11 @@ vector [n_1, ..., n_r] counting the rectangles of each shape is the partition's
 n-notation.  With A = (1, 2, 3, ...) and B = N everything here collapses to the
 square case of :mod:`seqcong.bijections`.
 
-Infinite width/height families are carried as a rule tag (naturals, k-th
-powers, arithmetic multiples) and realized lazily up to a configurable horizon;
-asking for a term past the horizon fails loudly rather than guessing.
+Each infinite width/height family has one closed form, term i = scale * i**exp
+(naturals, k-th powers, arithmetic multiples), evaluated on demand and checked
+against a horizon: asking for a term past it fails loudly rather than
+guessing.  An n-notation vector realizes its (a_i, b_i) pairs once, when it is
+built, and the maps read them from there.
 """
 
 from __future__ import annotations
@@ -17,18 +19,19 @@ from __future__ import annotations
 import os
 from typing import Iterable
 
-from .errors import CanonicalFormError, DomainError, HorizonError, SpecError
-from .partition import EMPTY, Partition, _check_largest, _check_output_length, _runs, from_frequencies
+from .bijections import _canonical
+from .errors import DomainError, HorizonError, SpecError
+from .partition import Partition, _check_largest, _check_output_length, _runs
 
 DEFAULT_HORIZON = 64
 HORIZON_ENV_VAR = "SEQCONG_HORIZON"
 
 
-def horizon_from_env(default: int = DEFAULT_HORIZON) -> int:
+def horizon_from_env() -> int:
     """Realization horizon taken from $SEQCONG_HORIZON when set."""
     raw = os.environ.get(HORIZON_ENV_VAR)
     if raw is None:
-        return default
+        return DEFAULT_HORIZON
     try:
         value = int(raw)
     except ValueError:
@@ -39,11 +42,9 @@ def horizon_from_env(default: int = DEFAULT_HORIZON) -> int:
 
 
 def _nth_root(value: int, k: int) -> int | None:
-    """Exact integer k-th root of a positive integer, or None."""
-    if value < 1:
-        return None
-    if k == 1:
-        return value
+    """Exact integer k-th root of a positive integer, or None (for k = 0, only 1 is a power)."""
+    if k == 0:
+        return 1 if value == 1 else None
     root = max(1, round(value ** (1.0 / k)))
     while root**k > value:
         root -= 1
@@ -56,15 +57,31 @@ class SequenceRule:
     """One side (A or B) of a GenSpec: an infinite family tag or an explicit list.
 
     Grammar accepted by :meth:`parse`: ``nat`` | ``pow:k`` | ``arith:a`` | a
-    comma list like ``2,5,9``.
+    comma list like ``2,5,9``.  A family's term i is ``scale * i**exp``: nat is
+    (1, 1), ``pow:k`` is (1, k) and ``arith:a`` is (a, 1); an explicit list
+    has no formula and keeps its terms.
     """
 
-    __slots__ = ("tag", "param", "terms")
+    __slots__ = ("tag", "param", "terms", "scale", "exp")
 
-    def __init__(self, tag: str, param: int | None = None, terms: tuple[int, ...] = ()):
-        self.tag = tag
-        self.param = param
-        self.terms = terms
+    def __init__(self, tag: str, param: int | None = None, terms: Iterable[int] = ()):
+        terms = tuple(terms)
+        if tag not in ("nat", "pow", "arith", "explicit"):
+            raise SpecError(f"unknown sequence tag {tag!r}")
+        if terms and tag != "explicit":
+            raise SpecError(f"sequence tag {tag!r} takes no terms")
+        # plain ints only: a bool or a float here would become a part that no check sees
+        if type(param) is not int and (param is not None or tag in ("pow", "arith")):
+            raise SpecError(f"sequence parameter must be an integer, got {param!r}")
+        if tag == "explicit" and (not terms or any(type(x) is not int or x < 1 for x in terms)):
+            raise SpecError(f"explicit sequence needs positive integers, got {terms}")
+        if tag == "pow" and param < 0:
+            raise SpecError("power exponent must be nonnegative")
+        if tag == "arith" and param < 1:
+            raise SpecError("arithmetic step must be positive")
+        self.tag, self.param, self.terms = tag, param, terms
+        self.scale = param if tag == "arith" else 1
+        self.exp = param if tag == "pow" else 1
 
     @classmethod
     def naturals(cls) -> "SequenceRule":
@@ -72,24 +89,16 @@ class SequenceRule:
 
     @classmethod
     def powers(cls, k: int) -> "SequenceRule":
-        if k < 0:
-            raise SpecError("power exponent must be nonnegative")
-        if k == 1:
-            return cls("nat")
-        return cls("pow", k)
+        rule = cls("pow", k)
+        return cls("nat") if k == 1 else rule
 
     @classmethod
     def arithmetic(cls, a: int) -> "SequenceRule":
-        if a < 1:
-            raise SpecError("arithmetic step must be positive")
         return cls("arith", a)
 
     @classmethod
     def explicit(cls, terms: Iterable[int]) -> "SequenceRule":
-        t = tuple(terms)
-        if not t or any(not isinstance(x, int) or x < 1 for x in t):
-            raise SpecError(f"explicit sequence needs positive integers, got {t}")
-        return cls("explicit", None, t)
+        return cls("explicit", None, terms)
 
     @classmethod
     def parse(cls, text: str) -> "SequenceRule":
@@ -113,19 +122,14 @@ class SequenceRule:
         """1-based term access, bounded by the horizon (or the explicit list)."""
         if i < 1:
             raise SpecError("sequence positions are 1-based")
-        if self.tag == "explicit":
+        if self.terms:
             if i > len(self.terms):
                 raise HorizonError(f"sequence {self} has only {len(self.terms)} terms, needed term {i}")
             return self.terms[i - 1]
         if i > horizon:
             raise HorizonError(f"term {i} of {self} is beyond the horizon {horizon}")
-        if self.tag == "nat":
-            return i
-        if self.tag == "pow":
-            return i**self.param
-        if self.tag == "arith":
-            return i * self.param
-        raise SpecError(f"unknown sequence tag {self.tag!r}")
+        # scale is 1 whenever exp is not, so this is scale * i**exp
+        return self.scale * i if self.exp == 1 else i**self.exp
 
     def index_of(self, value: int, horizon: int) -> int | None:
         """Position of ``value`` in the sequence, or None when absent.
@@ -135,45 +139,32 @@ class SequenceRule:
         """
         if value < 1:
             return None
-        if self.tag == "explicit":
+        if self.terms:
             try:
                 return self.terms.index(value) + 1
             except ValueError:
                 return None
-        if self.tag == "nat":
-            i = value
-        elif self.tag == "arith":
-            if value % self.param:
+        if self.exp == 1:
+            if value % self.scale:
                 return None
-            i = value // self.param
-        elif self.tag == "pow":
-            if self.param == 0:
-                i = 1 if value == 1 else None
-                if i is None:
-                    return None
-            else:
-                i = _nth_root(value, self.param)
-                if i is None:
-                    return None
+            i = value // self.scale
         else:
-            raise SpecError(f"unknown sequence tag {self.tag!r}")
+            i = _nth_root(value, self.exp)
+            if i is None:
+                return None
         if i > horizon:
             raise HorizonError(f"value {value} sits at position {i}, beyond the horizon {horizon}")
         return i
 
     def is_strictly_increasing(self) -> bool:
-        if self.tag == "explicit":
+        if self.terms:
             return all(x < y for x, y in zip(self.terms, self.terms[1:]))
-        if self.tag == "pow":
-            return self.param >= 1
-        return True  # nat, arith
+        return self.exp >= 1
 
     def has_distinct_terms(self) -> bool:
-        if self.tag == "explicit":
+        if self.terms:
             return len(set(self.terms)) == len(self.terms)
-        if self.tag == "pow":
-            return self.param >= 1
-        return True
+        return self.exp >= 1
 
     def __eq__(self, other) -> bool:
         if isinstance(other, SequenceRule):
@@ -202,11 +193,12 @@ class GenSpec:
     def __init__(self, a: SequenceRule, b: SequenceRule, horizon: int | None = None):
         if not b.is_strictly_increasing():
             raise SpecError(f"heights must be strictly increasing, got {b}")
-        self.a = a
-        self.b = b
-        self.horizon = DEFAULT_HORIZON if horizon is None else horizon
-        if self.horizon < 1:
+        horizon = DEFAULT_HORIZON if horizon is None else horizon
+        if type(horizon) is not int:
+            raise SpecError(f"horizon must be an integer, got {horizon!r}")
+        if horizon < 1:
             raise SpecError("horizon must be positive")
+        self.a, self.b, self.horizon = a, b, horizon
 
     @classmethod
     def standard(cls, horizon: int | None = None) -> "GenSpec":
@@ -228,11 +220,8 @@ class GenSpec:
     def b_term(self, i: int) -> int:
         return self.b.term(i, self.horizon)
 
-    def distinct_a(self) -> bool:
-        return self.a.has_distinct_terms()
-
     def require_distinct_a(self) -> None:
-        if not self.distinct_a():
+        if not self.a.has_distinct_terms():
             raise SpecError(f"widths {self.a} are not distinct; the map is not injective")
 
     def __eq__(self, other) -> bool:
@@ -248,35 +237,35 @@ class GenSpec:
 
 
 class NNotation:
-    """Rectangle counts [n_1, ..., n_r] over a GenSpec; trailing count nonzero."""
+    """Rectangle counts [n_1, ..., n_r] over a GenSpec; trailing count nonzero.
 
-    __slots__ = ("spec", "coeffs")
+    ``pairs`` holds the rectangle shapes (a_i, b_i) for i = 1..r, realized
+    once here so that every decode and map after it is total.
+    """
+
+    __slots__ = ("spec", "coeffs", "pairs")
 
     def __init__(self, spec: GenSpec, coeffs: Iterable[int] = ()):
-        t = tuple(coeffs)
-        if any(type(c) is not int and (type(c) is bool or not isinstance(c, int)) or c < 0 for c in t):
-            raise ValueError(f"coefficients must be nonnegative integers, got {t}")
-        if t and t[-1] == 0:
-            raise CanonicalFormError(f"trailing coefficient must be nonzero, got {list(t)}")
-        # Realizing the needed prefix up front makes later decodes total.
+        t = _canonical(coeffs)
+        a, b, horizon = spec.a, spec.b, spec.horizon
+        # a before b at each i; a loop, as a comprehension's closure costs more on CPython 3.11
+        pairs = []
         for i in range(1, len(t) + 1):
-            spec.a_term(i)
-            spec.b_term(i)
-        self.spec = spec
-        self.coeffs = t
+            pairs.append((a.term(i, horizon), b.term(i, horizon)))
+        self.spec, self.coeffs, self.pairs = spec, t, tuple(pairs)
 
     @property
     def length(self) -> int:
         """Length of the encoded partition: the last rectangle height."""
-        return self.spec.b_term(len(self.coeffs)) if self.coeffs else 0
+        return self.pairs[-1][1] if self.pairs else 0
 
     @property
     def size(self) -> int:
-        return sum(self.spec.a_term(i) * self.spec.b_term(i) * c for i, c in enumerate(self.coeffs, 1))
+        return sum(a * b * c for (a, b), c in zip(self.pairs, self.coeffs))
 
     @property
     def largest(self) -> int:
-        return sum(self.spec.a_term(i) * c for i, c in enumerate(self.coeffs, 1))
+        return sum(a * c for (a, _), c in zip(self.pairs, self.coeffs))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, NNotation):
@@ -306,13 +295,14 @@ def is_in_SBA(p: Partition, spec: GenSpec) -> bool:
     The conjugate is never built: its value h has multiplicity
     part(h) - part(h+1), the drop profile.  Heights are tried in descending
     order, the order of the conjugate's parts, so a height past the horizon
-    raises before a smaller height can answer False.
+    raises before a smaller height can answer False, and the scan stops at
+    the first height that fails.
     """
-    for value, mult in reversed(_drop_profile(p).items()):
-        i = spec.b.index_of(value, spec.horizon)
-        if i is None:
-            return False
-        if mult % spec.a_term(i):
+    t = p.parts + (0,)
+    a, b, horizon = spec.a, spec.b, spec.horizon
+    for h in range(len(t) - 1, 0, -1):
+        mult = t[h - 1] - t[h]
+        if mult and ((i := b.index_of(h, horizon)) is None or mult % a.term(i, horizon)):
             return False
     return True
 
@@ -321,17 +311,18 @@ def n_encode(p: Partition, spec: GenSpec) -> NNotation:
     """Coordinates of a member partition; DomainError when p is not a member."""
     if p.is_empty():
         return NNotation(spec, ())
-    drops = _drop_profile(p)
+    a, b, horizon = spec.a, spec.b, spec.horizon
     length = len(p)
-    r = spec.b.index_of(length, spec.horizon)
+    r = b.index_of(length, horizon)
     if r is None:
         raise DomainError(f"length {length} is not a rectangle height of {spec}")
     coeffs = [0] * r
-    for h, mult in drops.items():
-        i = spec.b.index_of(h, spec.horizon)
+    for h, mult in _drop_profile(p).items():
+        # the last drop is at the length, whose position r is known
+        i = r if h == length else b.index_of(h, horizon)
         if i is None:
             raise DomainError(f"parts drop at height {h}, which is not in {spec}")
-        a_i = spec.a_term(i)
+        a_i = a.term(i, horizon)
         if mult % a_i:
             raise DomainError(f"drop {mult} at height {h} is not a multiple of width {a_i}")
         coeffs[i - 1] = mult // a_i
@@ -343,20 +334,24 @@ def n_decode(n: NNotation) -> Partition:
 
     The length is the last height b_r, checked before the parts are built.
     """
-    spec, coeffs = n.spec, n.coeffs
-    if not coeffs:
-        return EMPTY
-    r = len(coeffs)
-    _check_output_length(spec.b_term(r))
+    pairs, coeffs = n.pairs, n.coeffs
+    _check_output_length(n.length)
     parts: list[int] = []
     value = 0
-    for i in range(r, 0, -1):
-        value += spec.a_term(i) * coeffs[i - 1]
-        run = spec.b_term(i) - (spec.b_term(i - 1) if i > 1 else 0)
-        parts += [value] * run
+    for i in range(len(coeffs) - 1, -1, -1):
+        a, b = pairs[i]
+        value += a * coeffs[i]
+        parts += [value] * (b - pairs[i - 1][1] if i else b)
     _check_largest(value)
     parts.reverse()
     return Partition._of(tuple(parts))
+
+
+def _frequency_partition(values: list[int], counts: tuple[int, ...]) -> Partition:
+    """<v_1^{c_1}, ..., v_r^{c_r}>, values in any order: the checks of ``FrequencyMap.to_partition``."""
+    entries = sorted([(v, c) for v, c in zip(values, counts) if c], reverse=True)
+    _check_largest(entries[0][0] if entries else 0)
+    return _runs([v for v, _ in entries], [c for _, c in entries])
 
 
 def sigma_AB(n: NNotation) -> Partition:
@@ -366,7 +361,7 @@ def sigma_AB(n: NNotation) -> Partition:
     width sequences are reordered by value when materializing.
     """
     n.spec.require_distinct_a()
-    return from_frequencies((n.spec.a_term(i), c) for i, c in enumerate(n.coeffs, 1))
+    return _frequency_partition([a for a, _ in n.pairs], n.coeffs)
 
 
 def pi_AB(p: Partition, spec: GenSpec) -> NNotation:
@@ -377,27 +372,18 @@ def pi_AB(p: Partition, spec: GenSpec) -> NNotation:
     drop height within A, so non-increasing A uses value-matched positions.
     """
     spec.require_distinct_a()
-    if p.is_empty():
-        return NNotation(spec, ())
-    drops = _drop_profile(p)
-    positions: dict[int, int] = {}
-    for h in drops:
+    counts: dict[int, int] = {}
+    for h, mult in _drop_profile(p).items():
         i = spec.a.index_of(h, spec.horizon)
         if i is None:
             raise DomainError(f"column height {h} is not a width in {spec}")
-        positions[h] = i
-    r = max(positions.values())
-    coeffs = [0] * r
-    for h, mult in drops.items():
-        coeffs[positions[h] - 1] = mult
-    return NNotation(spec, coeffs)
+        counts[i] = mult
+    return NNotation(spec, [counts.get(i, 0) for i in range(1, max(counts, default=0) + 1)])
 
 
 def pi_prime_AB(p: Partition, spec: GenSpec) -> Partition:
     """Stretch: coefficients are the part differences of any input partition."""
     t = p.parts
-    if not t:
-        return EMPTY
     return n_decode(NNotation(spec, [x - y for x, y in zip(t, t[1:] + (0,))]))
 
 
@@ -443,10 +429,8 @@ def is_in_Sjk(p: Partition, j: int, k: int) -> bool:
 
 
 def _power_exponent(rule: SequenceRule) -> int:
-    if rule.tag == "pow":
-        return rule.param
-    if rule.tag == "nat":
-        return 1
+    if rule.tag in ("pow", "nat"):
+        return rule.exp
     raise SpecError(f"operation needs a power-family sequence, got {rule}")
 
 
@@ -455,14 +439,14 @@ def sigma_k(n: NNotation) -> Partition:
 
     Output size equals the decoded input's largest part.
     """
-    k = _power_exponent(n.spec.a)
-    return from_frequencies((i**k, c) for i, c in enumerate(n.coeffs, 1))
+    _power_exponent(n.spec.a)
+    return _frequency_partition([a for a, _ in n.pairs], n.coeffs)
 
 
 def psi_k(n: NNotation) -> Partition:
     """<(1^{k+1})^{n_1}, ...>: flatten each rectangle into one row; size preserved."""
-    k = _power_exponent(n.spec.a)
-    return from_frequencies((i ** (k + 1), c) for i, c in enumerate(n.coeffs, 1))
+    _power_exponent(n.spec.a)
+    return _frequency_partition([a * i for i, (a, _) in enumerate(n.pairs, 1)], n.coeffs)
 
 
 def _retag(n: NNotation, a_exp: int, b_exp: int) -> NNotation:

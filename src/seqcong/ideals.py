@@ -54,7 +54,7 @@ from math import lcm
 from .bijections import _congruence_failure_index, is_seq_congruent
 from .counting import _cached_series, _check_size, count_all_partitions, iter_partition_tuples
 from .errors import DomainError
-from .partition import Partition
+from .partition import Partition, _check_largest, _check_output_length
 
 
 # ---- the kinds: one incremental test each ---------------------------------
@@ -655,11 +655,12 @@ def andrews_decompose(p: Partition, m: int) -> list[Partition]:
     if p.is_empty():
         return []
     layers = -(-p.largest // m)
+    _check_output_length(layers, "layers")
     buckets: list[list[int]] = [[] for _ in range(layers)]
     for x in p.parts:
         i = (x - 1) // m
         buckets[i].append(x - i * m)
-    return [Partition(b) for b in buckets]
+    return [Partition._of(tuple(b)) for b in buckets]
 
 
 def andrews_compose(pieces: list[Partition], m: int) -> Partition:
@@ -668,7 +669,8 @@ def andrews_compose(pieces: list[Partition], m: int) -> Partition:
     parts: list[int] = []
     for i, piece in enumerate(pieces):
         parts.extend(x + i * m for x in piece.parts)
-    return Partition(sorted(parts, reverse=True))
+    _check_largest(max(parts, default=0))
+    return Partition._of(tuple(sorted(parts, reverse=True)))
 
 
 # ---- linked-ideal inference -----------------------------------------------

@@ -133,7 +133,7 @@ def _check_output_length(n: int, unit: str = "parts") -> None:
 def _runs(values, mults) -> Partition:
     """values[i] repeated mults[i] times, once the length passes the check.
 
-    The caller guarantees plain int values in [1, MAX_PART], strictly
+    The caller guarantees plain int values in [1, MAX_PART], weakly
     decreasing, and nonnegative int multiplicities, both as sequences.
     """
     _check_output_length(sum(mults))

@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import shlex
 import sys
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,34 @@ class TestPaperExampleGoldens:
 
     def test_psi(self):
         assert cli_ok("map", "--fn", "psi", "--input", "[16,15,11,5,5]") == "[25,9,9,4,4,1]\n"
+
+
+def _readme_json_examples():
+    """(argv, answer) for each README CLI line whose comment is a JSON answer."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    examples = []
+    for line in readme.splitlines():
+        command, _, comment = line.partition(" # ")
+        if not command.startswith("seqcong "):
+            continue
+        try:
+            json.loads(comment)
+        except ValueError:
+            continue
+        examples.append((shlex.split(command)[1:], comment.strip()))
+    return examples
+
+
+README_EXAMPLES = _readme_json_examples()
+
+
+def test_readme_lists_four_json_examples():
+    assert len(README_EXAMPLES) == 4
+
+
+@pytest.mark.parametrize("argv,answer", README_EXAMPLES, ids=[" ".join(a[:2]) for a, _ in README_EXAMPLES])
+def test_readme_example_answers(argv, answer):
+    assert cli_ok(*argv) == answer + "\n"
 
 
 class TestConvert:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import re
 
 import pytest
@@ -390,3 +392,144 @@ class TestEtaTau:
                     1 for q in enumerate_partitions(n) if is_in_SBA(q, GenSpec.power_widths(k))
                 )
                 assert lg_count == size_count, (k, n)
+
+
+# Each family's first nine terms, written out by hand.
+FAMILY_TERMS = {
+    "nat": [1, 2, 3, 4, 5, 6, 7, 8, 9],
+    "pow:0": [1] * 9,
+    "pow:1": [1, 2, 3, 4, 5, 6, 7, 8, 9],
+    "pow:2": [1, 4, 9, 16, 25, 36, 49, 64, 81],
+    "pow:3": [1, 8, 27, 64, 125, 216, 343, 512, 729],
+    "arith:1": [1, 2, 3, 4, 5, 6, 7, 8, 9],
+    "arith:2": [2, 4, 6, 8, 10, 12, 14, 16, 18],
+    "arith:3": [3, 6, 9, 12, 15, 18, 21, 24, 27],
+}
+
+
+class TestFamiliesAgainstTheirTerms:
+    @pytest.mark.parametrize("text", sorted(FAMILY_TERMS))
+    @pytest.mark.parametrize("horizon", range(1, 10))
+    def test_terms_positions_and_horizon(self, text, horizon):
+        rule, listed = SequenceRule.parse(text), FAMILY_TERMS[text][:horizon]
+        for i, value in enumerate(listed, 1):
+            assert rule.term(i, horizon) == value
+            # pow:0 repeats 1, whose position is the first
+            assert rule.index_of(rule.term(i, horizon), horizon) == (1 if text == "pow:0" else i)
+        for value in range(1, listed[-1]):
+            if value not in listed:
+                assert rule.index_of(value, horizon) is None, value
+        with pytest.raises(HorizonError, match=re.escape(
+                f"term {horizon + 1} of {rule} is beyond the horizon {horizon}")):
+            rule.term(horizon + 1, horizon)
+        if text != "pow:0":
+            beyond = FAMILY_TERMS[text][horizon] if horizon < 9 else rule.term(10, 10)
+            with pytest.raises(HorizonError, match=re.escape(
+                    f"value {beyond} sits at position {horizon + 1}, beyond the horizon {horizon}")):
+                rule.index_of(beyond, horizon)
+
+    def test_explicit_list_is_its_own_bound(self):
+        rule = SequenceRule.explicit([5, 2, 9])
+        assert [rule.term(i, 1) for i in (1, 2, 3)] == [5, 2, 9]
+        assert [rule.index_of(v, 1) for v in (2, 5, 9, 3)] == [2, 1, 3, None]
+        with pytest.raises(HorizonError, match=re.escape("sequence 5,2,9 has only 3 terms, needed term 4")):
+            rule.term(4, 64)
+
+    @pytest.mark.parametrize("rule", [SequenceRule.naturals(), SequenceRule.powers(0), SequenceRule.powers(3),
+                                      SequenceRule.arithmetic(2), SequenceRule.explicit([2, 5])])
+    def test_rules_pickle_and_copy(self, rule):
+        for twin in (pickle.loads(pickle.dumps(rule)), copy.copy(rule), copy.deepcopy(rule)):
+            assert twin == rule and hash(twin) == hash(rule) and str(twin) == str(rule)
+            assert [twin.term(i, 2) for i in (1, 2)] == [rule.term(i, 2) for i in (1, 2)]
+
+
+class TestRefusedRules:
+    """A parameter, term or horizon that is not a plain int is refused when the rule is built."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: SequenceRule.powers(2.5),
+        lambda: SequenceRule.powers(True),
+        lambda: SequenceRule.arithmetic(True),
+        lambda: SequenceRule.arithmetic(1.5),
+        lambda: SequenceRule("pow"),
+        lambda: SequenceRule("nat", False),
+    ], ids=["pow-float", "pow-bool", "arith-bool", "arith-float", "pow-none", "nat-bool"])
+    def test_parameter_must_be_a_plain_int(self, build):
+        with pytest.raises(SpecError, match="sequence parameter must be an integer"):
+            build()
+
+    @pytest.mark.parametrize("terms", [[True, 2], [1, 2.0], [3, "4"]])
+    def test_explicit_terms_must_be_plain_ints(self, terms):
+        with pytest.raises(SpecError, match=re.escape(f"explicit sequence needs positive integers, got {tuple(terms)}")):
+            SequenceRule.explicit(terms)
+
+    def test_unknown_tag(self):
+        with pytest.raises(SpecError, match="unknown sequence tag 'fib'"):
+            SequenceRule("fib")
+
+    def test_family_takes_no_terms(self):
+        with pytest.raises(SpecError, match="sequence tag 'nat' takes no terms"):
+            SequenceRule("nat", None, (1, 2))
+
+    def test_range_messages_unchanged(self):
+        with pytest.raises(SpecError, match="^power exponent must be nonnegative$"):
+            SequenceRule.powers(-1)
+        with pytest.raises(SpecError, match="^arithmetic step must be positive$"):
+            SequenceRule.arithmetic(0)
+        with pytest.raises(SpecError, match=re.escape("explicit sequence needs positive integers, got (0, 1)")):
+            SequenceRule.explicit([0, 1])
+
+    def test_a_float_width_never_reaches_a_partition(self):
+        # n_decode used to wrap Partition([4.5, 3.0]) unchecked
+        with pytest.raises(SpecError):
+            n_decode(NNotation(GenSpec(SequenceRule.arithmetic(1.5), SequenceRule.naturals()), [1, 1]))
+
+    @pytest.mark.parametrize("horizon", [2.5, True, "3"])
+    def test_horizon_must_be_a_plain_int(self, horizon):
+        with pytest.raises(SpecError, match="horizon must be an integer"):
+            GenSpec(SequenceRule.naturals(), SequenceRule.naturals(), horizon)
+
+    def test_horizon_range_message_unchanged(self):
+        with pytest.raises(SpecError, match="^horizon must be positive$"):
+            GenSpec.standard(0)
+
+
+SAMPLE_SPECS = [("nat", "nat", 3), ("pow:2", "nat", 3), ("2,5", "1,3", 2), ("arith:3", "pow:2", 3)]
+
+
+class TestNNotationRealizedOnce:
+    def test_fields_match_the_decoded_partition(self):
+        for a_text, b_text, depth in SAMPLE_SPECS:
+            spec = _spec(a_text, b_text)
+            weights = [spec.a_term(i) * spec.b_term(i) for i in range(1, depth + 1)]
+            for coeffs in _vectors_with_weight(weights, 18):
+                n = NNotation(spec, coeffs)
+                p = n_decode(n)
+                assert (n.length, n.size, n.largest) == (len(p), p.size, p.largest), (a_text, b_text, coeffs)
+
+    def test_pickle_and_copy_round_trips(self):
+        for a_text, b_text, _ in SAMPLE_SPECS:
+            n = NNotation(_spec(a_text, b_text), [1, 2] if a_text == "2,5" else [1, 0, 2])
+            for twin in (pickle.loads(pickle.dumps(n)), copy.copy(n), copy.deepcopy(n)):
+                assert twin == n and hash(twin) == hash(n) and repr(twin) == repr(n)
+                assert n_decode(twin) == n_decode(n) and sigma_AB(twin) == sigma_AB(n)
+
+    def test_equality_and_hash_read_spec_and_coefficients(self):
+        n = NNotation(STD, [1, 0, 2])
+        assert n == NNotation(GenSpec.standard(5), (1, 0, 2))
+        assert hash(n) == hash((STD, (1, 0, 2)))
+        assert n != NNotation(STD, [1, 2]) and n != NNotation(_spec("nat", "pow:2"), [1, 0, 2])
+        assert repr(n) == "NNotation(GenSpec(A=nat, B=nat), [1, 0, 2])"
+
+    def test_the_first_missing_term_is_reported(self):
+        # a_3 is missing before b_3, so the widths' error comes first
+        with pytest.raises(HorizonError, match=re.escape("sequence 2,5 has only 2 terms, needed term 3")):
+            NNotation(_spec("2,5", "1,3"), [0, 0, 1])
+        with pytest.raises(HorizonError, match=re.escape("sequence 1,3 has only 2 terms, needed term 3")):
+            NNotation(_spec("2,5,7", "1,3"), [0, 0, 1])
+
+    def test_repeated_widths_flatten_to_one_value(self):
+        # pow:0 widths are all 1, so sigma_k merges every rectangle into ones
+        n = NNotation(_spec("pow:0", "nat"), [2, 0, 3])
+        assert sigma_k(n) == Partition([1] * 5)
+        assert psi_k(n) == Partition([3, 3, 3, 1, 1])

@@ -20,6 +20,8 @@ from seqcong import (
     Partition,
     ResourceError,
     SequenceRule,
+    andrews_compose,
+    andrews_decompose,
     conjugate,
     from_c_notation,
     from_frequencies,
@@ -187,3 +189,43 @@ def test_the_limit_is_inclusive(monkeypatch):
                   lambda: from_frequencies([(3, 3), (1, 3)]), lambda: render_diagram(Partition([3, 3]))):
         with pytest.raises(ResourceError, match="above the limit of 5"):
             build()
+
+
+def test_frequency_answers_build_no_frequency_map(monkeypatch):
+    built = []
+    init = FrequencyMap.__init__
+
+    def spy(self, entries=()):
+        built.append(entries)
+        init(self, entries)
+
+    monkeypatch.setattr(FrequencyMap, "__init__", spy)
+    for name in ("sigma_AB", "sigma_k", "psi_k"):
+        fn, inputs = MAPS[name]
+        for p in inputs:
+            fn(p)
+        assert built == [], name
+    FrequencyMap({2: 1})
+    assert built == [{2: 1}]
+
+
+def test_layer_maps_make_no_checked_construction(monkeypatch):
+    calls = []
+    init = Partition.__init__
+
+    def spy(self, parts=()):
+        calls.append(parts)
+        init(self, parts)
+
+    monkeypatch.setattr(Partition, "__init__", spy)
+    for p in ANY[::7]:
+        for m in (1, 2, 5):
+            assert andrews_compose(andrews_decompose(p, m), m) == p
+    assert calls == []
+
+
+def test_layer_maps_keep_their_bounds():
+    with pytest.raises(OverflowError, match=f"part {MAX_PART + 1} exceeds the 64-bit part range"):
+        andrews_compose([Partition([3]), Partition([MAX_PART])], 1)
+    with pytest.raises(ResourceError, match=f"would have {HUGE} layers, above the limit of {MAX_OUTPUT_PARTS}"):
+        andrews_decompose(Partition([HUGE]), 1)
