@@ -43,7 +43,7 @@ def horizon_from_env() -> int:
 
 def _nth_root(value: int, k: int) -> int | None:
     """Exact integer k-th root of a positive integer, or None (for k = 0, only 1 is a power)."""
-    if k == 0:
+    if k == 0 or k >= value.bit_length():  # 2**k > value: only 1 can be a k-th power
         return 1 if value == 1 else None
     root = max(1, round(value ** (1.0 / k)))
     while root**k > value:
@@ -296,13 +296,17 @@ def is_in_SBA(p: Partition, spec: GenSpec) -> bool:
     part(h) - part(h+1), the drop profile.  Heights are tried in descending
     order, the order of the conjugate's parts, so a height past the horizon
     raises before a smaller height can answer False, and the scan stops at
-    the first height that fails.
+    the first height that fails.  A power width a_i = i**exp within the
+    horizon that has more bits than the multiplicity exceeds it, so it
+    answers False unrealized.
     """
     t = p.parts + (0,)
     a, b, horizon = spec.a, spec.b, spec.horizon
     for h in range(len(t) - 1, 0, -1):
         mult = t[h - 1] - t[h]
-        if mult and ((i := b.index_of(h, horizon)) is None or mult % a.term(i, horizon)):
+        if mult and ((i := b.index_of(h, horizon)) is None
+                     or a.exp > 1 and i <= horizon and a.exp * (i.bit_length() - 1) >= mult.bit_length()
+                     or mult % a.term(i, horizon)):
             return False
     return True
 

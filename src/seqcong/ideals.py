@@ -48,11 +48,12 @@ refuse assignment, and copy and pickle.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush, heapreplace
 from itertools import takewhile
 from math import lcm
 
 from .bijections import _congruence_failure_index, is_seq_congruent
-from .counting import _cached_series, _check_size, count_all_partitions, iter_partition_tuples
+from .counting import _cached_series, _check_size, count_all_partitions
 from .errors import DomainError
 from .partition import Partition, _check_largest, _check_output_length
 
@@ -322,29 +323,40 @@ def _carry(accept, step, carried, max_part: int, max_length: int):
     return count, None
 
 
-def _by_size(max_part: int, max_length: int, keep):
-    """Box tuples passing ``keep``, by increasing size, reverse lexicographic within a size."""
-    return (
-        t
-        for n in range(max_part * max_length + 1)
-        for t in iter_partition_tuples(n, max_part, max_length)
-        if keep(t)
-    )
+def _by_size(accept, max_part: int, max_length: int, min_part: int = 1):
+    """The tuples ``_walk`` yields, by increasing size and reverse lexicographic within a size.
+
+    Best first: pop the least (size, negated parts) key and yield its tuple, then push the tuple's
+    first accepted child and its parent's next accepted part (its next sibling).  Both keys exceed
+    the popped one, so the heap grows by at most one entry per pop and no part is tested past the
+    tuple the caller stops at.
+    """
+    heap = [(0, (), ())]  # (size, negated parts, parts)
+    while heap:
+        size, neg, t = heap[0]
+        yield t
+        n, parent = len(t), t[:-1]
+        if t and (v := _least_part(accept, parent, n - 1, t[-1] + 1, parent[-1] if parent else max_part)):
+            heapreplace(heap, (size - t[-1] + v, neg[:-1] + (-v,), parent + (v,)))
+        else:
+            heappop(heap)
+        if n < max_length and (v := _least_part(accept, t, n, min_part, t[-1] if t else max_part)):
+            heappush(heap, (size + v, neg + (-v,), t + (v,)))
+
+
+def _least_part(accept, t, n, lo, hi):
+    """The least part in [lo, hi] that may follow t (``accept(t, n, part)``), or None."""
+    for v in range(lo, hi + 1):
+        if accept(t, n, v):
+            return v
 
 
 def _member_tuples(spec: IdealSpec, max_part: int, max_length: int):
-    """Members in the box: in prefix order for prefix-closed kinds, by (size, revlex) for S.
-
-    S is walked by its prefix rule and kept by its terminal test, the last part a multiple of the length.
-    """
+    """Members in the box: walked in prefix order for prefix-closed kinds; for S, searched by (size, revlex)
+    along its prefix rule and kept when the last part is a multiple of the length."""
     if spec.prefix_closed:
         return _walk(spec._child_ok, max_part, max_length)
-    walked = _walk(_seqcong_prefix_ok, max_part, max_length)
-    return sorted((t for t in walked if not t or t[-1] % len(t) == 0), key=_size_revlex)
-
-
-def _size_revlex(t):
-    return (sum(t), tuple(-x for x in t))
+    return (t for t in _by_size(_seqcong_prefix_ok, max_part, max_length) if not t or t[-1] % len(t) == 0)
 
 
 def members_within(spec: IdealSpec, bound: AnalysisBound) -> list[Partition]:
@@ -409,8 +421,9 @@ def check_ideal_closure(spec: IdealSpec, bound: AnalysisBound) -> ClosureReport:
     already passed, plus v: one call ``_child_ok(s, len(s), v)`` decides each,
     so closure certifies the kind's test.  That step runs on classes (one
     removal per summary and last part; ``members_checked`` counts every
-    member), or down the walk when a class fails or there is no summary.  S is
-    scanned by (size, revlex) and tests removals by membership.
+    member), or down the walk when a class fails or there is no summary.  S's
+    members are searched by (size, revlex) and their removals tested by
+    membership, up to the first witness.
     """
     ok, summary, cap = spec._child_ok, spec._summary or sum, bound.max_length  # sum: removals differ in size
 
@@ -429,7 +442,7 @@ def check_ideal_closure(spec: IdealSpec, bound: AnalysisBound) -> ClosureReport:
         return child
 
     if not spec.prefix_closed:
-        for checked, witness in enumerate(_by_size(bound.max_part, bound.max_length, spec._member), 1):
+        for checked, witness in enumerate(_member_tuples(spec, bound.max_part, bound.max_length), 1):
             if _first_exit(spec._member, witness):
                 break
         else:
@@ -475,8 +488,6 @@ def _integer_windows(t, k):
 
 def _present_windows(t, k):
     """Sub-partitions keeping k consecutive present part values."""
-    if not t:
-        return
     values = sorted(set(t), reverse=True)
     for m in range(len(values)):
         window = set(values[m:m + k])
@@ -486,39 +497,26 @@ def _present_windows(t, k):
 def _order_refute(spec, k, bound, windows):
     """The smallest non-member in (size, revlex) order whose k-windows are all members.
 
-    Prefix-closed kinds are walked, pruned to members and to tuples whose
-    windows are all members.  A window of a prefix is a prefix of the same
-    window of the whole tuple, so every prefix of a witness passes the window
-    test and the pruning loses no witness.  The walk is capped by size, the
-    cap doubling until a witness turns up or nothing was cut; within a walk a
-    witness lowers the cap to its own size.  S is scanned by size.
+    On a prefix-closed kind the search takes a part that the kind's test takes
+    or whose tuple's windows are all members; a window of a prefix is a prefix
+    of the same window of the whole tuple, so no witness is pruned.  The tuples
+    before the witness are members, so it is the first that its own last test
+    refuses.  On S the search takes every part and tests each tuple whole.
     """
     if k < 1:
         raise DomainError("window width must be positive")
-    member = spec._member
+    ok, member, box = spec._child_ok, spec._member, (bound.max_part, bound.max_length)
 
     def windows_ok(t):
         return all(member(w) for w in windows(t, k))
 
-    if not spec.prefix_closed:
-        t = next(_by_size(bound.max_part, bound.max_length, lambda t: not member(t) and windows_ok(t)), None)
-        return None if t is None else Partition(t)
-
-    def accept(t, i, v):
-        nonlocal cut
-        if sum(t) + v > cap:
-            cut = True
-            return False
-        c = t + (v,)
-        return member(c) or windows_ok(c)
-
-    best, cap, cut = None, 0, True
-    while best is None and cut:
-        cap, cut = 2 * cap + 1, False
-        for t in _walk(accept, bound.max_part, bound.max_length):
-            if not member(t) and (best is None or _size_revlex(t) < _size_revlex(best)):
-                best, cap = t, sum(t)
-    return None if best is None else Partition(best)
+    if ok is None:
+        found = (t for t in _by_size(lambda t, i, v: True, *box) if not member(t) and windows_ok(t))
+    else:
+        found = (t for t in _by_size(lambda t, i, v: ok(t, i, v) or windows_ok(t + (v,)), *box)
+                 if t and not ok(t[:-1], len(t) - 1, t[-1]))
+    t = next(found, None)
+    return None if t is None else Partition(t)
 
 
 def order_refute(spec: IdealSpec, k: int, bound: AnalysisBound) -> Partition | None:
@@ -526,9 +524,10 @@ def order_refute(spec: IdealSpec, k: int, bound: AnalysisBound) -> Partition | N
 
     Such a witness shows the order exceeds k.  The witness reported is the
     smallest in (size, revlex) order: by size, then reverse lexicographic
-    within a size, so the report is deterministic.  Prefix-closed kinds are
-    walked, pruned to tuples whose windows are all members; S is scanned by
-    size.  None means no witness exists within the bound.
+    within a size, so the report is deterministic.  One search by (size,
+    revlex) finds it, pruned on prefix-closed kinds to members and tuples
+    whose windows are all members, and stops there.  None means no witness
+    exists within the bound.
     """
     return _order_refute(spec, k, bound, _integer_windows)
 
@@ -634,13 +633,14 @@ class LSetReport(_Record):
 
 
 def compute_L(spec: IdealSpec, m: int, bound: AnalysisBound) -> LSetReport:
-    """Members with every part at most m, sorted by size then reverse lexicographic.
+    """Members with every part at most m, by size then reverse lexicographic.
 
     Enumeration stops at the bound's length cap; reaching the cap is reported
     as ``truncated`` (bounded evidence that the set is infinite).
     """
     _positive(m, "modulus")
-    tuples = sorted(_member_tuples(spec, min(m, bound.max_part), bound.max_length), key=_size_revlex)
+    box = min(m, bound.max_part), bound.max_length
+    tuples = list(_by_size(spec._child_ok, *box) if spec.prefix_closed else _member_tuples(spec, *box))
     truncated = any(len(t) >= bound.max_length for t in tuples)
     return LSetReport(spec, m, bound, tuple(map(Partition._of, tuples)), truncated)
 
@@ -771,10 +771,10 @@ def _class_pool(spec, m, bound, span_cap, tails):
 def _single_pool(spec, m, bound, tails):
     """(``_fits``, tail, builds) over every remainder alone, by (size, revlex), moved up from its parent (``_Moves``).
 
-    S walks its prefix rule, which every prefix of a member passes, and builds by membership.
+    S's pool follows its prefix rule, which every prefix of a member passes, and S builds by membership.
     """
     ok, member = spec._child_ok, spec._member
-    pool = sorted(_walk(ok or _seqcong_prefix_ok, bound.max_part, bound.max_length, m + 1), key=_size_revlex)
+    pool = list(_by_size(ok or _seqcong_prefix_ok, bound.max_part, bound.max_length, m + 1))
     moves = {}  # l -> _Moves, never empty so never falsy
 
     def builds(b, tau, pi, l):
@@ -797,7 +797,7 @@ def _span_entry(pi, l, m, fits, tail, builds):
             return LinkEntry(pi, witness=Partition(b + pi.parts), reason=(
                 "member remainder's tail is outside the small-member set"))
         forced.add(key)
-    forced = sorted(forced, key=_size_revlex)
+    forced = [tau for tau in fits if tau in forced]  # fits lists L's members by (size, revlex)
     for tau in forced:
         for b in fits[tau]:
             # b + tau is a member and pi's parts are <= m, so the built partition stays sorted

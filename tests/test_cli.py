@@ -161,6 +161,14 @@ class TestGeneralizedCommands:
     def test_gcheck_huge_part(self):
         assert cli_ok("gcheck", "--input", "[1000000000000]") == "true\n"
 
+    def test_gcheck_huge_power_width(self):
+        # a_2 = 2**(10**10) would take 1.25 GB; it exceeds the multiplicity 1 unrealized
+        assert cli_ok("gcheck", "--A", "pow:10000000000", "--input", "[2,1]") == "false\n"
+
+    def test_gcheck_huge_power_height(self):
+        # only 1 is a (10**10)-th power below 2**(10**10)
+        assert cli_ok("gcheck", "--B", "pow:10000000000", "--input", "[1]") == "true\n"
+
     def test_horizon_env(self, monkeypatch):
         monkeypatch.setenv("SEQCONG_HORIZON", "2")
         code, _ = cli("gcheck", "--input", "[3,1,1]")  # needs index 3 of B

@@ -33,6 +33,7 @@ from seqcong import (
     tau,
     to_c_notation,
 )
+from seqcong.generalized import _nth_root
 from conftest import _iter_c_vectors
 
 from conftest import all_partitions_upto, sba_by_conjugate, seqcong_with_largest_upto
@@ -318,6 +319,47 @@ class TestPowerFamilies:
     def test_spec_mismatch_rejected(self):
         with pytest.raises(SpecError):
             sigma_k(NNotation(_spec("2,5", "nat"), [1]))
+
+
+class TestHugeExponents:
+    """A power too wide for a multiplicity, or too steep for a height, answers without being computed."""
+
+    def test_nth_root_matches_brute_force(self):
+        for value in range(1, 300):
+            for k in range(12):
+                roots = [r for r in range(1, value + 1) if r**k == value]
+                assert _nth_root(value, k) == (roots[0] if roots else None), (value, k)
+
+    def test_nth_root_past_the_bit_length(self):
+        assert _nth_root(1, 10**10) == 1
+        assert _nth_root(2, 10**10) is None
+        assert _nth_root(2**62, 63) is None
+        assert _nth_root(2**62, 62) == 2
+
+    @pytest.mark.parametrize("exp", [2, 3, 5, 7])
+    def test_power_widths_match_the_oracle(self, exp):
+        for b in ("nat", "arith:2", "1,2,4,5"):
+            spec = _spec(f"pow:{exp}", b)
+            for p in all_partitions_upto(14):
+                assert is_in_SBA(p, spec) == sba_by_conjugate(p, spec), (exp, b, p)
+
+    def test_wide_power_width_is_not_realized(self, monkeypatch):
+        realized = []
+        term = SequenceRule.term
+        monkeypatch.setattr(SequenceRule, "term",
+                            lambda rule, i, horizon: realized.append(i) or term(rule, i, horizon))
+        spec = GenSpec(SequenceRule.powers(10**10), SequenceRule.naturals())
+        assert not is_in_SBA(Partition([2, 1]), spec)
+        assert is_in_SBA(Partition([1]), spec)
+        assert realized == [1]
+        # past the horizon the width still raises before any answer
+        with pytest.raises(HorizonError):
+            is_in_SBA(Partition([1] * 4), GenSpec(SequenceRule.powers(10**10), SequenceRule.parse("1,2,3,4"), 3))
+
+    def test_steep_power_height(self):
+        spec = GenSpec(SequenceRule.naturals(), SequenceRule.powers(10**10))
+        assert is_in_SBA(Partition([1]), spec)
+        assert not is_in_SBA(Partition([2, 2]), spec)
 
 
 class TestEtaTau:

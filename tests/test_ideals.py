@@ -37,20 +37,21 @@ from seqcong import (
     weak_order_estimate,
     weak_order_refute,
 )
-from seqcong import ideals
+from seqcong import counting, ideals
 from seqcong.ideals import (
     _by_size,
     _fold,
     _integer_windows,
     _member_tuples,
     _present_windows,
-    _seqcong_member,
+    _seqcong_prefix_ok,
     _single_pool,
     _walk,
 )
 
 from conftest import (
     _removals,
+    _size_revlex,
     all_partitions_upto,
     oracle_member,
     recursive_member_tuples,
@@ -58,6 +59,7 @@ from conftest import (
     sa_member_lcm,
     scan_closure,
     scan_linking,
+    scan_members,
     scan_modulus,
     scan_order_refute,
     scan_remainders,
@@ -319,20 +321,57 @@ class TestWalk:
 
     def test_s_walk_matches_size_scan(self):
         # the members of a smaller box are those of 14x7 that fit it, in the same order
-        scanned = list(_by_size(14, 7, _seqcong_member))
+        scanned = list(scan_members(IdealSpec("S"), 14, 7))
         for max_part in range(1, 15):
             for max_length in range(1, 8):
                 expected = [t for t in scanned if len(t) <= max_length and (not t or t[0] <= max_part)]
                 assert list(_member_tuples(IdealSpec("S"), max_part, max_length)) == expected
 
     def test_s_walk_node_count_pinned(self, monkeypatch):
-        # the prefix rule visits 523 tuples where the size scan tests every box tuple
+        # the search follows the prefix rule to 523 tuples where a size scan tests every box tuple
         nodes = []
-        walk = ideals._walk
-        monkeypatch.setattr(ideals, "_walk", lambda *args: (nodes.append(t) or t for t in walk(*args)))
+        search = ideals._by_size
+        monkeypatch.setattr(ideals, "_by_size", lambda *args: (nodes.append(t) or t for t in search(*args)))
         assert len(list(_member_tuples(IdealSpec("S"), 12, 6))) == 227
         assert len(nodes) == 523
         assert sum(1 for n in range(73) for _ in iter_partition_tuples(n, 12, 6)) == 18564
+
+
+class TestSizeSearch:
+    """``_by_size`` yields the tuples ``_walk`` yields, by size then reverse lexicographic within a size."""
+
+    @pytest.mark.parametrize("accept", [spec._child_ok for spec in TABLE_SPECS] + [_seqcong_prefix_ok],
+                             ids=[str(spec) for spec in TABLE_SPECS] + ["S-prefix-rule"])
+    def test_equals_the_sorted_walk(self, accept):
+        for max_part in range(1, 9):
+            for max_length in range(1, 6):
+                for min_part in (1, 2, 3):
+                    walked = sorted(_walk(accept, max_part, max_length, min_part), key=_size_revlex)
+                    assert list(_by_size(accept, max_part, max_length, min_part)) == walked, (
+                        max_part, max_length, min_part)
+
+    def test_tests_no_part_past_the_answer(self):
+        # each yield comes before the parts it leads to are tested
+        tried = []
+        search = _by_size(lambda t, i, v: tried.append(t + (v,)) or True, 10**12, 3)
+        assert next(search) == () and tried == []
+        assert next(search) == (1,) and tried == [(1,)]
+        assert next(search) == (2,) and tried == [(1,), (2,), (1, 1)]
+
+    def test_memory_grows_with_pops_not_parts(self):
+        # at most one heap entry per pop, whatever max_part is
+        tracemalloc.start()
+        try:
+            search = _by_size(lambda t, i, v: True, 10**12, 10)
+            for count, t in enumerate(search, 1):
+                if count == 10_000:
+                    break
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (count, t) == (10_000, (11, 7, 3, 3, 3))
+        # ~380 KiB here: 10,000 entries of (size, negated parts, parts) at most
+        assert peak < 1024 * 1024
 
 
 class TestClosure:
@@ -605,6 +644,22 @@ class TestOrder:
             assert order_estimate(spec, bound).growing, spec
 
 
+class TestOrderWork:
+    @pytest.mark.parametrize("estimate,kind,bound,tests,parent", [
+        (order_estimate, "R", AnalysisBound(12, 8), 2734, 12521),
+        (order_estimate, "P_parity", AnalysisBound(12, 8), 2019, 6594),
+        (weak_order_estimate, "D", AnalysisBound(10, 6), 5528, 25996),
+    ], ids=["order-R-12x8", "order-P_parity-12x8", "weak-D-10x6"])
+    def test_kind_test_calls_pinned(self, estimate, kind, bound, tests, parent):
+        # calls of the kind's test, the folds of the window tests included; the
+        # doubling size cap over the walk made the parent's figure
+        spec = IdealSpec(kind)
+        calls = count_calls(spec, "_child_ok")
+        spec._member = _fold(spec._child_ok)
+        estimate(spec, bound)
+        assert calls[0] == tests < parent
+
+
 ORDER_BOXES = [AnalysisBound(8, 5), AnalysisBound(10, 6), AnalysisBound(7, 7), AnalysisBound(9, 4)]
 
 
@@ -646,7 +701,7 @@ class TestOrderMatchesScan:
             assert weak_order_refute(spec, k, bound) == witness
 
     @pytest.mark.parametrize("windows", [_integer_windows, _present_windows])
-    def test_non_ideal_keeps_the_scan(self, windows):
+    def test_non_ideal_matches_the_scan(self, windows):
         bound = AnalysisBound(8, 5)
         for k in range(1, bound.max_part):
             assert ideals._order_refute(IdealSpec("S"), k, bound, windows) == scan_order_refute(
@@ -1139,33 +1194,38 @@ class TestModulusAndLinkingWork:
 
 
 class TestBoxScans:
-    """Prefix-closed kinds are walked; only the non-ideal S's order search and closure scan the box."""
+    """No engine scans the box through ``counting.iter_partition_tuples``; S's included."""
 
     @staticmethod
     def _scans(monkeypatch, run):
         calls = []
-        real = ideals.iter_partition_tuples
+        real = counting.iter_partition_tuples
 
         def spy(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(ideals, "iter_partition_tuples", spy)
+        monkeypatch.setattr(counting, "iter_partition_tuples", spy)
         run()
         return len(calls)
+
+    def test_ideals_do_not_import_the_scan(self):
+        assert not hasattr(ideals, "iter_partition_tuples")
 
     def test_walked_kind_never_scans(self, monkeypatch):
         r = IdealSpec("R")
         assert self._scans(monkeypatch, lambda: order_estimate(r, AnalysisBound(12, 8))) == 0
         assert self._scans(monkeypatch, lambda: infer_linking(r, 2, AnalysisBound(15, 7))) == 0
 
-    def test_non_ideal_still_scans(self, monkeypatch):
+    def test_non_ideal_never_scans(self, monkeypatch):
         s, bound = IdealSpec("S"), AnalysisBound(15, 7)
-        assert self._scans(monkeypatch, lambda: order_estimate(s, AnalysisBound(12, 8))) > 0
-        assert self._scans(monkeypatch, lambda: check_ideal_closure(s, AnalysisBound(8, 4))) > 0
-        # S's remainders are walked by its prefix rule, not scanned
+        assert self._scans(monkeypatch, lambda: order_estimate(s, AnalysisBound(12, 8))) == 0
+        assert self._scans(monkeypatch, lambda: weak_order_estimate(s, AnalysisBound(8, 5))) == 0
+        assert self._scans(monkeypatch, lambda: check_ideal_closure(s, AnalysisBound(8, 4))) == 0
+        assert self._scans(monkeypatch, lambda: members_within(s, AnalysisBound(8, 4))) == 0
+        assert self._scans(monkeypatch, lambda: check_modulus(s, 2, AnalysisBound(8, 4))) == 0
+        assert self._scans(monkeypatch, lambda: compute_L(s, 2, AnalysisBound(8, 4))) == 0
         assert self._scans(monkeypatch, lambda: _single_pool(s, 2, AnalysisBound(8, 4), [(), (1,)])) == 0
-        # the walked modulus check refutes S before its remainders are listed
         assert self._scans(monkeypatch, lambda: infer_linking(s, 2, bound)) == 0
 
 
