@@ -6,20 +6,26 @@ A bad stdin line is reported on stderr as ``error: line N: ...`` and the
 remaining lines are still answered (a one-line batch reports as ``--input``
 does, without the line number).  Identical invocations produce
 byte-identical output, one write per answer line.  Exit codes: 0 success,
-1 domain error (on any line of a batch), 2 usage error.
+1 domain error (on any line of a batch) or an output that cannot be written
+(a closed pipe, a full disk), 2 usage error.
+
+Each command imports only the modules it runs: ``generalized`` for
+``gcheck``/``gmap``, ``counting`` and ``ideals`` for ``enumerate``,
+``count`` and ``ideal``.  :func:`main` freezes the start-up heap before the
+command runs; see there for why.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
+import os
 import sys
 from functools import partial
 
-from . import bijections, counting, generalized, ideals, partition
+from . import bijections, partition
 from .errors import DomainError, ResourceError
-from .generalized import GenSpec, SequenceRule, horizon_from_env
-from .ideals import AnalysisBound, IdealSpec
 from .partition import FrequencyMap, Partition
 
 
@@ -114,12 +120,15 @@ def _run_diagram(args, payload) -> str:
 
 
 def _gcheck_answer(args):
-    spec = GenSpec.parse(args.A, args.B, horizon_from_env())
+    from . import generalized
+    spec = generalized.GenSpec.parse(args.A, args.B, generalized.horizon_from_env())
     return lambda payload: _dumps(generalized.is_in_SBA(_parse_partition(payload), spec))
 
 
 def _gmap_answer(args):
-    fn, horizon = args.fn, horizon_from_env()
+    from . import generalized
+    from .generalized import GenSpec, SequenceRule
+    fn, horizon = args.fn, generalized.horizon_from_env()
     if fn in ("sigmaAB", "piAB", "piPrimeAB", "sigmaPrimeAB"):
         spec = GenSpec.parse(args.A, args.B, horizon)
     elif args.k is None:
@@ -176,14 +185,17 @@ def _predicate_for(tag: str):
     if tag == "squares":
         return _square_parts
     if tag.startswith("Sk:"):
+        from .generalized import is_in_Sk
         k = _tag_param(tag)
-        return lambda p: generalized.is_in_Sk(p, k)
+        return lambda p: is_in_Sk(p, k)
+    from .ideals import IdealSpec
     # The spec itself, not its bound `contains`, so that counting can see
     # `prefix_closed` and walk the members.
     return IdealSpec.parse(tag)
 
 
 def _run_enumerate(args) -> list[str]:
+    from . import counting
     if (args.size is None) == (args.largest is None):
         raise DomainError("enumerate needs exactly one of --size or --largest")
     if args.largest is not None:
@@ -200,6 +212,7 @@ def _run_enumerate(args) -> list[str]:
 
 
 def _counts_for(tag: str, upto: int) -> list[int]:
+    from . import counting, ideals
     if tag == "all":
         return [counting.count_into_powers(n, 1) for n in range(upto + 1)]
     if tag in ("squares", "seqcong", "S"):  # psi: members of size n <-> partitions of n into squares
@@ -221,12 +234,14 @@ def _run_count(args) -> list[str]:
     return [f"{n:>{width}} {c}" for n, c in enumerate(coeffs)]
 
 
-def _bound(args) -> AnalysisBound:
+def _bound(args):
+    from .ideals import AnalysisBound
     return AnalysisBound(args.max_part, args.max_len)
 
 
 def _run_ideal(args) -> list[str]:
-    spec = IdealSpec.parse(args.ideal)
+    from . import ideals
+    spec = ideals.IdealSpec.parse(args.ideal)
     action = args.action
     as_json = args.format == "json"
     if action == "check":
@@ -447,7 +462,24 @@ def run(argv, out=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Run the command in ``sys.argv`` and exit with its code.
+
+    Everything loaded so far (the modules, their functions and tables)
+    lives until exit, so ``gc.freeze()`` moves it out of the collector's
+    reach: neither the collections a batch triggers nor the interpreter's
+    own at exit walk it again.  A closed or full stdout ends in one ``error:`` line
+    and exit 1; stdout then points at the null device, so that the flush at
+    exit cannot fail a second time.
+    """
+    gc.freeze()
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except OSError as exc:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _error(exc)
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

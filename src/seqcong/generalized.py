@@ -21,7 +21,7 @@ from typing import Iterable
 
 from .bijections import _canonical
 from .errors import DomainError, HorizonError, SpecError
-from .partition import Partition, _check_largest, _check_output_length, _runs
+from .partition import MAX_PART, Partition, _check_largest, _check_output_length, _runs
 
 DEFAULT_HORIZON = 64
 HORIZON_ENV_VAR = "SEQCONG_HORIZON"
@@ -129,7 +129,12 @@ class SequenceRule:
         if i > horizon:
             raise HorizonError(f"term {i} of {self} is beyond the horizon {horizon}")
         # scale is 1 whenever exp is not, so this is scale * i**exp
-        return self.scale * i if self.exp == 1 else i**self.exp
+        if self.exp == 1:
+            return self.scale * i
+        # i**exp has more than exp * (bit_length(i) - 1) bits: refuse it unbuilt past MAX_PART's
+        if self.exp * (i.bit_length() - 1) >= MAX_PART.bit_length():
+            raise OverflowError(f"term {i} of {self} exceeds the 64-bit part range")
+        return i**self.exp
 
     def index_of(self, value: int, horizon: int) -> int | None:
         """Position of ``value`` in the sequence, or None when absent.

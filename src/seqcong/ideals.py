@@ -193,6 +193,10 @@ class IdealSpec:
     def __hash__(self) -> int:
         return hash((self.kind, self.param))
 
+    def __reduce__(self):
+        # the kind's test is a closure, so copies and pickles rebuild it from kind and parameter
+        return IdealSpec, (self.kind, self.param)
+
     def __str__(self) -> str:
         return self.kind if self.param is None else f"{self.kind}:{self.param}"
 

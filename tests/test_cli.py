@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import os
 import shlex
+import subprocess
 import sys
 from math import isqrt
 from pathlib import Path
@@ -10,12 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcong import CNotation, CountSeries, IdealSpec, Partition, counting, from_c_notation, is_seq_congruent
+from seqcong import (CNotation, CountSeries, IdealSpec, Partition, counting, from_c_notation, generalized,
+                     is_seq_congruent)
 from seqcong import cli as cli_module
 from seqcong.cli import run
 from seqcong.partition import MAX_OUTPUT_PARTS
 
 from conftest import recursive_partition_tuples
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def cli(*argv):
@@ -438,9 +443,10 @@ class TestBatchIsolation:
                                             (("gmap", "--fn", "eta", "--k", "2", "--p", "1"), 1)])
     def test_spec_built_once_per_batch(self, monkeypatch, capsys, argv, rules):
         calls = []
-        parse, horizon = cli_module.SequenceRule.parse, cli_module.horizon_from_env
-        monkeypatch.setattr(cli_module.SequenceRule, "parse", lambda text: calls.append(text) or parse(text))
-        monkeypatch.setattr(cli_module, "horizon_from_env", lambda: calls.append(None) or horizon())
+        # the CLI imports generalized inside the gcheck/gmap handlers, so patch it there
+        parse, horizon = generalized.SequenceRule.parse, generalized.horizon_from_env
+        monkeypatch.setattr(generalized.SequenceRule, "parse", lambda text: calls.append(text) or parse(text))
+        monkeypatch.setattr(generalized, "horizon_from_env", lambda: calls.append(None) or horizon())
         code, out, _ = self.batch(monkeypatch, capsys, "[2]\n[4,4]\n[4]\n", *argv)
         assert (code, out.count("\n")) == (0, 3)
         assert calls.count(None) == 1 and len(calls) == 1 + rules
@@ -475,6 +481,56 @@ class TestOutputSizeGuard:
         assert sizes == []
         assert cli_ok("enumerate", "--pred", pred, "--size", "12")
         assert sizes == [12]
+
+
+def _seqcong(*argv, unbuffered=False, **kwargs):
+    """``python -m seqcong.cli ARGV`` in a child process, stdout buffered or not."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(SRC)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return [sys.executable, "-m", "seqcong.cli", *argv], env
+
+
+class TestProcessExits:
+    """A closed or full stdout, or a power term past the part range, ends in one error line and exit 1."""
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_pipe(self, tmp_path, unbuffered):
+        batch = tmp_path / "batch"
+        batch.write_text("[3,2]\n" * 50000)  # far more than a pipe holds
+        argv, env = _seqcong("map", "--fn", "pi", "--input", "-", unbuffered=unbuffered)
+        with batch.open("rb") as stdin, subprocess.Popen(argv, stdin=stdin, stdout=subprocess.PIPE,
+                                                         stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == b"[5,4]\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == b"error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_full_device(self, unbuffered):
+        argv, env = _seqcong("map", "--fn", "pi", "--input", "[3,2]", unbuffered=unbuffered)
+        with open("/dev/full", "wb") as full:
+            done = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, env=env, timeout=60)
+        assert (done.returncode, done.stderr) == (1, b"error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("sigmaAB", "--A", "pow:10000000000", "--input", "[1,1]"),
+        ("piAB", "--B", "pow:10000000000", "--input", "[2,1]"),
+        ("piPrimeAB", "--A", "pow:10000000000", "--input", "[2,1]"),
+        ("sigmaPrimeAB", "--A", "pow:10000000000", "--input", "[1,1]"),
+    ], ids=["sigmaAB", "piAB", "piPrimeAB", "sigmaPrimeAB"])
+    def test_huge_power_term_refused_unbuilt(self, argv):
+        # term 2 of pow:10**10 would take 1.25 GB; it used to end in MemoryError under this limit
+        resource = pytest.importorskip("resource")
+        limit = 400_000 * 1024
+        cmd, env = _seqcong("gmap", "--fn", *argv)
+        done = subprocess.run(cmd, capture_output=True, env=env, timeout=60,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, b"", b"error: term 2 of pow:10000000000 exceeds the 64-bit part range\n")
 
 
 class CountingWriter(io.StringIO):

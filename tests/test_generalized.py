@@ -470,6 +470,13 @@ class TestFamiliesAgainstTheirTerms:
                     f"value {beyond} sits at position {horizon + 1}, beyond the horizon {horizon}")):
                 rule.index_of(beyond, horizon)
 
+    def test_power_past_the_part_range_is_refused_unbuilt(self):
+        assert SequenceRule.powers(62).term(2, 64) == 2**62
+        assert SequenceRule.powers(40).term(3, 64) == 3**40  # past MAX_PART, but its bits alone do not show it
+        for rule, i in ((SequenceRule.powers(63), 2), (SequenceRule.powers(10**10), 2), (SequenceRule.powers(2), 2**32)):
+            with pytest.raises(OverflowError, match=re.escape(f"term {i} of {rule} exceeds the 64-bit part range")):
+                rule.term(i, 2**40)
+
     def test_explicit_list_is_its_own_bound(self):
         rule = SequenceRule.explicit([5, 2, 9])
         assert [rule.term(i, 1) for i in (1, 2, 3)] == [5, 2, 9]

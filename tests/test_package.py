@@ -1,8 +1,12 @@
 import inspect
+import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import seqcong
 
@@ -31,3 +35,86 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
     done = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env,
                           timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def _python(*args, stdin=None):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], input=stdin, capture_output=True, env=env, timeout=60)
+
+
+ENGINES = {"seqcong.counting", "seqcong.generalized", "seqcong.ideals"}
+
+
+def test_import_registers_every_submodule_and_runs_none():
+    probe = ("import json, sys, seqcong\n"
+             "mods = {n: m for n, m in sys.modules.items() if n.startswith('seqcong.')}\n"
+             "print(json.dumps([sorted(mods), sorted(n for n, m in mods.items() if '__builtins__' in vars(m))]))")
+    done = _python("-c", probe)
+    assert done.returncode == 0, done.stderr
+    registered, ran = json.loads(done.stdout)
+    assert registered == ["seqcong.bijections", "seqcong.counting", "seqcong.errors", "seqcong.generalized",
+                          "seqcong.ideals", "seqcong.partition"]
+    assert ran == []
+
+
+@pytest.mark.parametrize("argv,engine", [
+    (["map", "--fn", "pi"], None),
+    (["convert", "--to", "cnotation"], None),
+    (["check", "--pred", "seqcong"], None),
+    (["gmap", "--fn", "sigmaAB"], "seqcong.generalized"),
+    (["gcheck"], "seqcong.generalized"),
+], ids=["map", "convert", "check", "gmap", "gcheck"])
+def test_batch_commands_run_only_the_modules_they_use(argv, engine):
+    done = _python(str(SRC.parent / "tests" / "cli_probe.py"), *argv, "--input", "-", stdin=b"[3,2]\n[4,4]\n")
+    assert done.returncode == 0 and len(done.stdout.splitlines()) == 2, done.stderr
+    ran = set(json.loads(done.stderr.decode().splitlines()[-1]))
+    assert {"seqcong.bijections", "seqcong.errors", "seqcong.partition"} <= ran
+    assert ran & ENGINES == ({engine} if engine else set())
+
+
+THREADS = """
+import sys, threading
+import seqcong
+
+sys.setswitchinterval(1e-6)
+barrier, got = threading.Barrier(8), []
+
+def touch():
+    barrier.wait()
+    try:
+        from seqcong.ideals import members_within
+        got.append(members_within)
+    except Exception as exc:
+        got.append(repr(exc))
+
+threads = [threading.Thread(target=touch) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(60)
+assert not any(t.is_alive() for t in threads)
+print(len(got), sum(f is sys.modules["seqcong.ideals"].members_within for f in got), [f for f in got if type(f) is str])
+"""
+
+
+def test_first_use_from_eight_threads_at_once():
+    for _ in range(5):
+        done = _python("-c", THREADS)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"8 8 []\n", b"")
+
+
+def test_a_submodule_taken_by_name_has_run():
+    probe = ("import sys\nfrom seqcong import ideals\nimport seqcong.generalized\n"
+             "print('__builtins__' in vars(ideals), ideals is sys.modules['seqcong.ideals'],\n"
+             "      '__builtins__' in vars(seqcong.generalized), hasattr(ideals, 'members_within'))")
+    done = _python("-c", probe)
+    assert (done.returncode, done.stdout) == (0, b"True True True True\n"), done.stderr
+
+
+def test_values_unpickle_in_a_fresh_interpreter():
+    values = [seqcong.Partition([5, 3, 1]), seqcong.IdealSpec("P_mod", 3), seqcong.IdealSpec("S")]
+    done = _python("-c", "import pickle, sys; print(repr(pickle.load(sys.stdin.buffer)))",
+                   stdin=pickle.dumps(values))
+    assert (done.returncode, done.stdout.decode()) == (0, repr(values) + "\n"), done.stderr
+    twins = pickle.loads(pickle.dumps(values))
+    assert twins == values and twins[1].contains(seqcong.Partition([7, 4, 1]))
