@@ -25,7 +25,7 @@ _NAMES = {
         psi_map render_square_decomposition sigma_map to_c_notation""",
     "counting": """CountSeries count_all_partitions count_into_powers count_members enumerate_members
         enumerate_partitions enumerate_seqcong_by_largest enumerate_seqcong_by_size
-        enumerate_with_parts_from iter_members_of_size iter_partition_tuples""",
+        enumerate_with_parts_from iter_members_of_size iter_partition_tuples member_counts""",
     "errors": """CanonicalFormError ContainmentError DomainError HorizonError NotSequentiallyCongruentError
         ResourceError SpecError""",
     "generalized": """GenSpec NNotation SequenceRule eta is_in_SBA is_in_Sjk is_in_Sk n_decode n_encode pi_AB

@@ -190,7 +190,7 @@ def _predicate_for(tag: str):
         return lambda p: is_in_Sk(p, k)
     from .ideals import IdealSpec
     # The spec itself, not its bound `contains`, so that counting can see
-    # `prefix_closed` and walk the members.
+    # `prefix_closed` and `_summary` and count over classes or walk the members.
     return IdealSpec.parse(tag)
 
 
@@ -213,17 +213,19 @@ def _run_enumerate(args) -> list[str]:
 
 def _counts_for(tag: str, upto: int) -> list[int]:
     from . import counting, ideals
-    if tag == "all":
-        return [counting.count_into_powers(n, 1) for n in range(upto + 1)]
-    if tag in ("squares", "seqcong", "S"):  # psi: members of size n <-> partitions of n into squares
-        return [counting.count_into_powers(n, 2) for n in range(upto + 1)]
-    if tag.startswith("powers:"):
+    if tag.startswith("Sk:"):  # psi_k: S_k's members of size n <-> partitions of n into (k+1)-th powers
+        k = _tag_param(tag) + 1
+        if k < 2 and upto >= 0:
+            raise DomainError("k must be a positive integer")
+    elif tag.startswith("powers:"):
         k = _tag_param(tag)
+    else:  # all: k = 1; psi: S's members of size n <-> partitions of n into squares
+        k = {"all": 1, "squares": 2, "seqcong": 2, "S": 2}.get(tag)
+    if k is not None:
         return [counting.count_into_powers(n, k) for n in range(upto + 1)]
     if tag == "parity":
         return [ideals.count_parity_ideal(n) for n in range(upto + 1)]
-    pred = _predicate_for(tag)
-    return [counting.count_members(pred, n) for n in range(upto + 1)]
+    return counting.member_counts(_predicate_for(tag), upto)
 
 
 def _run_count(args) -> list[str]:

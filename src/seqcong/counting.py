@@ -5,6 +5,9 @@ duplicate-free: an iterative generator over all partitions of n with
 optional part/length caps, and a pruned walk over the members of size n of a
 prefix-closed ideal.  Counts are plain Python integers, so they stay exact
 however large the coefficients grow.
+A prefix-closed kind with a summary is counted over classes of member
+prefixes, one pass by length for every size, within ``MAX_COUNT_CELLS`` live
+(class, size) cells; Adiff, with no summary, by its walk; S by psi.
 
 Generating-function coefficients come from cached product series
 prod_{d in D} 1/(1 - q^d).  The product DP builds a series once; a request
@@ -24,7 +27,7 @@ from operator import mul
 from typing import Callable, Iterable, Iterator
 
 from .bijections import pi_map, psi_inverse
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .partition import Partition, _check_largest, _check_output_length
 
 
@@ -126,6 +129,41 @@ def iter_members_of_size(spec, n: int) -> Iterator[tuple[int, ...]]:
     if not getattr(spec, "prefix_closed", False):
         raise DomainError(f"{spec!r} is not prefix-closed; filter the partitions of n instead")
     return _size_walk(n, spec._child_ok)
+
+
+# The most (class, size) cells a count holds in the layer it builds: about 120 MB at worst.
+MAX_COUNT_CELLS = 250_000
+
+
+def _state_counts(spec, upto: int) -> dict[int, int]:
+    """{size: members} for sizes 0..upto of a prefix-closed spec with a summary, one pass by length.
+
+    A member prefix's class is its summary and last part: the test answers alike
+    for the class and its members extend to equal classes.  So a class keeps one
+    representative and a {size: count} histogram, and the test runs once per
+    class and candidate part, never once per member.
+    """
+    ok, summary = spec._child_ok, spec._summary
+    counts, layer, n = {}, [((), {0: 1})], 0
+    while layer:
+        longer, cells = {}, 0
+        for t, sizes in layer:
+            for s, k in sizes.items():
+                counts[s] = counts.get(s, 0) + k
+            for v in range(1, min(t[-1], upto - min(sizes)) + 1 if t else upto + 1):
+                if ok(t, n, v):
+                    c = t + (v,)
+                    child = longer.setdefault((summary(c), v), (c, {}))[1]
+                    cells -= len(child)
+                    for s, k in sizes.items():
+                        if s + v <= upto:
+                            child[s + v] = child.get(s + v, 0) + k
+                    cells += len(child)
+                    if cells > MAX_COUNT_CELLS:
+                        raise ResourceError(f"counting {spec} to size {upto} needs more than "
+                                            f"{MAX_COUNT_CELLS} (class, size) cells in one layer")
+        layer, n = list(longer.values()), n + 1
+    return counts
 
 
 def enumerate_with_parts_from(allowed: Iterable[int], n: int) -> list[Partition]:
@@ -274,14 +312,31 @@ def count_members(pred, n: int) -> int:
 
     ``pred`` may be a callable on Partition or anything with a ``contains``
     method, such as an IdealSpec from :mod:`seqcong.ideals`.  A prefix-closed
-    spec is counted by the member walk :func:`iter_members_of_size`; every
-    other predicate, the non-ideal kind S included, is tested on each
-    partition of n.
+    spec with a summary is counted over classes of its member prefixes
+    (``ResourceError`` past ``MAX_COUNT_CELLS`` cells); Adiff by the member
+    walk :func:`iter_members_of_size`; the non-ideal kind S as partitions of
+    n into squares (psi).  Every other predicate is tested on each partition
+    of n.
     """
+    if getattr(pred, "_summary", None) is not None:
+        return _state_counts(pred, _check_size(n)).get(n, 0)
+    if getattr(pred, "kind", None) == "S":  # psi: its members of size n <-> partitions of n into squares
+        _check_largest(_check_size(n))  # (n) is a member
+        if n >= MAX_COUNT_CELLS:
+            raise ResourceError(f"counting S to size {n} needs {n + 1} series cells, above {MAX_COUNT_CELLS}")
+        return count_into_powers(n, 2)
     if getattr(pred, "prefix_closed", False):
         return sum(1 for _ in iter_members_of_size(pred, n))
     test = _as_predicate(pred)
     return sum(1 for t in iter_partition_tuples(n) if test(Partition._of(t)))
+
+
+def member_counts(pred, upto: int) -> list[int]:
+    """``count_members(pred, n)`` for n in range(upto + 1): one count over classes serves every size."""
+    if getattr(pred, "_summary", None) is None or upto < 0:
+        return [count_members(pred, n) for n in range(upto + 1)]
+    counts = _state_counts(pred, _check_size(upto))
+    return [counts.get(n, 0) for n in range(upto + 1)]
 
 
 def enumerate_members(pred, n: int) -> list[Partition]:

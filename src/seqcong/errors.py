@@ -34,4 +34,5 @@ class HorizonError(SpecError):
 
 
 class ResourceError(DomainError):
-    """An answer would exceed the output-size limit (``partition.MAX_OUTPUT_PARTS``)."""
+    """An answer would exceed the output-size limit (``partition.MAX_OUTPUT_PARTS``),
+    or a count its cell limit (``counting.MAX_COUNT_CELLS``)."""

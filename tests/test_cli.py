@@ -267,18 +267,45 @@ class TestIdealCountsAndListings:
             assert cli_ok("enumerate", "--pred", tag, "--size", str(n)).splitlines() == want
 
     def test_walk_serves_ideals_and_not_s(self, monkeypatch):
-        walked = []
-        walk = counting.iter_members_of_size
+        # enumerate walks the members; count makes one state count for every size
+        walked, counted = [], []
+        walk, state_counts = counting.iter_members_of_size, counting._state_counts
 
         def spy(spec, n):
             walked.append(str(spec))
             return walk(spec, n)
 
+        def count_spy(spec, upto):
+            counted.append((str(spec), upto))
+            return state_counts(spec, upto)
+
         monkeypatch.setattr(counting, "iter_members_of_size", spy)
-        for tag in ("R", "SA_maxlen:2", "S"):
+        monkeypatch.setattr(counting, "_state_counts", count_spy)
+        for tag in ("R", "SA_maxlen:2", "S", "Adiff"):
             cli_ok("count", "--pred", tag, "--upto", "3")
             cli_ok("enumerate", "--pred", tag, "--size", "3")
-        assert walked == ["R"] * 5 + ["SA_maxlen:2"] * 5
+        assert walked == ["R", "SA_maxlen:2"] + ["Adiff"] * 5
+        assert counted == [("R", 3), ("SA_maxlen:2", 3)]
+
+    def test_distinct_parts_to_200(self):
+        # Euler's prod (1 + q^k); the member walk could not reach this size
+        assert cli_ok("count", "--pred", "D", "--upto", "200").splitlines()[-1] == "200 487067746"
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_sk_reads_the_powers_series(self, k, monkeypatch):
+        # psi_k maps S_k's members of size n onto the partitions of n into (k+1)-th powers
+        want = [sum(generalized.is_in_Sk(Partition(t), k) for t in recursive_partition_tuples(n)) for n in range(31)]
+
+        def refuse(*args):
+            raise AssertionError("filtered every partition")
+
+        monkeypatch.setattr(counting, "count_members", refuse)
+        assert json.loads(cli_ok("--format", "json", "count", "--pred", f"Sk:{k}", "--upto", "30")) == want
+
+    @pytest.mark.parametrize("tag", ["Sk:0", "Sk:-2"])
+    def test_sk_needs_a_positive_k(self, tag, capsys):
+        assert cli("count", "--pred", tag, "--upto", "3") == (1, "")
+        assert capsys.readouterr().err == "error: k must be a positive integer\n"
 
     def test_s_prints_the_seqcong_bytes(self, monkeypatch):
         # S is exactly the sequentially congruent set, so it is answered the
@@ -531,6 +558,18 @@ class TestProcessExits:
                               preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
         assert (done.returncode, done.stdout, done.stderr) == (
             1, b"", b"error: term 2 of pow:10000000000 exceeds the 64-bit part range\n")
+
+
+class TestCountCellLimit:
+    def test_huge_count_refused_within_memory(self):
+        # it ran until killed: one state count names the cells it would need
+        resource = pytest.importorskip("resource")
+        limit = 400_000 * 1024
+        cmd, env = _seqcong("count", "--pred", "D", "--upto", "100000")
+        done = subprocess.run(cmd, capture_output=True, env=env, timeout=60,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, b"", b"error: counting D to size 100000 needs more than 250000 (class, size) cells in one layer\n")
 
 
 class CountingWriter(io.StringIO):

@@ -13,6 +13,7 @@ from seqcong import (
     DomainError,
     IdealSpec,
     Partition,
+    ResourceError,
     compute_L,
     count_all_partitions,
     count_into_powers,
@@ -29,6 +30,7 @@ from seqcong import (
     is_seq_congruent,
     iter_members_of_size,
     iter_partition_tuples,
+    member_counts,
     members_within,
 )
 
@@ -271,6 +273,18 @@ class TestCountMembers:
     def test_rogers_ramanujan_at_50(self):
         assert count_members(IdealSpec("R"), 50) == 1065
 
+    def test_s_reads_the_squares_series(self, monkeypatch):
+        # psi maps S's members of size n onto the partitions of n into squares
+        spec = IdealSpec("S")
+        want = [sum(map(spec._member, recursive_partition_tuples(n))) for n in range(31)]
+
+        def refuse(*args):
+            raise AssertionError("filtered every partition")
+
+        monkeypatch.setattr(counting, "iter_partition_tuples", refuse)
+        assert [count_members(spec, n) for n in range(31)] == want
+        assert [count_into_powers(n, 2) for n in range(31)] == want
+
     def test_non_ideal_s_is_filtered(self):
         spec = IdealSpec("S")
         for n in range(16):
@@ -498,6 +512,94 @@ class TestMemberWalk:
         if spec.prefix_closed:
             with pytest.raises(TypeError, match="n must be an integer"):
                 list(iter_members_of_size(spec, n))
+
+
+def walk_counts(spec, upto):
+    return [sum(1 for _ in iter_members_of_size(spec, n)) for n in range(upto + 1)]
+
+
+class TestStateCount:
+    """Prefix-closed kinds with a summary are counted over classes of member prefixes."""
+
+    SUMMARIZED = [s for s in PREFIX_CLOSED if s._summary is not None]
+
+    def test_every_kind_but_adiff_has_a_summary(self):
+        assert {s.kind for s in self.SUMMARIZED} == set(_KINDS) - {"S", "Adiff"}
+
+    @pytest.mark.parametrize("spec", SUMMARIZED, ids=str)
+    def test_equals_walk(self, spec):
+        want = walk_counts(spec, 30)
+        assert member_counts(spec, 30) == want
+        assert [count_members(spec, n) for n in range(31)] == want
+        assert counting._state_counts(spec, 30) == {n: c for n, c in enumerate(want) if c}
+
+    def test_distinct_parts_euler_product_to_200(self):
+        want = [1] + [0] * 200  # prod (1 + q^k), one factor at a time
+        for k in range(1, 201):
+            for n in range(200, k - 1, -1):
+                want[n] += want[n - k]
+        assert member_counts(IdealSpec("D"), 200) == want
+        assert count_members(IdealSpec("D"), 200) == 487067746
+
+    def test_rogers_ramanujan_product_to_100(self):
+        # gaps of at least 2 <-> parts = 1 or 4 mod 5: prod 1 / (1 - q^k) over those k
+        want = CountSeries.from_degrees((k for k in range(1, 101) if k % 5 in (1, 4)), 100).coefficients
+        assert member_counts(IdealSpec("R"), 100) == list(want)
+
+    def test_parity_to_100(self):
+        assert member_counts(IdealSpec("P_parity"), 100) == [count_parity_ideal(n) for n in range(101)]
+
+    def test_adiff_is_walked(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("Adiff has no summary to class its prefixes by")
+
+        monkeypatch.setattr(counting, "_state_counts", refuse)
+        spec = IdealSpec("Adiff")
+        want = walk_counts(spec, 30)
+        assert [count_members(spec, n) for n in range(31)] == want
+        assert member_counts(spec, 30) == want
+
+    def test_child_ok_calls_pinned(self):
+        # once per class and candidate part; the walk tests every member prefix's
+        # children, so it makes at least one call per prefix of size <= 80
+        spec = IdealSpec("D")
+        calls = [0]
+        ok = spec._child_ok
+
+        def counted(*args):
+            calls[0] += 1
+            return ok(*args)
+
+        spec._child_ok = counted
+        counts = member_counts(spec, 80)
+        assert counts[80] == 77312
+        assert calls[0] == 2785
+        assert calls[0] * 100 < sum(counts) - 1
+
+    def test_cells_bounded(self, monkeypatch):
+        monkeypatch.setattr(counting, "MAX_COUNT_CELLS", 100)
+        assert count_members(IdealSpec("R"), 20) == 31
+        with pytest.raises(ResourceError, match=r"counting D to size 60 needs more than 100 \(class, size\) cells"):
+            count_members(IdealSpec("D"), 60)
+        with pytest.raises(ResourceError, match="counting S to size 100 needs 101 series cells, above 100"):
+            count_members(IdealSpec("S"), 100)
+
+    def test_huge_size_refused_unbuilt(self, monkeypatch):
+        # the first layer holds one one-cell class per part: refused at the cap, not after n of
+        # them (the spy stops a count that passes the cap, which would grow until killed)
+        monkeypatch.setattr(counting, "MAX_COUNT_CELLS", 1000)
+        spec = IdealSpec("P_mod", 3)
+        ok, calls = spec._child_ok, [0]
+
+        def bounded(*args):
+            calls[0] += 1
+            assert calls[0] <= 1001, "tested past the cap"
+            return ok(*args)
+
+        spec._child_ok = bounded
+        with pytest.raises(ResourceError, match="needs more than 1000 "):
+            count_members(spec, 10**12)
+        assert calls[0] == 1001
 
 
 def assert_trusted(partitions):
