@@ -202,7 +202,7 @@ def _run_enumerate(args) -> list[str]:
         if args.pred != "seqcong":
             raise DomainError("--largest enumeration is defined for --pred seqcong")
         found = counting.enumerate_seqcong_by_largest(args.largest)
-    elif args.pred in ("seqcong", "S"):  # the ideal kind S is the sequentially congruent set
+    elif args.pred == "seqcong":
         found = counting.enumerate_seqcong_by_size(args.size)
     else:
         found = counting.enumerate_members(_predicate_for(args.pred), args.size)
@@ -221,11 +221,12 @@ def _counts_for(tag: str, upto: int) -> list[int]:
         k = _tag_param(tag)
     else:  # all: k = 1; psi: S's members of size n <-> partitions of n into squares
         k = {"all": 1, "squares": 2, "seqcong": 2, "S": 2}.get(tag)
-    if k is not None:
-        return [counting.count_into_powers(n, k) for n in range(upto + 1)]
-    if tag == "parity":
-        return [ideals.count_parity_ideal(n) for n in range(upto + 1)]
-    return counting.member_counts(_predicate_for(tag), upto)
+    if k is None and tag != "parity":
+        return counting.member_counts(_predicate_for(tag), upto)
+    count = ideals.count_parity_ideal if k is None else partial(counting.count_into_powers, k=k)
+    if upto > 0:  # size N first: it builds the series once, or refuses it before any smaller size runs
+        count(upto)
+    return [count(n) for n in range(upto + 1)]
 
 
 def _run_count(args) -> list[str]:

@@ -259,8 +259,11 @@ def _cached_series(key: tuple, degrees_for: Callable[[int], Iterable[int]], upto
     """The product over ``degrees_for(upto)`` to index ``upto``, cached by key.
 
     A longer request extends the cached series by the divisor-sum recurrence
-    (Euler; Apostol 1976, ch. 14) unless a rebuild costs less.
+    (Euler; Apostol 1976, ch. 14) unless a rebuild costs less.  A series of
+    ``MAX_COUNT_CELLS`` coefficients or more is refused before it is built.
     """
+    if upto >= MAX_COUNT_CELLS:
+        raise ResourceError(f"counting to size {upto} needs {upto + 1} series cells, above {MAX_COUNT_CELLS}")
     with _series_lock:
         cached = _series_cache.get(key)
         if cached is not None and len(cached[0]) > upto:
@@ -342,11 +345,13 @@ def member_counts(pred, upto: int) -> list[int]:
 def enumerate_members(pred, n: int) -> list[Partition]:
     """Partitions of n satisfying a predicate, reverse lexicographic.
 
-    Takes the same predicates as :func:`count_members` and walks
-    prefix-closed specs the same way.
+    Takes the same predicates as :func:`count_members`, walks prefix-closed
+    specs the same way and lists S through psi_inverse.
     """
     if getattr(pred, "prefix_closed", False):
         return [Partition._of(t) for t in iter_members_of_size(pred, n)]
+    if getattr(pred, "kind", None) == "S":
+        return enumerate_seqcong_by_size(n)
     test = _as_predicate(pred)
     return [p for p in map(Partition._of, iter_partition_tuples(n)) if test(p)]
 

@@ -404,8 +404,10 @@ def sigma_prime_AB(p: Partition, spec: GenSpec) -> Partition:
 
 def is_in_Sk(p: Partition, k: int) -> bool:
     """Congruence chain with moduli i^k: part i = part i+1 (mod i^k), last part divisible by r^k."""
-    if k < 1:
-        raise DomainError("k must be a positive integer")
+    if not 0 < k < 64:  # for i >= 2, i**63 > MAX_PART = 2**63 - 1: a larger k gives k = 63's answer
+        if k < 1:
+            raise DomainError("k must be a positive integer")
+        k = 63
     parts = p.parts
     r = len(parts)
     for i in range(1, r):
@@ -425,8 +427,10 @@ def is_in_Sjk(p: Partition, j: int, k: int) -> bool:
     """
     if j < 1:
         raise DomainError("j must be a positive integer")
-    if k < 0:
-        raise DomainError("k must be a nonnegative integer")
+    if not 0 <= k < 64:  # as in is_in_Sk
+        if k < 0:
+            raise DomainError("k must be a nonnegative integer")
+        k = 63
     parts = p.parts
     r = len(parts)
     for i in range(1, r):

@@ -1,18 +1,18 @@
 """Partition-ideal analysis: membership, closure, order, modulus, linking.
 
-An ideal here is a set of partitions closed under removing parts.  Every
-builtin kind but S is also prefix-closed (each prefix of a member is a member)
-and is defined once, by a row of ``_KINDS`` holding one incremental test
+An ideal here is a set of partitions closed under removing parts.  Each builtin
+kind is defined once, by a row of ``_KINDS`` holding one incremental test
 ``ok(t, i, v)``: may the part v follow the prefix t[:i]?  The test reads only
-t[:i] and v, and answers for a member prefix t[:i] and v <= min(t[:i]).
-Membership is its fold over a tuple's own positions (exact by induction), and
-the engines' walks prune on it directly.  A row also declares a *summary*:
-what the test reads of a prefix besides its length and last part (None when
-it reads nothing else; Adiff, which reads every gap, declares none).  Closure,
-modulus and linking each state their rule once, run on classes of members that
-the test cannot tell apart (``_class_layers``) for a kind with a summary, and
-down the walk (``_carry``), naming the first witness, when a class fails or
-there is none.  The rows, with i parts before v:
+t[:i] and v, and answers for a member prefix t[:i] and v <= min(t[:i]).  Every
+kind but S is prefix-closed: membership is the test's fold over a tuple's own
+positions (exact by induction).  On S every prefix of a member passes the fold.
+The engines prune on the test.  A row also declares a *summary*: what the test
+reads of a prefix besides its length and last part (None when it reads nothing
+else; Adiff, which reads every gap, declares none).  Closure, modulus and
+linking each state their rule once, run on classes of members that the test
+cannot tell apart (``_class_layers``) for a kind with a summary, and down the
+walk (``_carry``), naming the first witness, when a class fails or there is
+none.  The rows, with i parts before v:
 
 =============  ========  =========  ===========================================
 kind           param     summary    part v may follow t[:i] when
@@ -75,6 +75,11 @@ def _adiff_ok(t, i, v):
     return True
 
 
+def _seqcong_prefix_ok(t, i, v):
+    # a member of S with r parts has every part >= r, its last a multiple of r
+    return not i or (v > i and (t[i - 1] - v) % i == 0)
+
+
 def _blank(_):
     # a summary that tells no two prefixes apart
     return lambda t: None
@@ -85,12 +90,12 @@ def _first_mod(k):
 
 
 # kind -> (least parameter, or None when the kind takes none;
-#          parameter -> incremental test ok(t, i, v), or None for S;
+#          parameter -> incremental test ok(t, i, v): S's prefix rule, which every prefix of a member passes;
 #          parameter -> summary of a nonempty prefix, or None when the kind declares none)
 _KINDS = {
     "SA": (None, lambda _: _sa_ok, _blank),
     "SA_maxlen": (1, lambda r: lambda t, i, v: i < r and _sa_ok(t, i, v), _blank),
-    "S": (None, None, None),
+    "S": (None, lambda _: _seqcong_prefix_ok, None),
     "D": (None, lambda _: lambda t, i, v: not i or v < t[i - 1], _blank),
     "R": (None, lambda _: lambda t, i, v: not i or t[i - 1] - v >= 2, _blank),
     "Rprime": (None, lambda _: lambda t, i, v: v > i, _blank),
@@ -129,19 +134,14 @@ def _seqcong_member(t):
     return _congruence_failure_index(t) is None
 
 
-def _seqcong_prefix_ok(t, i, v):
-    # a member of S with r parts has every part >= r, its last a multiple of r
-    return not i or (v > i and (t[i - 1] - v) % i == 0)
-
-
 class IdealSpec:
     """A named builtin partition family, possibly with one integer parameter.
 
-    ``_member(t)`` decides membership of a partition tuple.  For prefix-closed
-    kinds ``_child_ok(t, i, v)`` is the kind's incremental test and
-    ``_member`` its fold; S has no incremental test.  ``_summary(t)``, when
-    the kind declares one, is what the test reads of a nonempty member prefix
-    t besides its length and last part.
+    ``_member(t)`` decides membership of a partition tuple and
+    ``_child_ok(t, i, v)`` is the kind's incremental test: ``_member`` is its
+    fold on a prefix-closed kind, and on S every member passes the fold.
+    ``_summary(t)``, when the kind declares one, is what the test reads of a
+    nonempty member prefix t besides its length and last part.
     """
 
     __slots__ = ("kind", "param", "_member", "_child_ok", "_summary", "prefix_closed")
@@ -161,9 +161,8 @@ class IdealSpec:
             raise DomainError(f"kind {kind} takes no parameter")
         self.kind = kind
         self.param = param
-        self._child_ok = ok = None if test is None else test(param)
-        self.prefix_closed = ok is not None
-        self._member = _fold(ok) if self.prefix_closed else _seqcong_member
+        self._child_ok, self.prefix_closed = test(param), kind != "S"
+        self._member = _fold(self._child_ok) if self.prefix_closed else _seqcong_member
         self._summary = None if summary is None else summary(param)
 
     @classmethod
@@ -360,7 +359,7 @@ def _member_tuples(spec: IdealSpec, max_part: int, max_length: int):
     along its prefix rule and kept when the last part is a multiple of the length."""
     if spec.prefix_closed:
         return _walk(spec._child_ok, max_part, max_length)
-    return (t for t in _by_size(_seqcong_prefix_ok, max_part, max_length) if not t or t[-1] % len(t) == 0)
+    return (t for t in _by_size(spec._child_ok, max_part, max_length) if not t or t[-1] % len(t) == 0)
 
 
 def members_within(spec: IdealSpec, bound: AnalysisBound) -> list[Partition]:
@@ -501,25 +500,25 @@ def _present_windows(t, k):
 def _order_refute(spec, k, bound, windows):
     """The smallest non-member in (size, revlex) order whose k-windows are all members.
 
-    On a prefix-closed kind the search takes a part that the kind's test takes
-    or whose tuple's windows are all members; a window of a prefix is a prefix
-    of the same window of the whole tuple, so no witness is pruned.  The tuples
-    before the witness are members, so it is the first that its own last test
-    refuses.  On S the search takes every part and tests each tuple whole.
+    The search takes a part that the kind's test takes or whose tuple's windows
+    all pass the test's fold.  A window of a prefix is a prefix of the same
+    window of the whole tuple, and every prefix of a member passes the fold, so
+    no witness is pruned.  On a prefix-closed kind the fold is membership: the
+    tuples before the witness are members, so it is the first that its own last
+    test refuses.  On S it is the first non-member whose windows are members.
     """
     if k < 1:
         raise DomainError("window width must be positive")
-    ok, member, box = spec._child_ok, spec._member, (bound.max_part, bound.max_length)
+    ok, member, fold = spec._child_ok, spec._member, _fold(spec._child_ok)
 
-    def windows_ok(t):
-        return all(member(w) for w in windows(t, k))
+    def passes(t, test):  # every k-window of t passes test
+        return all(test(w) for w in windows(t, k))
 
-    if ok is None:
-        found = (t for t in _by_size(lambda t, i, v: True, *box) if not member(t) and windows_ok(t))
+    found = _by_size(lambda t, i, v: ok(t, i, v) or passes(t + (v,), fold), bound.max_part, bound.max_length)
+    if spec.prefix_closed:
+        t = next((t for t in found if t and not ok(t[:-1], len(t) - 1, t[-1])), None)
     else:
-        found = (t for t in _by_size(lambda t, i, v: ok(t, i, v) or windows_ok(t + (v,)), *box)
-                 if t and not ok(t[:-1], len(t) - 1, t[-1]))
-    t = next(found, None)
+        t = next((t for t in found if not member(t) and passes(t, member)), None)
     return None if t is None else Partition(t)
 
 
@@ -599,7 +598,8 @@ def check_modulus(spec: IdealSpec, m: int, bound: AnalysisBound) -> ModulusRepor
     tests each member's shifts whole.
     """
     _positive(m, "modulus")
-    ok, summary = spec._child_ok or (lambda s, i, v: spec._member(s + (v,))), spec._summary  # S: shifts whole
+    ok = spec._child_ok if spec.prefix_closed else lambda s, i, v: spec._member(s + (v,))  # S: shifts whole
+    summary = spec._summary
 
     def step(t, n, v, shifts):  # t shifted up by m, and down by m while its parts exceed m
         up, down = shifts
@@ -743,7 +743,7 @@ def _fits(spec, pool, tails, cap):
     """Per tail pi, the pool's remainders b, in order, that b + pi completes to a member (b passed the walk)."""
     ok, member = spec._child_ok, spec._member
     return {pi: [b for b in pool if len(b) + len(pi) <= cap and (
-        member(b + pi) if ok is None else _fold_from(ok, b + pi, len(b)))] for pi in tails}
+        _fold_from(ok, b + pi, len(b)) if spec.prefix_closed else member(b + pi))] for pi in tails}
 
 
 def _class_pool(spec, m, bound, span_cap, tails):
@@ -778,11 +778,11 @@ def _single_pool(spec, m, bound, tails):
     S's pool follows its prefix rule, which every prefix of a member passes, and S builds by membership.
     """
     ok, member = spec._child_ok, spec._member
-    pool = list(_by_size(ok or _seqcong_prefix_ok, bound.max_part, bound.max_length, m + 1))
+    pool = list(_by_size(ok, bound.max_part, bound.max_length, m + 1))
     moves = {}  # l -> _Moves, never empty so never falsy
 
     def builds(b, tau, pi, l):
-        if ok is None:
+        if not spec.prefix_closed:
             return member(tuple(x + l * m for x in b + tau) + pi)
         s = (moves.get(l) or moves.setdefault(l, _Moves(ok, l * m)))[b + tau]
         return s is not None and _fold_from(ok, s + pi, len(s))

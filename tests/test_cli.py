@@ -215,8 +215,7 @@ class TestEnumerateAndCount:
         assert cli_ok("--format", "json", "count", "--pred", "squares", "--upto", "9") == "[1,1,1,1,2,2,2,2,3,4]\n"
 
     def test_count_all_builds_the_series_once(self, monkeypatch):
-        # Each size past the cached length extends the k = 1 series; only the
-        # first request builds it.
+        # Size N is asked first and builds the k = 1 series; every smaller size reads it.
         monkeypatch.setattr(counting, "_series_cache", {})
         want = [f"{n:>4} {c}" for n, c in enumerate(CountSeries.from_degrees(range(1, 1001), 1000).coefficients)]
         builds = []
@@ -228,7 +227,7 @@ class TestEnumerateAndCount:
 
         monkeypatch.setattr(CountSeries, "from_degrees", classmethod(spy))
         assert cli_ok("count", "--pred", "all", "--upto", "1000").splitlines() == want
-        assert builds == [0]
+        assert builds == [1000]
 
     @pytest.mark.parametrize("argv", [
         ("count", "--pred", "powers:x", "--upto", "3"),
@@ -302,6 +301,10 @@ class TestIdealCountsAndListings:
         monkeypatch.setattr(counting, "count_members", refuse)
         assert json.loads(cli_ok("--format", "json", "count", "--pred", f"Sk:{k}", "--upto", "30")) == want
 
+    def test_sk_with_a_huge_k_is_listed_at_once(self):
+        # i**k for i >= 2 passes every part long before k = 99999999999, so the answer is k = 63's
+        assert cli_ok("enumerate", "--pred", "Sk:99999999999", "--size", "2") == "[2]\n"
+
     @pytest.mark.parametrize("tag", ["Sk:0", "Sk:-2"])
     def test_sk_needs_a_positive_k(self, tag, capsys):
         assert cli("count", "--pred", tag, "--upto", "3") == (1, "")
@@ -314,7 +317,7 @@ class TestIdealCountsAndListings:
             raise AssertionError("filtered every partition")
 
         monkeypatch.setattr(counting, "count_members", refuse)
-        monkeypatch.setattr(counting, "enumerate_members", refuse)
+        monkeypatch.setattr(counting, "iter_partition_tuples", refuse)
         for head, tail in (
             (("count",), ("--upto", "45")),
             (("--format", "json", "count"), ("--upto", "30")),
@@ -570,6 +573,16 @@ class TestCountCellLimit:
                               preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
         assert (done.returncode, done.stdout, done.stderr) == (
             1, b"", b"error: counting D to size 100000 needs more than 250000 (class, size) cells in one layer\n")
+
+    def test_huge_series_refused_within_memory(self):
+        # it ran until killed: size N is asked first, and its series is refused before it is built
+        resource = pytest.importorskip("resource")
+        limit = 400_000 * 1024
+        cmd, env = _seqcong("count", "--pred", "all", "--upto", "300000000")
+        done = subprocess.run(cmd, capture_output=True, env=env, timeout=60,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, b"", b"error: counting to size 300000000 needs 300000001 series cells, above 250000\n")
 
 
 class CountingWriter(io.StringIO):

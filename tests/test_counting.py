@@ -161,6 +161,17 @@ class TestSeqcongEnumerators:
             got = [p.parts for p in enumerate_seqcong_by_size(n)]
             assert set(got) == want and len(got) == len(want)
 
+    def test_s_members_listed_through_psi(self, monkeypatch):
+        # enumerate_members reads psi_inverse for S, as count_members reads the squares series
+        member = IdealSpec("S")._member
+        want = [[t for t in iter_partition_tuples(n) if member(t)] for n in range(31)]
+
+        def refuse(*args):
+            raise AssertionError("filtered every partition")
+
+        monkeypatch.setattr(counting, "iter_partition_tuples", refuse)
+        assert [[p.parts for p in enumerate_members(IdealSpec("S"), n)] for n in range(31)] == want
+
     def test_by_largest_counts_all_partitions(self):
         for n in range(15):
             assert len(enumerate_seqcong_by_largest(n)) == PARTITION_COUNTS[n]
@@ -583,6 +594,20 @@ class TestStateCount:
             count_members(IdealSpec("D"), 60)
         with pytest.raises(ResourceError, match="counting S to size 100 needs 101 series cells, above 100"):
             count_members(IdealSpec("S"), 100)
+
+    def test_series_refused_unbuilt(self, monkeypatch):
+        # one series builder serves count_into_powers, count_all_partitions and count_parity_ideal
+        monkeypatch.setattr(counting, "MAX_COUNT_CELLS", 100)
+        monkeypatch.setattr(counting, "_series_cache", {})
+
+        def degrees(m):
+            raise AssertionError("built the degree list")
+
+        for refused in (lambda: counting._cached_series(("x",), degrees, 100), lambda: count_into_powers(100, 2),
+                        lambda: count_all_partitions(10**12), lambda: count_parity_ideal(300)):
+            with pytest.raises(ResourceError, match=r"^counting to size \d+ needs \d+ series cells, above 100$"):
+                refused()
+        assert count_all_partitions(99) == 169229875
 
     def test_huge_size_refused_unbuilt(self, monkeypatch):
         # the first layer holds one one-cell class per part: refused at the cap, not after n of

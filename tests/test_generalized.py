@@ -296,6 +296,26 @@ class TestPowerFamilies:
         assert not is_in_Sjk(Partition([3, 1]), 1, 1)
         assert is_in_Sjk(Partition([6, 4, 2]), 2, 0)  # j=2, k=0: every difference is 2
 
+    def test_huge_k_answers_as_the_unclamped_chain(self):
+        # k is clamped to 63: for i >= 2, i**63 and every larger power pass every part and difference
+        def in_sk(t, k):
+            return all((x - y) % i**k == 0 for i, (x, y) in enumerate(zip(t, t[1:]), 1)) and (
+                not t or t[-1] % len(t)**k == 0)
+
+        def in_sjk(t, j, k):
+            return all(x - y == j * i**k for i, (x, y) in enumerate(zip(t, t[1:]), 1)) and (
+                not t or t[-1] == j * len(t)**k)
+
+        big = [Partition(t) for t in ((2**62, 2**62), (2**63 - 2, 2**62 - 1, 1), (3 * 2**61, 2**62, 2**62),
+                                      (2**63 - 1,), (2**62 + 4, 4, 4))]
+        for p in all_partitions_upto(7) + big:
+            for k in range(71):
+                if k:
+                    assert is_in_Sk(p, k) == in_sk(p.parts, k), (p, k)
+                for j in (1, 2):
+                    assert is_in_Sjk(p, j, k) == in_sjk(p.parts, j, k), (p, j, k)
+        assert is_in_Sk(Partition([2**62, 2**62]), 62) and not is_in_Sk(Partition([2**62, 2**62]), 10**12)
+
     def test_Sjk_members_map_to_uniform_vectors(self):
         for j, k in [(1, 1), (2, 1), (1, 2)]:
             spec = GenSpec.power_widths(k)

@@ -237,6 +237,9 @@ class TestKindTable:
         assert all(s.prefix_closed and s.is_true_ideal() for s in TABLE_SPECS)
         assert not IdealSpec("S").prefix_closed and not IdealSpec("S").is_true_ideal()
 
+    def test_s_test_is_its_prefix_rule(self):
+        assert IdealSpec("S")._child_ok is _seqcong_prefix_ok
+
     @pytest.mark.parametrize("spec", TABLE_SPECS, ids=str)
     def test_fold_and_incremental_test_match_closed_form(self, spec):
         oracle, ok = oracle_member(spec), spec._child_ok
@@ -634,6 +637,12 @@ class TestOrder:
         assert weak_order_estimate(IdealSpec("P_parity"), AnalysisBound(12, 8)).order == 2
         assert weak_order_estimate(IdealSpec("N_maxlen", 3), AnalysisBound(12, 8)).order == 4
 
+    def test_s_order_grows(self):
+        # the maximal ideal's order grows with the box: its last witness presses against the part cap
+        bound = AnalysisBound(12, 8)
+        assert order_estimate(IdealSpec("S"), bound) == OrderReport(IdealSpec("S"), bound, False, None, True, 11,
+                                                                    Partition([12, 1]))
+
     def test_weak_order_rprime_grows(self):
         report = weak_order_estimate(IdealSpec("Rprime"), AnalysisBound(12, 8))
         assert report.growing and report.order is None
@@ -658,6 +667,17 @@ class TestOrderWork:
         spec._member = _fold(spec._child_ok)
         estimate(spec, bound)
         assert calls[0] == tests < parent
+
+    def test_s_weak_order_work_pinned(self, monkeypatch):
+        # S's search takes a part when its prefix rule does or every window passes the rule's fold;
+        # the parent took every part and popped 126,133 tuples with 258,076 member tests
+        popped = []
+        search = ideals._by_size
+        monkeypatch.setattr(ideals, "_by_size", lambda *args: (popped.append(t) or t for t in search(*args)))
+        spec, bound = IdealSpec("S"), AnalysisBound(12, 8)
+        calls = count_calls(spec, "_member")
+        assert weak_order_estimate(spec, bound) == OrderReport(spec, bound, True, 3, False, 2, Partition([5, 4, 2]))
+        assert (len(popped), calls[0]) == (719, 1193)
 
 
 ORDER_BOXES = [AnalysisBound(8, 5), AnalysisBound(10, 6), AnalysisBound(7, 7), AnalysisBound(9, 4)]
@@ -702,10 +722,10 @@ class TestOrderMatchesScan:
 
     @pytest.mark.parametrize("windows", [_integer_windows, _present_windows])
     def test_non_ideal_matches_the_scan(self, windows):
-        bound = AnalysisBound(8, 5)
-        for k in range(1, bound.max_part):
-            assert ideals._order_refute(IdealSpec("S"), k, bound, windows) == scan_order_refute(
-                IdealSpec("S"), k, bound, windows)
+        for bound in (AnalysisBound(6, 4), AnalysisBound(8, 5), AnalysisBound(9, 6), AnalysisBound(10, 5)):
+            for k in range(1, bound.max_part):  # the widths an estimate asks
+                assert ideals._order_refute(IdealSpec("S"), k, bound, windows) == scan_order_refute(
+                    IdealSpec("S"), k, bound, windows), (bound, k)
 
 
 class TestModulus:
