@@ -195,6 +195,7 @@ def _predicate_for(tag: str):
 
 
 def _run_enumerate(args) -> list[str]:
+    from itertools import islice
     from . import counting
     if (args.size is None) == (args.largest is None):
         raise DomainError("enumerate needs exactly one of --size or --largest")
@@ -204,10 +205,10 @@ def _run_enumerate(args) -> list[str]:
         found = counting.enumerate_seqcong_by_largest(args.largest)
     elif args.pred == "seqcong":
         found = counting.enumerate_seqcong_by_size(args.size)
-    else:
-        found = counting.enumerate_members(_predicate_for(args.pred), args.size)
+    else:  # a walk or a filter: --limit stops it after that many answers
+        found = counting._members(_predicate_for(args.pred), args.size)
     if args.limit is not None:
-        found = found[: args.limit]
+        found = islice(found, args.limit) if args.limit >= 0 else list(found)[: args.limit]
     return [_dumps(_partition_payload(p)) for p in found]
 
 

@@ -1,10 +1,10 @@
 """Enumerators, member counts and generating-function coefficients.
 
 The enumerators list partitions in reverse lexicographic order,
-duplicate-free: an iterative generator over all partitions of n with
-optional part/length caps, and a pruned walk over the members of size n of a
-prefix-closed ideal.  Counts are plain Python integers, so they stay exact
-however large the coefficients grow.
+duplicate-free: a walk over all partitions of n with optional part/length
+caps that splices its small rests from a table, and a pruned walk over the
+members of size n of a prefix-closed ideal.  Counts are plain Python
+integers, so they stay exact however large the coefficients grow.
 A prefix-closed kind with a summary is counted over classes of member
 prefixes, one pass by length for every size, within ``MAX_COUNT_CELLS`` live
 (class, size) cells; Adiff, with no summary, by its walk; S by psi.
@@ -31,64 +31,71 @@ from .errors import DomainError, ResourceError
 from .partition import Partition, _check_largest, _check_output_length
 
 
-def iter_partition_tuples(
-    n: int, max_part: int | None = None, max_length: int | None = None
-) -> Iterator[tuple[int, ...]]:
-    """All partitions of n as tuples, reverse lexicographic, largest first.
+_SPLICE_MAX = 20
+_tails = None
 
-    Parts are capped at ``max_part`` and lengths at ``max_length``; a cap
-    below 1 leaves only the empty partition of 0.  Each step decrements the
-    rightmost part whose suffix still fits the length cap and refills the
-    suffix greedily (ZS1, Zoghbi & Stojmenovic 1998, with caps).  The parts
-    are plain ints in the 64-bit part range, so the enumerators may wrap the
-    tuples with ``Partition._of``.
-    """
+
+def _splice_table() -> tuple[list[list[tuple[int, ...]]], list[list[int]]]:
+    """``_tails``, built on first use: row m lists the partitions of m <= _SPLICE_MAX in reverse
+    lexicographic order, as (v,) + each tail of row m - v that starts at most v, for v from
+    m down to 1.  Those with largest part at most k are the suffix from ``starts[m][k]``."""
+    global _tails
+    rows, starts = [[()]], [[0]]
+    for m in range(1, _SPLICE_MAX + 1):
+        row, start = [], []
+        for v in range(m, 0, -1):
+            start.append(len(row))
+            row += [(v,) + s for s in rows[m - v][starts[m - v][min(v, m - v)]:]]
+        rows.append(row)
+        starts.append([len(row)] + start[::-1])
+    _tails = rows, starts  # one assignment publishes the whole table
+    return _tails
+
+
+def _partitions(n: int, max_part: int | None = None, max_length: int | None = None) -> Iterator[Partition]:
+    """All partitions of n within the caps as fresh ``Partition`` values, reverse lexicographic.
+
+    A cap below 1 leaves only the empty partition of 0.  The stack holds (prefix, rest,
+    largest part allowed, parts left).  A node whose rest fits the table and its parts left
+    emits the prefix with each tail the largest part allows.  Any other node pushes,
+    smallest first, the parts v whose rest its parts left can hold, so the largest pops
+    first and no child is a dead end."""
     for arg in (n, max_part, max_length):
         if arg is not None and type(arg) is not int:
             raise TypeError(f"n, max_part and max_length must be integers, got {arg!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        yield ()
-        return
-    cap = n if max_part is None else min(max_part, n)
-    room = n if max_length is None else max_length
-    if cap < 1 or room < 1 or n > cap * room:
+    cap = n if max_part is None else max(min(max_part, n), 0)
+    room = n if max_length is None else max(max_length, 0)
+    if n > cap * room:
         return
     _check_largest(cap)
-    x: list[int] = []
-    j, t, r = 0, n, cap  # refill x[j:] with sum t greedily, parts at most r
-    while True:
-        del x[j:]
-        q, rem = divmod(t, r)
-        x += [r] * q
-        if rem:
-            x.append(rem)
-        h = j - 1 if r == 1 else len(x) - 1 - (rem == 1)  # the last part above 1
-        yield tuple(x)
-        while h >= 0 and x[h] == 2 and len(x) < room:
-            x[h] = 1
-            x.append(1)
-            h -= 1
-            yield tuple(x)
-        if h < 0:
-            return
-        # The suffix from j, of sum t, still fits after x[j] drops to r
-        # iff t <= r * (room - j).
-        j = h
-        t = x[h] + len(x) - 1 - h
-        r = x[h] - 1
-        while t > r * (room - j):
-            j -= 1
-            if j < 0:
-                return
-            t += x[j]
-            r = x[j] - 1
+    rows, starts = _tails or _splice_table()
+    new = object.__new__
+    stack = [((), n, cap, room)]
+    while stack:
+        t, rest, top, room = stack.pop()
+        if rest <= room and rest <= _SPLICE_MAX:
+            for s in rows[rest][starts[rest][min(top, rest)]:]:
+                p = new(Partition)
+                p.parts = t + s
+                yield p
+            continue
+        lo = -(-rest // room)
+        if lo == 1:  # part 1 can only repeat, so its child is completed at once
+            stack.append((t + (1,) * rest, 0, 0, 0))
+        stack += [(t + (v,), rest - v, v, room - 1) for v in range(max(lo, 2), min(top, rest) + 1)]
+
+
+def iter_partition_tuples(n: int, max_part: int | None = None,
+                          max_length: int | None = None) -> Iterator[tuple[int, ...]]:
+    """All partitions of n as tuples, reverse lexicographic: the ``.parts`` of :func:`enumerate_partitions`."""
+    return (p.parts for p in _partitions(n, max_part, max_length))
 
 
 def enumerate_partitions(n: int, max_part: int | None = None, max_length: int | None = None) -> list[Partition]:
     """Partitions of n in reverse lexicographic order."""
-    return [Partition._of(t) for t in iter_partition_tuples(n, max_part, max_length)]
+    return list(_partitions(n, max_part, max_length))
 
 
 def _check_size(n: int) -> int:
@@ -202,7 +209,7 @@ def enumerate_seqcong_by_size(n: int) -> list[Partition]:
 
 def enumerate_seqcong_by_largest(n: int) -> list[Partition]:
     """Sequentially congruent partitions with largest part n: pi_map of the partitions of n."""
-    return sorted(map(pi_map, enumerate_partitions(n)), reverse=True)
+    return sorted(map(pi_map, _partitions(n)), reverse=True)
 
 
 class CountSeries:
@@ -330,8 +337,7 @@ def count_members(pred, n: int) -> int:
         return count_into_powers(n, 2)
     if getattr(pred, "prefix_closed", False):
         return sum(1 for _ in iter_members_of_size(pred, n))
-    test = _as_predicate(pred)
-    return sum(1 for t in iter_partition_tuples(n) if test(Partition._of(t)))
+    return sum(1 for _ in filter(_as_predicate(pred), _partitions(n)))
 
 
 def member_counts(pred, upto: int) -> list[int]:
@@ -348,12 +354,16 @@ def enumerate_members(pred, n: int) -> list[Partition]:
     Takes the same predicates as :func:`count_members`, walks prefix-closed
     specs the same way and lists S through psi_inverse.
     """
+    return list(_members(pred, n))
+
+
+def _members(pred, n: int) -> Iterable[Partition]:
+    """:func:`enumerate_members` lazily, so a caller that stops early stops the walk; S's listing is whole."""
     if getattr(pred, "prefix_closed", False):
-        return [Partition._of(t) for t in iter_members_of_size(pred, n)]
+        return map(Partition._of, iter_members_of_size(pred, n))
     if getattr(pred, "kind", None) == "S":
         return enumerate_seqcong_by_size(n)
-    test = _as_predicate(pred)
-    return [p for p in map(Partition._of, iter_partition_tuples(n)) if test(p)]
+    return filter(_as_predicate(pred), _partitions(n))
 
 
 def _as_predicate(pred) -> Callable[[Partition], bool]:

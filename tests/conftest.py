@@ -1,13 +1,13 @@
 """Shared oracles and strategies.
 
 The oracles here are deliberately naive, independent reimplementations used to
-cross-check the library: textbook recursive partition generators, the direct
-summation forms of the core bijections and of conjugation, the square-count
-vector generators of the sequentially congruent partitions, closed-form
-membership predicates for the ideal kinds, brute-force box filtering for the
-ideal-kind enumerators, the size-ordered scans the ideal engines' pruned
-walks replaced, and the modulus and linking checks that fold every shifted
-tuple from its first part.
+cross-check the library: textbook recursive partition generators and the
+former ZS1 generator, the direct summation forms of the core bijections and
+of conjugation, the square-count vector generators of the sequentially
+congruent partitions, closed-form membership predicates for the ideal kinds,
+brute-force box filtering for the ideal-kind enumerators, the size-ordered
+scans the ideal engines' pruned walks replaced, and the modulus and linking
+checks that fold every shifted tuple from its first part.
 """
 
 from math import lcm
@@ -61,6 +61,51 @@ def recursive_partition_tuples(n, max_part=None, max_length=None):
             yield from rec(remaining - v, v, room - 1, prefix + (v,))
 
     yield from rec(n, cap, room, ())
+
+
+def zs1_partition_tuples(n, max_part=None, max_length=None):
+    """Partitions of n with part/length caps as tuples, reverse lexicographic, by ZS1.
+
+    The library's former generator, kept as the oracle for the splicing walk.
+    Each step decrements the rightmost part whose suffix still fits the length
+    cap and refills the suffix greedily (ZS1, Zoghbi & Stojmenovic 1998, with
+    caps).  A cap below 1 leaves only the empty partition of 0.
+    """
+    if n == 0:
+        yield ()
+        return
+    cap = n if max_part is None else min(max_part, n)
+    room = n if max_length is None else max_length
+    if cap < 1 or room < 1 or n > cap * room:
+        return
+    x = []
+    j, t, r = 0, n, cap  # refill x[j:] with sum t greedily, parts at most r
+    while True:
+        del x[j:]
+        q, rem = divmod(t, r)
+        x += [r] * q
+        if rem:
+            x.append(rem)
+        h = j - 1 if r == 1 else len(x) - 1 - (rem == 1)  # the last part above 1
+        yield tuple(x)
+        while h >= 0 and x[h] == 2 and len(x) < room:
+            x[h] = 1
+            x.append(1)
+            h -= 1
+            yield tuple(x)
+        if h < 0:
+            return
+        # The suffix from j, of sum t, still fits after x[j] drops to r
+        # iff t <= r * (room - j).
+        j = h
+        t = x[h] + len(x) - 1 - h
+        r = x[h] - 1
+        while t > r * (room - j):
+            j -= 1
+            if j < 0:
+                return
+            t += x[j]
+            r = x[j] - 1
 
 
 def all_partitions_upto(n):

@@ -317,7 +317,7 @@ class TestIdealCountsAndListings:
             raise AssertionError("filtered every partition")
 
         monkeypatch.setattr(counting, "count_members", refuse)
-        monkeypatch.setattr(counting, "iter_partition_tuples", refuse)
+        monkeypatch.setattr(counting, "_partitions", refuse)
         for head, tail in (
             (("count",), ("--upto", "45")),
             (("--format", "json", "count"), ("--upto", "30")),
@@ -583,6 +583,26 @@ class TestCountCellLimit:
                               preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
         assert (done.returncode, done.stdout, done.stderr) == (
             1, b"", b"error: counting to size 300000000 needs 300000001 series cells, above 250000\n")
+
+
+class TestEnumerateLimitStopsTheWalk:
+    @pytest.mark.parametrize("pred,want", [
+        ("all", b"[90]\n[89,1]\n[88,2]\n"),
+        ("squares", b"[81,9]\n[81,4,4,1]\n[81,4,1,1,1,1,1]\n"),
+        ("D", b"[90]\n[89,1]\n[88,2]\n"),
+    ])
+    def test_limit_within_memory(self, pred, want):
+        # the listing of all p(90) = 56,634,173 partitions ended in MemoryError before it was cut to 3
+        resource = pytest.importorskip("resource")
+        limit = 400_000 * 1024
+        cmd, env = _seqcong("enumerate", "--pred", pred, "--size", "90", "--limit", "3")
+        done = subprocess.run(cmd, capture_output=True, env=env, timeout=60,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (done.returncode, done.stdout, done.stderr) == (0, want, b"")
+
+    def test_negative_limit_drops_the_last_answers(self):
+        lines = cli_ok("enumerate", "--pred", "all", "--size", "6", "--limit", "-2").splitlines()
+        assert lines == [str(list(p.parts)).replace(" ", "") for p in counting.enumerate_partitions(6)[:-2]]
 
 
 class CountingWriter(io.StringIO):

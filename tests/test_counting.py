@@ -1,5 +1,7 @@
 import functools
+import os
 import random
+import subprocess
 import sys
 import threading
 from operator import mul
@@ -36,7 +38,13 @@ from seqcong import (
 
 from seqcong.ideals import _KINDS
 
-from conftest import _iter_c_vectors, _seqcong_largest_exactly, naive_partitions, recursive_partition_tuples
+from conftest import (
+    _iter_c_vectors,
+    _seqcong_largest_exactly,
+    naive_partitions,
+    recursive_partition_tuples,
+    zs1_partition_tuples,
+)
 
 # p(n) for n = 0..20, the classical sequence
 PARTITION_COUNTS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176, 231, 297, 385, 490, 627]
@@ -104,6 +112,89 @@ class TestIterativeGenerator:
             list(iter_partition_tuples(-1))
 
 
+SPLICE_CAPS = (None, 0, 1, 2, 3, 5, 8, 13, 21, 40)
+
+
+class TestSpliceWalk:
+    """The walk that splices the table's tails, against the ZS1 generator it replaced."""
+
+    def test_matches_zs1_exhaustively(self):
+        for n in range(36):
+            for max_part in SPLICE_CAPS:
+                for max_length in SPLICE_CAPS:
+                    got = list(iter_partition_tuples(n, max_part, max_length))
+                    assert got == list(zs1_partition_tuples(n, max_part, max_length)), (n, max_part, max_length)
+
+    @pytest.mark.parametrize("n", [40, 45])
+    def test_matches_zs1_uncapped(self, n):
+        assert list(iter_partition_tuples(n)) == list(zs1_partition_tuples(n))
+
+    @pytest.mark.parametrize("n,max_part,max_length", [(2000, 2, None), (2000, 2, 1500), (150, 3, 60)])
+    def test_matches_zs1_on_long_partitions_of_small_parts(self, n, max_part, max_length):
+        # the child of part 1 is completed at once, not one part per node
+        got = list(iter_partition_tuples(n, max_part, max_length))
+        assert got == list(zs1_partition_tuples(n, max_part, max_length))
+
+    def test_table_rows_match_zs1(self):
+        rows, starts = counting._tails or counting._splice_table()
+        assert len(rows) == counting._SPLICE_MAX + 1
+        assert sum(map(len, rows)) == 2714
+        for m, row in enumerate(rows):
+            assert row == list(zs1_partition_tuples(m))
+            for k in range(m + 1):  # the suffix from starts[m][k] is the partitions of m with largest part <= k
+                assert row[starts[m][k]:] == list(zs1_partition_tuples(m, k))
+
+    def test_yields_fresh_partitions_of_plain_ints(self):
+        for n, max_part, max_length in ((0, None, None), (9, None, None), (30, 7, 9), (33, None, None)):
+            found = enumerate_partitions(n, max_part, max_length)
+            assert len({id(p) for p in found}) == len(found)
+            for p in found:
+                assert type(p) is Partition and type(p.parts) is tuple
+                assert all(type(x) is int for x in p.parts)
+        assert enumerate_partitions(5)[0] is not enumerate_partitions(5)[0]
+
+    def test_import_leaves_the_table_unbuilt(self):
+        # the table is built on first use, so importing counting costs start-up nothing
+        probe = "import seqcong.counting as c; print(c._tails is None)"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(counting.__file__)))
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
+
+
+class TestWalkWork:
+    """A filter over the partitions of n tests each of them exactly once."""
+
+    @staticmethod
+    def _counted(test):
+        calls = [0]
+
+        def spy(p):
+            calls[0] += 1
+            return test(p)
+
+        return spy, calls
+
+    def test_count_members_tests_each_partition_once(self):
+        for n in range(26):
+            spy, calls = self._counted(is_seq_congruent)
+            count_members(spy, n)
+            assert calls[0] == count_all_partitions(n)
+
+    def test_enumerate_members_tests_each_partition_once(self):
+        for n in range(26):
+            spy, calls = self._counted(lambda p: p.largest % 2 == 0)
+            enumerate_members(spy, n)
+            assert calls[0] == count_all_partitions(n)
+
+    def test_by_largest_maps_each_partition_once(self, monkeypatch):
+        spy, calls = self._counted(counting.pi_map)
+        monkeypatch.setattr(counting, "pi_map", spy)
+        for n in range(26):
+            calls[0] = 0
+            enumerate_seqcong_by_largest(n)
+            assert calls[0] == count_all_partitions(n)
+
+
 class TestRestrictedEnumeration:
     def test_two_values(self):
         got = {p.parts for p in enumerate_with_parts_from({1, 4}, 4)}
@@ -169,7 +260,7 @@ class TestSeqcongEnumerators:
         def refuse(*args):
             raise AssertionError("filtered every partition")
 
-        monkeypatch.setattr(counting, "iter_partition_tuples", refuse)
+        monkeypatch.setattr(counting, "_partitions", refuse)
         assert [[p.parts for p in enumerate_members(IdealSpec("S"), n)] for n in range(31)] == want
 
     def test_by_largest_counts_all_partitions(self):
@@ -292,7 +383,7 @@ class TestCountMembers:
         def refuse(*args):
             raise AssertionError("filtered every partition")
 
-        monkeypatch.setattr(counting, "iter_partition_tuples", refuse)
+        monkeypatch.setattr(counting, "_partitions", refuse)
         assert [count_members(spec, n) for n in range(31)] == want
         assert [count_into_powers(n, 2) for n in range(31)] == want
 

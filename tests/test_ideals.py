@@ -1214,23 +1214,31 @@ class TestModulusAndLinkingWork:
 
 
 class TestBoxScans:
-    """No engine scans the box through ``counting.iter_partition_tuples``; S's included."""
+    """No engine scans the box through ``counting._partitions``, the walk behind
+    ``iter_partition_tuples`` and every filter; S's included."""
 
     @staticmethod
     def _scans(monkeypatch, run):
         calls = []
-        real = counting.iter_partition_tuples
+        real = counting._partitions
 
         def spy(*args):
             calls.append(args)
             return real(*args)
 
-        monkeypatch.setattr(counting, "iter_partition_tuples", spy)
+        monkeypatch.setattr(counting, "_partitions", spy)
         run()
         return len(calls)
 
     def test_ideals_do_not_import_the_scan(self):
         assert not hasattr(ideals, "iter_partition_tuples")
+        assert not hasattr(ideals, "_partitions")
+
+    def test_the_spy_sees_a_scan(self, monkeypatch):
+        # the filters and the public tuple view all run the spied walk
+        assert self._scans(monkeypatch, lambda: count_members(lambda p: True, 6)) == 1
+        assert self._scans(monkeypatch, lambda: counting.enumerate_members(lambda p: True, 6)) == 1
+        assert self._scans(monkeypatch, lambda: list(counting.iter_partition_tuples(6, 3, 3))) == 1
 
     def test_walked_kind_never_scans(self, monkeypatch):
         r = IdealSpec("R")
