@@ -106,36 +106,42 @@ def _check_size(n: int) -> int:
     return n
 
 
-def _size_walk(n: int, child_ok: Callable[[tuple[int, ...], int, int], bool]) -> Iterator[tuple[int, ...]]:
-    """Partitions of n whose every prefix passes ``child_ok``, reverse lexicographic.
+def _size_walk(n: int, children: Callable[..., Iterable[int]]) -> Iterator[tuple[int, ...]]:
+    """Partitions of n whose every part lies in its prefix's ``children``, reverse lexicographic.
 
-    ``child_ok(t, len(t), v)`` decides whether part v may follow the prefix t.
-    The walk keeps an explicit stack and pushes the smallest part first, so
-    the largest pops first and the order matches :func:`iter_partition_tuples`.
+    ``children(t, len(t), 1, top)`` is the range of parts up to top that may
+    follow the prefix t.  The explicit stack holds (prefix, rest, its
+    children not yet walked, largest first), so the order matches
+    :func:`iter_partition_tuples` and the stack holds one lazy range per part.
     """
     _check_size(n)
-    stack = [((), n)]
+    if not n:
+        yield ()
+        return
+    stack = [((), n, reversed(children((), 0, 1, n)))]
     while stack:
-        t, rest = stack.pop()
-        if not rest:
-            yield t
-            continue
-        i = len(t)
-        for v in range(1, min(t[-1], rest) + 1 if t else rest + 1):
-            if child_ok(t, i, v):
-                stack.append((t + (v,), rest - v))
+        t, rest, parts = stack[-1]
+        for v in parts:
+            if v == rest:
+                yield t + (v,)
+                continue
+            c = t + (v,)
+            stack.append((c, rest - v, reversed(children(c, len(c), 1, min(v, rest - v)))))
+            break
+        else:
+            stack.pop()
 
 
 def iter_members_of_size(spec, n: int) -> Iterator[tuple[int, ...]]:
     """Members of size n of a prefix-closed spec, as tuples, reverse lexicographic.
 
-    Every prefix of a member is a member, so pruning on the spec's incremental
-    ``_child_ok`` test visits only member prefixes and yields exactly the
+    Every prefix of a member is a member, so stepping through the spec's
+    ``_children`` rule visits only member prefixes and yields exactly the
     members, in the order a filter over all partitions of n would.
     """
     if not getattr(spec, "prefix_closed", False):
         raise DomainError(f"{spec!r} is not prefix-closed; filter the partitions of n instead")
-    return _size_walk(n, spec._child_ok)
+    return _size_walk(n, spec._children)
 
 
 # The most (class, size) cells a count holds in the layer it builds: about 120 MB at worst.
@@ -145,30 +151,29 @@ MAX_COUNT_CELLS = 250_000
 def _state_counts(spec, upto: int) -> dict[int, int]:
     """{size: members} for sizes 0..upto of a prefix-closed spec with a summary, one pass by length.
 
-    A member prefix's class is its summary and last part: the test answers alike
-    for the class and its members extend to equal classes.  So a class keeps one
-    representative and a {size: count} histogram, and the test runs once per
-    class and candidate part, never once per member.
+    A member prefix's class is its summary and last part: the children rule
+    answers alike for the class and its members extend to equal classes.  So a
+    class keeps one representative and a {size: count} histogram, and the rule
+    is read once per class, never once per member.
     """
-    ok, summary = spec._child_ok, spec._summary
+    children, summary = spec._children, spec._summary
     counts, layer, n = {}, [((), {0: 1})], 0
     while layer:
         longer, cells = {}, 0
         for t, sizes in layer:
             for s, k in sizes.items():
                 counts[s] = counts.get(s, 0) + k
-            for v in range(1, min(t[-1], upto - min(sizes)) + 1 if t else upto + 1):
-                if ok(t, n, v):
-                    c = t + (v,)
-                    child = longer.setdefault((summary(c), v), (c, {}))[1]
-                    cells -= len(child)
-                    for s, k in sizes.items():
-                        if s + v <= upto:
-                            child[s + v] = child.get(s + v, 0) + k
-                    cells += len(child)
-                    if cells > MAX_COUNT_CELLS:
-                        raise ResourceError(f"counting {spec} to size {upto} needs more than "
-                                            f"{MAX_COUNT_CELLS} (class, size) cells in one layer")
+            for v in children(t, n, 1, min(t[-1], upto - min(sizes)) if t else upto):
+                c = t + (v,)
+                child = longer.setdefault((summary(c), v), (c, {}))[1]
+                cells -= len(child)
+                for s, k in sizes.items():
+                    if s + v <= upto:
+                        child[s + v] = child.get(s + v, 0) + k
+                cells += len(child)
+                if cells > MAX_COUNT_CELLS:
+                    raise ResourceError(f"counting {spec} to size {upto} needs more than "
+                                        f"{MAX_COUNT_CELLS} (class, size) cells in one layer")
         layer, n = list(longer.values()), n + 1
     return counts
 

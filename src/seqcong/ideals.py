@@ -6,44 +6,41 @@ kind is defined once, by a row of ``_KINDS`` holding one incremental test
 t[:i] and v, and answers for a member prefix t[:i] and v <= min(t[:i]).  Every
 kind but S is prefix-closed: membership is the test's fold over a tuple's own
 positions (exact by induction).  On S every prefix of a member passes the fold.
-The engines prune on the test.  A row also declares a *summary*: what the test
-reads of a prefix besides its length and last part (None when it reads nothing
-else; Adiff, which reads every gap, declares none).  Closure, modulus and
-linking each state their rule once, run on classes of members that the test
-cannot tell apart (``_class_layers``) for a kind with a summary, and down the
-walk (``_carry``), naming the first witness, when a class fails or there is
-none.  The rows, with i parts before v:
+The row's *children rule* ``children(t, i, lo, top)``, top <= t[i-1], is the
+range of parts in [lo, top] that the test takes: every walk steps through it,
+so no engine tests a part its kind refuses.  A row also declares a *summary*:
+what the test reads of a prefix besides its length and last part (None when
+it reads nothing else; Adiff, which reads every gap, declares none).  Closure,
+modulus and linking run on classes of members that the test cannot tell apart
+(``_class_layers``) for a kind with a summary, and down the walk (``_carry``)
+when a class fails or there is none.  The rows, with i parts before v:
 
-=============  ========  =========  ===========================================
-kind           param     summary    part v may follow t[:i] when
-=============  ========  =========  ===========================================
-``SA``                   None       every integer from 2 to i + 1 divides v
-``SA_maxlen``  r >= 1    None       i < r and the SA test holds (SA capped at
-                                    length r)
-``S``                               prefix rule v > i and v = t[i-1] mod i;
-                                    a member's last part is also a multiple
-                                    of its length (NOT an ideal)
-``D``                    None       v < t[i-1] (distinct parts)
-``R``                    None       t[i-1] - v >= 2 (Rogers-Ramanujan gaps)
-``Rprime``               None       v > i (no parts below the Durfee square)
-``Adiff``                           t[i-1] - v >= 1 and t[j-1] - t[j] >=
-                                    i + 1 - j for 0 < j < i (j-th difference
-                                    from the tail at least j)
-``N_maxlen``   n >= 0    None       i < n (length at most n)
-``P_parity``             t[0] % 2   v = t[0] mod 2 (all parts of one parity)
-``P_mod``      k >= 2    t[0] % k   v = t[0] mod k (all parts congruent mod k)
-``Pprime``               t[0] % 2   v < t[i-1] and v = t[0] mod 2 (one
-                                    parity, distinct)
-=============  ========  =========  ===========================================
+=============  ======  ========  ====================================================  =============================
+kind           param   summary   part v may follow t[:i] when                          children in [lo, top]
+=============  ======  ========  ====================================================  =============================
+``SA``                 None      every integer from 2 to i + 1 divides v               the multiples of lcm(2..i+1)
+``SA_maxlen``  r >= 1  None      i < r and the SA test holds (SA up to length r)       SA's while i < r, else none
+``S``                            prefix rule v > i and v = t[i-1] mod i; a member's    above i, = t[i-1] mod i
+                                 last part is also a multiple of its length (NOT an
+                                 ideal)
+``D``                  None      v < t[i-1] (distinct parts)                           below t[i-1]
+``R``                  None      t[i-1] - v >= 2 (Rogers-Ramanujan gaps)               below t[i-1] - 1
+``Rprime``             None      v > i (no parts below the Durfee square)              above i
+``Adiff``                        t[i-1] - v >= 1 and t[j-1] - t[j] >= i + 1 - j for 0  below t[i-1]; none when a gap
+                                 < j < i (j-th difference from the tail at least j)    of t[:i] fails
+``N_maxlen``   n >= 0  None      i < n (length at most n)                              all while i < n, else none
+``P_parity``           t[0] % 2  v = t[0] mod 2 (all parts of one parity)              = t[0] mod 2
+``P_mod``      k >= 2  t[0] % k  v = t[0] mod k (all parts congruent mod k)            = t[0] mod k
+``Pprime``             t[0] % 2  v < t[i-1] and v = t[0] mod 2 (one parity, distinct)  below t[i-1], = t[0] mod 2
+=============  ======  ========  ====================================================  =============================
 
-A condition on t[i-1] or t[0] holds for the first part (i = 0).
+A condition on t[i-1] or t[0] holds for the first part (i = 0), whose children are all of [lo, top].
 
-Every analysis is exhaustive within an :class:`AnalysisBound` (a parts-times-
-length box) and reports bounded verdicts with explicit witnesses, never an
-unqualified "infinite".  Enumeration orders are fixed, so reports are
-deterministic.  The bound and the reports are frozen slotted records (see
-``_Record``): they compare and hash by their fields, print like dataclasses,
-refuse assignment, and copy and pickle.
+Every analysis is exhaustive within an :class:`AnalysisBound` (a parts-times-length box) and reports
+bounded verdicts with explicit witnesses, never an unqualified "infinite".  Enumeration orders are fixed,
+so reports are deterministic.  The bound and the reports are frozen slotted records (see ``_Record``):
+they compare and hash by their fields, print like dataclasses, refuse assignment, copy and pickle, and
+write their JSON by one rule on their fields.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ from .errors import DomainError
 from .partition import Partition, _check_largest, _check_output_length
 
 
-# ---- the kinds: one incremental test each ---------------------------------
+# ---- the kinds: one incremental test and one children rule each ----------
 
 def _sa_ok(t, i, v):
     # the part at 1-based index i + 1 is divisible by every integer up to it
@@ -75,9 +72,36 @@ def _adiff_ok(t, i, v):
     return True
 
 
+def _adiff_children(t, i, lo, top):
+    for j in range(1, i):  # the gaps of t[:i], read once per prefix and not once per part
+        if t[j - 1] - t[j] < i + 1 - j:
+            return ()
+    return range(lo, min(top + 1, t[i - 1]) if i else top + 1)
+
+
 def _seqcong_prefix_ok(t, i, v):
     # a member of S with r parts has every part >= r, its last a multiple of r
     return not i or (v > i and (t[i - 1] - v) % i == 0)
+
+
+def _step(lo, stop, k, r=0):
+    # the integers in [lo, stop) congruent to r mod k
+    return range(lo + (r - lo) % k, stop, k)
+
+
+def _sa_children(r=None):
+    # the multiples of lcm(2..i+1), while i < r when a length cap r is given
+    return lambda t, i, lo, top: _step(lo, top + 1, lcm(*range(2, i + 2))) if r is None or i < r else ()
+
+
+def _seqcong_prefix_children(t, i, lo, top):
+    return _step(max(lo, i + 1), top + 1, i, t[i - 1]) if i else range(lo, top + 1)
+
+
+def _congruent(k, distinct=False):
+    # the parts congruent to the first mod k, below the last part when distinct
+    return lambda t, i, lo, top: (_step(lo, min(top + 1, t[i - 1]) if distinct else top + 1, k, t[0]) if i
+                                  else range(lo, top + 1))
 
 
 def _blank(_):
@@ -91,20 +115,25 @@ def _first_mod(k):
 
 # kind -> (least parameter, or None when the kind takes none;
 #          parameter -> incremental test ok(t, i, v): S's prefix rule, which every prefix of a member passes;
-#          parameter -> summary of a nonempty prefix, or None when the kind declares none)
+#          parameter -> summary of a nonempty prefix (None: the kind declares none); parameter -> children rule)
 _KINDS = {
-    "SA": (None, lambda _: _sa_ok, _blank),
-    "SA_maxlen": (1, lambda r: lambda t, i, v: i < r and _sa_ok(t, i, v), _blank),
-    "S": (None, lambda _: _seqcong_prefix_ok, None),
-    "D": (None, lambda _: lambda t, i, v: not i or v < t[i - 1], _blank),
-    "R": (None, lambda _: lambda t, i, v: not i or t[i - 1] - v >= 2, _blank),
-    "Rprime": (None, lambda _: lambda t, i, v: v > i, _blank),
-    "Adiff": (None, lambda _: _adiff_ok, None),
-    "N_maxlen": (0, lambda n: lambda t, i, v: i < n, _blank),
-    "P_parity": (None, lambda _: lambda t, i, v: not i or (t[0] - v) % 2 == 0, lambda _: _first_mod(2)),
-    "P_mod": (2, lambda k: lambda t, i, v: not i or (t[0] - v) % k == 0, _first_mod),
+    "SA": (None, lambda _: _sa_ok, _blank, _sa_children),
+    "SA_maxlen": (1, lambda r: lambda t, i, v: i < r and _sa_ok(t, i, v), _blank, _sa_children),
+    "S": (None, lambda _: _seqcong_prefix_ok, None, lambda _: _seqcong_prefix_children),
+    "D": (None, lambda _: lambda t, i, v: not i or v < t[i - 1], _blank,
+          lambda _: lambda t, i, lo, top: range(lo, min(top + 1, t[i - 1]) if i else top + 1)),
+    "R": (None, lambda _: lambda t, i, v: not i or t[i - 1] - v >= 2, _blank,
+          lambda _: lambda t, i, lo, top: range(lo, min(top + 1, t[i - 1] - 1) if i else top + 1)),
+    "Rprime": (None, lambda _: lambda t, i, v: v > i, _blank,
+               lambda _: lambda t, i, lo, top: range(max(lo, i + 1), top + 1)),
+    "Adiff": (None, lambda _: _adiff_ok, None, lambda _: _adiff_children),
+    "N_maxlen": (0, lambda n: lambda t, i, v: i < n, _blank,
+                 lambda n: lambda t, i, lo, top: range(lo, top + 1) if i < n else ()),
+    "P_parity": (None, lambda _: lambda t, i, v: not i or (t[0] - v) % 2 == 0, lambda _: _first_mod(2),
+                 lambda _: _congruent(2)),
+    "P_mod": (2, lambda k: lambda t, i, v: not i or (t[0] - v) % k == 0, _first_mod, _congruent),
     "Pprime": (None, lambda _: lambda t, i, v: not i or (v < t[i - 1] and (t[0] - v) % 2 == 0),
-               lambda _: _first_mod(2)),
+               lambda _: _first_mod(2), lambda _: _congruent(2, True)),
 }
 
 
@@ -130,26 +159,24 @@ def _fold_from(ok, t, start):
     return True
 
 
-def _seqcong_member(t):
-    return _congruence_failure_index(t) is None
-
-
 class IdealSpec:
     """A named builtin partition family, possibly with one integer parameter.
 
     ``_member(t)`` decides membership of a partition tuple and
     ``_child_ok(t, i, v)`` is the kind's incremental test: ``_member`` is its
     fold on a prefix-closed kind, and on S every member passes the fold.
+    ``_children(t, i, lo, top)`` is the range of parts in [lo, top] that the
+    test takes after t[:i], the engines' only way to a prefix's children.
     ``_summary(t)``, when the kind declares one, is what the test reads of a
     nonempty member prefix t besides its length and last part.
     """
 
-    __slots__ = ("kind", "param", "_member", "_child_ok", "_summary", "prefix_closed")
+    __slots__ = ("kind", "param", "_member", "_child_ok", "_children", "_summary", "prefix_closed")
 
     def __init__(self, kind: str, param: int | None = None):
         if kind not in _KINDS:
             raise DomainError(f"unknown ideal kind {kind!r}; choose from {', '.join(_KINDS)}")
-        least, test, summary = _KINDS[kind]
+        least, test, summary, children = _KINDS[kind]
         if least is not None:
             if param is None:
                 raise DomainError(f"kind {kind} needs an integer parameter")
@@ -159,10 +186,9 @@ class IdealSpec:
                 raise DomainError(f"parameter for {kind} must be at least {least}")
         elif param is not None:
             raise DomainError(f"kind {kind} takes no parameter")
-        self.kind = kind
-        self.param = param
-        self._child_ok, self.prefix_closed = test(param), kind != "S"
-        self._member = _fold(self._child_ok) if self.prefix_closed else _seqcong_member
+        self.kind, self.param = kind, param
+        self._child_ok, self._children, self.prefix_closed = test(param), children(param), kind != "S"
+        self._member = _fold(self._child_ok) if self.prefix_closed else lambda t: _congruence_failure_index(t) is None
         self._summary = None if summary is None else summary(param)
 
     @classmethod
@@ -252,6 +278,23 @@ class _Record:
     def __reduce__(self):
         return type(self), self._values()
 
+    def to_json_dict(self) -> dict:
+        """The fields in order, keyed by ``_JSON_KEYS`` and valued by ``_json``; an optional one left out when None."""
+        return {_JSON_KEYS.get(name, name): _json(value) for name, value in zip(self.__slots__, self._values())
+                if value is not None or name not in self._defaults}
+
+
+_JSON_KEYS = {"spec": "ideal", "growing": "growing_with_bound"}
+
+
+def _json(value):
+    """A field as JSON: a nested record with all its fields, a partition or tuple as a list, a spec as its tag."""
+    if isinstance(value, _Record):
+        return {name: _json(v) for name, v in zip(value.__slots__, value._values())}
+    if isinstance(value, (tuple, Partition)):
+        return [_json(v) for v in getattr(value, "parts", value)]
+    return str(value) if isinstance(value, IdealSpec) else value
+
 
 class AnalysisBound(_Record):
     """Search box for the exhaustive analyses: parts <= max_part, length <= max_length."""
@@ -273,98 +316,93 @@ def _positive(value, name: str) -> None:
         raise DomainError(f"{name} must be positive")
 
 
-def _report_json(spec: IdealSpec, bound: AnalysisBound, modulus: int | None = None, **fields) -> dict:
-    """A report's JSON: ``ideal``, ``modulus`` (when given) and ``bound``, then ``fields``."""
-    d = {"ideal": str(spec)}
-    if modulus is not None:
-        d["modulus"] = modulus
-    d["bound"] = {"max_part": bound.max_part, "max_length": bound.max_length}
-    d.update(fields)
-    return d
-
-
 # ---- member enumeration ---------------------------------------------------
 
-def _walk(accept, max_part: int, max_length: int, min_part: int = 1):
-    """Box tuples whose every prefix passes ``accept(prefix, len(prefix), part)``, in prefix order.
+def _walk(children, max_part: int, max_length: int, min_part: int = 1):
+    """Box tuples whose parts each lie in ``children(prefix, len(prefix), min_part, top)``, in prefix order.
 
-    Parts lie in [min_part, max_part] and are tried largest first; each tuple
-    comes before its extensions, starting with ().  With a prefix-closed kind's
-    ``_child_ok`` it yields exactly the kind's members in the box.  The stack
-    is explicit, so no length meets the recursion limit, and children are
-    tested only after their parent is yielded.
+    top is the prefix's last part, or max_part for ().  Parts come largest first, each tuple before its
+    extensions, starting with (); with a prefix-closed kind's ``_children``, exactly its members in the box.
+    The explicit stack holds (prefix, its children not yet walked), so it holds one lazy range per length.
     """
-    stack = [()]
+    yield ()
+    stack = [((), reversed(children((), 0, min_part, max_part)))] if max_length > 0 else []
     while stack:
-        t = stack.pop()
-        yield t
-        n = len(t)
-        if n < max_length:
-            top = t[-1] if t else max_part
-            # smallest first, so the largest part pops first
-            stack.extend([t + (v,) for v in range(min_part, top + 1) if accept(t, n, v)])
+        t, parts = stack[-1]
+        n = len(t) + 1
+        for v in parts:
+            c = t + (v,)
+            yield c
+            if n + 1 < max_length:
+                stack.append((c, reversed(children(c, n, min_part, v))))
+                break
+            if n < max_length:
+                for w in reversed(children(c, n, min_part, v)):
+                    yield c + (w,)
+        else:
+            stack.pop()
 
 
-def _carry(accept, step, carried, max_part: int, max_length: int):
+def _carry(children, step, carried, max_part: int, max_length: int):
     """``_walk`` with each t + (v,) carrying ``step(t, n, v, carried)`` from its parent t.
 
-    (tuples walked, None), or (tuples walked up to t, t) for the first t whose step gave None.  A step runs
-    when its tuple is walked, so the stack holds only parents' carried values.
+    (tuples walked, None), or (tuples walked up to t, t) for the first t whose step gave None.  A step
+    runs when its tuple is walked, so the stack holds only parents' carried values.
     """
-    stack, count = [((), 0, carried)], 0  # (parent, part, parent's carried); part 0 is the root
+    stack, count = [((), carried, reversed(children((), 0, 1, max_part)))] if max_length > 0 else [], 1
     while stack:
-        t, v, carried = stack.pop()
-        if v:
-            carried = step(t, len(t), v, carried)
-            t += (v,)
-        count += 1
-        if carried is None:
-            return count, t
+        t, carried, parts = stack[-1]
         n = len(t)
-        if n < max_length:
-            stack.extend([(t, v, carried) for v in range(1, (t[-1] if t else max_part) + 1) if accept(t, n, v)])
+        for v in parts:
+            count += 1
+            stepped = step(t, n, v, carried)
+            if stepped is None:
+                return count, t + (v,)
+            if n + 1 < max_length:
+                stack.append((t + (v,), stepped, reversed(children(t + (v,), n + 1, 1, v))))
+                break
+        else:
+            stack.pop()
     return count, None
 
 
-def _by_size(accept, max_part: int, max_length: int, min_part: int = 1):
+def _by_size(children, max_part: int, max_length: int, min_part: int = 1):
     """The tuples ``_walk`` yields, by increasing size and reverse lexicographic within a size.
 
-    Best first: pop the least (size, negated parts) key and yield its tuple, then push the tuple's
-    first accepted child and its parent's next accepted part (its next sibling).  Both keys exceed
-    the popped one, so the heap grows by at most one entry per pop and no part is tested past the
-    tuple the caller stops at.
+    Best first: pop the least (size, negated parts) key and yield its tuple, then push the first part of
+    its rule and of its parent's rule above it (its next sibling).  Both keys exceed the popped one, so
+    the heap grows by at most one entry per pop and no rule is read past the tuple the caller stops at.
     """
     heap = [(0, (), ())]  # (size, negated parts, parts)
     while heap:
         size, neg, t = heap[0]
         yield t
         n, parent = len(t), t[:-1]
-        if t and (v := _least_part(accept, parent, n - 1, t[-1] + 1, parent[-1] if parent else max_part)):
+        for v in children(parent, n - 1, t[-1] + 1, parent[-1] if parent else max_part) if t else ():
             heapreplace(heap, (size - t[-1] + v, neg[:-1] + (-v,), parent + (v,)))
+            break
         else:
             heappop(heap)
-        if n < max_length and (v := _least_part(accept, t, n, min_part, t[-1] if t else max_part)):
+        for v in children(t, n, min_part, t[-1] if t else max_part) if n < max_length else ():
             heappush(heap, (size + v, neg + (-v,), t + (v,)))
-
-
-def _least_part(accept, t, n, lo, hi):
-    """The least part in [lo, hi] that may follow t (``accept(t, n, part)``), or None."""
-    for v in range(lo, hi + 1):
-        if accept(t, n, v):
-            return v
+            break
 
 
 def _member_tuples(spec: IdealSpec, max_part: int, max_length: int):
     """Members in the box: walked in prefix order for prefix-closed kinds; for S, searched by (size, revlex)
     along its prefix rule and kept when the last part is a multiple of the length."""
     if spec.prefix_closed:
-        return _walk(spec._child_ok, max_part, max_length)
-    return (t for t in _by_size(spec._child_ok, max_part, max_length) if not t or t[-1] % len(t) == 0)
+        return _walk(spec._children, max_part, max_length)
+    return (t for t in _by_size(spec._children, max_part, max_length) if not t or t[-1] % len(t) == 0)
 
 
 def members_within(spec: IdealSpec, bound: AnalysisBound) -> list[Partition]:
     """All members inside the bound box: prefix order for prefix-closed kinds, by size for S."""
-    return [Partition._of(t) for t in _member_tuples(spec, bound.max_part, bound.max_length)]
+    new, members = object.__new__, []
+    for t in _member_tuples(spec, bound.max_part, bound.max_length):
+        members.append(p := new(Partition))
+        p.parts = t
+    return members
 
 
 # ---- closure under part removal -------------------------------------------
@@ -375,36 +413,27 @@ class ClosureReport(_Record):
     __slots__ = ("spec", "bound", "closed", "members_checked", "witness", "removed_part", "after_removal")
     _defaults = dict.fromkeys(("witness", "removed_part", "after_removal"))
 
-    def to_json_dict(self):
-        d = _report_json(self.spec, self.bound, closed=self.closed, members_checked=self.members_checked)
-        if self.witness is not None:
-            d["witness"] = list(self.witness.parts)
-            d["removed_part"] = self.removed_part
-            d["after_removal"] = list(self.after_removal.parts)
-        return d
-
 
 def _class_layers(spec, bound, step, carried, key, min_part=1):
     """Classes [members, representative, carried] of the box's members with parts >= min_part, by length.
 
     A member's class is its length, summary, last part and ``key`` of what an engine carries:
     ``step(t, n, v, carried)`` gives t + (v,)'s from t's, or None to refuse, and then this returns None.
-    The test answers alike for prefixes of one length, summary and last part, and their members
-    extend to equal summaries, so each class's children are tested and stepped once.
+    The rule answers alike for prefixes of one length, summary and last part, and their members
+    extend to equal summaries, so each class's children are read and stepped once.
     """
-    ok, summary = spec._child_ok, spec._summary
+    children, summary = spec._children, spec._summary
     layer, classes = [[1, (), carried]], []
     for n in range(bound.max_length):
         classes += layer
         longer = {}
         for count, t, carried in layer:
-            for v in range(min_part, (t[-1] if t else bound.max_part) + 1):
-                if ok(t, n, v):
-                    stepped = step(t, n, v, carried)
-                    if stepped is None:
-                        return None
-                    c = t + (v,)
-                    longer.setdefault((summary(c), v, key(stepped)), [0, c, stepped])[0] += count
+            for v in children(t, n, min_part, t[-1] if t else bound.max_part):
+                stepped = step(t, n, v, carried)
+                if stepped is None:
+                    return None
+                c = t + (v,)
+                longer.setdefault((summary(c), v, key(stepped)), [0, c, stepped])[0] += count
         layer = list(longer.values())
     return classes + layer
 
@@ -418,15 +447,13 @@ def _first_exit(member, t):
 def check_ideal_closure(spec: IdealSpec, bound: AnalysisBound) -> ClosureReport:
     """Verify every member in the box stays a member when any single part is removed.
 
-    Single-part removal suffices: removing several parts is a chain of single
-    removals.  The first counterexample in enumeration order is reported.  On a
-    prefix-closed kind the removals of t + (v,) are t and each removal s of t,
-    already passed, plus v: one call ``_child_ok(s, len(s), v)`` decides each,
-    so closure certifies the kind's test.  That step runs on classes (one
-    removal per summary and last part; ``members_checked`` counts every
-    member), or down the walk when a class fails or there is no summary.  S's
-    members are searched by (size, revlex) and their removals tested by
-    membership, up to the first witness.
+    Single-part removal suffices: removing several parts is a chain of single removals.  The first
+    counterexample in enumeration order is reported.  On a prefix-closed kind the removals of t + (v,)
+    are t and each removal s of t, already passed, plus v: one call ``_child_ok(s, len(s), v)`` decides
+    each, so closure certifies the kind's test.  That step runs on classes (one removal per summary and
+    last part; ``members_checked`` counts every member), or down the walk when a class fails or there is
+    no summary.  S's members are searched by (size, revlex) and their removals tested by membership, up
+    to the first witness.
     """
     ok, summary, cap = spec._child_ok, spec._summary or sum, bound.max_length  # sum: removals differ in size
 
@@ -453,7 +480,7 @@ def check_ideal_closure(spec: IdealSpec, bound: AnalysisBound) -> ClosureReport:
     elif spec._summary is not None and (classes := _class_layers(spec, bound, step, {}, frozenset)):
         checked, witness = sum(c[0] for c in classes), None
     else:
-        checked, witness = _carry(ok, step, {}, bound.max_part, bound.max_length)
+        checked, witness = _carry(spec._children, step, {}, bound.max_part, bound.max_length)
     if witness is None:
         return ClosureReport(spec, bound, True, checked)
     removed, rest = _first_exit(spec._member, witness)
@@ -471,20 +498,10 @@ class OrderReport(_Record):
     __slots__ = ("spec", "bound", "weak", "order", "growing", "refuted_up_to", "last_witness")
     _defaults = {"last_witness": None}
 
-    def to_json_dict(self):
-        d = _report_json(self.spec, self.bound, weak=self.weak, order=self.order,
-                         growing_with_bound=self.growing, refuted_up_to=self.refuted_up_to)
-        if self.last_witness is not None:
-            d["last_witness"] = list(self.last_witness.parts)
-        return d
-
 
 def _integer_windows(t, k):
     """Sub-partitions keeping k consecutive integer values' frequencies."""
-    if not t:
-        return
-    lo = max(1, t[-1] - k + 1)
-    for m in range(lo, t[0] + 1):
+    for m in range(max(1, t[-1] - k + 1), t[0] + 1) if t else ():
         hi = m + k - 1
         yield tuple(x for x in t if m <= x <= hi)
 
@@ -514,7 +531,13 @@ def _order_refute(spec, k, bound, windows):
     def passes(t, test):  # every k-window of t passes test
         return all(test(w) for w in windows(t, k))
 
-    found = _by_size(lambda t, i, v: ok(t, i, v) or passes(t + (v,), fold), bound.max_part, bound.max_length)
+    def least(t, i, lo, top):  # the least part the search takes, all that _by_size reads of a rule
+        for v in range(lo, top + 1):
+            if ok(t, i, v) or passes(t + (v,), fold):
+                return (v,)
+        return ()
+
+    found = _by_size(least, bound.max_part, bound.max_length)
     if spec.prefix_closed:
         t = next((t for t in found if t and not ok(t[:-1], len(t) - 1, t[-1])), None)
     else:
@@ -577,13 +600,6 @@ class ModulusReport(_Record):
     __slots__ = ("spec", "modulus", "bound", "holds", "witness", "direction")
     _defaults = dict.fromkeys(("witness", "direction"))
 
-    def to_json_dict(self):
-        d = _report_json(self.spec, self.bound, self.modulus, holds=self.holds)
-        if self.witness is not None:
-            d["witness"] = list(self.witness.parts)
-            d["direction"] = self.direction
-        return d
-
 
 def check_modulus(spec: IdealSpec, m: int, bound: AnalysisBound) -> ModulusReport:
     """Check that adding m to every part maps the ideal onto its members above m.
@@ -617,7 +633,7 @@ def check_modulus(spec: IdealSpec, m: int, bound: AnalysisBound) -> ModulusRepor
                                               lambda s: (summary(s[0]), s[1] and summary(s[1]))) is not None:
         witness = None
     else:
-        witness = _carry(ok, step, ((), ()), bound.max_part, bound.max_length)[1]
+        witness = _carry(spec._children, step, ((), ()), bound.max_part, bound.max_length)[1]
     if witness is None:
         return ModulusReport(spec, m, bound, True)
     return ModulusReport(spec, m, bound, False, Partition._of(witness),
@@ -631,10 +647,6 @@ class LSetReport(_Record):
 
     __slots__ = ("spec", "modulus", "bound", "members", "truncated")
 
-    def to_json_dict(self):
-        return _report_json(self.spec, self.bound, self.modulus,
-                            members=[list(p.parts) for p in self.members], truncated=self.truncated)
-
 
 def compute_L(spec: IdealSpec, m: int, bound: AnalysisBound) -> LSetReport:
     """Members with every part at most m, by size then reverse lexicographic.
@@ -644,7 +656,7 @@ def compute_L(spec: IdealSpec, m: int, bound: AnalysisBound) -> LSetReport:
     """
     _positive(m, "modulus")
     box = min(m, bound.max_part), bound.max_length
-    tuples = list(_by_size(spec._child_ok, *box) if spec.prefix_closed else _member_tuples(spec, *box))
+    tuples = list(_by_size(spec._children, *box) if spec.prefix_closed else _member_tuples(spec, *box))
     truncated = any(len(t) >= bound.max_length for t in tuples)
     return LSetReport(spec, m, bound, tuple(map(Partition._of, tuples)), truncated)
 
@@ -699,21 +711,6 @@ class LinkReport(_Record):
     def entry_for(self, p: Partition) -> LinkEntry | None:
         return next((e for e in self.entries if e.element == p), None)
 
-    def to_json_dict(self):
-        def parts(p):
-            return None if p is None else list(p.parts)
-
-        entries = [{"element": parts(e.element), "span": e.span,
-                    "linking_set": None if e.linking_set is None else list(map(parts, e.linking_set)),
-                    "witness": parts(e.witness), "reason": e.reason} for e in self.entries]
-        d = _report_json(self.spec, self.bound, self.modulus, verdict=self.verdict,
-                         L_set=list(map(parts, self.L_set)), entries=entries)
-        if self.witness is not None:
-            d["witness"] = list(self.witness.parts)
-        if self.reason is not None:
-            d["reason"] = self.reason
-        return d
-
 
 class _Moves(dict):
     """Member t -> t with every part moved by d (staying positive), or None when not a member.
@@ -747,7 +744,7 @@ def _fits(spec, pool, tails, cap):
 
 
 def _class_pool(spec, m, bound, span_cap, tails):
-    """(``_fits``, tail, builds) over classes of the remainders, the members with parts > m.
+    """(``_fits``, tail, broken) over classes of the remainders, the members with parts > m.
 
     Per span l a class carries its representative b moved up by l*m (None when
     no member) and b's tail: its parts <= (l+1)*m, each less l*m.
@@ -765,33 +762,39 @@ def _class_pool(spec, m, bound, span_cap, tails):
     spans = {t: c for _, t, c in _class_layers(spec, bound, step, [((), ())] * span_cap,
                                                lambda c: tuple((s and (summary(s),), d) for s, d in c), m + 1)}
 
-    def builds(b, tau, pi, l):
-        s = spans[b][l - 1][0]
-        return s is not None and _fold_from(ok, s + tuple(x + l * m for x in tau) + pi, len(s))
+    def broken(pool, tau, pi, l):  # tau moved up once per call, not once per remainder
+        up = tuple(x + l * m for x in tau) + pi
+        for b in pool:
+            s = spans[b][l - 1][0]
+            if s is None or not _fold_from(ok, s + up, len(s)):
+                return b
 
-    return _fits(spec, spans, tails, bound.max_length), lambda b, l: spans[b][l - 1][1], builds
+    return _fits(spec, spans, tails, bound.max_length), lambda b, l: spans[b][l - 1][1], broken
 
 
 def _single_pool(spec, m, bound, tails):
-    """(``_fits``, tail, builds) over every remainder alone, by (size, revlex), moved up from its parent (``_Moves``).
+    """(``_fits``, tail, broken) over every remainder alone, by (size, revlex), moved up from its parent (``_Moves``).
 
     S's pool follows its prefix rule, which every prefix of a member passes, and S builds by membership.
     """
     ok, member = spec._child_ok, spec._member
-    pool = list(_by_size(ok, bound.max_part, bound.max_length, m + 1))
+    pool = list(_by_size(spec._children, bound.max_part, bound.max_length, m + 1))
     moves = {}  # l -> _Moves, never empty so never falsy
 
-    def builds(b, tau, pi, l):
+    def broken(pool, tau, pi, l):
         if not spec.prefix_closed:
-            return member(tuple(x + l * m for x in b + tau) + pi)
-        s = (moves.get(l) or moves.setdefault(l, _Moves(ok, l * m)))[b + tau]
-        return s is not None and _fold_from(ok, s + pi, len(s))
+            return next((b for b in pool if not member(tuple(x + l * m for x in b + tau) + pi)), None)
+        moved = moves.get(l) or moves.setdefault(l, _Moves(ok, l * m))
+        for b in pool:
+            s = moved[b + tau]
+            if s is None or not _fold_from(ok, s + pi, len(s)):
+                return b
 
     return (_fits(spec, pool, tails, bound.max_length),
-            lambda b, l: tuple(x - l * m for x in b if x <= (l + 1) * m), builds)
+            lambda b, l: tuple(x - l * m for x in b if x <= (l + 1) * m), broken)
 
 
-def _span_entry(pi, l, m, fits, tail, builds):
+def _span_entry(pi, l, m, fits, tail, broken):
     """``pi``'s entry for span l: the forced linking set, or the first construction that breaks it."""
     forced = set()
     for b in fits[pi.parts]:
@@ -803,25 +806,25 @@ def _span_entry(pi, l, m, fits, tail, builds):
         forced.add(key)
     forced = [tau for tau in fits if tau in forced]  # fits lists L's members by (size, revlex)
     for tau in forced:
-        for b in fits[tau]:
-            # b + tau is a member and pi's parts are <= m, so the built partition stays sorted
-            if not builds(b, tau, pi.parts, l):
-                return LinkEntry(pi, witness=Partition(tuple(x + l * m for x in b + tau) + pi.parts), reason=(
-                    f"tail {Partition(tau)} with span {l} builds a non-member"))
+        # b + tau is a member and pi's parts are <= m, so the built partition stays sorted
+        if (b := broken(fits[tau], tau, pi.parts, l)) is not None:
+            return LinkEntry(pi, witness=Partition(tuple(x + l * m for x in b + tau) + pi.parts), reason=(
+                f"tail {Partition(tau)} with span {l} builds a non-member"))
     return LinkEntry(pi, span=l, linking_set=tuple(map(Partition, forced)))
 
 
-def _span_search(m, span_cap, small, fits, tail, builds):
+def _span_search(m, span_cap, small, fits, tail, broken):
     """Yield each small member's entry for the largest span up to the cap that passes ``_span_entry``.
 
-    ``fits`` lists per tail a pool's remainders, each standing for all that ``tail(b, l)`` (b's tail for span l)
-    and ``builds(b, tau, pi, l)`` (is b + tau moved up by l*m, then pi, a member) answer alike for.
+    ``fits`` lists per tail a pool's remainders b, each standing for all that ``tail(b, l)`` (b's tail for
+    span l) and ``broken(fits[tau], tau, pi, l)`` (the first b such that b + tau moved up by l*m, then pi, is
+    no member, or None) answer alike for.
     """
     for pi in small:
         lasts = [b[-1] for b in fits[pi.parts] if b]
         entry = LinkEntry(pi, witness=None, reason="no feasible span")
         for l in range(min(span_cap, (min(lasts) - 1) // m) if lasts else span_cap, 0, -1):
-            entry = _span_entry(pi, l, m, fits, tail, builds)
+            entry = _span_entry(pi, l, m, fits, tail, broken)
             if entry.found:
                 break
         yield entry
@@ -830,17 +833,14 @@ def _span_search(m, span_cap, small, fits, tail, builds):
 def infer_linking(spec: IdealSpec, m: int, bound: AnalysisBound, span_cap: int = 4) -> LinkReport:
     """Search for spans and linking sets that tie tails to shifted remainders.
 
-    For each small member pi (all parts <= m) the goal is a span l and a
-    linking set of tails such that: a partition with tail pi is a member
-    exactly when its remaining parts, shifted down by l*m, form a member whose
-    tail lies in the linking set.  For a fixed l the smallest workable linking
-    set is forced (the tails actually realized by members), so the search only
-    chooses l: the largest feasible span up to ``span_cap`` that survives the
-    exhaustive check wins, matching the spans quoted for the classical
-    examples.  Any element with no workable span refutes linkedness; the
-    violating construction is reported.  One span search runs over classes of remainders for a kind with a
-    summary, and over every remainder alone, naming the witness, when some element finds no span there or
-    there is no summary.
+    For each small member pi (all parts <= m) the goal is a span l and a linking set of tails such that:
+    a partition with tail pi is a member exactly when its remaining parts, shifted down by l*m, form a
+    member whose tail lies in the linking set.  For a fixed l the smallest workable linking set is forced
+    (the tails actually realized by members), so the search only chooses l: the largest feasible span up
+    to ``span_cap`` that survives the exhaustive check wins, matching the spans quoted for the classical
+    examples.  Any element with no workable span refutes linkedness; the violating construction is
+    reported.  One span search runs over classes of remainders for a kind with a summary, and over every
+    remainder alone, naming the witness, when some element finds no span there or there is no summary.
     """
     _positive(m, "modulus")
     _positive(span_cap, "span cap")

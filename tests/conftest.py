@@ -6,8 +6,9 @@ former ZS1 generator, the direct summation forms of the core bijections and
 of conjugation, the square-count vector generators of the sequentially
 congruent partitions, closed-form membership predicates for the ideal kinds,
 brute-force box filtering for the ideal-kind enumerators, the size-ordered
-scans the ideal engines' pruned walks replaced, and the modulus and linking
-checks that fold every shifted tuple from its first part.
+scans the ideal engines' pruned walks replaced, the modulus and linking
+checks that fold every shifted tuple from its first part, and children rules
+made from an incremental test by filtering.
 """
 
 from math import lcm
@@ -289,6 +290,29 @@ def oracle_member(spec):
         "P_mod": lambda t: not t or all((x - t[0]) % param == 0 for x in t),
         "Pprime": pprime_member,
     }[spec.kind]
+
+
+class FilteredParts:
+    """The parts in [lo, top] that ``ok(t, i, part)`` takes, each tested only when it is read.
+
+    Read ascending by iterating and descending by ``reversed``, as a range is,
+    so a walk over a huge ``top`` tests only the parts it reaches.
+    """
+
+    def __init__(self, ok, t, i, lo, top):
+        self.ok, self.t, self.i, self.lo, self.top = ok, t, i, lo, top
+
+    def __iter__(self):
+        return (v for v in range(self.lo, self.top + 1) if self.ok(self.t, self.i, v))
+
+    def __reversed__(self):
+        return (v for v in range(self.top, self.lo - 1, -1) if self.ok(self.t, self.i, v))
+
+
+def children_by_filter(ok):
+    """A children rule made from an incremental test by filtering: what a spec walks once a test
+    replaces its ``_child_ok``, and a spy that sees every part an engine reads."""
+    return lambda t, i, lo, top: FilteredParts(ok, t, i, lo, top)
 
 
 def recursive_member_tuples(spec, max_part, max_length):

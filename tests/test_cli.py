@@ -600,6 +600,16 @@ class TestEnumerateLimitStopsTheWalk:
                               preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
         assert (done.returncode, done.stdout, done.stderr) == (0, want, b"")
 
+    def test_walked_kind_of_a_huge_size_within_memory(self):
+        # Adiff's size walk holds one lazy range per part; listing the root's
+        # children of 10**8 at once ended in MemoryError
+        resource = pytest.importorskip("resource")
+        limit = 400_000 * 1024
+        cmd, env = _seqcong("enumerate", "--pred", "Adiff", "--size", "100000000", "--limit", "2")
+        done = subprocess.run(cmd, capture_output=True, env=env, timeout=60,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"[100000000]\n[99999999,1]\n", b"")
+
     def test_negative_limit_drops_the_last_answers(self):
         lines = cli_ok("enumerate", "--pred", "all", "--size", "6", "--limit", "-2").splitlines()
         assert lines == [str(list(p.parts)).replace(" ", "") for p in counting.enumerate_partitions(6)[:-2]]

@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 from operator import mul
 
 import pytest
@@ -41,6 +42,7 @@ from seqcong.ideals import _KINDS
 from conftest import (
     _iter_c_vectors,
     _seqcong_largest_exactly,
+    children_by_filter,
     naive_partitions,
     recursive_partition_tuples,
     zs1_partition_tuples,
@@ -599,6 +601,19 @@ class TestMemberWalk:
         with pytest.raises(DomainError):
             iter_members_of_size(IdealSpec("S"), 4)
 
+    def test_huge_size_walked_lazily(self):
+        # the stack holds one lazy range per part, so the first members of a huge
+        # size come at once; a list of the root's children would take GiBs
+        tracemalloc.start()
+        try:
+            walk = iter_members_of_size(IdealSpec("Adiff"), 10**8)
+            first = [next(walk) for _ in range(3)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert first == [(10**8,), (10**8 - 1, 1), (10**8 - 2, 2)]
+        assert peak < 16 * 1024  # 1.8 KiB here
+
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             count_members(IdealSpec("R"), -1)
@@ -661,9 +676,20 @@ class TestStateCount:
         assert [count_members(spec, n) for n in range(31)] == want
         assert member_counts(spec, 30) == want
 
+    def test_rule_reads_pinned(self):
+        # the children rule is read once per class and the kind's test never
+        # runs; the walk reads a rule at least once per prefix of size <= 80
+        spec, calls = IdealSpec("D"), []
+        ok, rule = spec._child_ok, spec._children
+        spec._child_ok = lambda *args: calls.append("test") or ok(*args)
+        spec._children = lambda *args: calls.append("rule") or rule(*args)
+        counts = member_counts(spec, 80)
+        assert counts[80] == 77312
+        assert (calls.count("test"), calls.count("rule")) == (0, 211)
+        assert len(calls) * 1000 < sum(counts) - 1
+
     def test_child_ok_calls_pinned(self):
-        # once per class and candidate part; the walk tests every member prefix's
-        # children, so it makes at least one call per prefix of size <= 80
+        # a rule made by filtering the test tests each class's candidate parts once
         spec = IdealSpec("D")
         calls = [0]
         ok = spec._child_ok
@@ -673,6 +699,7 @@ class TestStateCount:
             return ok(*args)
 
         spec._child_ok = counted
+        spec._children = children_by_filter(counted)
         counts = member_counts(spec, 80)
         assert counts[80] == 77312
         assert calls[0] == 2785
@@ -713,6 +740,7 @@ class TestStateCount:
             return ok(*args)
 
         spec._child_ok = bounded
+        spec._children = children_by_filter(bounded)
         with pytest.raises(ResourceError, match="needs more than 1000 "):
             count_members(spec, 10**12)
         assert calls[0] == 1001

@@ -44,6 +44,7 @@ from seqcong.ideals import (
     _integer_windows,
     _member_tuples,
     _present_windows,
+    _seqcong_prefix_children,
     _seqcong_prefix_ok,
     _single_pool,
     _walk,
@@ -53,6 +54,7 @@ from conftest import (
     _removals,
     _size_revlex,
     all_partitions_upto,
+    children_by_filter,
     oracle_member,
     recursive_member_tuples,
     sa_member,
@@ -239,6 +241,23 @@ class TestKindTable:
 
     def test_s_test_is_its_prefix_rule(self):
         assert IdealSpec("S")._child_ok is _seqcong_prefix_ok
+        assert IdealSpec("S")._children is _seqcong_prefix_children
+
+    @pytest.mark.parametrize("spec", TABLE_SPECS + [IdealSpec("S")], ids=str)
+    def test_children_rule_is_the_filtered_test(self, spec):
+        # for every member prefix (S: every prefix its rule reaches), each lo and
+        # a top at most the last part, the rule is a range (or ()) of exactly the
+        # parts the test takes
+        ok, children, reached = spec._child_ok, spec._children, _fold(spec._child_ok)
+        for t in SMALL_TUPLES:
+            if not reached(t):
+                continue
+            i = len(t)
+            for top in {t[-1], t[-1] - 1, t[-1] // 2} if t else (21, 5):
+                for lo in (1, 2, 3, 4):
+                    kids = children(t, i, lo, top)
+                    assert type(kids) is range or kids == (), (t, lo, top)
+                    assert list(kids) == [v for v in range(lo, top + 1) if ok(t, i, v)], (t, lo, top)
 
     @pytest.mark.parametrize("spec", TABLE_SPECS, ids=str)
     def test_fold_and_incremental_test_match_closed_form(self, spec):
@@ -256,6 +275,18 @@ class TestKindTable:
             for t in SMALL_TUPLES:
                 for i in range(len(t)):
                     assert ok(t, i, t[i]) == ok(t[:i], i, t[i]), (spec, t, i)
+
+    @pytest.mark.parametrize("spec", ALL_KINDS, ids=str)
+    def test_walks_read_the_rule_not_the_test(self, spec):
+        # no walk, class loop or size search tests a part: the rule lists the children
+        spec = IdealSpec(spec.kind, spec.param)
+        calls = count_calls(spec, "_child_ok")
+        members_within(spec, B12)
+        compute_L(spec, 3, B12)
+        if spec.prefix_closed:
+            counting.member_counts(spec, 30)
+            list(counting.iter_members_of_size(spec, 25))
+        assert calls[0] == 0
 
     def test_every_kind_but_adiff_declares_a_summary(self):
         assert {s.kind for s in TABLE_SPECS if s._summary is None} == {"Adiff"}
@@ -314,13 +345,27 @@ class TestWalk:
             expected = list(recursive_member_tuples(spec, bound.max_part, bound.max_length))
             assert [p.parts for p in members_within(spec, bound)] == expected
             for m in (1, 2, 3):
-                walked = list(_walk(spec._child_ok, bound.max_part, bound.max_length, m + 1))
+                walked = list(_walk(spec._children, bound.max_part, bound.max_length, m + 1))
                 assert walked == [t for t in expected if all(x > m for x in t)]
 
     def test_length_cap_beyond_the_recursion_limit(self):
         members = members_within(IdealSpec("N_maxlen", 5000), AnalysisBound(1, 2000))
         assert len(members) == 2001
         assert members[-1] == Partition([1] * 2000)
+
+    def test_memory_holds_one_range_per_length(self):
+        # the stack holds a lazy range per length, so max_part does not size it;
+        # a list of the root's children alone would take tens of MiB
+        tracemalloc.start()
+        try:
+            for count, t in enumerate(_walk(IdealSpec("D")._children, 10**6, 3), 1):
+                if count == 10_000:
+                    break
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (count, t) == (10_000, (10**6, 10**6 - 1, 10**6 - 9998))
+        assert peak < 16 * 1024  # 1.7 KiB here
 
     def test_s_walk_matches_size_scan(self):
         # the members of a smaller box are those of 14x7 that fit it, in the same order
@@ -343,20 +388,28 @@ class TestWalk:
 class TestSizeSearch:
     """``_by_size`` yields the tuples ``_walk`` yields, by size then reverse lexicographic within a size."""
 
-    @pytest.mark.parametrize("accept", [spec._child_ok for spec in TABLE_SPECS] + [_seqcong_prefix_ok],
+    @pytest.mark.parametrize("children", [spec._children for spec in TABLE_SPECS] + [_seqcong_prefix_children],
                              ids=[str(spec) for spec in TABLE_SPECS] + ["S-prefix-rule"])
-    def test_equals_the_sorted_walk(self, accept):
+    def test_equals_the_sorted_walk(self, children):
         for max_part in range(1, 9):
             for max_length in range(1, 6):
                 for min_part in (1, 2, 3):
-                    walked = sorted(_walk(accept, max_part, max_length, min_part), key=_size_revlex)
-                    assert list(_by_size(accept, max_part, max_length, min_part)) == walked, (
+                    walked = sorted(_walk(children, max_part, max_length, min_part), key=_size_revlex)
+                    assert list(_by_size(children, max_part, max_length, min_part)) == walked, (
                         max_part, max_length, min_part)
 
+    def test_reads_no_rule_past_the_answer(self):
+        # each yield comes before the rules of the tuples it leads to are read
+        read = []
+        search = _by_size(lambda t, i, lo, top: read.append((t, lo)) or range(lo, top + 1), 10**12, 3)
+        assert next(search) == () and read == []
+        assert next(search) == (1,) and read == [((), 1)]
+        assert next(search) == (2,) and read == [((), 1), ((), 2), ((1,), 1)]
+
     def test_tests_no_part_past_the_answer(self):
-        # each yield comes before the parts it leads to are tested
+        # a rule made by filtering tests each part only when the search reads it
         tried = []
-        search = _by_size(lambda t, i, v: tried.append(t + (v,)) or True, 10**12, 3)
+        search = _by_size(children_by_filter(lambda t, i, v: tried.append(t + (v,)) or True), 10**12, 3)
         assert next(search) == () and tried == []
         assert next(search) == (1,) and tried == [(1,)]
         assert next(search) == (2,) and tried == [(1,), (2,), (1, 1)]
@@ -365,7 +418,7 @@ class TestSizeSearch:
         # at most one heap entry per pop, whatever max_part is
         tracemalloc.start()
         try:
-            search = _by_size(lambda t, i, v: True, 10**12, 10)
+            search = _by_size(lambda t, i, lo, top: range(lo, top + 1), 10**12, 10)
             for count, t in enumerate(search, 1):
                 if count == 10_000:
                     break
@@ -447,12 +500,14 @@ class TestClosureMatchesScan:
 
 
 def exclude_transition(spec, excluded):
-    """Make ``spec``'s incremental test refuse the step to ``excluded``; membership is its fold.
+    """Make ``spec``'s incremental test refuse the step to ``excluded``; membership is its fold and
+    its children rule the test's filter.
 
     The excluded step depends on the whole prefix, so the spec declares no summary.
     """
     ok = spec._child_ok
     spec._child_ok = lambda t, i, v: t[:i] + (v,) != excluded and ok(t, i, v)
+    spec._children = children_by_filter(spec._child_ok)
     spec._member = _fold(spec._child_ok)
     spec._summary = None
     return spec
@@ -501,6 +556,7 @@ class TestClassClosure:
         # runs of consecutive parts: removing an inner part breaks the run
         spec = IdealSpec("D")
         spec._child_ok = lambda t, i, v: not i or v == t[i - 1] - 1
+        spec._children = children_by_filter(spec._child_ok)
         spec._member = _fold(spec._child_ok)
         spec._summary = lambda t: None
         runs = class_runs(monkeypatch)
@@ -513,26 +569,26 @@ class TestClassClosure:
 
 
 def class_tests(spec, bound):
-    """``_child_ok`` calls of the class closure, derived from the walked members.
+    """``_child_ok`` and ``_children`` calls of the class closure, derived from the walked members.
 
     Members below the cap are grouped by length, key (summary, last part) and
-    their removals' keys; each class tests its children, and each child it
-    accepts tests one removal per removal key, but for the key of t's own
+    their removals' keys; each class reads its children rule once, and each
+    child tests one removal per removal key, but for the key of t's own
     parent when the child's part repeats t's last (t's parent plus it is t).
     """
     def key(t):
         return (spec._summary(t), t[-1]) if t else None
 
     classes = {}
-    for t in _walk(spec._child_ok, bound.max_part, bound.max_length):
+    for t in _walk(spec._children, bound.max_part, bound.max_length):
         if len(t) < bound.max_length:
             classes.setdefault((len(t), key(t), frozenset(key(s) for _, s in _removals(t))), t)
     tests = 0
     for (n, _, removal_keys), t in classes.items():
         top = t[-1] if t else bound.max_part
-        tests += top + sum(len(removal_keys) - (bool(t) and v == t[-1])
-                           for v in range(1, top + 1) if spec._child_ok(t, n, v))
-    return tests
+        tests += sum(len(removal_keys) - (bool(t) and v == t[-1])
+                     for v in range(1, top + 1) if spec._child_ok(t, n, v))
+    return tests, len(classes)
 
 
 def count_calls(spec, attr):
@@ -563,25 +619,49 @@ class TestClosureWork:
         assert report.members_checked == 19
         assert calls[0] > report.members_checked
 
-    @pytest.mark.parametrize("kind,tests,members", [("D", 2125, 2510), ("P_parity", 1492, 1847)])
-    def test_class_child_ok_calls_pinned(self, kind, tests, members):
+    # parent: the calls when the class loop tested every part under each class
+    @pytest.mark.parametrize("kind,parent,members", [("D", 2125, 2510), ("P_parity", 1492, 1847)])
+    def test_class_child_ok_calls_pinned(self, kind, parent, members):
         spec = IdealSpec(kind)
-        calls = count_calls(spec, "_child_ok")
+        calls, rules = count_calls(spec, "_child_ok"), count_calls(spec, "_children")
         assert check_ideal_closure(spec, B12).members_checked == members
-        assert calls[0] == tests == class_tests(IdealSpec(kind), B12)
+        pinned = {"D": (1244, 215), "P_parity": (590, 181)}[kind]
+        assert (calls[0], rules[0]) == pinned == class_tests(IdealSpec(kind), B12)
+        assert calls[0] < parent
 
-    @pytest.mark.parametrize("kind,tests,members", [("D", 13873, 2510), ("P_parity", 6917, 1847)])
-    def test_child_ok_calls_pinned(self, kind, tests, members):
-        # with the summary cleared, the walk's own tests, plus one per removal
-        # of each member other than the parent (one per distinct part value)
-        walk_spec = IdealSpec(kind)
-        walk_calls = count_calls(walk_spec, "_child_ok")
-        walked = list(_walk(walk_spec._child_ok, 12, 6))
+    # parent: the calls when the walk tested every part under each member
+    @pytest.mark.parametrize("kind,parent,members", [("D", 13873, 2510), ("P_parity", 6917, 1847)])
+    def test_child_ok_calls_pinned(self, kind, parent, members):
+        # with the summary cleared, one test per removal of each member other
+        # than the parent (one per distinct part value), and one rule read per
+        # member below the cap
+        walked = list(_walk(IdealSpec(kind)._children, 12, 6))
         spec = IdealSpec(kind)
         spec._summary = None
-        calls = count_calls(spec, "_child_ok")
+        calls, rules = count_calls(spec, "_child_ok"), count_calls(spec, "_children")
         assert check_ideal_closure(spec, B12).members_checked == members == len(walked)
-        assert calls[0] == tests == walk_calls[0] + sum(len(set(t)) - 1 for t in walked if t)
+        assert calls[0] == {"D": 9779, "P_parity": 3698}[kind] == sum(len(set(t)) - 1 for t in walked if t)
+        assert rules[0] == sum(len(t) < 6 for t in walked)
+        assert calls[0] < parent
+
+    def test_adiff_child_ok_calls_pinned(self):
+        # Adiff, with no summary, walks; its gaps are read once per member, where
+        # testing every part under each member took 9,305 calls
+        spec = IdealSpec("Adiff")
+        calls, rules = count_calls(spec, "_child_ok"), count_calls(spec, "_children")
+        walked = list(_walk(IdealSpec("Adiff")._children, 16, 7))
+        assert check_ideal_closure(spec, AnalysisBound(16, 7)).members_checked == len(walked)
+        assert calls[0] == 4188 == sum(len(set(t)) - 1 for t in walked if t)
+        assert rules[0] == 1560 == sum(len(t) < 7 for t in walked)
+
+    def test_members_within_reads_only_the_rule(self):
+        # one rule read per member below the cap; testing every part under
+        # each member took 41,224 calls of the kind's test
+        spec = IdealSpec("D")
+        calls, rules = count_calls(spec, "_child_ok"), count_calls(spec, "_children")
+        members = members_within(spec, AnalysisBound(16, 7))
+        assert len(members) == sum(comb(16, k) for k in range(8)) == 26333
+        assert (calls[0], rules[0]) == (0, 14893) == (0, sum(len(p) < 7 for p in members))
 
     def test_memory_holds_no_memo(self):
         # a memo of every removal peaked at 1777 KiB on this box; the removal
@@ -983,6 +1063,7 @@ class TestModulusAndLinkingMatchScan:
         # holds, since it is reached by shifts down by m inside the box.)
         spec = IdealSpec("D")
         spec._child_ok = lambda t, i, v: v < t[i - 1] if i else v % 2 == 1
+        spec._children = children_by_filter(spec._child_ok)
         spec._member = _fold(spec._child_ok)
         spec._summary = None
         report = infer_linking(spec, 2, AnalysisBound(8, 4))
@@ -1027,6 +1108,7 @@ class TestClassModulusAndLinking:
         # the walk names the witness
         spec = IdealSpec("D")
         spec._child_ok = lambda t, i, v: v < t[i - 1] if i else v % 2 == 1
+        spec._children = children_by_filter(spec._child_ok)
         spec._member = _fold(spec._child_ok)
         spec._summary = lambda t: None
         bound, runs = AnalysisBound(8, 4), span_runs(monkeypatch)
@@ -1068,16 +1150,11 @@ class TestMoves:
                         assert moves[t] == (moved if spec._member(moved) else None), (excluded, d, t)
 
 
-def walk_tests(spec, max_part, max_length, min_part=1):
-    """``_child_ok`` calls of one walk: every part tried under each tuple below the length cap."""
-    return sum(t[-1] - min_part + 1 if t else max_part - min_part + 1
-               for t in _walk(spec._child_ok, max_part, max_length, min_part) if len(t) < max_length)
-
-
 def modulus_tests(spec, m, bound):
-    """``_child_ok`` calls of a walked modulus check that holds: the walk's, then one per shift of each member."""
-    walked = _walk(spec._child_ok, bound.max_part, bound.max_length)
-    return walk_tests(spec, bound.max_part, bound.max_length) + sum(1 + (t[-1] > m) for t in walked if t)
+    """``_child_ok`` and ``_children`` calls of a walked modulus check that holds: one test per shift
+    of each member, and one rule read per member below the cap."""
+    walked = list(_walk(spec._children, bound.max_part, bound.max_length))
+    return sum(1 + (t[-1] > m) for t in walked if t), sum(len(t) < bound.max_length for t in walked)
 
 
 def shifted(t, d):
@@ -1090,37 +1167,39 @@ def class_reps(spec, bound, carried, min_part=1):
     The key is (summary, last part), None for the empty tuple.
     """
     reps = {}
-    for t in _walk(spec._child_ok, bound.max_part, bound.max_length, min_part):
+    for t in _walk(spec._children, bound.max_part, bound.max_length, min_part):
         reps.setdefault((len(t), t and (spec._summary(t), t[-1]), carried(t)), t)
     return list(reps.values())
 
 
 def class_modulus_tests(spec, m, bound):
-    """``_child_ok`` calls of the class modulus check when it holds, derived from the walked members.
+    """``_child_ok`` and ``_children`` calls of the class modulus check when it holds, derived from the
+    walked members.
 
-    A class also keys its shifts' summaries.  Each class below the cap tests
-    its children, and each child it accepts tests its shift up, and its shift
-    down when the child's last part exceeds m.
+    A class also keys its shifts' summaries.  Each class below the cap reads
+    its children rule, and each child tests its shift up, and its shift down
+    when the child's last part exceeds m.
     """
     def shift_summaries(t):
         return t and (spec._summary(shifted(t, m)), t[-1] > m and spec._summary(shifted(t, -m)))
 
-    ok, tests = spec._child_ok, 0
+    ok, tests, reads = spec._child_ok, 0, 0
     for t in class_reps(spec, bound, shift_summaries):
         if len(t) < bound.max_length:
             top = t[-1] if t else bound.max_part
-            tests += top + sum(1 + (v > m) for v in range(1, top + 1) if ok(t, len(t), v))
-    return tests
+            tests += sum(1 + (v > m) for v in range(1, top + 1) if ok(t, len(t), v))
+            reads += 1
+    return tests, reads
 
 
 def class_link_tests(spec, m, bound, span_cap, report):
     """``_child_ok`` calls of a linking search that the class path decides, derived from the walked members.
 
-    Past the class modulus check and the walk of L, a pool class (members
-    with parts > m) also keys, per span l, the summary of its shift up by
-    l*m (None when that is no member) and its tail for l.  Each pool class
-    below the cap tests its children, and each child it accepts tests its
-    shift for every l whose parent shift is a member.  Then each element pi
+    Past the class modulus check and the search of L (which reads only
+    rules), a pool class (members with parts > m) also keys, per span l, the
+    summary of its shift up by l*m (None when that is no member) and its
+    tail for l.  Each pool class below the cap reads its children rule, and
+    each child tests its shift for every l whose parent shift is a member.  Then each element pi
     of L is tested on top of every pool class with room for it.  For the span
     found (the first tried, in these boxes), each tail tau in pi's linking
     set and then pi are tested on top of the shift of every class that tau
@@ -1136,12 +1215,12 @@ def class_link_tests(spec, m, bound, span_cap, report):
                       tuple(x - d for x in t if x <= m + d)) for d in ds)
 
     pool = class_reps(spec, bound, carried, m + 1)
-    tests = class_modulus_tests(spec, m, bound) + walk_tests(spec, m, cap)
+    tests = class_modulus_tests(spec, m, bound)[0]
     for t in pool:
         if len(t) < cap:
             top = t[-1] if t else bound.max_part
             live = sum(member(shifted(t, d)) for d in ds)
-            tests += top - m + live * sum(ok(t, len(t), v) for v in range(m + 1, top + 1))
+            tests += live * sum(ok(t, len(t), v) for v in range(m + 1, top + 1))
     fits = {pi.parts: [t for t in pool if len(t) + len(pi) <= cap] for pi in report.L_set}
     assert all(member(t + pi) for pi in fits for t in fits[pi])
     for e in report.entries:
@@ -1169,23 +1248,28 @@ class TestModulusAndLinkingWork:
         assert calls[0] == 0
 
     def test_modulus_child_ok_calls_pinned(self):
-        # the walk: folding each shifted member whole took 23,400 calls here
+        # the walk: folding each shifted member whole took 23,400 calls here,
+        # and testing every part under each member as well 8,088
         spec = walk_spec("D")
-        calls = count_calls(spec, "_child_ok")
+        calls, rules = count_calls(spec, "_child_ok"), count_calls(spec, "_children")
         assert check_modulus(spec, 1, B12).holds
-        assert calls[0] == 8088 == modulus_tests(IdealSpec("D"), 1, B12)
+        assert (calls[0], rules[0]) == (3994, 1586) == modulus_tests(IdealSpec("D"), 1, B12)
 
-    @pytest.mark.parametrize("kind,m,tests", [("D", 1, 730), ("P_parity", 2, 784)])
-    def test_class_modulus_child_ok_calls_pinned(self, kind, m, tests):
+    # parent: the calls when the class loop tested every part under each class
+    @pytest.mark.parametrize("kind,m,parent", [("D", 1, 730), ("P_parity", 2, 784)])
+    def test_class_modulus_child_ok_calls_pinned(self, kind, m, parent):
         spec = IdealSpec(kind)
-        calls = count_calls(spec, "_child_ok")
+        calls, rules = count_calls(spec, "_child_ok"), count_calls(spec, "_children")
         assert check_modulus(spec, m, B12).holds
-        assert calls[0] == tests == class_modulus_tests(IdealSpec(kind), m, B12)
+        pinned = {"D": (438, 51), "P_parity": (382, 61)}[kind]
+        assert (calls[0], rules[0]) == pinned == class_modulus_tests(IdealSpec(kind), m, B12)
+        assert calls[0] < parent
 
     def test_link_child_ok_calls_pinned(self):
         # the walk, for D at 10x5 with m = 1: L is {(), (1,)}, every span is
         # 1 and nothing fails; folding every shifted tuple whole took 16,309
-        # calls here.  Past the modulus check and the walks of L and of the
+        # calls here, and testing every part under each walked tuple as well
+        # 4,209.  Past the modulus check and the searches of L and of the
         # pool P (the members with parts >= 2), the tail (1,) is tested under
         # P4 (P's members of length <= 4) when listing remainders; each member
         # of P is moved up once (one test each, () none), and bigs + (1,) up
@@ -1195,17 +1279,17 @@ class TestModulusAndLinkingWork:
         calls = count_calls(spec, "_child_ok")
         assert infer_linking(spec, 1, bound).verdict == "linked-within-bound"
         plain = IdealSpec("D")
-        pool = list(_walk(plain._child_ok, 10, 5, 2))
+        pool = list(_walk(plain._children, 10, 5, 2))
         p4 = sum(len(t) <= 4 for t in pool)
-        derived = (modulus_tests(plain, 1, bound) + walk_tests(plain, 1, 5) + walk_tests(plain, 10, 5, 2)
-                   + p4 + (len(pool) - 1) + p4 + len(pool) + p4)
-        assert calls[0] == 4209 == derived
+        derived = modulus_tests(plain, 1, bound)[0] + p4 + (len(pool) - 1) + p4 + len(pool) + p4
+        assert calls[0] == 2549 == derived
 
-    @pytest.mark.parametrize("bound,tests", [(AnalysisBound(10, 5), 1403), (AnalysisBound(14, 6), 3195)],
+    @pytest.mark.parametrize("bound,tests", [(AnalysisBound(10, 5), 1047), (AnalysisBound(14, 6), 2379)],
                              ids=["10x5", "14x6"])
     def test_class_link_child_ok_calls_pinned(self, bound, tests):
         # the walk took 4,590 calls at 10x5 and 46,419 at 14x6 before the
-        # remainders shifted down went untested
+        # remainders shifted down went untested, and testing every part under
+        # each class took 1,403 and 3,195
         spec = IdealSpec("D")
         calls = count_calls(spec, "_child_ok")
         report = infer_linking(spec, 1, bound)
