@@ -346,10 +346,20 @@ def count_members(pred, n: int) -> int:
 
 
 def member_counts(pred, upto: int) -> list[int]:
-    """``count_members(pred, n)`` for n in range(upto + 1): one count over classes serves every size."""
-    if getattr(pred, "_summary", None) is None or upto < 0:
+    """``[count_members(pred, n) for n in range(upto + 1)]``, every size from one class count or one member walk."""
+    if not getattr(pred, "prefix_closed", False) or upto < 0:
         return [count_members(pred, n) for n in range(upto + 1)]
-    counts = _state_counts(pred, _check_size(upto))
+    if pred._summary is not None:
+        counts = _state_counts(pred, _check_size(upto))
+    else:  # one walk; a stack of (member, its size, its children of size <= upto not yet walked)
+        counts, stack = {0: 1}, [((), 0, iter(pred._children((), 0, 1, _check_size(upto))))]
+        while stack:
+            t, size, parts = stack[-1]
+            if v := next(parts, 0):  # parts are positive
+                counts[s] = counts.get(s := size + v, 0) + 1
+                stack.append((c := t + (v,), s, iter(pred._children(c, len(c), 1, min(v, upto - s)))))
+            else:
+                stack.pop()
     return [counts.get(n, 0) for n in range(upto + 1)]
 
 

@@ -514,15 +514,36 @@ def _present_windows(t, k):
         yield tuple(x for x in t if x in window)
 
 
+def _window_test(ok, k, present):
+    """Whether all k-windows (of present values when ``present``) of t + (v,) are members, for a member t
+    and a part v <= t[-1] that ``ok`` refuses after it, on a kind closed under removal: those holding v lie
+    in the widest, t[j:] + (v,), the rest in t, so ``ok(t[j:], len(t) - j, v)`` decides (j = 0: refused)."""
+    def takes(t, i, v):
+        j, last, seen = i, v, 1
+        if present:  # t[j:] + (v,) holds the k smallest present values counted with v
+            while j and (t[j - 1] == last or seen < k):
+                j, last, seen = j - 1, t[j - 1], seen + (t[j - 1] != last)
+        else:  # t[j:] holds t's parts below v + k
+            while j and t[j - 1] < v + k:
+                j -= 1
+        return j > 0 and ok(t[j:], i - j, v)
+    return takes
+
+
 def _order_refute(spec, k, bound, windows):
     """The smallest non-member in (size, revlex) order whose k-windows are all members.
 
     The search takes a part that the kind's test takes or whose tuple's windows
-    all pass the test's fold.  A window of a prefix is a prefix of the same
-    window of the whole tuple, and every prefix of a member passes the fold, so
-    no witness is pruned.  On a prefix-closed kind the fold is membership: the
-    tuples before the witness are members, so it is the first that its own last
-    test refuses.  On S it is the first non-member whose windows are members.
+    all pass the test's fold, which prunes no witness: a window of a prefix is
+    a prefix of the same window of the whole tuple, and every prefix of a
+    member passes the fold.  On a prefix-closed kind the fold is membership and
+    the witness is the first tuple its own last test refuses; the search stops
+    there, so a part is only asked after a member, and ``_window_test`` decides
+    a refused part by its one widest window.  That is exact because every
+    prefix-closed kind is closed under removal (closure certifies it): a
+    hand-patched test that is not must not reach this search.  On S the prefix
+    rule is folded over every window; the witness is the first non-member
+    whose windows are members.
     """
     if k < 1:
         raise DomainError("window width must be positive")
@@ -531,9 +552,12 @@ def _order_refute(spec, k, bound, windows):
     def passes(t, test):  # every k-window of t passes test
         return all(test(w) for w in windows(t, k))
 
+    takes = (_window_test(ok, k, windows is _present_windows) if spec.prefix_closed
+             else lambda t, i, v: passes(t + (v,), fold))
+
     def least(t, i, lo, top):  # the least part the search takes, all that _by_size reads of a rule
         for v in range(lo, top + 1):
-            if ok(t, i, v) or passes(t + (v,), fold):
+            if ok(t, i, v) or takes(t, i, v):
                 return (v,)
         return ()
 
@@ -549,11 +573,12 @@ def order_refute(spec: IdealSpec, k: int, bound: AnalysisBound) -> Partition | N
     """Search for a non-member whose every k-wide frequency window is a member.
 
     Such a witness shows the order exceeds k.  The witness reported is the
-    smallest in (size, revlex) order: by size, then reverse lexicographic
-    within a size, so the report is deterministic.  One search by (size,
-    revlex) finds it, pruned on prefix-closed kinds to members and tuples
-    whose windows are all members, and stops there.  None means no witness
-    exists within the bound.
+    smallest by size, then reverse lexicographic within a size, so the report
+    is deterministic; one search finds it and stops there, and None means no
+    witness exists within the bound.  On a prefix-closed kind each part the
+    kind's test refuses is decided by one test of its widest window holding
+    the part, exact because the kind is closed under removal: a spec whose
+    test is hand-patched to one that is not must not be given to this search.
     """
     return _order_refute(spec, k, bound, _integer_windows)
 

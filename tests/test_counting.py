@@ -676,6 +676,17 @@ class TestStateCount:
         assert [count_members(spec, n) for n in range(31)] == want
         assert member_counts(spec, 30) == want
 
+    def test_adiff_counts_every_size_in_one_walk(self, monkeypatch):
+        # one walk of the members of size <= 45 reads the rule once per member;
+        # counting each size apart walked every smaller member again per size
+        spec = IdealSpec("Adiff")
+        want = walk_counts(spec, 45)
+        rule, reads = spec._children, [0]
+        spec._children = lambda *args: reads.__setitem__(0, reads[0] + 1) or rule(*args)
+        monkeypatch.setattr(counting, "count_members", None)
+        assert member_counts(spec, 45) == want
+        assert reads[0] == sum(want)
+
     def test_rule_reads_pinned(self):
         # the children rule is read once per class and the kind's test never
         # runs; the walk reads a rule at least once per prefix of size <= 80

@@ -48,6 +48,7 @@ from seqcong.ideals import (
     _seqcong_prefix_ok,
     _single_pool,
     _walk,
+    _window_test,
 )
 
 from conftest import (
@@ -735,18 +736,36 @@ class TestOrder:
 
 class TestOrderWork:
     @pytest.mark.parametrize("estimate,kind,bound,tests,parent", [
-        (order_estimate, "R", AnalysisBound(12, 8), 2734, 12521),
-        (order_estimate, "P_parity", AnalysisBound(12, 8), 2019, 6594),
-        (weak_order_estimate, "D", AnalysisBound(10, 6), 5528, 25996),
-    ], ids=["order-R-12x8", "order-P_parity-12x8", "weak-D-10x6"])
+        (order_estimate, "R", AnalysisBound(12, 8), 1957, 2734),
+        (order_estimate, "P_parity", AnalysisBound(12, 8), 1300, 2019),
+        (weak_order_estimate, "D", AnalysisBound(10, 6), 2958, 5528),
+        (weak_order_estimate, "Rprime", AnalysisBound(8, 5), 2343, 7709),
+    ], ids=["order-R-12x8", "order-P_parity-12x8", "weak-D-10x6", "weak-Rprime-8x5"])
     def test_kind_test_calls_pinned(self, estimate, kind, bound, tests, parent):
-        # calls of the kind's test, the folds of the window tests included; the
-        # doubling size cap over the walk made the parent's figure
+        # calls of the kind's test; a part the test refuses costs at most one more
+        # call, on its widest window, where folding the test over every window
+        # made the parent's figure
         spec = IdealSpec(kind)
         calls = count_calls(spec, "_child_ok")
         spec._member = _fold(spec._child_ok)
         estimate(spec, bound)
         assert calls[0] == tests < parent
+
+    @pytest.mark.parametrize("spec", PREFIX_CLOSED + [IdealSpec("S")], ids=str)
+    def test_prefix_closed_kinds_build_no_window(self, monkeypatch, spec):
+        # a prefix-closed kind decides each refused part by one test of its widest
+        # window; S folds its prefix rule over every window, which shows the spy live
+        bound = AnalysisBound(10, 6)
+        expected = order_estimate(spec, bound), weak_order_estimate(spec, bound)
+        built = []
+
+        def spy(windows):
+            return lambda t, k: built.append(t) or windows(t, k)
+
+        monkeypatch.setattr(ideals, "_integer_windows", spy(_integer_windows))
+        monkeypatch.setattr(ideals, "_present_windows", spy(_present_windows))
+        assert (order_estimate(spec, bound), weak_order_estimate(spec, bound)) == expected
+        assert bool(built) == (not spec.prefix_closed)
 
     def test_s_weak_order_work_pinned(self, monkeypatch):
         # S's search takes a part when its prefix rule does or every window passes the rule's fold;
@@ -758,6 +777,28 @@ class TestOrderWork:
         calls = count_calls(spec, "_member")
         assert weak_order_estimate(spec, bound) == OrderReport(spec, bound, True, 3, False, 2, Partition([5, 4, 2]))
         assert (len(popped), calls[0]) == (719, 1193)
+
+
+def windows_pass(t, k, windows, test):
+    """Whether every k-window of t passes test: the order search's former part test, kept as the oracle."""
+    return all(test(w) for w in windows(t, k))
+
+
+class TestWindowTest:
+    @pytest.mark.parametrize("spec", TABLE_SPECS, ids=str)
+    def test_matches_every_window(self, spec):
+        # every member t of the 10x6 box, every part v <= t[-1] the kind's test refuses after it
+        ok, fold, cases = spec._child_ok, _fold(spec._child_ok), 0
+        for t in _walk(spec._children, 10, 6):
+            for v in range(1, (t[-1] if t else 10) + 1):
+                if ok(t, len(t), v):
+                    continue
+                for k in range(1, 7):
+                    for windows in (_integer_windows, _present_windows):
+                        want = windows_pass(t + (v,), k, windows, fold)
+                        assert _window_test(ok, k, windows is _present_windows)(t, len(t), v) == want, (t, v, k)
+                        cases += 1
+        assert cases
 
 
 ORDER_BOXES = [AnalysisBound(8, 5), AnalysisBound(10, 6), AnalysisBound(7, 7), AnalysisBound(9, 4)]
