@@ -38,9 +38,19 @@ def _congruence_failure_index(parts: Sequence[int]) -> int | None:
     return None
 
 
+def _is_congruent(t: tuple[int, ...]) -> bool:
+    """Whether a partition tuple t of length r is sequentially congruent: r | t[-1] first, then the chain from i = 2."""
+    if t and t[-1] % len(t):
+        return False
+    for i in range(2, len(t)):  # modulus 1 divides the first difference
+        if (t[i - 1] - t[i]) % i:
+            return False
+    return True
+
+
 def is_seq_congruent(p: Partition) -> bool:
-    """Whether consecutive parts are congruent modulo their index (empty: yes)."""
-    return _congruence_failure_index(p.parts) is None
+    """Whether p_i = p_{i+1} (mod i) and r | p_r (empty: yes); the closing r | p_r is decided first."""
+    return _is_congruent(p.parts)
 
 
 def _canonical(coeffs: Iterable[int]) -> tuple[int, ...]:

@@ -403,28 +403,28 @@ def sigma_prime_AB(p: Partition, spec: GenSpec) -> Partition:
 
 
 def is_in_Sk(p: Partition, k: int) -> bool:
-    """Congruence chain with moduli i^k: part i = part i+1 (mod i^k), last part divisible by r^k."""
+    """Congruence chain with moduli i^k: part i = part i+1 (mod i^k), last part divisible by r^k, decided first."""
+    if type(k) is not int:  # a float modulus would round a difference past 2**53
+        raise TypeError(f"k must be an integer, got {k!r}")
     if not 0 < k < 64:  # for i >= 2, i**63 > MAX_PART = 2**63 - 1: a larger k gives k = 63's answer
         if k < 1:
             raise DomainError("k must be a positive integer")
         k = 63
     parts = p.parts
-    r = len(parts)
-    for i in range(1, r):
+    if parts and parts[-1] % len(parts)**k:
+        return False
+    for i in range(2, len(parts)):  # modulus 1**k divides the first difference
         if (parts[i - 1] - parts[i]) % i**k:
             return False
-    if r and parts[r - 1] % r**k:
-        return False
     return True
 
 
 def is_in_Sjk(p: Partition, j: int, k: int) -> bool:
-    """Exact-difference chain: part i - part i+1 = j * i^k, last part = j * r^k.
+    """Exact-difference chain: part i - part i+1 = j * i^k, closed by last part = j * r^k, decided first.
 
-    The closing condition is read with the same shape as the others (last part
-    equal to j times r^k), which matches the bijection onto partitions into
-    (k+1)-th powers with every part repeated exactly j times.
-    """
+    That closing condition matches the bijection onto (k+1)-th powers with every part repeated j times."""
+    if type(j) is not int or type(k) is not int:  # as in is_in_Sk
+        raise TypeError(f"j and k must be integers, got j={j!r}, k={k!r}")
     if j < 1:
         raise DomainError("j must be a positive integer")
     if not 0 <= k < 64:  # as in is_in_Sk
@@ -432,12 +432,11 @@ def is_in_Sjk(p: Partition, j: int, k: int) -> bool:
             raise DomainError("k must be a nonnegative integer")
         k = 63
     parts = p.parts
-    r = len(parts)
-    for i in range(1, r):
+    if parts and parts[-1] != j * len(parts)**k:
+        return False
+    for i in range(1, len(parts)):
         if parts[i - 1] - parts[i] != j * i**k:
             return False
-    if r and parts[r - 1] != j * r**k:
-        return False
     return True
 
 

@@ -49,7 +49,7 @@ from heapq import heappop, heappush, heapreplace
 from itertools import takewhile
 from math import lcm
 
-from .bijections import _congruence_failure_index, is_seq_congruent
+from .bijections import _is_congruent, is_seq_congruent
 from .counting import _cached_series, _check_size, count_all_partitions
 from .errors import DomainError
 from .partition import Partition, _check_largest, _check_output_length
@@ -188,7 +188,7 @@ class IdealSpec:
             raise DomainError(f"kind {kind} takes no parameter")
         self.kind, self.param = kind, param
         self._child_ok, self._children, self.prefix_closed = test(param), children(param), kind != "S"
-        self._member = _fold(self._child_ok) if self.prefix_closed else lambda t: _congruence_failure_index(t) is None
+        self._member = _fold(self._child_ok) if self.prefix_closed else _is_congruent
         self._summary = None if summary is None else summary(param)
 
     @classmethod

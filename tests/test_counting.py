@@ -188,6 +188,22 @@ class TestWalkWork:
             enumerate_members(spy, n)
             assert calls[0] == count_all_partitions(n)
 
+    def test_filters_decide_the_closing_condition_first(self):
+        # testing the chain before the closing condition reads 210,615 and 207,860 parts here
+        class Reads(tuple):
+            count = 0
+
+            def __getitem__(self, i):
+                Reads.count += 1
+                return tuple.__getitem__(self, i)
+
+        for test, n, members, reads in ((is_seq_congruent, 39, 50, 31_641),
+                                        (lambda p: is_in_Sk(p, 2), 40, 8, 37_352)):
+            Reads.count = 0
+            assert count_members(lambda p: test(Partition._of(Reads(p.parts))), n) == members
+            # one read of the last part per partition, two per chain step of those r divides (r^2 for S_2)
+            assert Reads.count == reads, (n, Reads.count)
+
     def test_by_largest_maps_each_partition_once(self, monkeypatch):
         spy, calls = self._counted(counting.pi_map)
         monkeypatch.setattr(counting, "pi_map", spy)

@@ -8,6 +8,7 @@ from seqcong import (
     DomainError,
     GenSpec,
     HorizonError,
+    IdealSpec,
     NNotation,
     Partition,
     SequenceRule,
@@ -315,6 +316,28 @@ class TestPowerFamilies:
                 for j in (1, 2):
                     assert is_in_Sjk(p, j, k) == in_sjk(p.parts, j, k), (p, j, k)
         assert is_in_Sk(Partition([2**62, 2**62]), 62) and not is_in_Sk(Partition([2**62, 2**62]), 10**12)
+        s = IdealSpec("S")
+        for p in all_partitions_upto(20):
+            t = p.parts
+            for k in (1, 2, 3):
+                assert is_in_Sk(p, k) == in_sk(t, k), (p, k)
+            for j in (1, 2):
+                for k in (0, 1, 2):
+                    assert is_in_Sjk(p, j, k) == in_sjk(t, j, k), (p, j, k)
+            assert is_seq_congruent(p) == s.contains(p) == in_sk(t, 1), p
+
+    def test_non_integer_k_and_j_refused(self):
+        b = 2**55 + 11  # a float modulus rounds the difference 2**55 + 2 of (b, b, 9) to a multiple of 4
+        p = Partition((b, b, 9))
+        assert not is_in_Sk(p, 2)
+        for bad in (2.0, 1.5, True):
+            with pytest.raises(TypeError, match="k must be an integer"):
+                is_in_Sk(p, bad)
+        with pytest.raises(TypeError, match="k must be an integer"):
+            is_in_Sk(Partition((4, 2)), 1.5)
+        for j, k in ((1.0, 1), (1, 1.0), (True, 1), (1, False)):
+            with pytest.raises(TypeError, match="j and k must be integers"):
+                is_in_Sjk(p, j, k)
 
     def test_Sjk_members_map_to_uniform_vectors(self):
         for j, k in [(1, 1), (2, 1), (1, 2)]:
