@@ -23,7 +23,7 @@ import threading
 from bisect import bisect_right
 from itertools import count, takewhile
 from math import isqrt
-from operator import mul
+from operator import attrgetter, mul
 from typing import Callable, Iterable, Iterator
 
 from .bijections import pi_map, psi_inverse
@@ -209,12 +209,12 @@ def enumerate_seqcong_by_size(n: int) -> list[Partition]:
     """Sequentially congruent partitions of size n: psi_inverse of those into squares."""
     _check_output_length(_check_size(n))  # 1^n is one of them, so refuse before listing squares
     squares = [i * i for i in range(1, isqrt(n) + 1)]
-    return sorted(map(psi_inverse, enumerate_with_parts_from(squares, n)), reverse=True)
+    return sorted(map(psi_inverse, enumerate_with_parts_from(squares, n)), key=attrgetter("parts"), reverse=True)
 
 
 def enumerate_seqcong_by_largest(n: int) -> list[Partition]:
     """Sequentially congruent partitions with largest part n: pi_map of the partitions of n."""
-    return sorted(map(pi_map, _partitions(n)), reverse=True)
+    return sorted(map(pi_map, _partitions(n)), key=attrgetter("parts"), reverse=True)
 
 
 class CountSeries:

@@ -13,7 +13,8 @@ what the test reads of a prefix besides its length and last part (None when
 it reads nothing else; Adiff, which reads every gap, declares none).  Closure,
 modulus and linking run on classes of members that the test cannot tell apart
 (``_class_layers``) for a kind with a summary, and down the walk (``_carry``)
-when a class fails or there is none.  The rows, with i parts before v:
+when a class fails or there is none; ``members_within`` splices each class's
+tails (``_class_tails``).  The rows, with i parts before v:
 
 =============  ======  ========  ====================================================  =============================
 kind           param   summary   part v may follow t[:i] when                          children in [lo, top]
@@ -396,12 +397,39 @@ def _member_tuples(spec: IdealSpec, max_part: int, max_length: int):
     return (t for t in _by_size(spec._children, max_part, max_length) if not t or t[-1] % len(t) == 0)
 
 
+def _class_tails(spec: IdealSpec, cap: int, memo: dict, t: tuple, n: int) -> list:
+    """The s, () first and in walk order, that complete the member t of length n < cap to members of length
+    at most cap, listed in ``memo`` once per class (length, summary, last part); recursing cap - 1 - n deep."""
+    key = (n, spec._summary(t), t[-1])
+    tails = memo.get(key)
+    if tails is None:
+        tails = memo[key] = [()]
+        for v in reversed(spec._children(t, n, 1, t[-1])):
+            tails += [(v,)] if n + 1 == cap else [(v,) + s for s in _class_tails(spec, cap, memo, t + (v,), n + 1)]
+    return tails
+
+
 def members_within(spec: IdealSpec, bound: AnalysisBound) -> list[Partition]:
-    """All members inside the bound box: prefix order for prefix-closed kinds, by size for S."""
-    new, members = object.__new__, []
-    for t in _member_tuples(spec, bound.max_part, bound.max_length):
-        members.append(p := new(Partition))
-        p.parts = t
+    """All members inside the bound box: prefix order for prefix-closed kinds, by size for S.
+
+    A kind with a summary (and a length cap of 3 or more) is walked down to length max(max_length - 3, 2),
+    and each member t of that length is followed by t + s for every tail s of its class (``_class_tails``),
+    in walk order: the rule answers alike for the prefixes of one class, and their children fall into
+    equal classes again, so every prefix of a class completes to members by the same tails, built once.
+    Adiff, which declares no summary, and S are walked and searched whole.
+    """
+    cap, memo, new, members = bound.max_length, {}, object.__new__, []
+    # a length-1 class is never reused, and a lookup per member at the cap costs more than the rule it saves
+    if spec._summary is None or cap <= 2:
+        for t in _member_tuples(spec, bound.max_part, cap):
+            members.append(p := new(Partition))
+            p.parts = t
+        return members
+    depth = max(cap - 3, 2)
+    for t in _walk(spec._children, bound.max_part, depth):
+        for s in _class_tails(spec, cap, memo, t, depth) if len(t) == depth else ((),):
+            members.append(p := new(Partition))
+            p.parts = t + s
     return members
 
 

@@ -303,6 +303,17 @@ class TestSeqcongEnumerators:
             want = sorted((from_c_notation(CNotation(c)).parts for c in vectors), reverse=True)
             assert [p.parts for p in enumerate_seqcong_by_size(n)] == want
 
+    def test_listings_sort_by_parts_and_not_by_partition_order(self, monkeypatch):
+        # the sorts read each tuple once, so Partition's type-checked comparisons stay out of them
+        want = ([p.parts for p in enumerate_seqcong_by_size(30)], [p.parts for p in enumerate_seqcong_by_largest(12)])
+
+        def refuse(self, other):
+            raise AssertionError("sorted through Partition.__lt__")
+
+        monkeypatch.setattr(Partition, "__lt__", refuse)
+        assert ([p.parts for p in enumerate_seqcong_by_size(30)],
+                [p.parts for p in enumerate_seqcong_by_largest(12)]) == want
+
     @pytest.mark.parametrize("n", [True, False, 4.0, 2.5, "4"])
     @pytest.mark.parametrize("enumerate_s", [enumerate_seqcong_by_size, enumerate_seqcong_by_largest])
     def test_non_integer_size_rejected(self, enumerate_s, n):

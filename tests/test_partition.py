@@ -224,6 +224,19 @@ class TestOrderingAndHash:
         s = {Partition([2, 1]), Partition([2, 1]), Partition([3])}
         assert len(s) == 2
 
+    def test_ordering_is_by_parts(self):
+        assert Partition([2, 1]) < Partition([3]) <= Partition([3]) and Partition([3]) > Partition([2, 1])
+        assert sorted([Partition([3]), Partition([1, 1, 1]), Partition([2, 1])]) == [
+            Partition([1, 1, 1]), Partition([2, 1]), Partition([3])]
+
+    @pytest.mark.parametrize("other", [5, (1,), [1], None])
+    def test_ordering_against_another_type_raises_type_error(self, other):
+        p = Partition([1])
+        for compare in (lambda: p < other, lambda: p <= other, lambda: p > other, lambda: p >= other,
+                        lambda: other < p, lambda: other > p):
+            with pytest.raises(TypeError):
+                compare()
+
     @given(partitions_st)
     @settings(max_examples=30)
     def test_repr_str_stable(self, p):
