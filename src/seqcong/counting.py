@@ -10,11 +10,16 @@ prefixes, one pass by length for every size, within ``MAX_COUNT_CELLS`` live
 (class, size) cells; Adiff, with no summary, by its walk; S by psi.
 
 Generating-function coefficients come from cached product series
-prod_{d in D} 1/(1 - q^d).  The product DP builds a series once; a request
-past its cached length extends it by Euler's divisor-sum recurrence
-n*a(n) = sum_{k=1..n} sigma_D(k)*a(n-k), at O(n) per new coefficient.  A cost
-rule on the cached length, the size asked and |D| rebuilds instead when that
-is cheaper.
+prod_{d in D} 1/(1 - q^d).  The product DP builds a series once.  A series
+with at most sqrt(n + 1) degrees up to n (the k-th powers for k >= 2) keeps
+the DP's state beside it: for each degree d, the last d coefficients of the
+partial product over the degrees up to d.  A request past its cached length
+then costs one addition per degree and new coefficient.  The state is dropped
+once it would pass ``MAX_COUNT_CELLS`` cells (squares near 8,300).  Any other
+series (p(n), the odd parts) extends by Euler's divisor-sum recurrence
+n*a(n) = sum_{k=1..n} sigma_D(k)*a(n-k), at O(n) per new coefficient, or is
+rebuilt when a cost rule on the cached length, the size asked and |D| finds
+that cheaper.
 """
 
 from __future__ import annotations
@@ -226,13 +231,20 @@ class CountSeries:
         self.coefficients = tuple(coefficients)
 
     @classmethod
-    def from_degrees(cls, degrees: Iterable[int], upto: int) -> "CountSeries":
-        """Product of 1 / (1 - q^d) over the given degrees, coefficients 0..upto."""
+    def from_degrees(cls, degrees: Iterable[int], upto: int, rings: list | None = None) -> "CountSeries":
+        """Product of 1 / (1 - q^d) over the given degrees, coefficients 0..upto.
+
+        ``rings``, if given, receives for each degree d, ascending, the last d
+        coefficients of the partial product over the degrees up to d, the one
+        of index m at position m % d."""
         coeffs = [0] * (upto + 1)
         coeffs[0] = 1
         for d in sorted({d for d in degrees if 1 <= d <= upto}):
             for j in range(d, upto + 1):
                 coeffs[j] += coeffs[j - d]
+            if rings is not None:
+                s = (upto + 1) % d
+                rings.append(coeffs[upto + 1 - s :] + coeffs[upto + 1 - d : upto + 1 - s])
         return cls(coeffs)
 
     def __getitem__(self, n: int) -> int:
@@ -250,9 +262,10 @@ class CountSeries:
         return f"CountSeries({list(self.coefficients)!r})"
 
 
-# key -> (series, divisor sums): sigma[k] is the sum of the key's degrees
-# that divide k.  Rebuilds keep sigma, which does not depend on the length.
-_series_cache: dict[tuple, tuple[CountSeries, list[int]]] = {}
+# key -> (series, divisor sums, rings or None): sigma[k] is the sum of the key's
+# degrees that divide k; the rings are from_degrees' state at the series' length.
+# Rebuilds keep sigma, which does not depend on the length.
+_series_cache: dict[tuple, tuple[CountSeries, list[int], list[list[int]] | None]] = {}
 _series_lock = threading.Lock()
 
 
@@ -268,10 +281,14 @@ def _divisor_sums(sigma: list[int], degrees: list[int], upto: int) -> list[int]:
 
 
 def _cached_series(key: tuple, degrees_for: Callable[[int], Iterable[int]], upto: int) -> CountSeries:
-    """The product over ``degrees_for(upto)`` to index ``upto``, cached by key.
+    """The product over ``degrees_for(upto)``, ascending, to index ``upto``, cached by key.
 
-    A longer request extends the cached series by the divisor-sum recurrence
-    (Euler; Apostol 1976, ch. 14) unless a rebuild costs less.  A series of
+    A series with at most sqrt(upto + 1) degrees and at most ``MAX_COUNT_CELLS``
+    ring cells extends by its rings: degree d's ring advances by
+    ``x += ring[n % d]; ring[n % d] = x``, and a degree that enters at n = d
+    starts from the series, which its partial product equals below d.  Any
+    other longer request extends by the divisor-sum recurrence (Euler; Apostol
+    1976, ch. 14) unless a rebuild costs less.  A series of
     ``MAX_COUNT_CELLS`` coefficients or more is refused before it is built.
     """
     if upto >= MAX_COUNT_CELLS:
@@ -281,12 +298,26 @@ def _cached_series(key: tuple, degrees_for: Callable[[int], Iterable[int]], upto
         if cached is not None and len(cached[0]) > upto:
             return cached[0]
         degrees = list(degrees_for(upto))
-        size, sigma = (0, [0]) if cached is None else (len(cached[0]), cached[1])
+        size, sigma, rings = (0, [0], None) if cached is None else (len(cached[0]), *cached[1:])
+        keep = len(degrees) ** 2 <= upto + 1 and sum(degrees) <= MAX_COUNT_CELLS
+        if keep and rings is not None:
+            _series_cache[key] = cached[0], sigma, None  # a failure below leaves no half-moved rings
+            a, fresh = list(cached[0].coefficients), set(degrees[len(rings) :])
+            for n in range(size, upto + 1):
+                if n in fresh:
+                    rings.append(a[:n])
+                x = 0
+                for ring in rings:
+                    j = n % len(ring)
+                    x = ring[j] = x + ring[j]
+                a.append(x)
+            series = CountSeries(a)
         # Coefficient n costs the recurrence n dot-product terms, and a rebuild
-        # costs one addition per degree and coefficient.  A term measured 0.7
-        # (cubes at 4000) to 2.7 (all parts at 1000, longer coefficients)
-        # additions; extend while the terms are at most the additions.
-        if size and (upto + 1 - size) * (upto + size) <= 2 * len(degrees) * upto:
+        # costs one addition per degree and coefficient.  On p(n) and the odd
+        # parts a term measured 1.75-2.7 additions (products are quadratic in
+        # the digits); extend while 9/4 of the terms are at most the additions.
+        elif size and 9 * (upto + 1 - size) * (upto + size) <= 8 * len(degrees) * upto:
+            rings = None
             if len(sigma) <= upto:  # grow ahead, so an ascent pays the degree loop O(log n) times
                 sigma = _divisor_sums(sigma, list(degrees_for(2 * upto)), 2 * upto)
             a = list(cached[0].coefficients)
@@ -294,8 +325,9 @@ def _cached_series(key: tuple, degrees_for: Callable[[int], Iterable[int]], upto
                 a.append(sum(map(mul, sigma[1 : n + 1], a[n - 1 :: -1])) // n)
             series = CountSeries(a)
         else:
-            series = CountSeries.from_degrees(degrees, upto)
-        _series_cache[key] = series, sigma
+            rings = [] if keep else None
+            series = CountSeries.from_degrees(degrees, upto, rings)
+        _series_cache[key] = series, sigma, rings
         return series
 
 
@@ -347,8 +379,10 @@ def count_members(pred, n: int) -> int:
 
 def member_counts(pred, upto: int) -> list[int]:
     """``[count_members(pred, n) for n in range(upto + 1)]``, every size from one class count or one member walk."""
-    if not getattr(pred, "prefix_closed", False) or upto < 0:
-        return [count_members(pred, n) for n in range(upto + 1)]
+    if type(upto) is int and upto < 0:
+        return []
+    if not getattr(pred, "prefix_closed", False):
+        return [count_members(pred, n) for n in range(_check_size(upto) + 1)]
     if pred._summary is not None:
         counts = _state_counts(pred, _check_size(upto))
     else:  # one walk; a stack of (member, its size, its children of size <= upto not yet walked)

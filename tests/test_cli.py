@@ -221,9 +221,9 @@ class TestEnumerateAndCount:
         builds = []
         build = CountSeries.from_degrees.__func__
 
-        def spy(cls, degrees, upto):
+        def spy(cls, degrees, upto, *rings):
             builds.append(upto)
-            return build(cls, degrees, upto)
+            return build(cls, degrees, upto, *rings)
 
         monkeypatch.setattr(CountSeries, "from_degrees", classmethod(spy))
         assert cli_ok("count", "--pred", "all", "--upto", "1000").splitlines() == want

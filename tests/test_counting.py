@@ -459,12 +459,16 @@ SERIES_UPTO = 1500
 SERIES_KEYS = [("powers", k) for k in range(1, 6)] + [("parity", 1)]
 
 
+def series_degrees(key) -> list[int]:
+    """The degrees up to SERIES_UPTO of the series cached under ``key``."""
+    kind, k = key
+    return list(range(1, SERIES_UPTO + 1, 2)) if kind == "parity" else [i**k for i in range(1, SERIES_UPTO + 1) if i**k <= SERIES_UPTO]
+
+
 @functools.cache
 def series_oracle(key) -> tuple[int, ...]:
     """Coefficients 0..SERIES_UPTO of the series cached under ``key``, by the product DP."""
-    kind, k = key
-    degrees = range(1, SERIES_UPTO + 1, 2) if kind == "parity" else [i**k for i in range(1, SERIES_UPTO + 1) if i**k <= SERIES_UPTO]
-    return CountSeries.from_degrees(degrees, SERIES_UPTO).coefficients
+    return CountSeries.from_degrees(series_degrees(key), SERIES_UPTO).coefficients
 
 
 def series_request(key, n) -> int:
@@ -514,28 +518,33 @@ SERIES_ORDERS = {
 }
 
 
+STATE_KEYS = [("powers", k) for k in range(2, 6)]
+
+
 class TestExtendedSeries:
-    """Series extended by the divisor-sum recurrence equal the product DP."""
+    """Series extended by their kept DP state or by the divisor-sum recurrence equal the product DP."""
 
     @pytest.mark.parametrize("order", SERIES_ORDERS)
     def test_matches_product_oracle(self, monkeypatch, order):
         monkeypatch.setattr(counting, "_series_cache", {})
         for key, n in SERIES_ORDERS[order]:
             assert series_request(key, n) == series_answer(key, n), (key, n)
-        for key, (series, _) in counting._series_cache.items():
+        for key, (series, *_) in counting._series_cache.items():
             assert series.coefficients == series_oracle(key)[: len(series)]
 
     def test_ascent_divides_exactly(self, monkeypatch):
-        # Ascending by one extends every key at every size.  There the cached
-        # divisor sums give n * a(n) = sum_{k=1..n} sigma(k) * a(n - k), so the
-        # recurrence's division by n is exact.
+        # Ascending by one extends every key at every size: the powers k >= 2 by
+        # their rings, the others by the divisor sums sigma(k) of the degrees,
+        # n * a(n) = sum_{k=1..n} sigma(k) * a(n - k), whose division by n is exact.
         monkeypatch.setattr(counting, "_series_cache", {})
         for key in SERIES_KEYS:
             for n in range(SERIES_UPTO + 1):
                 assert series_request(key, n) == series_answer(key, n), (key, n)
         for key in SERIES_KEYS:
-            a = series_oracle(key)
-            sigma = counting._series_cache[key][1]
+            a, sigma = series_oracle(key), [0] * (SERIES_UPTO + 1)
+            for d in series_degrees(key):
+                for j in range(d, SERIES_UPTO + 1, d):
+                    sigma[j] += d
             for n in range(1, SERIES_UPTO + 1):
                 total = sum(map(mul, sigma[1 : n + 1], a[n - 1 :: -1]))
                 assert total % n == 0 and total // n == a[n], (key, n)
@@ -545,9 +554,9 @@ class TestExtendedSeries:
         builds = []
         build = CountSeries.from_degrees.__func__
 
-        def spy(cls, degrees, upto):
+        def spy(cls, degrees, upto, *rings):
             builds.append(upto)
-            return build(cls, degrees, upto)
+            return build(cls, degrees, upto, *rings)
 
         monkeypatch.setattr(CountSeries, "from_degrees", classmethod(spy))
         return builds
@@ -571,13 +580,23 @@ class TestExtendedSeries:
     def test_threads_share_the_cache(self, monkeypatch):
         # Writers on every key at once, with frequent thread switches: each
         # answer and each cached series must still equal the product DP.
+        self.run_writers(monkeypatch, SERIES_KEYS)
+
+    def test_threads_share_the_rings(self, monkeypatch):
+        # the same with writers only on the keys that keep rings, which every write advances in place
+        self.run_writers(monkeypatch, STATE_KEYS)
+        assert all(counting._series_cache[key][2] for key in STATE_KEYS)
+
+    @staticmethod
+    def run_writers(monkeypatch, keys):
+        """Six threads ask the seeded interleaved requests on ``keys`` and check each answer and series."""
         monkeypatch.setattr(counting, "_series_cache", {})
         answers = {key: series_oracle(key) for key in SERIES_KEYS}
         wrong = []
 
         def worker(seed):
             for key, n in _interleaved_requests(seed)[::3]:
-                if series_request(key, n) != series_answer(key, n):
+                if key in keys and series_request(key, n) != series_answer(key, n):
                     wrong.append((key, n))
 
         threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
@@ -592,15 +611,101 @@ class TestExtendedSeries:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
-        for key, (series, _) in counting._series_cache.items():
+        for key, (series, *_) in counting._series_cache.items():
             assert series.coefficients == answers[key][: len(series)]
 
     def test_large_jumps_rebuild(self, monkeypatch):
+        # p(n) keeps no rings: a jump that would cost more recurrence terms than a rebuild's additions rebuilds
+        monkeypatch.setattr(counting, "_series_cache", {})
+        builds = self.count_builds(monkeypatch)
+        for n in (40, 1500):
+            assert count_all_partitions(n) == series_oracle(("powers", 1))[n]
+        assert builds == [40, 1500]
+
+    def test_large_jumps_extend_by_rings(self, monkeypatch):
+        # extending by the rings costs less than a rebuild at every jump
         monkeypatch.setattr(counting, "_series_cache", {})
         builds = self.count_builds(monkeypatch)
         for n in (40, 1500):
             assert count_into_powers(n, 2) == series_oracle(("powers", 2))[n]
-        assert builds == [40, 1500]
+        assert builds == [40]
+
+    def test_odd_parts_rebuild_long_jumps(self, monkeypatch):
+        # a recurrence term on the odd-part series costs about two additions, so from 600
+        # the jumps to 999 and 1399 rebuild, while counting_mix's steps of 3 extend
+        monkeypatch.setattr(counting, "_series_cache", {})
+        odd = CountSeries.from_degrees(range(1, 1400, 2), 1399)
+        builds = self.count_builds(monkeypatch)
+        for n in (600, 603, 606, 999, 1002, 1399):
+            counting._cached_series(("parity", 1), lambda m: range(1, m + 1, 2), n)
+            assert counting._series_cache[("parity", 1)][0].coefficients == odd.coefficients[: n + 1]
+        assert builds == [600, 999, 1399]
+
+    @staticmethod
+    def workload_writes(count):
+        """counting_mix's write sizes per series key: its first size, then ``count`` steps."""
+        plan = [(("parity", 1), 600, 3), (("powers", 2), 2400, 10), (("powers", 3), 4000, 15)]
+        return [(key, first + step * i) for i in range(count + 1) for key, first, step in plan]
+
+    def test_ring_writes_make_no_recurrence_terms(self, monkeypatch):
+        # after each key's first write, twelve writes on the squares and cubes
+        # multiply nothing; the odd-part series extends by its divisor sums
+        monkeypatch.setattr(counting, "_series_cache", {})
+        writes, product = self.workload_writes(12), counting.mul
+        products = dict.fromkeys((key for key, _ in writes), 0)
+
+        def counted(x, y):
+            products[key] += 1
+            return product(x, y)
+
+        for key, n in writes[:3]:
+            series_request(key, n)
+        monkeypatch.setattr(counting, "mul", counted)
+        for key, n in writes[3:]:
+            series_request(key, n)
+        assert products[("powers", 2)] == products[("powers", 3)] == 0
+        assert products[("parity", 1)] > 0
+
+    def test_ring_cells_pinned(self, monkeypatch):
+        # the rings hold the last d coefficients per degree d: sum i^2 for i <= 52 at 2,710
+        # and sum i^3 for i <= 16 at 4,465, after 31 counting_mix writes per key
+        monkeypatch.setattr(counting, "_series_cache", {})
+        for key, n in self.workload_writes(31):
+            series_request(key, n)
+        cells = {key: entry[2] and sum(map(len, entry[2])) for key, entry in counting._series_cache.items()}
+        assert cells == {("powers", 2): 48_230, ("powers", 3): 18_496, ("parity", 1): None, ("powers", 1): None}
+        assert len(counting._series_cache[("powers", 2)][0]) == 2711
+        assert len(counting._series_cache[("powers", 3)][0]) == 4466
+
+    def test_rings_dropped_past_the_cell_cap(self, monkeypatch):
+        # the squares' rings pass 100 cells when 49 enters (1 + 4 + ... + 49 = 140)
+        monkeypatch.setattr(counting, "MAX_COUNT_CELLS", 100)
+        monkeypatch.setattr(counting, "_series_cache", {})
+        for n in range(0, 60, 4):
+            assert count_into_powers(n, 2) == series_oracle(("powers", 2))[n]
+            assert (counting._series_cache[("powers", 2)][2] is None) == (n >= 49)
+
+    def test_failed_extension_keeps_oracle_answers(self, monkeypatch):
+        # a CountSeries that raises after the rings have moved: the entry keeps
+        # no rings, so every later answer still equals the product DP
+        monkeypatch.setattr(counting, "_series_cache", {})
+        key, oracle = ("powers", 2), series_oracle(("powers", 2))
+        assert count_into_powers(700, 2) == oracle[700]
+
+        class Failing(CountSeries):
+            def __init__(self, coefficients):
+                raise MemoryError
+
+        monkeypatch.setattr(counting, "CountSeries", Failing)
+        with pytest.raises(MemoryError):
+            count_into_powers(730, 2)
+        monkeypatch.setattr(counting, "CountSeries", CountSeries)
+        assert counting._series_cache[key][2] is None
+        assert len(counting._series_cache[key][0]) == 701
+        for n in (710, 740, 741, 1200, 1500, 900):  # 710 extends by divisor sums, 740 rebuilds with rings
+            assert count_into_powers(n, 2) == oracle[n], n
+        assert counting._series_cache[key][0].coefficients == oracle[: 1501]
+        assert counting._series_cache[key][2] is not None
 
 
 PREFIX_CLOSED = [
@@ -656,6 +761,18 @@ class TestMemberWalk:
         if spec.prefix_closed:
             with pytest.raises(TypeError, match="n must be an integer"):
                 list(iter_members_of_size(spec, n))
+
+    @pytest.mark.parametrize("upto", [True, False, 2.0, 2.5, "4"])
+    @pytest.mark.parametrize("pred", [is_seq_congruent, IdealSpec("R"), IdealSpec("Adiff"), IdealSpec("S")],
+                             ids=["callable", "R", "Adiff", "S"])
+    def test_member_counts_non_integer_upto_rejected(self, pred, upto):
+        with pytest.raises(TypeError, match=f"^n must be an integer, got {upto!r}$"):
+            member_counts(pred, upto)
+
+    @pytest.mark.parametrize("pred", [is_seq_congruent, IdealSpec("R"), IdealSpec("Adiff"), IdealSpec("S")],
+                             ids=["callable", "R", "Adiff", "S"])
+    def test_member_counts_negative_upto_is_empty(self, pred):
+        assert member_counts(pred, -1) == member_counts(pred, -5) == []
 
 
 def walk_counts(spec, upto):
