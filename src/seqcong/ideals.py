@@ -12,9 +12,10 @@ so no engine tests a part its kind refuses.  A row also declares a *summary*:
 what the test reads of a prefix besides its length and last part (None when
 it reads nothing else; Adiff, which reads every gap, declares none).  Closure,
 modulus and linking run on classes of members that the test cannot tell apart
-(``_class_layers``) for a kind with a summary, and down the walk (``_carry``)
-when a class fails or there is none; ``members_within`` splices each class's
-tails (``_class_tails``).  The rows, with i parts before v:
+(``_class_layers``, up to the first empty layer) for a kind with a summary, closure
+over pairs (class of a member, class of one of its removals), and all three down
+the walk (``_carry``) when a class fails or there is none; ``members_within``
+splices each class's tails (``_class_tails``).  The rows, with i parts before v:
 
 =============  ======  ========  ====================================================  =============================
 kind           param   summary   part v may follow t[:i] when                          children in [lo, top]
@@ -448,11 +449,14 @@ def _class_layers(spec, bound, step, carried, key, min_part=1):
     A member's class is its length, summary, last part and ``key`` of what an engine carries:
     ``step(t, n, v, carried)`` gives t + (v,)'s from t's, or None to refuse, and then this returns None.
     The rule answers alike for prefixes of one length, summary and last part, and their members
-    extend to equal summaries, so each class's children are read and stepped once.
+    extend to equal summaries, so each class's children are read and stepped once.  A layer is stepped
+    whole before the next is read, and the layers stop at the first empty one.
     """
     children, summary = spec._children, spec._summary
     layer, classes = [[1, (), carried]], []
     for n in range(bound.max_length):
+        if not layer:
+            break
         classes += layer
         longer = {}
         for count, t, carried in layer:
@@ -478,26 +482,35 @@ def check_ideal_closure(spec: IdealSpec, bound: AnalysisBound) -> ClosureReport:
     Single-part removal suffices: removing several parts is a chain of single removals.  The first
     counterexample in enumeration order is reported.  On a prefix-closed kind the removals of t + (v,)
     are t and each removal s of t, already passed, plus v: one call ``_child_ok(s, len(s), v)`` decides
-    each, so closure certifies the kind's test.  That step runs on classes (one removal per summary and
-    last part; ``members_checked`` counts every member), or down the walk when a class fails or there is
-    no summary.  S's members are searched by (size, revlex) and their removals tested by membership, up
-    to the first witness.
+    each, so closure certifies the kind's test.  A kind with a summary runs over the pairs (class of t,
+    class of s) of each class of t: each pair tests s + (v,) once per child v, and ``members_checked``
+    counts every member.  The step runs down the walk when a pair fails or there is no summary.  S's
+    members are searched by (size, revlex) and their removals tested by membership, up to the first witness.
     """
-    ok, summary, cap = spec._child_ok, spec._summary or sum, bound.max_length  # sum: removals differ in size
+    ok, summary, cap = spec._child_ok, spec._summary, bound.max_length
+    pairs = {}  # class (length, summary, last part) of t -> {class of s: s} over its members' removals s
 
-    def step(t, n, v, removals):  # removals: key -> representative, t's own parent first
-        carry = n + 1 < cap  # a child at the cap has no children to carry removals to
-        child = {(summary(t), t[-1]) if t else None: t} if carry else {}
-        rest = iter(removals.values())
-        if t and t[-1] == v:
-            next(rest)  # t's parent plus v is t
+    def pair_step(t, n, v, removals):  # removals: t's class's entry in pairs
+        for s in removals.values():
+            if not ok(s, n - 1, v):
+                return None
+        if n + 1 == cap:
+            return ()  # no pairs at the cap, whose members have no children
+        # every class of t adds to the entry of t + (v,)'s class, and _class_layers steps a whole
+        # layer before it reads the next, so the entry is complete when it is read
+        child = pairs.setdefault((n + 1, summary(t + (v,)), v), {})
+        child[(summary(t), t[-1]) if t else None] = t
+        for s in removals.values():
+            s += (v,)
+            child[summary(s), v] = s
+        return child
+
+    def step(t, n, v, removals):  # removals: t's, its parent first
+        rest = removals[1:] if t and t[-1] == v else removals  # t's parent plus v is t
         for s in rest:
             if not ok(s, n - 1, v):
                 return None
-            if carry:
-                s += (v,)
-                child[summary(s), v] = s
-        return child
+        return [t, *[s + (v,) for s in rest]] if n + 1 < cap else ()  # the cap's children carry none
 
     if not spec.prefix_closed:
         for checked, witness in enumerate(_member_tuples(spec, bound.max_part, bound.max_length), 1):
@@ -505,10 +518,11 @@ def check_ideal_closure(spec: IdealSpec, bound: AnalysisBound) -> ClosureReport:
                 break
         else:
             witness = None
-    elif spec._summary is not None and (classes := _class_layers(spec, bound, step, {}, frozenset)):
+    elif summary is not None and (classes := _class_layers(spec, bound, pair_step, {}, lambda _: None)):
+        # a class carries its own entry, so it is keyed by summary and last part alone
         checked, witness = sum(c[0] for c in classes), None
     else:
-        checked, witness = _carry(spec._children, step, {}, bound.max_part, bound.max_length)
+        checked, witness = _carry(spec._children, step, [], bound.max_part, bound.max_length)
     if witness is None:
         return ClosureReport(spec, bound, True, checked)
     removed, rest = _first_exit(spec._member, witness)

@@ -6,9 +6,10 @@ former ZS1 generator, the direct summation forms of the core bijections and
 of conjugation, the square-count vector generators of the sequentially
 congruent partitions, closed-form membership predicates for the ideal kinds,
 brute-force box filtering for the ideal-kind enumerators, the size-ordered
-scans the ideal engines' pruned walks replaced, the modulus and linking
-checks that fold every shifted tuple from its first part, and children rules
-made from an incremental test by filtering.
+scans the ideal engines' pruned walks replaced, the class closure keyed by
+removal sets that the pass over pairs of classes replaced, the modulus and
+linking checks that fold every shifted tuple from its first part, and
+children rules made from an incremental test by filtering.
 """
 
 from math import lcm
@@ -350,7 +351,25 @@ def scan_order_refute(spec, k, bound, windows):
 
 
 def scan_remainders(spec, m, bound, tails):
-    """Per tail, the parts > m completing it to a member, by a box scan per tail."""
+    """Per tail, the parts > m completing it to a member, by one box scan that tries every tail.
+
+    The box is scanned by size, then reverse lexicographic, up to the longest room any tail leaves.
+    """
+    member = spec._member
+    rooms = {pi: max(bound.max_length - len(pi), 0) for pi in tails}
+    room = max(rooms.values(), default=0)
+    found = {pi: [] for pi in tails}
+    for n in range(0, bound.max_part * room + 1):
+        for bigs in iter_partition_tuples(n, bound.max_part, room):
+            if all(x > m for x in bigs):
+                for pi in tails:
+                    if len(bigs) <= rooms[pi] and member(bigs + pi):
+                        found[pi].append(bigs)
+    return found
+
+
+def scan_remainders_per_tail(spec, m, bound, tails):
+    """``scan_remainders`` by a box scan per tail, the oracle's former form."""
     member = spec._member
     found = {}
     for pi in tails:
@@ -402,6 +421,39 @@ def scan_closure(spec, bound):
             if not ok:
                 return ClosureReport(spec, bound, False, checked, Partition(t), v, Partition(smaller))
     return ClosureReport(spec, bound, True, checked)
+
+
+def class_closure(spec, bound):
+    """Members in the box, or None when a removal of one is no member, stepped on classes of members.
+
+    The library's former class closure, kept as the oracle for the pass over
+    pairs of classes: a class is a member's length, summary, last part and the
+    frozenset of its removals' keys (summary, last part), and each child of a
+    class tests one removal per key, but for the key of t's own parent when the
+    child's part repeats t's last (t's parent plus it is t).
+    """
+    ok, children, summary, cap = spec._child_ok, spec._children, spec._summary, bound.max_length
+
+    def key(t):
+        return (summary(t), t[-1]) if t else None
+
+    layer, checked = [[1, (), {}]], 0  # [members, representative, removal key -> removal]
+    for n in range(cap + 1):
+        longer = {}
+        for count, t, removals in layer:
+            checked += count
+            for v in children(t, n, 1, t[-1] if t else bound.max_part) if n < cap else ():
+                rest = iter(removals.values())
+                if t and t[-1] == v:
+                    next(rest)
+                child = {key(t): t}
+                for s in rest:
+                    if not ok(s, n - 1, v):
+                        return None
+                    child[key(s + (v,))] = s + (v,)
+                longer.setdefault((key(t + (v,)), frozenset(child)), [0, t + (v,), child])[0] += count
+        layer = list(longer.values())
+    return checked
 
 
 def _size_revlex(t):

@@ -57,6 +57,7 @@ from conftest import (
     _size_revlex,
     all_partitions_upto,
     children_by_filter,
+    class_closure,
     oracle_member,
     recursive_member_tuples,
     sa_member,
@@ -67,6 +68,7 @@ from conftest import (
     scan_modulus,
     scan_order_refute,
     scan_remainders,
+    scan_remainders_per_tail,
     walked_remainders,
 )
 
@@ -564,7 +566,16 @@ def class_runs(monkeypatch):
 
 
 def class_members(classes):
-    return sum(c[0] for c in classes)
+    return classes and sum(c[0] for c in classes)
+
+
+def closed_only_without(last, v):
+    """D with the step from a last part ``last`` to v refused: the test still reads only the last part."""
+    spec = IdealSpec("D")
+    spec._child_ok = lambda t, i, w: not i or (w < t[i - 1] and (t[i - 1], w) != (last, v))
+    spec._children = children_by_filter(spec._child_ok)
+    spec._member = _fold(spec._child_ok)
+    return spec
 
 
 class TestClassClosure:
@@ -575,7 +586,8 @@ class TestClassClosure:
         runs = class_runs(monkeypatch)
         report = check_ideal_closure(spec, bound)
         assert report == scan_closure(spec, bound)
-        assert [class_members(classes) for classes in runs] == [report.members_checked]
+        assert [class_members(classes) for classes in runs] == [report.members_checked] == [
+            class_closure(spec, bound)]
 
     @pytest.mark.parametrize("kind", ["D", "Rprime"])
     def test_large_box(self, monkeypatch, kind):
@@ -608,6 +620,39 @@ class TestClassClosure:
         assert not report.closed
         assert report.witness == Partition([12, 11, 10])
         assert report.after_removal == Partition([12, 10])
+
+    @pytest.mark.parametrize("last,v", [(5, 3), (12, 1), (2, 1), (9, 7), (4, 2)])
+    @pytest.mark.parametrize("bound", [AnalysisBound(8, 5), B12], ids=_box_id)
+    def test_refused_where_one_step_is_left_out(self, monkeypatch, last, v, bound):
+        # a test that still reads only the last part, so the pair pass runs and
+        # refuses when the left-out step is a removal of a member in the box
+        spec = closed_only_without(last, v)
+        runs = class_runs(monkeypatch)
+        report = check_ideal_closure(spec, bound)
+        assert report == scan_closure(spec, bound)
+        expected = report.members_checked if report.closed else None
+        assert [class_members(classes) for classes in runs] == [expected] == [class_closure(spec, bound)]
+
+
+def pair_tests(spec, bound):
+    """``_child_ok`` and ``_children`` calls of the pair closure, derived from the walked members.
+
+    Members below the cap fall into classes (length, summary, last part), each
+    reading its children rule once; each distinct (length, class of t, class of
+    s), s a single-part removal of t, tests s + (v,) once per part v <= t's
+    last that the kind's test takes after t.
+    """
+    def key(t):
+        return (spec._summary(t), t[-1]) if t else None
+
+    classes, pairs = {}, set()
+    for t in _walk(spec._children, bound.max_part, bound.max_length):
+        if len(t) < bound.max_length:
+            classes.setdefault((len(t), key(t)), t)
+            pairs.update((len(t), key(t), key(s)) for _, s in _removals(t))
+    kids = {(n, k): sum(spec._child_ok(t, n, v) for v in range(1, (t[-1] if t else bound.max_part) + 1))
+            for (n, k), t in classes.items()}
+    return sum(kids[n, k] for n, k, _ in pairs), len(classes)
 
 
 def class_tests(spec, bound):
@@ -664,12 +709,31 @@ class TestClosureWork:
     # parent: the calls when the class loop tested every part under each class
     @pytest.mark.parametrize("kind,parent,members", [("D", 2125, 2510), ("P_parity", 1492, 1847)])
     def test_class_child_ok_calls_pinned(self, kind, parent, members):
+        # one test per pair of classes and child, one rule read per class below the cap; the
+        # former class closure, kept as the oracle, tested one removal per removal set it sat in
         spec = IdealSpec(kind)
         calls, rules = count_calls(spec, "_child_ok"), count_calls(spec, "_children")
         assert check_ideal_closure(spec, B12).members_checked == members
-        pinned = {"D": (1244, 215), "P_parity": (590, 181)}[kind]
-        assert (calls[0], rules[0]) == pinned == class_tests(IdealSpec(kind), B12)
-        assert calls[0] < parent
+        pinned = {"D": (819, 51), "P_parity": (490, 61)}[kind]
+        assert (calls[0], rules[0]) == pinned == pair_tests(IdealSpec(kind), B12)
+        spec = IdealSpec(kind)
+        calls, rules = count_calls(spec, "_child_ok"), count_calls(spec, "_children")
+        assert class_closure(spec, B12) == members
+        oracle = {"D": (1244, 215), "P_parity": (590, 181)}[kind]
+        assert (calls[0], rules[0]) == oracle == class_tests(IdealSpec(kind), B12)
+        assert pinned[0] < oracle[0] < parent
+
+    @pytest.mark.parametrize("box,pinned,oracle", [((16, 7), 2400, 3890), ((20, 7), 5040, 8520)],
+                             ids=["16x7", "20x7"])
+    def test_pair_calls_pinned_on_larger_boxes(self, box, pinned, oracle):
+        spec, bound = IdealSpec("D"), AnalysisBound(*box)
+        calls = count_calls(spec, "_child_ok")
+        assert check_ideal_closure(spec, bound).closed
+        assert calls[0] == pinned == pair_tests(IdealSpec("D"), bound)[0]
+        spec = IdealSpec("D")
+        calls = count_calls(spec, "_child_ok")
+        assert class_closure(spec, bound) == sum(comb(box[0], k) for k in range(box[1] + 1))
+        assert calls[0] == oracle > pinned
 
     # parent: the calls when the walk tested every part under each member
     @pytest.mark.parametrize("kind,parent,members", [("D", 13873, 2510), ("P_parity", 6917, 1847)])
@@ -708,6 +772,19 @@ class TestClosureWork:
         classes = len({(len(p), p.parts[-1]) for p in members if 4 <= len(p) < 7})
         assert (calls[0], rules[0]) == (0, 733) == (0, sum(len(p) < 4 for p in members) + classes)
         assert rules[0] < parent == sum(len(p) < 7 for p in members)
+
+    @pytest.mark.parametrize("kind,m", [("D", 1), ("R", 2)])
+    def test_length_cap_past_the_members(self, kind, m):
+        # no member of D or R with parts <= 5 is longer than 5, so the class
+        # engines stop at their first empty layer and a cap of 10**14 answers
+        # as 6 does (P_parity, whose parts repeat, never empties a layer)
+        spec, small, huge = IdealSpec(kind), AnalysisBound(5, 6), AnalysisBound(5, 10**14)
+        closure = check_ideal_closure(spec, huge)
+        assert (closure.closed, closure.members_checked) == (True, check_ideal_closure(spec, small).members_checked)
+        assert check_modulus(spec, m, huge).holds == check_modulus(spec, m, small).holds
+        link, expected = infer_linking(spec, m, huge), infer_linking(spec, m, small)
+        assert link.verdict == expected.verdict == "linked-within-bound"
+        assert link.entries == expected.entries and link.L_set == expected.L_set
 
     def test_memory_holds_no_memo(self):
         # a memo of every removal peaked at 1777 KiB on this box; the removal
@@ -1083,6 +1160,13 @@ class TestLinkingMatchesScan:
         # the single pool's remainders per tail; S walks its prefix rule
         tails = [p.parts for p in compute_L(spec, m, B12).members]
         assert _single_pool(spec, m, B12, tails)[0] == scan_remainders(spec, m, B12, tails)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("kind", ["D", "P_parity", "Adiff", "N_maxlen:3", "S"])
+    def test_one_scan_matches_a_scan_per_tail(self, kind, m):
+        spec, bound = IdealSpec.parse(kind), AnalysisBound(8, 5)
+        tails = [p.parts for p in compute_L(spec, m, bound).members]
+        assert scan_remainders(spec, m, bound, tails) == scan_remainders_per_tail(spec, m, bound, tails)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("spec", PREFIX_CLOSED + [IdealSpec("S")], ids=str)
