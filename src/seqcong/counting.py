@@ -9,17 +9,16 @@ A prefix-closed kind with a summary is counted over classes of member
 prefixes, one pass by length for every size, within ``MAX_COUNT_CELLS`` live
 (class, size) cells; Adiff, with no summary, by its walk; S by psi.
 
-Generating-function coefficients come from cached product series
-prod_{d in D} 1/(1 - q^d).  The product DP builds a series once.  A series
-with at most sqrt(n + 1) degrees up to n (the k-th powers for k >= 2) keeps
-the DP's state beside it: for each degree d, the last d coefficients of the
-partial product over the degrees up to d.  A request past its cached length
-then costs one addition per degree and new coefficient.  The state is dropped
-once it would pass ``MAX_COUNT_CELLS`` cells (squares near 8,300).  Any other
-series (p(n), the odd parts) extends by Euler's divisor-sum recurrence
-n*a(n) = sum_{k=1..n} sigma_D(k)*a(n-k), at O(n) per new coefficient, or is
-rebuilt when a cost rule on the cached length, the size asked and |D| finds
-that cheaper.
+Generating-function coefficients are cached per series in one list that
+grows in place.  p(n) grows by Euler's pentagonal recurrence, O(sqrt n) terms
+per coefficient, and the one-parity count reads its odd parts off p by the
+same numbers.  The k-th powers for k >= 2 are built once by the product DP
+prod_{d in D} 1/(1 - q^d), which keeps its state beside the series: for each
+degree d, the last d coefficients of the partial product over the degrees up
+to d.  A request past the cached length then costs one addition per degree
+and new coefficient.  The state is dropped once it would pass
+``MAX_COUNT_CELLS`` cells (squares near 8,300); such a series is rebuilt, to
+at least twice its length each time.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import threading
 from bisect import bisect_right
 from itertools import count, takewhile
 from math import isqrt
-from operator import attrgetter, mul
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
 from .bijections import pi_map, psi_inverse
@@ -262,47 +261,57 @@ class CountSeries:
         return f"CountSeries({list(self.coefficients)!r})"
 
 
-# key -> (series, divisor sums, rings or None): sigma[k] is the sum of the key's
-# degrees that divide k; the rings are from_degrees' state at the series' length.
-# Rebuilds keep sigma, which does not depend on the length.
-_series_cache: dict[tuple, tuple[CountSeries, list[int], list[list[int]] | None]] = {}
+# ("powers", k) -> (coefficients, rings or None).  The list only grows, one correct
+# coefficient at a time, under the lock; the rings are from_degrees' state at its length.
+_series_cache: dict[tuple, tuple[list[int], list[list[int]] | None]] = {}
 _series_lock = threading.Lock()
+# The generalized pentagonal numbers j(3j - 1)/2, j = 1, -1, 2, -2, ..., that p has needed,
+# ascending, by the sign (-1)^(j + 1) of their term: (j odd, j even).  Grown under the lock.
+_pentagonals: tuple[list[int], list[int]] = ([], [])
 
 
-def _divisor_sums(sigma: list[int], degrees: list[int], upto: int) -> list[int]:
-    """``sigma`` grown to index ``upto``: each of ``degrees``, every degree up
-    to ``upto``, is added at its multiples past the old length."""
-    lo = len(sigma)
-    sigma = sigma + [0] * (upto + 1 - lo)
-    for d in degrees:
-        for j in range(-(-lo // d) * d, upto + 1, d):
-            sigma[j] += d
-    return sigma
+def _odd_parts(p: list[int], n: int) -> int:
+    """Partitions of n into odd parts from p(0..n): the sum over j in Z of (-1)^j p(n - j(3j - 1))."""
+    odd, even = _pentagonals
+    return (p[n] - sum([p[n - 2 * g] for g in odd[: bisect_right(odd, n // 2)]])
+            + sum([p[n - 2 * g] for g in even[: bisect_right(even, n // 2)]]))
 
 
-def _cached_series(key: tuple, degrees_for: Callable[[int], Iterable[int]], upto: int) -> CountSeries:
-    """The product over ``degrees_for(upto)``, ascending, to index ``upto``, cached by key.
+def _cached_series(k: int, upto: int) -> list[int]:
+    """Coefficients 0..upto, or more, of the product over the k-th powers d of 1 / (1 - q^d).
 
-    A series with at most sqrt(upto + 1) degrees and at most ``MAX_COUNT_CELLS``
-    ring cells extends by its rings: degree d's ring advances by
-    ``x += ring[n % d]; ring[n % d] = x``, and a degree that enters at n = d
-    starts from the series, which its partial product equals below d.  Any
-    other longer request extends by the divisor-sum recurrence (Euler; Apostol
-    1976, ch. 14) unless a rebuild costs less.  A series of
+    p(n), k = 1, grows by Euler's pentagonal recurrence (Andrews 1976, ch. 1).
+    A series k >= 2 within ``MAX_COUNT_CELLS`` ring cells grows by its rings:
+    degree d's ring advances by ``x += ring[n % d]; ring[n % d] = x``, and a
+    degree that enters at n = d starts from the series, which its partial
+    product equals below d.  Past the cells the rings are dropped, and the
+    series is rebuilt to at least twice its length.  A series of
     ``MAX_COUNT_CELLS`` coefficients or more is refused before it is built.
     """
     if upto >= MAX_COUNT_CELLS:
         raise ResourceError(f"counting to size {upto} needs {upto + 1} series cells, above {MAX_COUNT_CELLS}")
+    key = ("powers", k)
+    cached = _series_cache.get(key)
+    if cached is not None and len(cached[0]) > upto:  # the list only grows, so no lock to read it
+        return cached[0]
     with _series_lock:
-        cached = _series_cache.get(key)
-        if cached is not None and len(cached[0]) > upto:
-            return cached[0]
-        degrees = list(degrees_for(upto))
-        size, sigma, rings = (0, [0], None) if cached is None else (len(cached[0]), *cached[1:])
-        keep = len(degrees) ** 2 <= upto + 1 and sum(degrees) <= MAX_COUNT_CELLS
-        if keep and rings is not None:
-            _series_cache[key] = cached[0], sigma, None  # a failure below leaves no half-moved rings
-            a, fresh = list(cached[0].coefficients), set(degrees[len(rings) :])
+        if k == 1:
+            p = _series_cache.setdefault(key, ([1], None))[0]
+            odd, even = _pentagonals
+            for j in range((len(odd) + len(even)) // 2 + 1, (1 + isqrt(1 + 24 * upto)) // 6 + 1):
+                (odd if j % 2 else even).extend((j * (3 * j - 1) // 2, j * (3 * j + 1) // 2))
+            for n in range(len(p), upto + 1):  # p(n) = sum over j != 0 of (-1)^(j + 1) p(n - j(3j - 1)/2)
+                p.append(sum([p[n - g] for g in odd[: bisect_right(odd, n)]])
+                         - sum([p[n - g] for g in even[: bisect_right(even, n)]]))
+            return p
+        a, rings = _series_cache.get(key, ([], None))
+        size = len(a)
+        if size > upto:
+            return a
+        fresh = [] if rings is None else _power_degrees(k, upto, len(rings) + 1)
+        if rings is not None and sum(map(len, rings)) + sum(fresh) <= MAX_COUNT_CELLS:
+            _series_cache[key] = a, None  # a failure below leaves no half-moved rings
+            fresh = set(fresh)
             for n in range(size, upto + 1):
                 if n in fresh:
                     rings.append(a[:n])
@@ -311,33 +320,22 @@ def _cached_series(key: tuple, degrees_for: Callable[[int], Iterable[int]], upto
                     j = n % len(ring)
                     x = ring[j] = x + ring[j]
                 a.append(x)
-            series = CountSeries(a)
-        # Coefficient n costs the recurrence n dot-product terms, and a rebuild
-        # costs one addition per degree and coefficient.  On p(n) and the odd
-        # parts a term measured 1.75-2.7 additions (products are quadratic in
-        # the digits); extend while 9/4 of the terms are at most the additions.
-        elif size and 9 * (upto + 1 - size) * (upto + size) <= 8 * len(degrees) * upto:
-            rings = None
-            if len(sigma) <= upto:  # grow ahead, so an ascent pays the degree loop O(log n) times
-                sigma = _divisor_sums(sigma, list(degrees_for(2 * upto)), 2 * upto)
-            a = list(cached[0].coefficients)
-            for n in range(size, upto + 1):
-                a.append(sum(map(mul, sigma[1 : n + 1], a[n - 1 :: -1])) // n)
-            series = CountSeries(a)
         else:
-            rings = [] if keep else None
-            series = CountSeries.from_degrees(degrees, upto, rings)
-        _series_cache[key] = series, sigma, rings
-        return series
+            rings = [] if sum(_power_degrees(k, upto)) <= MAX_COUNT_CELLS else None
+            if rings is None:  # grow ahead, so an ascent rebuilds O(log n) times
+                upto = min(max(upto, 2 * size), MAX_COUNT_CELLS - 1)
+            a = list(CountSeries.from_degrees(_power_degrees(k, upto), upto, rings).coefficients)
+        _series_cache[key] = a, rings
+        return a
 
 
-def _power_degrees(k: int, m: int) -> list[int]:
-    """The k-th powers i**k <= m of the integers i >= 1, ascending."""
-    if k == 1 or m < 2:
-        return list(range(1, m + 1))
+def _power_degrees(k: int, m: int, first: int = 1) -> list[int]:
+    """The k-th powers i**k <= m of the integers i >= first, ascending."""
+    if m < 2:
+        return list(range(first, m + 1))
     if k >= m.bit_length():  # 2**k > m already
-        return [1]
-    return list(takewhile(lambda p: p <= m, (i**k for i in count(1))))
+        return [1][first - 1 :]
+    return list(takewhile(lambda p: p <= m, (i**k for i in count(first))))
 
 
 def count_into_powers(n: int, k: int) -> int:
@@ -347,7 +345,7 @@ def count_into_powers(n: int, k: int) -> int:
         raise TypeError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError("k must be positive")
-    return _cached_series(("powers", k), lambda m: _power_degrees(k, m), n)[n]
+    return _cached_series(k, n)[n]
 
 
 def count_all_partitions(n: int) -> int:

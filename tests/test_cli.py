@@ -215,19 +215,23 @@ class TestEnumerateAndCount:
         assert cli_ok("--format", "json", "count", "--pred", "squares", "--upto", "9") == "[1,1,1,1,2,2,2,2,3,4]\n"
 
     def test_count_all_builds_the_series_once(self, monkeypatch):
-        # Size N is asked first and builds the k = 1 series; every smaller size reads it.
-        monkeypatch.setattr(counting, "_series_cache", {})
+        # Size N is asked first and grows p(n) to N, each coefficient once by
+        # the pentagonal recurrence; every smaller size reads it.
         want = [f"{n:>4} {c}" for n, c in enumerate(CountSeries.from_degrees(range(1, 1001), 1000).coefficients)]
-        builds = []
-        build = CountSeries.from_degrees.__func__
+        appended = []
 
-        def spy(cls, degrees, upto, *rings):
-            builds.append(upto)
-            return build(cls, degrees, upto, *rings)
+        class Appends(list):
+            def append(self, x):
+                appended.append(len(self))
+                super().append(x)
 
-        monkeypatch.setattr(CountSeries, "from_degrees", classmethod(spy))
+        def refuse(*args):
+            raise AssertionError("built a product series")
+
+        monkeypatch.setattr(counting, "_series_cache", {("powers", 1): (Appends([1]), None)})
+        monkeypatch.setattr(CountSeries, "from_degrees", refuse)
         assert cli_ok("count", "--pred", "all", "--upto", "1000").splitlines() == want
-        assert builds == [1000]
+        assert appended == list(range(1, 1001))
 
     @pytest.mark.parametrize("argv", [
         ("count", "--pred", "powers:x", "--upto", "3"),

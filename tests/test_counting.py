@@ -436,7 +436,7 @@ PARITY_ORDERS = {
 
 
 class TestParitySeries:
-    """The even-part coefficient of the one-parity count is read as p(n/2)."""
+    """The one-parity count reads p(n) only: the odd parts by Euler's pentagonal theorem, the even parts as p(n/2)."""
 
     @pytest.mark.parametrize("order", PARITY_ORDERS)
     def test_matches_even_and_odd_part_products(self, monkeypatch, order):
@@ -449,10 +449,16 @@ class TestParitySeries:
                 count_all_partitions(700)
                 continue
             assert count_parity_ideal(n) == odd[n] + even[n] - (n == 0)
-            assert ("parity", 0) not in counting._series_cache
+            assert set(counting._series_cache) == {("powers", 1)}
             seen.add(n)
         assert seen == set(range(301))
-        assert set(counting._series_cache) == {("parity", 1), ("powers", 1)}
+
+    def test_every_size_to_1500(self, monkeypatch):
+        # the odd-part identity against the odd and even part products, from an empty cache
+        monkeypatch.setattr(counting, "_series_cache", {})
+        odd, even = (CountSeries.from_degrees(range(r, SERIES_UPTO + 1, 2), SERIES_UPTO).coefficients for r in (1, 2))
+        assert [count_parity_ideal(n) for n in range(SERIES_UPTO + 1)] == [
+            a + b - (n == 0) for n, (a, b) in enumerate(zip(odd, even))]
 
 
 SERIES_UPTO = 1500
@@ -504,8 +510,9 @@ def _interleaved_requests(seed):
     return order
 
 
-# Request orders over every series key, as (key, size) pairs; the ascent by
-# one is TestExtendedSeries.test_ascent_divides_exactly.
+# Request orders over every series key, as (key, size) pairs; ("parity", 1)
+# asks the one-parity count, which reads p(n).  The ascent by one is
+# TestExtendedSeries.test_ascent_divides_exactly.
 SERIES_ORDERS = {
     # The benchmark's write steps: the odd-part series by 3, squares by 10, cubes by 15.
     "workload_steps": [(key, first + step * i) for key, first, step in
@@ -522,20 +529,22 @@ STATE_KEYS = [("powers", k) for k in range(2, 6)]
 
 
 class TestExtendedSeries:
-    """Series extended by their kept DP state or by the divisor-sum recurrence equal the product DP."""
+    """Series extended by their kept DP state or by Euler's pentagonal recurrence equal the product DP."""
 
     @pytest.mark.parametrize("order", SERIES_ORDERS)
     def test_matches_product_oracle(self, monkeypatch, order):
         monkeypatch.setattr(counting, "_series_cache", {})
         for key, n in SERIES_ORDERS[order]:
             assert series_request(key, n) == series_answer(key, n), (key, n)
-        for key, (series, *_) in counting._series_cache.items():
-            assert series.coefficients == series_oracle(key)[: len(series)]
+        for key, (coefficients, _) in counting._series_cache.items():
+            assert tuple(coefficients) == series_oracle(key)[: len(coefficients)]
 
     def test_ascent_divides_exactly(self, monkeypatch):
         # Ascending by one extends every key at every size: the powers k >= 2 by
-        # their rings, the others by the divisor sums sigma(k) of the degrees,
-        # n * a(n) = sum_{k=1..n} sigma(k) * a(n - k), whose division by n is exact.
+        # their rings, p(n) by the pentagonal recurrence, which the one-parity
+        # count reads.  The oracle also checks the divisor-sum recurrence on each
+        # key's degrees, n * a(n) = sum_{k=1..n} sigma(k) * a(n - k), whose
+        # division by n is exact.
         monkeypatch.setattr(counting, "_series_cache", {})
         for key in SERIES_KEYS:
             for n in range(SERIES_UPTO + 1):
@@ -563,19 +572,23 @@ class TestExtendedSeries:
 
     def test_workload_writes_extend(self, monkeypatch):
         # counting_mix's write steps, from its first sizes: after the first
-        # write of each key, every write extends.
+        # write of the squares and cubes, every write extends one list in
+        # place; the one-parity count grows p(n), which builds nothing.
         monkeypatch.setattr(counting, "_series_cache", {})
         cubes = CountSeries.from_degrees([i**3 for i in range(1, 17)], 4180)
         builds = self.count_builds(monkeypatch)
         plan = [(("parity", 1), 600, 3), (("powers", 2), 2400, 10), (("powers", 3), 4000, 15)]
         for key, first, _ in plan:
             series_request(key, first)
-        assert sorted(builds) == [300, 600, 2400, 4000]  # p(n/2) reads the k = 1 series
+        assert sorted(builds) == [2400, 4000]
+        lists = {key: entry[0] for key, entry in counting._series_cache.items()}
         for i in range(1, 13):
             for key, first, step in plan:
                 series_request(key, first + step * i)
-        assert len(builds) == 4
-        assert counting._series_cache[("powers", 3)][0] == cubes
+        assert len(builds) == 2
+        assert all(counting._series_cache[key][0] is lists[key] for key in lists)
+        assert tuple(counting._series_cache[("powers", 3)][0]) == cubes.coefficients
+        assert len(counting._series_cache[("powers", 1)][0]) == 637
 
     def test_threads_share_the_cache(self, monkeypatch):
         # Writers on every key at once, with frequent thread switches: each
@@ -585,7 +598,7 @@ class TestExtendedSeries:
     def test_threads_share_the_rings(self, monkeypatch):
         # the same with writers only on the keys that keep rings, which every write advances in place
         self.run_writers(monkeypatch, STATE_KEYS)
-        assert all(counting._series_cache[key][2] for key in STATE_KEYS)
+        assert all(counting._series_cache[key][1] for key in STATE_KEYS)
 
     @staticmethod
     def run_writers(monkeypatch, keys):
@@ -611,16 +624,62 @@ class TestExtendedSeries:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
-        for key, (series, *_) in counting._series_cache.items():
-            assert series.coefficients == answers[key][: len(series)]
+        for key, (coefficients, _) in counting._series_cache.items():
+            assert tuple(coefficients) == answers[key][: len(coefficients)]
 
     def test_large_jumps_rebuild(self, monkeypatch):
-        # p(n) keeps no rings: a jump that would cost more recurrence terms than a rebuild's additions rebuilds
+        # A series whose rings were dropped rebuilds on a jump, to at least twice
+        # its length; p(n) keeps no rings and never rebuilds: each jump appends.
+        monkeypatch.setattr(counting, "MAX_COUNT_CELLS", 1000)  # squares drop their rings at 196
         monkeypatch.setattr(counting, "_series_cache", {})
         builds = self.count_builds(monkeypatch)
-        for n in (40, 1500):
+        for n in (40, 300, 310, 650, 900, 999):
+            assert count_into_powers(n, 2) == series_oracle(("powers", 2))[n]
             assert count_all_partitions(n) == series_oracle(("powers", 1))[n]
-        assert builds == [40, 1500]
+        assert builds == [40, 300, 602, 999]  # the cap stops the doubling below 1000
+        assert len(counting._series_cache[("powers", 1)][0]) == 1000
+
+    @pytest.mark.parametrize("first,rebuilt", [(8200, 2 * 8281), (9000, 2 * 9001)])
+    def test_dropped_rings_rebuild_geometrically(self, monkeypatch, first, rebuilt):
+        # the squares drop their rings when 91^2 = 8,281 enters; an ascent by
+        # tens to 9,300 builds at its first size (from 8,200 with rings, which
+        # extend it to 8,280) and then once, without rings, to twice its length
+        monkeypatch.setattr(counting, "_series_cache", {})
+        oracle = CountSeries.from_degrees([i * i for i in range(1, 97)], 9300).coefficients
+        builds = self.count_builds(monkeypatch)
+        for n in range(first, 9301, 10):
+            assert count_into_powers(n, 2) == oracle[n], n
+        assert builds == [first, rebuilt]
+        assert counting._series_cache[("powers", 2)][1] is None
+
+    def test_p_is_the_product_over_every_degree(self, monkeypatch):
+        # the pentagonal recurrence from empty against the product DP, to 2,000
+        monkeypatch.setattr(counting, "_series_cache", {})
+        oracle = CountSeries.from_degrees(range(1, 2001), 2000).coefficients
+        assert count_all_partitions(2000) == oracle[2000]
+        assert tuple(counting._series_cache[("powers", 1)][0]) == oracle
+
+    def test_pentagonal_terms_pinned(self, monkeypatch):
+        # p(0..1000), asked in ascending order from empty, reads p(m - g) once
+        # per generalized pentagonal g = j(3j - 1)/2 <= m, j != 0, and appends
+        # each coefficient once
+        reads, appended = [0], []
+
+        class Counted(list):
+            def __getitem__(self, i):
+                reads[0] += 1
+                return super().__getitem__(i)
+
+            def append(self, x):
+                appended.append(len(self))
+                super().append(x)
+
+        monkeypatch.setattr(counting, "_series_cache", {("powers", 1): (Counted([1]), None)})
+        for n in range(1001):
+            assert count_all_partitions(n) == series_oracle(("powers", 1))[n]
+        pentagonal = [j * (3 * j - 1) // 2 for j in range(-30, 31) if j]
+        assert reads[0] == 1001 + sum(1 for m in range(1001) for g in pentagonal if g <= m)  # + each answer
+        assert appended == list(range(1, 1001))
 
     def test_large_jumps_extend_by_rings(self, monkeypatch):
         # extending by the rings costs less than a rebuild at every jump
@@ -630,16 +689,16 @@ class TestExtendedSeries:
             assert count_into_powers(n, 2) == series_oracle(("powers", 2))[n]
         assert builds == [40]
 
-    def test_odd_parts_rebuild_long_jumps(self, monkeypatch):
-        # a recurrence term on the odd-part series costs about two additions, so from 600
-        # the jumps to 999 and 1399 rebuild, while counting_mix's steps of 3 extend
+    def test_odd_parts_build_nothing(self, monkeypatch):
+        # the odd-part count is read off p(n) at every jump, short or long: no
+        # series of its own is cached and nothing is built
         monkeypatch.setattr(counting, "_series_cache", {})
         odd = CountSeries.from_degrees(range(1, 1400, 2), 1399)
         builds = self.count_builds(monkeypatch)
         for n in (600, 603, 606, 999, 1002, 1399):
-            counting._cached_series(("parity", 1), lambda m: range(1, m + 1, 2), n)
-            assert counting._series_cache[("parity", 1)][0].coefficients == odd.coefficients[: n + 1]
-        assert builds == [600, 999, 1399]
+            assert counting._odd_parts(counting._cached_series(1, n), n) == odd[n]
+        assert builds == []
+        assert set(counting._series_cache) == {("powers", 1)}
 
     @staticmethod
     def workload_writes(count):
@@ -649,22 +708,20 @@ class TestExtendedSeries:
 
     def test_ring_writes_make_no_recurrence_terms(self, monkeypatch):
         # after each key's first write, twelve writes on the squares and cubes
-        # multiply nothing; the odd-part series extends by its divisor sums
-        monkeypatch.setattr(counting, "_series_cache", {})
-        writes, product = self.workload_writes(12), counting.mul
-        products = dict.fromkeys((key for key, _ in writes), 0)
+        # read no pentagonal term of p(n); the one-parity writes read p(n)
+        writes, key = self.workload_writes(12), None
+        terms = dict.fromkeys((key for key, _ in writes), 0)
 
-        def counted(x, y):
-            products[key] += 1
-            return product(x, y)
+        class Counted(list):
+            def __getitem__(self, i):
+                terms[key] += 1
+                return super().__getitem__(i)
 
-        for key, n in writes[:3]:
+        monkeypatch.setattr(counting, "_series_cache", {("powers", 1): (Counted([1]), None)})
+        for key, n in writes:
             series_request(key, n)
-        monkeypatch.setattr(counting, "mul", counted)
-        for key, n in writes[3:]:
-            series_request(key, n)
-        assert products[("powers", 2)] == products[("powers", 3)] == 0
-        assert products[("parity", 1)] > 0
+        assert terms[("powers", 2)] == terms[("powers", 3)] == 0
+        assert terms[("parity", 1)] > 0
 
     def test_ring_cells_pinned(self, monkeypatch):
         # the rings hold the last d coefficients per degree d: sum i^2 for i <= 52 at 2,710
@@ -672,8 +729,8 @@ class TestExtendedSeries:
         monkeypatch.setattr(counting, "_series_cache", {})
         for key, n in self.workload_writes(31):
             series_request(key, n)
-        cells = {key: entry[2] and sum(map(len, entry[2])) for key, entry in counting._series_cache.items()}
-        assert cells == {("powers", 2): 48_230, ("powers", 3): 18_496, ("parity", 1): None, ("powers", 1): None}
+        cells = {key: rings and sum(map(len, rings)) for key, (_, rings) in counting._series_cache.items()}
+        assert cells == {("powers", 2): 48_230, ("powers", 3): 18_496, ("powers", 1): None}
         assert len(counting._series_cache[("powers", 2)][0]) == 2711
         assert len(counting._series_cache[("powers", 3)][0]) == 4466
 
@@ -683,29 +740,32 @@ class TestExtendedSeries:
         monkeypatch.setattr(counting, "_series_cache", {})
         for n in range(0, 60, 4):
             assert count_into_powers(n, 2) == series_oracle(("powers", 2))[n]
-            assert (counting._series_cache[("powers", 2)][2] is None) == (n >= 49)
+            assert (counting._series_cache[("powers", 2)][1] is None) == (n >= 49)
 
     def test_failed_extension_keeps_oracle_answers(self, monkeypatch):
-        # a CountSeries that raises after the rings have moved: the entry keeps
-        # no rings, so every later answer still equals the product DP
+        # a list that raises after the rings have moved: the entry keeps no
+        # rings and only correct coefficients, so every later answer still
+        # equals the product DP
         monkeypatch.setattr(counting, "_series_cache", {})
         key, oracle = ("powers", 2), series_oracle(("powers", 2))
         assert count_into_powers(700, 2) == oracle[700]
 
-        class Failing(CountSeries):
-            def __init__(self, coefficients):
-                raise MemoryError
+        class Failing(list):
+            def append(self, x):
+                if len(self) == 710:
+                    raise MemoryError
+                super().append(x)
 
-        monkeypatch.setattr(counting, "CountSeries", Failing)
+        coefficients, rings = counting._series_cache[key]
+        counting._series_cache[key] = Failing(coefficients), rings
         with pytest.raises(MemoryError):
             count_into_powers(730, 2)
-        monkeypatch.setattr(counting, "CountSeries", CountSeries)
-        assert counting._series_cache[key][2] is None
-        assert len(counting._series_cache[key][0]) == 701
-        for n in (710, 740, 741, 1200, 1500, 900):  # 710 extends by divisor sums, 740 rebuilds with rings
+        assert counting._series_cache[key][1] is None
+        assert tuple(counting._series_cache[key][0]) == oracle[:710]
+        for n in (705, 710, 740, 741, 1200, 1500, 900):  # 710 rebuilds with rings, and 740 on extends them
             assert count_into_powers(n, 2) == oracle[n], n
-        assert counting._series_cache[key][0].coefficients == oracle[: 1501]
-        assert counting._series_cache[key][2] is not None
+        assert tuple(counting._series_cache[key][0]) == oracle[: 1501]
+        assert counting._series_cache[key][1] is not None
 
 
 PREFIX_CLOSED = [
@@ -873,13 +933,15 @@ class TestStateCount:
         monkeypatch.setattr(counting, "MAX_COUNT_CELLS", 100)
         monkeypatch.setattr(counting, "_series_cache", {})
 
-        def degrees(m):
+        def degrees(*args):
             raise AssertionError("built the degree list")
 
-        for refused in (lambda: counting._cached_series(("x",), degrees, 100), lambda: count_into_powers(100, 2),
+        monkeypatch.setattr(counting, "_power_degrees", degrees)
+        for refused in (lambda: counting._cached_series(3, 100), lambda: count_into_powers(100, 2),
                         lambda: count_all_partitions(10**12), lambda: count_parity_ideal(300)):
             with pytest.raises(ResourceError, match=r"^counting to size \d+ needs \d+ series cells, above 100$"):
                 refused()
+        assert counting._series_cache == {}
         assert count_all_partitions(99) == 169229875
 
     def test_huge_size_refused_unbuilt(self, monkeypatch):
