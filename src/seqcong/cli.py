@@ -202,10 +202,10 @@ def _run_enumerate(args) -> list[str]:
     if args.largest is not None:
         if args.pred != "seqcong":
             raise DomainError("--largest enumeration is defined for --pred seqcong")
-        found = counting.enumerate_seqcong_by_largest(args.largest)
+        found = counting._seqcong_largest(args.largest)  # a walk: --limit stops it after that many answers
     elif args.pred == "seqcong":
         found = counting.enumerate_seqcong_by_size(args.size)
-    else:  # a walk or a filter: --limit stops it after that many answers
+    else:  # a walk or a filter, which --limit stops as well
         found = counting._members(_predicate_for(args.pred), args.size)
     if args.limit is not None:
         found = islice(found, args.limit) if args.limit >= 0 else list(found)[: args.limit]

@@ -2,9 +2,11 @@
 
 The enumerators list partitions in reverse lexicographic order,
 duplicate-free: a walk over all partitions of n with optional part/length
-caps that splices its small rests from a table, and a pruned walk over the
-members of size n of a prefix-closed ideal.  Counts are plain Python
-integers, so they stay exact however large the coefficients grow.
+caps that splices its small rests from a table, a pruned walk over the
+members of size n of a prefix-closed ideal, and a walk over the c-notation of
+the sequentially congruent partitions with largest part n, which splices its
+small tails from a second table.  Counts are plain Python integers, so they
+stay exact however large they grow.
 A prefix-closed kind with a summary is counted over classes of member
 prefixes, one pass by length for every size, within ``MAX_COUNT_CELLS`` live
 (class, size) cells; Adiff, with no summary, by its walk; S by psi.
@@ -30,13 +32,14 @@ from math import isqrt
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator
 
-from .bijections import pi_map, psi_inverse
+from .bijections import psi_inverse
 from .errors import DomainError, ResourceError
 from .partition import Partition, _check_largest, _check_output_length
 
 
 _SPLICE_MAX = 20
 _tails = None
+_largest_tails = None
 
 
 def _splice_table() -> tuple[list[list[tuple[int, ...]]], list[list[int]]]:
@@ -216,9 +219,60 @@ def enumerate_seqcong_by_size(n: int) -> list[Partition]:
     return sorted(map(psi_inverse, enumerate_with_parts_from(squares, n)), key=attrgetter("parts"), reverse=True)
 
 
+def _largest_table() -> dict[tuple[int, int], list[tuple[int, ...]]]:
+    """``_largest_tails``, built on first use: row (i, r), 2 <= i <= r <= _SPLICE_MAX, lists the tails of
+    the members with mu_i = r in order: (m,) + row (i + 1, m) for m = r, r - i, ... > i, then () if i | r.
+    The rows of i = 1 would repeat every partition of r <= _SPLICE_MAX for one root, so there are none."""
+    global _largest_tails
+    rows = {}
+    for i in range(_SPLICE_MAX, 1, -1):
+        for r in range(i, _SPLICE_MAX + 1):
+            rows[i, r] = [(m,) + s for m in range(r, i, -i) for s in rows[i + 1, m]] + [()] * (r % i == 0)
+    _largest_tails = rows  # one assignment publishes the whole table
+    return rows
+
+
+def _seqcong_largest(n: int) -> Iterator[Partition]:
+    """:func:`enumerate_seqcong_by_largest` lazily, with n checked at the call."""
+    _check_largest(_check_size(n))
+    _check_output_length(n)  # (n,) * n is a member, and the first one listed
+    return _c_walk(n) if n else iter([Partition._of(())])
+
+
+def _c_walk(n: int) -> Iterator[Partition]:
+    """The members with largest part n >= 1, reverse lexicographic, walked by their c-notation.
+
+    Part i + 1 is mu_i - i c_i, c_i >= 0, and part r of r parts is r c_r, so reverse lexicographic
+    order on the parts is lex order on c.  The stack is the prefix mu_1..mu_i: its children are
+    mu_i, mu_i - i, ... down to i + 1, the least last part of i + 1 parts, so none is a dead end.
+    The prefix is spliced with its table row, or, off the table, steps into its first child,
+    and is listed last when i | mu_i."""
+    rows = _largest_tails or _largest_table()
+    new = object.__new__
+    path = [n]
+    while path:
+        i, r = len(path), path[-1]
+        if r > i and (r > _SPLICE_MAX or i == 1):
+            path.append(r)  # the first child: c_i = 0
+            continue
+        t = tuple(path)
+        for s in rows.get((i, r), ((),)):  # off the table r = i: the prefix alone
+            p = new(Partition)
+            p.parts = t + s
+            yield p
+        while path:  # on to the next sibling, c_i one larger at the parent's length i
+            i = len(path) - 1
+            m = path.pop() - i
+            if i and m > i:
+                path.append(m)
+                break
+            if i and not path[-1] % i:
+                yield Partition._of(tuple(path))
+
+
 def enumerate_seqcong_by_largest(n: int) -> list[Partition]:
-    """Sequentially congruent partitions with largest part n: pi_map of the partitions of n."""
-    return sorted(map(pi_map, _partitions(n)), key=attrgetter("parts"), reverse=True)
+    """Sequentially congruent partitions with largest part n, reverse lexicographic, walked by c-notation."""
+    return list(_seqcong_largest(n))
 
 
 class CountSeries:

@@ -25,8 +25,10 @@ from seqcong import (
     ModulusReport,
     Partition,
     conjugate,
+    enumerate_partitions,
     from_c_notation,
     iter_partition_tuples,
+    pi_map,
 )
 from seqcong.partition import EMPTY
 
@@ -158,6 +160,19 @@ def _seqcong_largest_exactly(m):
 
     rec(m, m, [])
     return found
+
+
+def pi_sorted_by_largest(n):
+    """The members with largest part n as the library once listed them: pi_map of every partition of n, sorted."""
+    return sorted(map(pi_map, enumerate_partitions(n)), key=lambda p: p.parts, reverse=True)
+
+
+def c_tails(i, r):
+    """Tails (mu_{i+1}, ...) of the sequentially congruent partitions with mu_i = r, reverse lexicographic.
+
+    Those are the tails of the members with largest part r whose first i parts are all r, from
+    the recursive c-vector decoder."""
+    return sorted((p.parts[i:] for p in _seqcong_largest_exactly(r) if p.parts[:i] == (r,) * i), reverse=True)
 
 
 def _iter_c_vectors(weights, total):

@@ -496,7 +496,8 @@ class TestOutputSizeGuard:
         ("convert", "--to", "standard", "--input", '{"freq":[[1,1000000000000]]}'),
         ("enumerate", "--pred", "seqcong", "--size", "1000000000000"),
         ("enumerate", "--pred", "S", "--size", "1000000000000"),
-    ], ids=["sigma", "conjugate", "freq", "enumerate-seqcong", "enumerate-S"])
+        ("enumerate", "--pred", "seqcong", "--largest", "1000000000000", "--limit", "0"),
+    ], ids=["sigma", "conjugate", "freq", "enumerate-seqcong", "enumerate-S", "enumerate-largest"])
     def test_refused(self, capsys, argv):
         assert cli(*argv) == (1, "")
         assert capsys.readouterr().err == (
@@ -615,9 +616,28 @@ class TestEnumerateLimitStopsTheWalk:
                               preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
         assert (done.returncode, done.stdout, done.stderr) == (0, b"[100000000]\n[99999999,1]\n", b"")
 
+    @pytest.mark.parametrize("largest,limit_k,want", [
+        ("500", "3", (0, b"[500,500,", 3, b"")),
+        ("20000000", "1", (1, b"", 0, b"error: the answer would have 20000000 parts, above the limit of 10000000\n")),
+    ])
+    def test_largest_limit_within_memory(self, largest, limit_k, want):
+        # the listing sorted the pi images of all p(500) partitions of 500 before it was cut to 3
+        resource = pytest.importorskip("resource")
+        limit = 400_000 * 1024
+        cmd, env = _seqcong("enumerate", "--pred", "seqcong", "--largest", largest, "--limit", limit_k)
+        done = subprocess.run(cmd, capture_output=True, env=env, timeout=60,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (done.returncode, done.stdout[:9], done.stdout.count(b"\n"), done.stderr) == want
+
+    def test_largest_limit_lists_the_first_members(self):
+        lines = cli_ok("enumerate", "--pred", "seqcong", "--largest", "500", "--limit", "3").splitlines()
+        assert [json.loads(line) for line in lines] == [[500] * 500, [500] * 250, [500] * 249 + [251, 251]]
+
     def test_negative_limit_drops_the_last_answers(self):
         lines = cli_ok("enumerate", "--pred", "all", "--size", "6", "--limit", "-2").splitlines()
         assert lines == [str(list(p.parts)).replace(" ", "") for p in counting.enumerate_partitions(6)[:-2]]
+        lines = cli_ok("enumerate", "--pred", "seqcong", "--largest", "6", "--limit", "-2").splitlines()
+        assert lines == [str(list(p.parts)).replace(" ", "") for p in counting.enumerate_seqcong_by_largest(6)[:-2]]
 
 
 class CountingWriter(io.StringIO):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from itertools import islice
 from operator import mul
 
 import pytest
@@ -38,12 +39,15 @@ from seqcong import (
 )
 
 from seqcong.ideals import _KINDS
+from seqcong.partition import MAX_OUTPUT_PARTS
 
 from conftest import (
     _iter_c_vectors,
     _seqcong_largest_exactly,
+    c_tails,
     children_by_filter,
     naive_partitions,
+    pi_sorted_by_largest,
     recursive_partition_tuples,
     zs1_partition_tuples,
 )
@@ -204,13 +208,19 @@ class TestWalkWork:
             # one read of the last part per partition, two per chain step of those r divides (r^2 for S_2)
             assert Reads.count == reads, (n, Reads.count)
 
-    def test_by_largest_maps_each_partition_once(self, monkeypatch):
-        spy, calls = self._counted(counting.pi_map)
-        monkeypatch.setattr(counting, "pi_map", spy)
-        for n in range(26):
-            calls[0] = 0
-            enumerate_seqcong_by_largest(n)
-            assert calls[0] == count_all_partitions(n)
+    def test_by_largest_equals_sorted_pi_oracle(self):
+        for n in range(31):
+            assert enumerate_seqcong_by_largest(n) == pi_sorted_by_largest(n), n
+
+    def test_by_largest_lists_no_partition_of_n(self, monkeypatch):
+        # the listing walks the c-notation, as enumerate_members lists S through psi
+        want = [pi_sorted_by_largest(n) for n in range(31)]
+
+        def refuse(*args):
+            raise AssertionError("walked the partitions of n")
+
+        monkeypatch.setattr(counting, "_partitions", refuse)
+        assert [enumerate_seqcong_by_largest(n) for n in range(31)] == want
 
 
 class TestRestrictedEnumeration:
@@ -291,7 +301,7 @@ class TestSeqcongEnumerators:
                 assert is_seq_congruent(p) and p.largest == n
 
     def test_by_largest_equals_sorted_vector_oracle(self):
-        # pi does not preserve reverse-lex order, so the listing sorts its images
+        # pi does not preserve reverse-lex order, so the listing cannot follow the partitions of n
         for n in range(17):
             want = sorted((p.parts for p in _seqcong_largest_exactly(n)), reverse=True)
             assert [p.parts for p in enumerate_seqcong_by_largest(n)] == want
@@ -324,6 +334,61 @@ class TestSeqcongEnumerators:
     def test_negative_size_rejected(self, enumerate_s):
         with pytest.raises(ValueError, match="n must be nonnegative"):
             enumerate_s(-1)
+
+
+class TestLargestWalk:
+    """The lazy walk over the c-notation behind enumerate_seqcong_by_largest and its table of tails."""
+
+    def test_table_rows_match_the_recursive_oracle(self):
+        rows = counting._largest_tails or counting._largest_table()
+        assert sorted(rows) == [(i, r) for i in range(2, 21) for r in range(i, 21)]
+        assert sum(map(len, rows.values())) == 1235
+        for (i, r), row in rows.items():
+            assert row == c_tails(i, r), (i, r)
+
+    def test_import_leaves_the_table_unbuilt(self):
+        probe = "import seqcong.counting as c; print(c._largest_tails is None)"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(counting.__file__)))
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "True\n", "")
+
+    def test_threads_racing_on_first_use_agree(self, monkeypatch):
+        want = [p.parts for p in pi_sorted_by_largest(26)]
+        monkeypatch.setattr(counting, "_largest_tails", None)
+        start, got = threading.Barrier(4), []
+
+        def list_26():
+            start.wait()
+            got.append([p.parts for p in enumerate_seqcong_by_largest(26)])
+
+        threads = [threading.Thread(target=list_26) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert got == [want] * 4
+        assert counting._largest_tails == counting._largest_table()
+
+    def test_walk_is_lazy(self):
+        # the first members come without the p(500) others being listed
+        first = list(islice(counting._seqcong_largest(500), 2))
+        assert [p.parts for p in first] == [(500,) * 500, (500,) * 250]
+
+    def test_sizes_are_checked_at_the_call(self):
+        # so a caller that takes no member still sees the refusal
+        with pytest.raises(ResourceError, match="above the limit"):
+            counting._seqcong_largest(MAX_OUTPUT_PARTS + 1)
+        with pytest.raises(OverflowError, match="64-bit part range"):
+            counting._seqcong_largest(2**63)
+
+    def test_yields_fresh_partitions_of_plain_ints(self):
+        for n in (0, 1, 9, 20, 21, 33):
+            found = enumerate_seqcong_by_largest(n)
+            assert len({id(p) for p in found}) == len(found)
+            for p in found:
+                assert type(p) is Partition and type(p.parts) is tuple
+                assert all(type(x) is int for x in p.parts)
+        assert enumerate_seqcong_by_largest(5)[0] is not enumerate_seqcong_by_largest(5)[0]
 
 
 class TestCountSeries:
