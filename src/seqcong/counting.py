@@ -11,16 +11,12 @@ A prefix-closed kind with a summary is counted over classes of member
 prefixes, one pass by length for every size, within ``MAX_COUNT_CELLS`` live
 (class, size) cells; Adiff, with no summary, by its walk; S by psi.
 
-Generating-function coefficients are cached per series in one list that
-grows in place.  p(n) grows by Euler's pentagonal recurrence, O(sqrt n) terms
-per coefficient, and the one-parity count reads its odd parts off p by the
-same numbers.  The k-th powers for k >= 2 are built once by the product DP
-prod_{d in D} 1/(1 - q^d), which keeps its state beside the series: for each
-degree d, the last d coefficients of the partial product over the degrees up
-to d.  A request past the cached length then costs one addition per degree
-and new coefficient.  The state is dropped once it would pass
-``MAX_COUNT_CELLS`` cells (squares near 8,300); such a series is rebuilt, to
-at least twice its length each time.
+Generating-function coefficients are cached per series in one list.  p(n)
+grows in place by Euler's pentagonal recurrence, O(sqrt n) terms per
+coefficient, and the one-parity count reads its odd parts off p by the same
+numbers.  The k-th powers for k >= 2 are built by the product DP
+prod_{d in D} 1/(1 - q^d); a request past the cached length rebuilds the
+series to at least twice that length, so an ascent rebuilds O(log n) times.
 """
 
 from __future__ import annotations
@@ -284,20 +280,13 @@ class CountSeries:
         self.coefficients = tuple(coefficients)
 
     @classmethod
-    def from_degrees(cls, degrees: Iterable[int], upto: int, rings: list | None = None) -> "CountSeries":
-        """Product of 1 / (1 - q^d) over the given degrees, coefficients 0..upto.
-
-        ``rings``, if given, receives for each degree d, ascending, the last d
-        coefficients of the partial product over the degrees up to d, the one
-        of index m at position m % d."""
+    def from_degrees(cls, degrees: Iterable[int], upto: int) -> "CountSeries":
+        """Product of 1 / (1 - q^d) over the given degrees, coefficients 0..upto."""
         coeffs = [0] * (upto + 1)
         coeffs[0] = 1
         for d in sorted({d for d in degrees if 1 <= d <= upto}):
             for j in range(d, upto + 1):
                 coeffs[j] += coeffs[j - d]
-            if rings is not None:
-                s = (upto + 1) % d
-                rings.append(coeffs[upto + 1 - s :] + coeffs[upto + 1 - d : upto + 1 - s])
         return cls(coeffs)
 
     def __getitem__(self, n: int) -> int:
@@ -315,9 +304,9 @@ class CountSeries:
         return f"CountSeries({list(self.coefficients)!r})"
 
 
-# ("powers", k) -> (coefficients, rings or None).  The list only grows, one correct
-# coefficient at a time, under the lock; the rings are from_degrees' state at its length.
-_series_cache: dict[tuple, tuple[list[int], list[list[int]] | None]] = {}
+# ("powers", k) -> coefficients.  p's list only grows, one correct coefficient at a time,
+# under the lock; a k >= 2 list is never mutated, only replaced by a longer one under the lock.
+_series_cache: dict[tuple, list[int]] = {}
 _series_lock = threading.Lock()
 # The generalized pentagonal numbers j(3j - 1)/2, j = 1, -1, 2, -2, ..., that p has needed,
 # ascending, by the sign (-1)^(j + 1) of their term: (j odd, j even).  Grown under the lock.
@@ -335,22 +324,19 @@ def _cached_series(k: int, upto: int) -> list[int]:
     """Coefficients 0..upto, or more, of the product over the k-th powers d of 1 / (1 - q^d).
 
     p(n), k = 1, grows by Euler's pentagonal recurrence (Andrews 1976, ch. 1).
-    A series k >= 2 within ``MAX_COUNT_CELLS`` ring cells grows by its rings:
-    degree d's ring advances by ``x += ring[n % d]; ring[n % d] = x``, and a
-    degree that enters at n = d starts from the series, which its partial
-    product equals below d.  Past the cells the rings are dropped, and the
-    series is rebuilt to at least twice its length.  A series of
-    ``MAX_COUNT_CELLS`` coefficients or more is refused before it is built.
+    A series k >= 2 too short for upto is rebuilt by the product DP, to at
+    least twice its cached length.  A series of ``MAX_COUNT_CELLS``
+    coefficients or more is refused before it is built.
     """
     if upto >= MAX_COUNT_CELLS:
         raise ResourceError(f"counting to size {upto} needs {upto + 1} series cells, above {MAX_COUNT_CELLS}")
     key = ("powers", k)
     cached = _series_cache.get(key)
-    if cached is not None and len(cached[0]) > upto:  # the list only grows, so no lock to read it
-        return cached[0]
+    if cached is not None and len(cached) > upto:  # no published list ever shrinks, so no lock to read it
+        return cached
     with _series_lock:
         if k == 1:
-            p = _series_cache.setdefault(key, ([1], None))[0]
+            p = _series_cache.setdefault(key, [1])
             odd, even = _pentagonals
             for j in range((len(odd) + len(even)) // 2 + 1, (1 + isqrt(1 + 24 * upto)) // 6 + 1):
                 (odd if j % 2 else even).extend((j * (3 * j - 1) // 2, j * (3 * j + 1) // 2))
@@ -358,38 +344,21 @@ def _cached_series(k: int, upto: int) -> list[int]:
                 p.append(sum([p[n - g] for g in odd[: bisect_right(odd, n)]])
                          - sum([p[n - g] for g in even[: bisect_right(even, n)]]))
             return p
-        a, rings = _series_cache.get(key, ([], None))
-        size = len(a)
-        if size > upto:
+        a = _series_cache.get(key, [])
+        if len(a) > upto:
             return a
-        fresh = [] if rings is None else _power_degrees(k, upto, len(rings) + 1)
-        if rings is not None and sum(map(len, rings)) + sum(fresh) <= MAX_COUNT_CELLS:
-            _series_cache[key] = a, None  # a failure below leaves no half-moved rings
-            fresh = set(fresh)
-            for n in range(size, upto + 1):
-                if n in fresh:
-                    rings.append(a[:n])
-                x = 0
-                for ring in rings:
-                    j = n % len(ring)
-                    x = ring[j] = x + ring[j]
-                a.append(x)
-        else:
-            rings = [] if sum(_power_degrees(k, upto)) <= MAX_COUNT_CELLS else None
-            if rings is None:  # grow ahead, so an ascent rebuilds O(log n) times
-                upto = min(max(upto, 2 * size), MAX_COUNT_CELLS - 1)
-            a = list(CountSeries.from_degrees(_power_degrees(k, upto), upto, rings).coefficients)
-        _series_cache[key] = a, rings
+        upto = min(max(upto, 2 * len(a)), MAX_COUNT_CELLS - 1)  # grow ahead, so an ascent rebuilds O(log n) times
+        a = _series_cache[key] = list(CountSeries.from_degrees(_power_degrees(k, upto), upto).coefficients)
         return a
 
 
-def _power_degrees(k: int, m: int, first: int = 1) -> list[int]:
-    """The k-th powers i**k <= m of the integers i >= first, ascending."""
+def _power_degrees(k: int, m: int) -> list[int]:
+    """The k-th powers i**k <= m of the positive integers i, ascending."""
     if m < 2:
-        return list(range(first, m + 1))
+        return list(range(1, m + 1))
     if k >= m.bit_length():  # 2**k > m already
-        return [1][first - 1 :]
-    return list(takewhile(lambda p: p <= m, (i**k for i in count(first))))
+        return [1]
+    return list(takewhile(lambda p: p <= m, (i**k for i in count(1))))
 
 
 def count_into_powers(n: int, k: int) -> int:
@@ -433,8 +402,8 @@ def member_counts(pred, upto: int) -> list[int]:
     """``[count_members(pred, n) for n in range(upto + 1)]``, every size from one class count or one member walk."""
     if type(upto) is int and upto < 0:
         return []
-    if not getattr(pred, "prefix_closed", False):
-        return [count_members(pred, n) for n in range(_check_size(upto) + 1)]
+    if not getattr(pred, "prefix_closed", False):  # size upto first: a series is built once, or refused at once
+        return [count_members(pred, n) for n in range(_check_size(upto), -1, -1)][::-1]
     if pred._summary is not None:
         counts = _state_counts(pred, _check_size(upto))
     else:  # one walk; a stack of (member, its size, its children of size <= upto not yet walked)

@@ -228,7 +228,7 @@ class TestEnumerateAndCount:
         def refuse(*args):
             raise AssertionError("built a product series")
 
-        monkeypatch.setattr(counting, "_series_cache", {("powers", 1): (Appends([1]), None)})
+        monkeypatch.setattr(counting, "_series_cache", {("powers", 1): Appends([1])})
         monkeypatch.setattr(CountSeries, "from_degrees", refuse)
         assert cli_ok("count", "--pred", "all", "--upto", "1000").splitlines() == want
         assert appended == list(range(1, 1001))

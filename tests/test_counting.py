@@ -530,16 +530,22 @@ SERIES_UPTO = 1500
 SERIES_KEYS = [("powers", k) for k in range(1, 6)] + [("parity", 1)]
 
 
-def series_degrees(key) -> list[int]:
-    """The degrees up to SERIES_UPTO of the series cached under ``key``."""
+def series_degrees(key, upto=SERIES_UPTO) -> list[int]:
+    """The degrees up to ``upto`` of the series cached under ``key``."""
     kind, k = key
-    return list(range(1, SERIES_UPTO + 1, 2)) if kind == "parity" else [i**k for i in range(1, SERIES_UPTO + 1) if i**k <= SERIES_UPTO]
+    return list(range(1, upto + 1, 2)) if kind == "parity" else [i**k for i in range(1, upto + 1) if i**k <= upto]
 
 
 @functools.cache
-def series_oracle(key) -> tuple[int, ...]:
-    """Coefficients 0..SERIES_UPTO of the series cached under ``key``, by the product DP."""
-    return CountSeries.from_degrees(series_degrees(key), SERIES_UPTO).coefficients
+def series_oracle(key, upto=SERIES_UPTO) -> tuple[int, ...]:
+    """Coefficients 0..upto of the series cached under ``key``, by the product DP."""
+    return CountSeries.from_degrees(series_degrees(key, upto), upto).coefficients
+
+
+def assert_cache_matches_oracle():
+    """Each whole cached list equals the product DP to that list's own length."""
+    for key, coefficients in counting._series_cache.items():
+        assert tuple(coefficients) == series_oracle(key, len(coefficients) - 1), key
 
 
 def series_request(key, n) -> int:
@@ -590,25 +596,21 @@ SERIES_ORDERS = {
 }
 
 
-STATE_KEYS = [("powers", k) for k in range(2, 6)]
-
-
 class TestExtendedSeries:
-    """Series extended by their kept DP state or by Euler's pentagonal recurrence equal the product DP."""
+    """Series rebuilt ahead by the product DP or grown by Euler's pentagonal recurrence equal the product DP."""
 
     @pytest.mark.parametrize("order", SERIES_ORDERS)
     def test_matches_product_oracle(self, monkeypatch, order):
         monkeypatch.setattr(counting, "_series_cache", {})
         for key, n in SERIES_ORDERS[order]:
             assert series_request(key, n) == series_answer(key, n), (key, n)
-        for key, (coefficients, _) in counting._series_cache.items():
-            assert tuple(coefficients) == series_oracle(key)[: len(coefficients)]
+        assert_cache_matches_oracle()
 
     def test_ascent_divides_exactly(self, monkeypatch):
-        # Ascending by one extends every key at every size: the powers k >= 2 by
-        # their rings, p(n) by the pentagonal recurrence, which the one-parity
-        # count reads.  The oracle also checks the divisor-sum recurrence on each
-        # key's degrees, n * a(n) = sum_{k=1..n} sigma(k) * a(n - k), whose
+        # Ascending by one extends every key: the powers k >= 2 by rebuilds to
+        # twice their length, p(n) at every size by the pentagonal recurrence,
+        # which the one-parity count reads.  The oracle also checks the
+        # divisor-sum recurrence on each key's degrees, n * a(n) = sum_{k=1..n} sigma(k) * a(n - k), whose
         # division by n is exact.
         monkeypatch.setattr(counting, "_series_cache", {})
         for key in SERIES_KEYS:
@@ -628,53 +630,41 @@ class TestExtendedSeries:
         builds = []
         build = CountSeries.from_degrees.__func__
 
-        def spy(cls, degrees, upto, *rings):
+        def spy(cls, degrees, upto):
             builds.append(upto)
-            return build(cls, degrees, upto, *rings)
+            return build(cls, degrees, upto)
 
         monkeypatch.setattr(CountSeries, "from_degrees", classmethod(spy))
         return builds
 
     def test_workload_writes_extend(self, monkeypatch):
-        # counting_mix's write steps, from its first sizes: after the first
-        # write of the squares and cubes, every write extends one list in
-        # place; the one-parity count grows p(n), which builds nothing.
+        # counting_mix's 32 writes per key, from its first sizes: the squares
+        # and cubes build at their first write and rebuild once, to twice their
+        # length, at their second; the one-parity count grows p(n), which
+        # builds nothing.  The cache then holds its three coefficient lists and
+        # nothing beside them: 13,500 integers in all.
         monkeypatch.setattr(counting, "_series_cache", {})
-        cubes = CountSeries.from_degrees([i**3 for i in range(1, 17)], 4180)
         builds = self.count_builds(monkeypatch)
-        plan = [(("parity", 1), 600, 3), (("powers", 2), 2400, 10), (("powers", 3), 4000, 15)]
-        for key, first, _ in plan:
-            series_request(key, first)
-        assert sorted(builds) == [2400, 4000]
-        lists = {key: entry[0] for key, entry in counting._series_cache.items()}
-        for i in range(1, 13):
-            for key, first, step in plan:
-                series_request(key, first + step * i)
-        assert len(builds) == 2
-        assert all(counting._series_cache[key][0] is lists[key] for key in lists)
-        assert tuple(counting._series_cache[("powers", 3)][0]) == cubes.coefficients
-        assert len(counting._series_cache[("powers", 1)][0]) == 637
+        for key, n in self.workload_writes(31):
+            series_request(key, n)
+        assert builds == [2400, 4000, 4802, 8002]
+        assert all(type(a) is list for a in counting._series_cache.values())
+        assert {key: len(a) for key, a in counting._series_cache.items()} == {
+            ("powers", 1): 694, ("powers", 2): 4803, ("powers", 3): 8003}
+        assert sum(map(len, counting._series_cache.values())) == 13_500
+        assert_cache_matches_oracle()
 
     def test_threads_share_the_cache(self, monkeypatch):
         # Writers on every key at once, with frequent thread switches: each
-        # answer and each cached series must still equal the product DP.
-        self.run_writers(monkeypatch, SERIES_KEYS)
-
-    def test_threads_share_the_rings(self, monkeypatch):
-        # the same with writers only on the keys that keep rings, which every write advances in place
-        self.run_writers(monkeypatch, STATE_KEYS)
-        assert all(counting._series_cache[key][1] for key in STATE_KEYS)
-
-    @staticmethod
-    def run_writers(monkeypatch, keys):
-        """Six threads ask the seeded interleaved requests on ``keys`` and check each answer and series."""
+        # answer and each whole cached series must still equal the product DP.
         monkeypatch.setattr(counting, "_series_cache", {})
-        answers = {key: series_oracle(key) for key in SERIES_KEYS}
+        for key in SERIES_KEYS:  # the answers' oracles, built before the threads start
+            series_oracle(key)
         wrong = []
 
         def worker(seed):
             for key, n in _interleaved_requests(seed)[::3]:
-                if key in keys and series_request(key, n) != series_answer(key, n):
+                if series_request(key, n) != series_answer(key, n):
                     wrong.append((key, n))
 
         threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
@@ -689,40 +679,41 @@ class TestExtendedSeries:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
-        for key, (coefficients, _) in counting._series_cache.items():
-            assert tuple(coefficients) == answers[key][: len(coefficients)]
+        assert_cache_matches_oracle()
 
     def test_large_jumps_rebuild(self, monkeypatch):
-        # A series whose rings were dropped rebuilds on a jump, to at least twice
-        # its length; p(n) keeps no rings and never rebuilds: each jump appends.
-        monkeypatch.setattr(counting, "MAX_COUNT_CELLS", 1000)  # squares drop their rings at 196
+        # A series k >= 2 rebuilds on a jump, to at least twice its length;
+        # p(n) never rebuilds: each jump appends.
+        monkeypatch.setattr(counting, "MAX_COUNT_CELLS", 1000)
         monkeypatch.setattr(counting, "_series_cache", {})
         builds = self.count_builds(monkeypatch)
         for n in (40, 300, 310, 650, 900, 999):
             assert count_into_powers(n, 2) == series_oracle(("powers", 2))[n]
             assert count_all_partitions(n) == series_oracle(("powers", 1))[n]
         assert builds == [40, 300, 602, 999]  # the cap stops the doubling below 1000
-        assert len(counting._series_cache[("powers", 1)][0]) == 1000
+        assert len(counting._series_cache[("powers", 1)]) == 1000
 
-    @pytest.mark.parametrize("first,rebuilt", [(8200, 2 * 8281), (9000, 2 * 9001)])
-    def test_dropped_rings_rebuild_geometrically(self, monkeypatch, first, rebuilt):
-        # the squares drop their rings when 91^2 = 8,281 enters; an ascent by
-        # tens to 9,300 builds at its first size (from 8,200 with rings, which
-        # extend it to 8,280) and then once, without rings, to twice its length
+    @pytest.mark.parametrize("first,step,last,builds", [
+        (0, 1, 255, [0, 2, 6, 14, 30, 62, 126, 254, 510]),
+        (8200, 10, 9300, [8200, 16402]),
+    ], ids=["by_ones", "by_tens"])
+    def test_ascent_rebuilds_ahead(self, monkeypatch, first, step, last, builds):
+        # an ascent of the squares builds at its first size, exactly, and then
+        # only when it passes the cached length L, to size 2L
         monkeypatch.setattr(counting, "_series_cache", {})
-        oracle = CountSeries.from_degrees([i * i for i in range(1, 97)], 9300).coefficients
-        builds = self.count_builds(monkeypatch)
-        for n in range(first, 9301, 10):
+        oracle = series_oracle(("powers", 2), builds[-1])
+        made = self.count_builds(monkeypatch)
+        for n in range(first, last + 1, step):
             assert count_into_powers(n, 2) == oracle[n], n
-        assert builds == [first, rebuilt]
-        assert counting._series_cache[("powers", 2)][1] is None
+        assert made == builds
+        assert tuple(counting._series_cache[("powers", 2)]) == oracle
 
     def test_p_is_the_product_over_every_degree(self, monkeypatch):
         # the pentagonal recurrence from empty against the product DP, to 2,000
         monkeypatch.setattr(counting, "_series_cache", {})
         oracle = CountSeries.from_degrees(range(1, 2001), 2000).coefficients
         assert count_all_partitions(2000) == oracle[2000]
-        assert tuple(counting._series_cache[("powers", 1)][0]) == oracle
+        assert tuple(counting._series_cache[("powers", 1)]) == oracle
 
     def test_pentagonal_terms_pinned(self, monkeypatch):
         # p(0..1000), asked in ascending order from empty, reads p(m - g) once
@@ -739,20 +730,20 @@ class TestExtendedSeries:
                 appended.append(len(self))
                 super().append(x)
 
-        monkeypatch.setattr(counting, "_series_cache", {("powers", 1): (Counted([1]), None)})
+        monkeypatch.setattr(counting, "_series_cache", {("powers", 1): Counted([1])})
         for n in range(1001):
             assert count_all_partitions(n) == series_oracle(("powers", 1))[n]
         pentagonal = [j * (3 * j - 1) // 2 for j in range(-30, 31) if j]
         assert reads[0] == 1001 + sum(1 for m in range(1001) for g in pentagonal if g <= m)  # + each answer
         assert appended == list(range(1, 1001))
 
-    def test_large_jumps_extend_by_rings(self, monkeypatch):
-        # extending by the rings costs less than a rebuild at every jump
+    def test_s_counts_build_once(self, monkeypatch):
+        # member_counts asks S's largest size first: one build, which every smaller size reads
         monkeypatch.setattr(counting, "_series_cache", {})
+        oracle = series_oracle(("powers", 2), 3000)
         builds = self.count_builds(monkeypatch)
-        for n in (40, 1500):
-            assert count_into_powers(n, 2) == series_oracle(("powers", 2))[n]
-        assert builds == [40]
+        assert member_counts(IdealSpec("S"), 3000) == list(oracle)
+        assert builds == [3000]
 
     def test_odd_parts_build_nothing(self, monkeypatch):
         # the odd-part count is read off p(n) at every jump, short or long: no
@@ -772,8 +763,8 @@ class TestExtendedSeries:
         return [(key, first + step * i) for i in range(count + 1) for key, first, step in plan]
 
     def test_ring_writes_make_no_recurrence_terms(self, monkeypatch):
-        # after each key's first write, twelve writes on the squares and cubes
-        # read no pentagonal term of p(n); the one-parity writes read p(n)
+        # thirteen writes on the squares and cubes, which rebuild by the product
+        # DP, read no pentagonal term of p(n); the one-parity writes read p(n)
         writes, key = self.workload_writes(12), None
         terms = dict.fromkeys((key for key, _ in writes), 0)
 
@@ -782,55 +773,34 @@ class TestExtendedSeries:
                 terms[key] += 1
                 return super().__getitem__(i)
 
-        monkeypatch.setattr(counting, "_series_cache", {("powers", 1): (Counted([1]), None)})
+        monkeypatch.setattr(counting, "_series_cache", {("powers", 1): Counted([1])})
         for key, n in writes:
             series_request(key, n)
         assert terms[("powers", 2)] == terms[("powers", 3)] == 0
         assert terms[("parity", 1)] > 0
 
-    def test_ring_cells_pinned(self, monkeypatch):
-        # the rings hold the last d coefficients per degree d: sum i^2 for i <= 52 at 2,710
-        # and sum i^3 for i <= 16 at 4,465, after 31 counting_mix writes per key
-        monkeypatch.setattr(counting, "_series_cache", {})
-        for key, n in self.workload_writes(31):
-            series_request(key, n)
-        cells = {key: rings and sum(map(len, rings)) for key, (_, rings) in counting._series_cache.items()}
-        assert cells == {("powers", 2): 48_230, ("powers", 3): 18_496, ("powers", 1): None}
-        assert len(counting._series_cache[("powers", 2)][0]) == 2711
-        assert len(counting._series_cache[("powers", 3)][0]) == 4466
-
-    def test_rings_dropped_past_the_cell_cap(self, monkeypatch):
-        # the squares' rings pass 100 cells when 49 enters (1 + 4 + ... + 49 = 140)
-        monkeypatch.setattr(counting, "MAX_COUNT_CELLS", 100)
-        monkeypatch.setattr(counting, "_series_cache", {})
-        for n in range(0, 60, 4):
-            assert count_into_powers(n, 2) == series_oracle(("powers", 2))[n]
-            assert (counting._series_cache[("powers", 2)][1] is None) == (n >= 49)
-
     def test_failed_extension_keeps_oracle_answers(self, monkeypatch):
-        # a list that raises after the rings have moved: the entry keeps no
-        # rings and only correct coefficients, so every later answer still
-        # equals the product DP
+        # a rebuild that raises leaves the published list as it was, so every
+        # later answer still equals the product DP
         monkeypatch.setattr(counting, "_series_cache", {})
         key, oracle = ("powers", 2), series_oracle(("powers", 2))
         assert count_into_powers(700, 2) == oracle[700]
+        published, build = counting._series_cache[key], CountSeries.from_degrees.__func__
 
-        class Failing(list):
-            def append(self, x):
-                if len(self) == 710:
-                    raise MemoryError
-                super().append(x)
+        def failing(cls, degrees, upto):
+            build(cls, degrees, upto)
+            raise MemoryError
 
-        coefficients, rings = counting._series_cache[key]
-        counting._series_cache[key] = Failing(coefficients), rings
+        monkeypatch.setattr(CountSeries, "from_degrees", classmethod(failing))
         with pytest.raises(MemoryError):
             count_into_powers(730, 2)
-        assert counting._series_cache[key][1] is None
-        assert tuple(counting._series_cache[key][0]) == oracle[:710]
-        for n in (705, 710, 740, 741, 1200, 1500, 900):  # 710 rebuilds with rings, and 740 on extends them
+        assert counting._series_cache[key] is published
+        assert tuple(published) == oracle[:701]
+        monkeypatch.setattr(CountSeries, "from_degrees", classmethod(build))
+        for n in (700, 701, 730, 1200, 1500, 900):  # 701 rebuilds to 1,402, and 1,500 to 2,806
             assert count_into_powers(n, 2) == oracle[n], n
-        assert tuple(counting._series_cache[key][0]) == oracle[: 1501]
-        assert counting._series_cache[key][1] is not None
+        assert len(counting._series_cache[key]) == 2807
+        assert_cache_matches_oracle()
 
 
 PREFIX_CLOSED = [
@@ -1008,6 +978,18 @@ class TestStateCount:
                 refused()
         assert counting._series_cache == {}
         assert count_all_partitions(99) == 169229875
+
+    def test_s_counts_refused_unbuilt(self, monkeypatch):
+        # member_counts asks S's largest size first, so it refuses at once and names that size
+        monkeypatch.setattr(counting, "_series_cache", {})
+
+        def degrees(*args):
+            raise AssertionError("built the degree list")
+
+        monkeypatch.setattr(counting, "_power_degrees", degrees)
+        with pytest.raises(ResourceError, match="^counting S to size 300000 needs 300001 series cells, above 250000$"):
+            member_counts(IdealSpec("S"), 300000)
+        assert counting._series_cache == {}
 
     def test_huge_size_refused_unbuilt(self, monkeypatch):
         # the first layer holds one one-cell class per part: refused at the cap, not after n of
