@@ -9,14 +9,18 @@ small tails from a second table.  Counts are plain Python integers, so they
 stay exact however large they grow.
 A prefix-closed kind with a summary is counted over classes of member
 prefixes, one pass by length for every size, within ``MAX_COUNT_CELLS`` live
-(class, size) cells; Adiff, with no summary, by its walk; S by psi.
+(class, size) cells; Adiff, with no summary, by its walk, to sizes below
+``MAX_COUNT_CELLS``; S by psi.
 
 Generating-function coefficients are cached per series in one list.  p(n)
 grows in place by Euler's pentagonal recurrence, O(sqrt n) terms per
-coefficient, and the one-parity count reads its odd parts off p by the same
-numbers.  The k-th powers for k >= 2 are built by the product DP
-prod_{d in D} 1/(1 - q^d); a request past the cached length rebuilds the
-series to at least twice that length, so an ascent rebuilds O(log n) times.
+coefficient.  The odd-part counts, which the one-parity count reads, are a
+cached series grown ahead beside p: each is read off p by the same numbers,
+and a request past the cached length grows p and then the odd parts, in
+place, to at least twice that length.  The k-th powers for k >= 2 are built
+by the product DP prod_{d in D} 1/(1 - q^d); a request past the cached length
+rebuilds the series to at least twice that length.  So an ascent grows or
+rebuilds a series O(log n) times, each odd part or p(n) computed once.
 """
 
 from __future__ import annotations
@@ -304,8 +308,9 @@ class CountSeries:
         return f"CountSeries({list(self.coefficients)!r})"
 
 
-# ("powers", k) -> coefficients.  p's list only grows, one correct coefficient at a time,
-# under the lock; a k >= 2 list is never mutated, only replaced by a longer one under the lock.
+# ("powers", k) -> coefficients, ("parity", 1) -> the odd-part counts.  p's and the odd parts'
+# lists only grow, one correct coefficient at a time, under the lock; a k >= 2 list is never
+# mutated, only replaced by a longer one under the lock.  The lock is not re-entrant.
 _series_cache: dict[tuple, list[int]] = {}
 _series_lock = threading.Lock()
 # The generalized pentagonal numbers j(3j - 1)/2, j = 1, -1, 2, -2, ..., that p has needed,
@@ -320,6 +325,32 @@ def _odd_parts(p: list[int], n: int) -> int:
             + sum([p[n - 2 * g] for g in even[: bisect_right(even, n // 2)]]))
 
 
+def _refuse_series(upto: int) -> None:
+    if upto >= MAX_COUNT_CELLS:
+        raise ResourceError(f"counting to size {upto} needs {upto + 1} series cells, above {MAX_COUNT_CELLS}")
+
+
+def _cached_odd_parts(upto: int) -> list[int]:
+    """Partitions of 0..upto, or more, into odd parts, each read off p(n) by :func:`_odd_parts`.
+
+    A list too short for upto grows in place to at least twice its length,
+    after p(n) has grown that far, so an ascent grows it O(log n) times and
+    computes each count once; an empty cache grows exactly to upto.  A size
+    of ``MAX_COUNT_CELLS`` or more is refused before anything is built.
+    """
+    _refuse_series(upto)
+    odd = _series_cache.get(("parity", 1))
+    if odd is not None and len(odd) > upto:  # no published list ever shrinks, so no lock to read it
+        return odd
+    top = min(max(upto, 2 * len(odd or ())), MAX_COUNT_CELLS - 1)
+    p = _cached_series(1, top)  # it takes the lock itself, so before this function does
+    with _series_lock:
+        odd = _series_cache.setdefault(("parity", 1), [])
+        for m in range(len(odd), top + 1):
+            odd.append(_odd_parts(p, m))
+        return odd
+
+
 def _cached_series(k: int, upto: int) -> list[int]:
     """Coefficients 0..upto, or more, of the product over the k-th powers d of 1 / (1 - q^d).
 
@@ -328,8 +359,7 @@ def _cached_series(k: int, upto: int) -> list[int]:
     least twice its cached length.  A series of ``MAX_COUNT_CELLS``
     coefficients or more is refused before it is built.
     """
-    if upto >= MAX_COUNT_CELLS:
-        raise ResourceError(f"counting to size {upto} needs {upto + 1} series cells, above {MAX_COUNT_CELLS}")
+    _refuse_series(upto)
     key = ("powers", k)
     cached = _series_cache.get(key)
     if cached is not None and len(cached) > upto:  # no published list ever shrinks, so no lock to read it
@@ -382,7 +412,8 @@ def count_members(pred, n: int) -> int:
     method, such as an IdealSpec from :mod:`seqcong.ideals`.  A prefix-closed
     spec with a summary is counted over classes of its member prefixes
     (``ResourceError`` past ``MAX_COUNT_CELLS`` cells); Adiff by the member
-    walk :func:`iter_members_of_size`; the non-ideal kind S as partitions of
+    walk :func:`iter_members_of_size`, refused from size ``MAX_COUNT_CELLS``
+    on; the non-ideal kind S as partitions of
     n into squares (psi).  Every other predicate is tested on each partition
     of n.
     """
@@ -394,8 +425,16 @@ def count_members(pred, n: int) -> int:
             raise ResourceError(f"counting S to size {n} needs {n + 1} series cells, above {MAX_COUNT_CELLS}")
         return count_into_powers(n, 2)
     if getattr(pred, "prefix_closed", False):
+        _refuse_walk(pred, _check_size(n))
         return sum(1 for _ in iter_members_of_size(pred, n))
     return sum(1 for _ in filter(_as_predicate(pred), _partitions(n)))
+
+
+def _refuse_walk(pred, upto: int) -> None:
+    """Refuse a count walked member by member, which no layer of classes bounds, from size ``MAX_COUNT_CELLS`` on."""
+    if upto >= MAX_COUNT_CELLS:
+        raise ResourceError(f"counting {pred} to size {upto} walks its members to {upto + 1} sizes, "
+                            f"above {MAX_COUNT_CELLS}")
 
 
 def member_counts(pred, upto: int) -> list[int]:
@@ -407,7 +446,8 @@ def member_counts(pred, upto: int) -> list[int]:
     if pred._summary is not None:
         counts = _state_counts(pred, _check_size(upto))
     else:  # one walk; a stack of (member, its size, its children of size <= upto not yet walked)
-        counts, stack = {0: 1}, [((), 0, iter(pred._children((), 0, 1, _check_size(upto))))]
+        _refuse_walk(pred, _check_size(upto))
+        counts, stack = {0: 1}, [((), 0, iter(pred._children((), 0, 1, upto)))]
         while stack:
             t, size, parts = stack[-1]
             if v := next(parts, 0):  # parts are positive

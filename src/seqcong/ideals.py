@@ -52,7 +52,7 @@ from itertools import takewhile
 from math import lcm
 
 from .bijections import _is_congruent, is_seq_congruent
-from .counting import _cached_series, _check_size, _odd_parts
+from .counting import _cached_odd_parts, _cached_series, _check_size
 from .errors import DomainError
 from .partition import Partition, _check_largest, _check_output_length
 
@@ -939,12 +939,13 @@ def infer_linking(spec: IdealSpec, m: int, bound: AnalysisBound, span_cap: int =
 def count_parity_ideal(n: int) -> int:
     """Partitions of n with all parts of one parity.
 
-    The odd-part count, by prod (1 + q^k) = prod (1 - q^2k) / prod (1 - q^k) and Euler's pentagonal
-    theorem: sum over j in Z of (-1)^j p(n - j(3j - 1)).  Plus p(n/2) for even n (halve every
-    part), minus 1 to stop counting the empty partition twice.
+    The odd-part count, read from its cached series, which grows ahead beside p(n): by
+    prod (1 + q^k) = prod (1 - q^2k) / prod (1 - q^k) and Euler's pentagonal theorem, it is
+    sum over j in Z of (-1)^j p(n - j(3j - 1)).  Plus p(n/2) for even n (halve every part),
+    minus 1 to stop counting the empty partition twice.
     """
-    p = _cached_series(1, _check_size(n))
-    return _odd_parts(p, n) + (0 if n % 2 else p[n // 2]) - (n == 0)
+    odd = _cached_odd_parts(_check_size(n))  # p(n) has grown at least as far
+    return odd[n] + (0 if n % 2 else _cached_series(1, n // 2)[n // 2]) - (n == 0)
 
 
 def seqcong_ideal_exit(p: Partition) -> Partition:

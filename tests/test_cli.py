@@ -590,6 +590,16 @@ class TestCountCellLimit:
         assert (done.returncode, done.stdout, done.stderr) == (
             1, b"", b"error: counting to size 300000000 needs 300000001 series cells, above 250000\n")
 
+    def test_huge_walked_count_refused_within_memory(self):
+        # Adiff, with no summary to class its prefixes by, walked until killed; its walk is refused unstarted
+        resource = pytest.importorskip("resource")
+        limit = 400_000 * 1024
+        cmd, env = _seqcong("count", "--pred", "Adiff", "--upto", "1000000000000")
+        done = subprocess.run(cmd, capture_output=True, env=env, timeout=60,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (done.returncode, done.stdout, done.stderr) == (1, b"", b"error: counting Adiff to size 1000000000000 "
+                                                                b"walks its members to 1000000000001 sizes, above 250000\n")
+
 
 class TestEnumerateLimitStopsTheWalk:
     @pytest.mark.parametrize("pred,want", [

@@ -501,7 +501,8 @@ PARITY_ORDERS = {
 
 
 class TestParitySeries:
-    """The one-parity count reads p(n) only: the odd parts by Euler's pentagonal theorem, the even parts as p(n/2)."""
+    """The one-parity count reads two cached series: the odd parts, grown off p(n) by Euler's pentagonal
+    theorem, and p(n/2) for the even parts."""
 
     @pytest.mark.parametrize("order", PARITY_ORDERS)
     def test_matches_even_and_odd_part_products(self, monkeypatch, order):
@@ -514,7 +515,7 @@ class TestParitySeries:
                 count_all_partitions(700)
                 continue
             assert count_parity_ideal(n) == odd[n] + even[n] - (n == 0)
-            assert set(counting._series_cache) == {("powers", 1)}
+            assert set(counting._series_cache) == {("powers", 1), ("parity", 1)}
             seen.add(n)
         assert seen == set(range(301))
 
@@ -582,7 +583,7 @@ def _interleaved_requests(seed):
 
 
 # Request orders over every series key, as (key, size) pairs; ("parity", 1)
-# asks the one-parity count, which reads p(n).  The ascent by one is
+# asks the one-parity count, which reads the odd parts and p(n).  The ascent by one is
 # TestExtendedSeries.test_ascent_divides_exactly.
 SERIES_ORDERS = {
     # The benchmark's write steps: the odd-part series by 3, squares by 10, cubes by 15.
@@ -609,7 +610,8 @@ class TestExtendedSeries:
     def test_ascent_divides_exactly(self, monkeypatch):
         # Ascending by one extends every key: the powers k >= 2 by rebuilds to
         # twice their length, p(n) at every size by the pentagonal recurrence,
-        # which the one-parity count reads.  The oracle also checks the
+        # and the odd parts, which the one-parity count reads, to twice their
+        # length after p.  The oracle also checks the
         # divisor-sum recurrence on each key's degrees, n * a(n) = sum_{k=1..n} sigma(k) * a(n - k), whose
         # division by n is exact.
         monkeypatch.setattr(counting, "_series_cache", {})
@@ -640,9 +642,10 @@ class TestExtendedSeries:
     def test_workload_writes_extend(self, monkeypatch):
         # counting_mix's 32 writes per key, from its first sizes: the squares
         # and cubes build at their first write and rebuild once, to twice their
-        # length, at their second; the one-parity count grows p(n), which
-        # builds nothing.  The cache then holds its three coefficient lists and
-        # nothing beside them: 13,500 integers in all.
+        # length, at their second; the one-parity count grows p(n) and then the
+        # odd parts, to 600 and then to 1,202, which builds no product series.
+        # The cache then holds its four coefficient lists and nothing beside
+        # them: 15,212 integers in all.
         monkeypatch.setattr(counting, "_series_cache", {})
         builds = self.count_builds(monkeypatch)
         for key, n in self.workload_writes(31):
@@ -650,8 +653,8 @@ class TestExtendedSeries:
         assert builds == [2400, 4000, 4802, 8002]
         assert all(type(a) is list for a in counting._series_cache.values())
         assert {key: len(a) for key, a in counting._series_cache.items()} == {
-            ("powers", 1): 694, ("powers", 2): 4803, ("powers", 3): 8003}
-        assert sum(map(len, counting._series_cache.values())) == 13_500
+            ("powers", 1): 1203, ("parity", 1): 1203, ("powers", 2): 4803, ("powers", 3): 8003}
+        assert sum(map(len, counting._series_cache.values())) == 15_212
         assert_cache_matches_oracle()
 
     def test_threads_share_the_cache(self, monkeypatch):
@@ -746,15 +749,34 @@ class TestExtendedSeries:
         assert builds == [3000]
 
     def test_odd_parts_build_nothing(self, monkeypatch):
-        # the odd-part count is read off p(n) at every jump, short or long: no
-        # series of its own is cached and nothing is built
+        # the odd-part counts are read off p(n) at every jump, short or long:
+        # their list grows beside p's and no product series is built
         monkeypatch.setattr(counting, "_series_cache", {})
         odd = CountSeries.from_degrees(range(1, 1400, 2), 1399)
         builds = self.count_builds(monkeypatch)
         for n in (600, 603, 606, 999, 1002, 1399):
             assert counting._odd_parts(counting._cached_series(1, n), n) == odd[n]
+            assert counting._cached_odd_parts(n)[n] == odd[n]
         assert builds == []
-        assert set(counting._series_cache) == {("powers", 1)}
+        assert set(counting._series_cache) == {("powers", 1), ("parity", 1)}
+        assert len(counting._series_cache[("parity", 1)]) == 2407  # grown to 600, to 1,202 and to 2,406
+        assert_cache_matches_oracle()
+
+    def test_odd_parts_computed_once(self, monkeypatch):
+        # counting_mix's 32 one-parity writes compute each odd-part count
+        # once, by growing ahead; every size below the cached length is then
+        # one lookup and computes none
+        monkeypatch.setattr(counting, "_series_cache", {})
+        computed, odd_parts = [], counting._odd_parts
+        monkeypatch.setattr(counting, "_odd_parts", lambda p, m: computed.append(m) or odd_parts(p, m))
+        for key, n in self.workload_writes(31)[::3]:
+            assert series_request(key, n) == series_answer(key, n), n
+        assert sorted(computed) == list(range(1203))
+        computed.clear()
+        for n in range(1203):
+            assert count_parity_ideal(n) == series_answer(("parity", 1), n), n
+        assert computed == []
+        assert_cache_matches_oracle()
 
     @staticmethod
     def workload_writes(count):
@@ -914,6 +936,24 @@ class TestStateCount:
         want = walk_counts(spec, 30)
         assert [count_members(spec, n) for n in range(31)] == want
         assert member_counts(spec, 30) == want
+
+    def test_adiff_walk_refused_unwalked(self, monkeypatch):
+        # no layer of classes bounds a walk, which ran until killed at a huge
+        # size: from MAX_COUNT_CELLS on it is refused before it starts
+        monkeypatch.setattr(counting, "MAX_COUNT_CELLS", 40)
+        spec = IdealSpec("Adiff")
+        want, rule = walk_counts(spec, 39), spec._children
+
+        def refuse(*args):
+            raise AssertionError("walked")
+
+        spec._children = refuse
+        for refused in (lambda: member_counts(spec, 40), lambda: count_members(spec, 10**12)):
+            with pytest.raises(ResourceError, match=r"^counting Adiff to size \d+ walks its members to \d+ sizes, above 40$"):
+                refused()
+        spec._children = rule
+        assert member_counts(spec, 39) == want
+        assert count_members(spec, 39) == want[39]
 
     def test_adiff_counts_every_size_in_one_walk(self, monkeypatch):
         # one walk of the members of size <= 45 reads the rule once per member;
