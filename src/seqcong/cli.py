@@ -5,9 +5,11 @@ on the command line and one-per-line on stdin when ``--input -`` is given.
 A bad stdin line is reported on stderr as ``error: line N: ...`` and the
 remaining lines are still answered (a one-line batch reports as ``--input``
 does, without the line number).  Identical invocations produce
-byte-identical output, one write per answer line.  Exit codes: 0 success,
-1 domain error (on any line of a batch) or an output that cannot be written
-(a closed pipe, a full disk), 2 usage error.
+byte-identical output.  A batch writes the answers to the lines each read
+of stdin completes with one write, before it reads again (and at once when
+they pass 64 Ki characters); the other commands write one line at a time.
+Exit codes: 0 success, 1 domain error (on any line of a batch) or an output
+that cannot be written (a closed pipe, a full disk), 2 usage error.
 
 Each command imports only the modules it runs: ``generalized`` for
 ``gcheck``/``gmap``, ``counting`` and ``ideals`` for ``enumerate``,
@@ -18,7 +20,10 @@ command runs; see there for why.
 from __future__ import annotations
 
 import argparse
+import codecs
+import errno
 import gc
+import io
 import json
 import os
 import sys
@@ -410,39 +415,145 @@ def _error(message) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
+# One read of stdin takes what has arrived, up to this many bytes.
+_READ_SIZE = 1 << 16
+# Bytes decoded at a time: the size of ``sys.stdin``'s own reads, so that a
+# byte the encoding refuses fails at the same line, with the same position.
+_DECODE_SIZE = 8192
+# Characters of answers a batch holds before it writes them.
+_WRITE_SIZE = 1 << 16
+
+
+def _stdin_reads():
+    """Stdin's lines, one list per read: the lines that read completed.
+
+    Lines end at each newline, as ``for line in sys.stdin`` splits them on
+    POSIX, and come without it; a line cut by a read waits for the rest, and
+    the last line needs no newline.  Bytes are decoded as ``sys.stdin``
+    decodes them, a character cut by a read coming out whole in the next.
+    An in-memory stream has no byte buffer and is read as one text.
+    """
+    stdin = sys.stdin
+    buffer = getattr(stdin, "buffer", None)
+    if buffer is None:
+        read, decode = stdin.read, lambda text, final=False: text
+    else:
+        read = partial(buffer.read1, _READ_SIZE)
+        decode = codecs.getincrementaldecoder(stdin.encoding)(stdin.errors).decode
+    rest = ""
+    while chunk := read():
+        text, failed = [rest], None
+        for at in range(0, len(chunk), _DECODE_SIZE):
+            try:
+                text.append(decode(chunk[at:at + _DECODE_SIZE]))
+            except UnicodeDecodeError as exc:
+                failed = exc
+                break
+        lines = "".join(text).split("\n")
+        rest = lines.pop()
+        yield lines
+        if failed is not None:
+            raise failed
+    rest += decode(chunk, True)  # chunk is the empty last read
+    if rest:
+        yield [rest]
+
+
+def _write_lines(write, lines: list) -> None:
+    """Write the lines with one write and empty the list.
+
+    If stdout cannot encode one, fail at it as a write per line did.
+    """
+    pending = lines.copy()
+    lines.clear()  # emptied first, so a write that fails is not tried again
+    try:
+        write("\n".join(pending) + "\n")
+    except UnicodeEncodeError:  # raised before any byte is written, so the lines go again one by one
+        for line in pending:
+            write(line + "\n")
+
+
 def _run_batch(answer, write) -> int:
     """Answer every non-blank stdin line; a bad line is reported and skipped.
 
-    Each error names its line, unless the batch has no other non-blank line:
-    a one-line batch reports as ``--input`` does.  So the first line's error
-    waits for the next non-blank line, or for the end of input.
+    The answers to the lines one read completes go out in one write, before
+    the next read, so no answer waits on input that has not arrived; an
+    error line goes out after the answers to the lines before it.  Answers
+    pending past ``_WRITE_SIZE`` characters go out at once, so a batch holds
+    little more than one answer however large its answers are, and an
+    exception the batch does not catch still writes the answers made before
+    it.  Each error names its line, unless the batch has no other non-blank
+    line: a one-line batch reports as ``--input`` does.  So the first line's
+    error waits for the next non-blank line, or for the end of input.
     """
-    code, count, held = 0, 0, None
-    for number, line in enumerate(sys.stdin, 1):
-        line = line.strip()
-        if not line:
-            continue
-        count += 1
-        if held is not None:
-            _error(f"line {held[0]}: {held[1]}")
-            held = None
-        try:
-            reply = answer(_load_input(line))
-        except (ValueError, OverflowError) as exc:
-            code = 1
-            if count == 1:
-                held = (number, exc)
-            else:
-                _error(f"line {number}: {exc}")
-            continue
-        write(reply + "\n")
+    code, count, held, number = 0, 0, None, 0
+    replies, pending = [], 0
+    try:
+        for lines in _stdin_reads():
+            for line in lines:
+                number += 1
+                line = line.strip()
+                if not line:
+                    continue
+                count += 1
+                if held is not None:  # the held line was the only one before, so no reply waits
+                    _error(f"line {held[0]}: {held[1]}")
+                    held = None
+                try:
+                    reply = answer(_load_input(line))
+                except (ValueError, OverflowError) as exc:
+                    code = 1
+                    if count == 1:
+                        held = (number, exc)
+                        continue
+                    if replies:
+                        _write_lines(write, replies)
+                        pending = 0
+                    _error(f"line {number}: {exc}")
+                    continue
+                replies.append(reply)
+                pending += len(reply)
+                if pending >= _WRITE_SIZE:
+                    _write_lines(write, replies)
+                    pending = 0
+            if replies:
+                _write_lines(write, replies)
+                pending = 0
+    finally:
+        if replies:
+            _write_lines(write, replies)
     if held is not None:
         _error(held[1])
     return code
 
 
+def _stdout_write():
+    """``sys.stdout.write``, or, when stdout is unbuffered, a write that finishes short writes.
+
+    Unbuffered (``PYTHONUNBUFFERED``), the text layer hands each write to the
+    file itself and ignores the count of a short write, which a pipe returns
+    when its reader goes away during a write larger than the pipe holds.  A
+    batch's last write could then end short unseen, and exit 0; so here the
+    rest is written until it is done or the closed pipe fails it.
+    """
+    stream = sys.stdout
+    raw = getattr(stream, "buffer", None)
+    if not isinstance(raw, io.RawIOBase):
+        return stream.write
+    encode = codecs.getincrementalencoder(stream.encoding)(stream.errors).encode
+
+    def write(text):
+        data = memoryview(encode(text))
+        while data:
+            done = raw.write(data)
+            if done is None:  # a non-blocking stdout that is full
+                raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            data = data[done:]
+    return write
+
+
 def run(argv, out=None) -> int:
-    write = (sys.stdout if out is None else out).write
+    write = _stdout_write() if out is None else out.write
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:

@@ -10,8 +10,9 @@ square case of :mod:`seqcong.bijections`.
 Each infinite width/height family has one closed form, term i = scale * i**exp
 (naturals, k-th powers, arithmetic multiples), evaluated on demand and checked
 against a horizon: asking for a term past it fails loudly rather than
-guessing.  An n-notation vector realizes its (a_i, b_i) pairs once, when it is
-built, and the maps read them from there.
+guessing.  A spec realizes its (a_i, b_i) pairs once, as far as the longest
+n-notation vector built over it needs; each vector takes its prefix of them
+when it is built, and the maps read them from there.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ class SequenceRule:
 class GenSpec:
     """Rectangle widths A and heights B for a generalized membership test."""
 
-    __slots__ = ("a", "b", "horizon")
+    __slots__ = ("a", "b", "horizon", "_pairs")
 
     def __init__(self, a: SequenceRule, b: SequenceRule, horizon: int | None = None):
         if not b.is_strictly_increasing():
@@ -204,6 +205,7 @@ class GenSpec:
         if horizon < 1:
             raise SpecError("horizon must be positive")
         self.a, self.b, self.horizon = a, b, horizon
+        self._pairs: tuple[tuple[int, int], ...] = ()
 
     @classmethod
     def standard(cls, horizon: int | None = None) -> "GenSpec":
@@ -225,6 +227,24 @@ class GenSpec:
     def b_term(self, i: int) -> int:
         return self.b.term(i, self.horizon)
 
+    def pairs(self, r: int) -> tuple[tuple[int, int], ...]:
+        """The rectangle shapes (a_i, b_i) for i = 1..r, each realized once per spec.
+
+        They grow exactly to the r asked, a before b at each i, so a term past
+        the horizon or the part range fails as its own ``term`` call fails.
+        Two threads growing them at once build equal prefixes, so either may
+        keep its tuple.
+        """
+        pairs = self._pairs
+        if r > len(pairs):
+            a, b, horizon = self.a, self.b, self.horizon
+            grown = list(pairs)
+            # a loop, as a comprehension's closure costs more on CPython 3.11
+            for i in range(len(pairs) + 1, r + 1):
+                grown.append((a.term(i, horizon), b.term(i, horizon)))
+            self._pairs = pairs = tuple(grown)
+        return pairs[:r]
+
     def require_distinct_a(self) -> None:
         if not self.a.has_distinct_terms():
             raise SpecError(f"widths {self.a} are not distinct; the map is not injective")
@@ -244,20 +264,15 @@ class GenSpec:
 class NNotation:
     """Rectangle counts [n_1, ..., n_r] over a GenSpec; trailing count nonzero.
 
-    ``pairs`` holds the rectangle shapes (a_i, b_i) for i = 1..r, realized
-    once here so that every decode and map after it is total.
+    ``pairs`` holds the rectangle shapes (a_i, b_i) for i = 1..r, taken
+    from the spec here so that every decode and map after it is total.
     """
 
     __slots__ = ("spec", "coeffs", "pairs")
 
     def __init__(self, spec: GenSpec, coeffs: Iterable[int] = ()):
         t = _canonical(coeffs)
-        a, b, horizon = spec.a, spec.b, spec.horizon
-        # a before b at each i; a loop, as a comprehension's closure costs more on CPython 3.11
-        pairs = []
-        for i in range(1, len(t) + 1):
-            pairs.append((a.term(i, horizon), b.term(i, horizon)))
-        self.spec, self.coeffs, self.pairs = spec, t, tuple(pairs)
+        self.spec, self.coeffs, self.pairs = spec, t, spec.pairs(len(t))
 
     @property
     def length(self) -> int:

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcong import (CNotation, CountSeries, IdealSpec, Partition, counting, from_c_notation, generalized,
-                     is_seq_congruent)
+from seqcong import (CNotation, CountSeries, IdealSpec, Partition, bijections, counting, from_c_notation,
+                     generalized, is_seq_congruent)
 from seqcong import cli as cli_module
 from seqcong.cli import run
 from seqcong.partition import MAX_OUTPUT_PARTS
@@ -544,6 +545,53 @@ class TestProcessExits:
             assert proc.wait(timeout=60) == 1
         assert err == b"error: [Errno 32] Broken pipe\n"
 
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_during_the_last_write(self, tmp_path, unbuffered):
+        # one read of 64,000 bytes, whose 2,560,000 bytes of answers go out in one write, far
+        # more than a pipe holds: the reader goes away during it, and the write is not cut short unseen
+        batch = tmp_path / "batch"
+        batch.write_text("[99]\n" * 12800)
+        argv, env = _seqcong("map", "--fn", "conjugate", "--input", "-", unbuffered=unbuffered)
+        with batch.open("rb") as stdin, subprocess.Popen(argv, stdin=stdin, stdout=subprocess.PIPE,
+                                                         stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == b"[" + b"1," * 98 + b"1]\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == b"error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_many_large_answers_within_memory(self, unbuffered):
+        # 60 answers of 2,000,000 characters each (4,000,000 bytes) from one 600-byte read: held
+        # until the read was done, they took 480 MB as text and ended in MemoryError under this limit
+        resource = pytest.importorskip("resource")
+        limit = 400_000 * 1024
+        argv, env = _seqcong("diagram", "--input", "-", unbuffered=unbuffered)
+        with subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))) as proc:
+            proc.stdin.write(b"[1000000]\n" * 60)
+            proc.stdin.close()
+            first = proc.stdout.read(8)
+            size, lines = len(first), 0
+            while piece := proc.stdout.read1(1 << 20):
+                size, lines = size + len(piece), lines + piece.count(b"\n")
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0
+        assert (first, size, lines, err) == ("\u25a0 \u25a0 ".encode(), 60 * 4_000_000, 60, b"")
+
+    def test_full_non_blocking_stdout(self):
+        # an unbuffered write to a full non-blocking pipe returns no count: it fails, where it spun
+        argv, env = _seqcong("map", "--fn", "conjugate", "--input", "[200000]", unbuffered=True)
+        read_end, write_end = os.pipe()
+        try:
+            os.set_blocking(write_end, False)
+            done = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        want = f"error: [Errno {errno.EAGAIN}] {os.strerror(errno.EAGAIN)}\n".encode()
+        assert (done.returncode, done.stderr) == (1, want)
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     def test_full_device(self, unbuffered):
@@ -666,12 +714,237 @@ class TestOneWritePerAnswer:
         out = CountingWriter()
         assert run(["map", "--fn", "pi", "--input", "-"], out=out) == 0
         assert out.getvalue() == "[30,26,18,15,15]\n[3,3,3]\n[2]\n"
-        assert out.writes == 3
+        assert out.writes == 1  # an in-memory stdin is one read, whose answers go out in one write
 
     def test_listing(self):
         out = CountingWriter()
         assert run(["enumerate", "--pred", "seqcong", "--size", "12", "--limit", "3"], out=out) == 0
         assert out.writes == 3 == len(out.getvalue().splitlines())
+
+
+def _oracle_batch(answer, write) -> int:
+    """The batch loop before stdin was read in chunks: one line of ``sys.stdin`` and one write at a time."""
+    code, count, held = 0, 0, None
+    for number, line in enumerate(sys.stdin, 1):
+        line = line.strip()
+        if not line:
+            continue
+        count += 1
+        if held is not None:
+            cli_module._error(f"line {held[0]}: {held[1]}")
+            held = None
+        try:
+            reply = answer(cli_module._load_input(line))
+        except (ValueError, OverflowError) as exc:
+            code = 1
+            if count == 1:
+                held = (number, exc)
+            else:
+                cli_module._error(f"line {number}: {exc}")
+            continue
+        write(reply + "\n")
+    if held is not None:
+        cli_module._error(held[1])
+    return code
+
+
+class ChunkedStdin:
+    """A stdin whose byte buffer's ``read1`` returns the given chunks in turn, then b""."""
+
+    encoding, errors = "utf-8", "strict"
+
+    def __init__(self, chunks, log):
+        self.buffer, self._chunks, self._log = self, list(chunks), log
+
+    def read1(self, size):
+        self._log.append(("read", None))
+        return self._chunks.pop(0) if self._chunks else b""
+
+
+class LogWriter:
+    """A stream that logs each write under its kind, beside the text both streams share."""
+
+    def __init__(self, kind, log, merged):
+        self.kind, self._log, self._merged = kind, log, merged
+
+    def write(self, text):
+        self._log.append((self.kind, text))
+        return self._merged.write(text)
+
+
+def _batch_events(monkeypatch, stdin, argv, batch=None):
+    """Exit code, merged stdout/stderr text and the log of reads and writes of one batch run."""
+    log, merged = [], io.StringIO()
+    if batch is not None:
+        monkeypatch.setattr(cli_module, "_run_batch", batch)
+    monkeypatch.setattr("sys.stdin", stdin(log) if callable(stdin) else stdin)
+    monkeypatch.setattr("sys.stderr", LogWriter("err", log, merged))
+    code = run([*argv, "--input", "-"], out=LogWriter("out", log, merged))
+    monkeypatch.undo()
+    return code, merged.getvalue(), log
+
+
+def _line_ends(chunks):
+    """For each line of the joined chunks, the index of the read that completes it (the last: end of input)."""
+    ends, read = [], 0
+    for read, chunk in enumerate(chunks):
+        ends += [read] * chunk.count(b"\n")
+    if not b"".join(chunks).endswith(b"\n") and any(chunks):
+        ends.append(len(chunks))
+    return ends
+
+
+class TestBatchReads:
+    """A batch answers the lines each read completes with one write, as the line-at-a-time loop answered them."""
+
+    CASES = {
+        "line cut": [b"[3,2]\n[4,", b"4]\n[1]\n"],
+        "character cut": [b"[3,2]\xc2", b"\xa0\n[1]\xe2\x80", b"\x83\n[\"\xc3", b"\xa9\"]\n[2]\n"],
+        "crlf": [b"[3,2]\r\n[1]\r", b"\n[2,2]\r\n"],
+        "lone cr": [b"[3,2]\r[1]\n[2]\n[4]\r\n"],
+        "blank lines": [b"\n\n[3,2]\n", b"\n  \n[x\n[1]\n", b"\n"],
+        "no final newline": [b"[3,2]\n[1", b"]"],
+        "errors between answers": [b"[3,2]\n[x\n[1]\n[2]\n[y\n[2,2]\n"],
+        "one-line batch": [b"\n[x", b"\n\n"],
+        "byte at a time": [bytes([c]) for c in b"[3,2]\n\n[\xc3\xa9]\n[1]\r\n[2"],
+        "empty": [],
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_the_line_loop(self, monkeypatch, name):
+        chunks = self.CASES[name]
+        argv = ("map", "--fn", "pi")
+        code, merged, log = _batch_events(monkeypatch, lambda log: ChunkedStdin(chunks, log), argv)
+        text = b"".join(chunks).decode("utf-8")
+        want = _batch_events(monkeypatch, io.StringIO(text), argv, batch=_oracle_batch)
+        assert (code, merged) == want[:2]
+
+        # No answer waits for a later read, and one read's answers go out in one write,
+        # split only where an error line falls between them.
+        errors = [line for line in merged.splitlines() if line.startswith("error: ")]
+        failed = {int(e.split()[2][:-1]) for e in errors if e.startswith("error: line ")}
+        lines = text.split("\n")
+        if lines[-1] == "":
+            lines.pop()
+        if errors and not failed:  # a one-line batch, whose only line failed
+            failed = {n for n, line in enumerate(lines, 1) if line.strip()}
+        ends = _line_ends(chunks)
+        answered = [ends[n - 1] for n, line in enumerate(lines, 1) if line.strip() and n not in failed]
+        kinds, written = [kind for kind, _ in log], 0
+        for at, (kind, out) in enumerate(log):
+            if kind == "read":
+                assert written == sum(end < kinds[:at].count("read") for end in answered), at
+            elif kind == "out":
+                assert kinds[at - 1] != "out", at
+                written += out.count("\n")
+        assert written == len(answered)
+
+    def test_answers_past_the_write_size_go_out_at_once(self, monkeypatch):
+        monkeypatch.setattr(cli_module, "_WRITE_SIZE", 12)
+        code, merged, log = _batch_events(monkeypatch, lambda log: ChunkedStdin([b"[1]\n[2]\n[3]\n[4]\n[5]\n"], log),
+                                          ("map", "--fn", "pi"))
+        assert (code, merged) == (0, "[1]\n[2]\n[3]\n[4]\n[5]\n")
+        assert log == [("read", None), ("out", "[1]\n[2]\n[3]\n[4]\n"), ("out", "[5]\n"), ("read", None)]
+
+    def test_uncaught_exception_writes_the_answers_before_it(self, monkeypatch):
+        def answer(payload):
+            if payload == [9]:
+                raise KeyboardInterrupt
+            return cli_module._dumps(payload)
+
+        monkeypatch.setattr("sys.stdin", io.StringIO("[1]\n[2]\n[9]\n[3]\n"))
+        out = CountingWriter()
+        with pytest.raises(KeyboardInterrupt):
+            cli_module._run_batch(answer, out.write)
+        assert (out.getvalue(), out.writes) == ("[1]\n[2]\n", 1)
+
+    def test_file_stdin_fails_decoding_at_the_same_line(self, monkeypatch):
+        # a byte the encoding refuses at 84,001, in the third 8 KiB piece of the second 64 KiB read:
+        # the 13,653 lines that end before that piece (at 81,920) are answered, as sys.stdin's own
+        # 8 KiB reads answered them, and the error names the byte's place in the piece
+        good = "".join(f"[{3 + i % 5},2]\n" for i in range(14000)).encode()
+        data = good + b"[\xff]\n" + good
+
+        def stdin(log=None):
+            return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict", newline="\n")
+
+        argv = ("map", "--fn", "sigma")
+        got = _batch_events(monkeypatch, stdin, argv)
+        want = _batch_events(monkeypatch, stdin(), argv, batch=_oracle_batch)
+        assert got[:2] == want[:2]
+        assert got[0] == 1 and got[1].count("\n") == 13653 + 1 and "in position 2081:" in got[1]
+
+    def test_stdin_that_is_a_file_matches_the_line_loop(self, monkeypatch):
+        data = "".join(f"[{3 + i % 5},{1 + i % 2}]\n" for i in range(30000)).encode() + b"[x]\n[4]"
+
+        def stdin(log=None):
+            return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict", newline="\n")
+
+        argv = ("map", "--fn", "pi")
+        got = _batch_events(monkeypatch, stdin, argv)
+        assert got[:2] == _batch_events(monkeypatch, stdin(), argv, batch=_oracle_batch)[:2]
+        # 180,007 bytes: three reads of up to 64 KiB, the third one's answers ending at [x];
+        # [4], which has no newline, is completed by the end of input
+        assert got[0] == 1 and sum(kind == "out" for kind, _ in got[2]) == 4
+
+
+def _read_line(fd, timeout):
+    """One line from a pipe, or whatever came before the timeout."""
+    import select
+    got = b""
+    while not got.endswith(b"\n") and select.select([fd], [], [], timeout)[0]:
+        piece = os.read(fd, 4096)
+        if not piece:
+            break
+        got += piece
+    return got
+
+
+class TestBatchProcess:
+    """A batch in its own process: answers as lines arrive, errors in their place, decoding as stdin does."""
+
+    def test_each_answer_comes_before_the_next_line(self):
+        argv, env = _seqcong("map", "--fn", "pi", "--input", "-", unbuffered=True)
+        with subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env, bufsize=0) as proc:
+            for c in range(1, 21):
+                p = from_c_notation(CNotation([c % 3, 1]))
+                proc.stdin.write(json.dumps(list(p.parts)).encode() + b"\n")
+                want = json.dumps(list(bijections.pi_map(p).parts), separators=(",", ":")).encode() + b"\n"
+                assert _read_line(proc.stdout.fileno(), 30) == want, f"line {c}"
+            proc.stdin.close()
+            assert proc.wait(timeout=60) == 0
+
+    def test_error_lines_sit_between_the_answers(self):
+        argv, env = _seqcong("map", "--fn", "sigma", "--input", "-", unbuffered=True)
+        stdin = "[2]\n[3,1]\n\n[4,2]\n[x\n[2,2]\n[6,4,2]\n[1]\n"
+        done = subprocess.run(argv, input=stdin, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+                              env=env, timeout=60)
+        assert done.returncode == 1
+        assert done.stdout == (
+            "[1,1]\n"
+            "error: line 2: not sequentially congruent: congruence fails at index 2\n"
+            "[2,1,1]\n"
+            "error: line 5: input is not valid JSON: Expecting value: line 1 column 2 (char 1)\n"
+            "[2]\n"
+            "error: line 7: not sequentially congruent: congruence fails at index 3\n"
+            "[1]\n")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_unencodable_answer_fails_at_its_line(self, unbuffered):
+        # an ASCII stdout takes "(empty)" and refuses the first glyph, at the position within its own line
+        argv, env = _seqcong("diagram", "--squares", "--input", "-", unbuffered=unbuffered)
+        env["PYTHONIOENCODING"] = "ascii:strict"
+        done = subprocess.run(argv, input=b"[]\n[3,2]\n[1]\n", capture_output=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (1, b"(empty)\n")
+        assert done.stderr == (b"error: 'ascii' codec can't encode characters in position 0-1:"
+                               b" ordinal not in range(128)\n")
+
+    def test_undecodable_line_under_strict_utf8(self):
+        argv, env = _seqcong("map", "--fn", "pi", "--input", "-", unbuffered=True)
+        env["PYTHONIOENCODING"] = "utf-8:strict"
+        done = subprocess.run(argv, input=b"[3,2]\n[\xff]\n", capture_output=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (1, b"")
+        assert done.stderr == b"error: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n"
 
 
 # Sequence rules for --A/--B, valid and not.

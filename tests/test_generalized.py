@@ -625,3 +625,60 @@ class TestNNotationRealizedOnce:
         n = NNotation(_spec("pow:0", "nat"), [2, 0, 3])
         assert sigma_k(n) == Partition([1] * 5)
         assert psi_k(n) == Partition([3, 3, 3, 1, 1])
+
+
+def _pairs_by_index(spec, r):
+    """The pairs as each NNotation used to realize them: two term calls per index, a before b."""
+    pairs = []
+    for i in range(1, r + 1):
+        pairs.append((spec.a.term(i, spec.horizon), spec.b.term(i, spec.horizon)))
+    return tuple(pairs)
+
+
+def _outcome(fn, *args):
+    """fn's answer, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+# The rules test_cli.TestFuzz draws for --A and --B that parse, and a power whose fourth term
+# is past the part range; B must also increase.
+FUZZ_A = ["nat", "pow:2", "pow:0", "arith:3", "2,5,9", "3,1", "pow:40"]
+FUZZ_B = ["nat", "pow:2", "arith:3", "2,5,9", "pow:40"]
+
+
+class TestSpecPairs:
+    """A spec realizes each (a_i, b_i) once, and answers as the per-index terms did."""
+
+    @pytest.mark.parametrize("b_text", FUZZ_B)
+    @pytest.mark.parametrize("a_text", FUZZ_A)
+    def test_pairs_and_their_refusals_match_the_terms(self, a_text, b_text):
+        for horizon in (2, 3, 64):
+            spec = GenSpec.parse(a_text, b_text, horizon)
+            for r in (0, 2, 1, 5, 3, 70, 64, 65, 4, 64):
+                want = _outcome(_pairs_by_index, spec, r)
+                assert _outcome(spec.pairs, r) == want, (horizon, r)
+                assert _outcome(lambda: NNotation(spec, [0] * (r - 1) + [1] if r else []).pairs) == want
+
+    @pytest.mark.parametrize("b_text", FUZZ_B)
+    @pytest.mark.parametrize("a_text", FUZZ_A)
+    def test_maps_match_the_per_index_construction(self, monkeypatch, a_text, b_text):
+        inputs = all_partitions_upto(7) + [Partition([9, 7, 5, 4, 4, 3, 2, 1]), Partition([5] * 9)]
+        for horizon in (3, 64):
+            spec = GenSpec.parse(a_text, b_text, horizon)  # one spec, its pairs grown as the inputs need
+            got = [_outcome(f, p, spec) for p in inputs for f in (n_encode, pi_AB, pi_prime_AB)]
+            with monkeypatch.context() as m:
+                m.setattr(GenSpec, "pairs", _pairs_by_index)
+                want = [_outcome(f, p, spec) for p in inputs for f in (n_encode, pi_AB, pi_prime_AB)]
+            assert got == want, horizon
+
+    def test_each_term_is_realized_once(self, monkeypatch):
+        calls = []
+        term = SequenceRule.term
+        monkeypatch.setattr(SequenceRule, "term", lambda self, i, horizon: calls.append(i) or term(self, i, horizon))
+        spec = GenSpec.standard()
+        for p in ([3, 2], [5, 3, 1], [2], [9, 7, 5, 4, 4]):
+            pi_prime_AB(Partition(p), spec)
+        assert sorted(calls) == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
