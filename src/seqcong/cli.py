@@ -194,8 +194,8 @@ def _predicate_for(tag: str):
         k = _tag_param(tag)
         return lambda p: is_in_Sk(p, k)
     from .ideals import IdealSpec
-    # The spec itself, not its bound `contains`, so that counting can see
-    # `prefix_closed` and `_summary` and count over classes or walk the members.
+    # The spec itself, not its bound `contains`, so that counting can read its
+    # count series or count over classes, and listing can walk the members.
     return IdealSpec.parse(tag)
 
 
@@ -412,7 +412,7 @@ _BATCHABLE = {
 
 
 def _error(message) -> None:
-    print(f"error: {message}", file=sys.stderr)
+    sys.stderr.write(f"error: {message}\n")  # one write per line, where print writes the newline apart
 
 
 # One read of stdin takes what has arrived, up to this many bytes.

@@ -7,10 +7,10 @@ members of size n of a prefix-closed ideal, and a walk over the c-notation of
 the sequentially congruent partitions with largest part n, which splices its
 small tails from a second table.  Counts are plain Python integers, so they
 stay exact however large they grow.
-A prefix-closed kind with a summary is counted over classes of member
-prefixes, one pass by length for every size, within ``MAX_COUNT_CELLS`` live
-(class, size) cells; Adiff, with no summary, by its walk, to sizes below
-``MAX_COUNT_CELLS``; S by psi.
+D, R, Rprime, Adiff and N_maxlen are counted by their sum sides, with no member or class visited;
+P_parity reads the one-parity series and S the squares (psi); the other prefix-closed kinds are
+counted over classes of member prefixes, one pass by length for every size.  Each count keeps
+within ``MAX_COUNT_CELLS`` cells.
 
 Generating-function coefficients are cached per series in one list.  p(n)
 grows in place by Euler's pentagonal recurrence, O(sqrt n) terms per
@@ -29,7 +29,7 @@ import threading
 from bisect import bisect_right
 from itertools import count, takewhile
 from math import isqrt
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import Callable, Iterable, Iterator
 
 from .bijections import psi_inverse
@@ -325,9 +325,9 @@ def _odd_parts(p: list[int], n: int) -> int:
             + sum([p[n - 2 * g] for g in even[: bisect_right(even, n // 2)]]))
 
 
-def _refuse_series(upto: int) -> None:
+def _refuse_series(upto: int, counted: str = "") -> None:
     if upto >= MAX_COUNT_CELLS:
-        raise ResourceError(f"counting to size {upto} needs {upto + 1} series cells, above {MAX_COUNT_CELLS}")
+        raise ResourceError(f"counting {counted}to size {upto} needs {upto + 1} series cells, above {MAX_COUNT_CELLS}")
 
 
 def _cached_odd_parts(upto: int) -> list[int]:
@@ -408,62 +408,62 @@ def count_all_partitions(n: int) -> int:
 def count_members(pred, n: int) -> int:
     """Number of partitions of n satisfying a predicate.
 
-    ``pred`` may be a callable on Partition or anything with a ``contains``
-    method, such as an IdealSpec from :mod:`seqcong.ideals`.  A prefix-closed
-    spec with a summary is counted over classes of its member prefixes
-    (``ResourceError`` past ``MAX_COUNT_CELLS`` cells); Adiff by the member
-    walk :func:`iter_members_of_size`, refused from size ``MAX_COUNT_CELLS``
-    on; the non-ideal kind S as partitions of
-    n into squares (psi).  Every other predicate is tested on each partition
-    of n.
+    ``pred`` may be a callable on Partition or anything with a ``contains`` method, such as an
+    IdealSpec from :mod:`seqcong.ideals`.  A spec whose kind declares a count series reads it
+    (:func:`_sum_side`, the one-parity series, :func:`_psi_counts`); another spec with a summary is
+    counted over classes of member prefixes, past ``MAX_COUNT_CELLS`` cells with ``ResourceError``.
+    Every other predicate is tested on each partition of n.
     """
+    if (counts := getattr(pred, "_counts", None)) is not None:
+        return counts(pred, _check_size(n))[n]
     if getattr(pred, "_summary", None) is not None:
         return _state_counts(pred, _check_size(n)).get(n, 0)
-    if getattr(pred, "kind", None) == "S":  # psi: its members of size n <-> partitions of n into squares
-        _check_largest(_check_size(n))  # (n) is a member
-        if n >= MAX_COUNT_CELLS:
-            raise ResourceError(f"counting S to size {n} needs {n + 1} series cells, above {MAX_COUNT_CELLS}")
-        return count_into_powers(n, 2)
-    if getattr(pred, "prefix_closed", False):
-        _refuse_walk(pred, _check_size(n))
-        return sum(1 for _ in iter_members_of_size(pred, n))
     return sum(1 for _ in filter(_as_predicate(pred), _partitions(n)))
 
 
-def _refuse_walk(pred, upto: int) -> None:
-    """Refuse a count walked member by member, which no layer of classes bounds, from size ``MAX_COUNT_CELLS`` on."""
-    if upto >= MAX_COUNT_CELLS:
-        raise ResourceError(f"counting {pred} to size {upto} walks its members to {upto + 1} sizes, "
-                            f"above {MAX_COUNT_CELLS}")
+def _psi_counts(spec, upto: int) -> list[int]:
+    """S's count series, the cached squares: by psi, its members of size n <-> the partitions of n into squares."""
+    _check_largest(upto)  # (upto) is a member
+    _refuse_series(upto, f"{spec} ")
+    return _cached_series(2, upto)
+
+
+def _sum_side(spec, upto: int, stair: Callable[[int], int | None]) -> list[int]:
+    """Counts of sizes 0..upto of a kind whose members with r parts, less a staircase of size stair(r), are
+    the partitions into exactly r parts (Andrews 1976, ch. 1 and 7): size n has sum over r of E_r(n - stair(r)),
+    E_r(m) = E_{r-1}(m - 1) + E_r(m - r), up to the first r with stair(r) None or stair(r) + r > upto.  Row r
+    holds E_r(r..upto - stair(r)); rows of more than ``MAX_COUNT_CELLS`` cells, or so many sizes, are refused unbuilt."""
+    _refuse_series(upto, f"{spec} ")
+    tops, r = [], 1  # tops[r - 1] = upto - stair(r), the last size row r holds
+    while (s := stair(r)) is not None and s + r <= upto:
+        tops.append(upto - s)
+        r += 1
+    if (cells := sum(top - j for j, top in enumerate(tops))) > MAX_COUNT_CELLS:
+        raise ResourceError(f"counting {spec} to size {upto} needs {cells} (size, parts) cells, above {MAX_COUNT_CELLS}")
+    counts, row = [1] + [0] * upto, [1] + [0] * upto  # E_0: the empty partition
+    for r, top in enumerate(tops, 1):
+        row, last = [0] * (top + 1), row
+        for m in range(r, top + 1):
+            row[m] = last[m - 1] + row[m - r]
+        counts[upto - top + r:] = map(add, counts[upto - top + r:], row[r:])
+    return counts
 
 
 def member_counts(pred, upto: int) -> list[int]:
-    """``[count_members(pred, n) for n in range(upto + 1)]``, every size from one class count or one member walk."""
+    """``[count_members(pred, n) for n in range(upto + 1)]``, every size from one count series or one class count."""
     if type(upto) is int and upto < 0:
         return []
-    if not getattr(pred, "prefix_closed", False):  # size upto first: a series is built once, or refused at once
-        return [count_members(pred, n) for n in range(_check_size(upto), -1, -1)][::-1]
-    if pred._summary is not None:
-        counts = _state_counts(pred, _check_size(upto))
-    else:  # one walk; a stack of (member, its size, its children of size <= upto not yet walked)
-        _refuse_walk(pred, _check_size(upto))
-        counts, stack = {0: 1}, [((), 0, iter(pred._children((), 0, 1, upto)))]
-        while stack:
-            t, size, parts = stack[-1]
-            if v := next(parts, 0):  # parts are positive
-                counts[s] = counts.get(s := size + v, 0) + 1
-                stack.append((c := t + (v,), s, iter(pred._children(c, len(c), 1, min(v, upto - s)))))
-            else:
-                stack.pop()
+    if (counts := getattr(pred, "_counts", None)) is not None:
+        return counts(pred, _check_size(upto))[:upto + 1]  # a copy: a series may be a cached list
+    if getattr(pred, "_summary", None) is None:
+        return [count_members(pred, n) for n in range(_check_size(upto) + 1)]
+    counts = _state_counts(pred, _check_size(upto))
     return [counts.get(n, 0) for n in range(upto + 1)]
 
 
 def enumerate_members(pred, n: int) -> list[Partition]:
-    """Partitions of n satisfying a predicate, reverse lexicographic.
-
-    Takes the same predicates as :func:`count_members`, walks prefix-closed
-    specs the same way and lists S through psi_inverse.
-    """
+    """Partitions of n satisfying a predicate, reverse lexicographic: a prefix-closed spec's members by
+    :func:`iter_members_of_size`, S's through psi_inverse, any other predicate's by a filter."""
     return list(_members(pred, n))
 
 

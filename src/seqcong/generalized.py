@@ -18,6 +18,7 @@ when it is built, and the maps read them from there.
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 from typing import Iterable
 
 from .bijections import _canonical
@@ -476,9 +477,14 @@ def psi_k(n: NNotation) -> Partition:
     return _frequency_partition([a * i for i, (a, _) in enumerate(n.pairs, 1)], n.coeffs)
 
 
+@lru_cache(maxsize=64)
+def _retagged(a_exp: int, b_exp: int, horizon: int) -> GenSpec:
+    """The spec A = N^a_exp, B = N^b_exp at a horizon, built once, so its pairs are realized once across calls."""
+    return GenSpec(SequenceRule.powers(a_exp), SequenceRule.powers(b_exp), horizon)
+
+
 def _retag(n: NNotation, a_exp: int, b_exp: int) -> NNotation:
-    spec = GenSpec(SequenceRule.powers(a_exp), SequenceRule.powers(b_exp), n.spec.horizon)
-    return NNotation(spec, n.coeffs)
+    return NNotation(_retagged(a_exp, b_exp, n.spec.horizon), n.coeffs)
 
 
 def eta(n: NNotation, k: int, p: int) -> NNotation:

@@ -15,7 +15,10 @@ modulus and linking run on classes of members that the test cannot tell apart
 (``_class_layers``, up to the first empty layer) for a kind with a summary, closure
 over pairs (class of a member, class of one of its removals), and all three down
 the walk (``_carry``) when a class fails or there is none; ``members_within``
-splices each class's tails (``_class_tails``).  The rows, with i parts before v:
+splices each class's tails (``_class_tails``).  A row may declare a *count series*, which
+``counting.count_members`` and ``member_counts`` read in place of classes: the closed sum sides of
+D, R, Rprime, Adiff and N_maxlen, P_parity's one-parity series and S's squares.  The rows, with i
+parts before v:
 
 =============  ======  ========  ====================================================  =============================
 kind           param   summary   part v may follow t[:i] when                          children in [lo, top]
@@ -52,7 +55,7 @@ from itertools import takewhile
 from math import lcm
 
 from .bijections import _is_congruent, is_seq_congruent
-from .counting import _cached_odd_parts, _cached_series, _check_size
+from .counting import _cached_odd_parts, _cached_series, _check_size, _psi_counts, _sum_side
 from .errors import DomainError
 from .partition import Partition, _check_largest, _check_output_length
 
@@ -115,27 +118,39 @@ def _first_mod(k):
     return lambda t: t[0] % k
 
 
+def _staircase(size):
+    # a count series by the sum side: less size(param, r), a member with r parts is a partition into exactly r parts
+    return lambda spec, upto: _sum_side(spec, upto, lambda r: size(spec.param, r))
+
+
 # kind -> (least parameter, or None when the kind takes none;
 #          parameter -> incremental test ok(t, i, v): S's prefix rule, which every prefix of a member passes;
-#          parameter -> summary of a nonempty prefix (None: the kind declares none); parameter -> children rule)
+#          parameter -> summary of a nonempty prefix (None: the kind declares none); parameter -> children rule;
+#          count series (spec, upto) -> a list starting with the member counts of sizes 0..upto, or None: the
+#          kinds with a closed sum side declare their staircase, P_parity reads the one-parity series and S
+#          the cached squares by psi, a list that callers must not change)
 _KINDS = {
-    "SA": (None, lambda _: _sa_ok, _blank, _sa_children),
-    "SA_maxlen": (1, lambda r: lambda t, i, v: i < r and _sa_ok(t, i, v), _blank, _sa_children),
-    "S": (None, lambda _: _seqcong_prefix_ok, None, lambda _: _seqcong_prefix_children),
+    "SA": (None, lambda _: _sa_ok, _blank, _sa_children, None),
+    "SA_maxlen": (1, lambda r: lambda t, i, v: i < r and _sa_ok(t, i, v), _blank, _sa_children, None),
+    "S": (None, lambda _: _seqcong_prefix_ok, None, lambda _: _seqcong_prefix_children, _psi_counts),
     "D": (None, lambda _: lambda t, i, v: not i or v < t[i - 1], _blank,
-          lambda _: lambda t, i, lo, top: range(lo, min(top + 1, t[i - 1]) if i else top + 1)),
+          lambda _: lambda t, i, lo, top: range(lo, min(top + 1, t[i - 1]) if i else top + 1),
+          _staircase(lambda _, r: r * (r - 1) // 2)),
     "R": (None, lambda _: lambda t, i, v: not i or t[i - 1] - v >= 2, _blank,
-          lambda _: lambda t, i, lo, top: range(lo, min(top + 1, t[i - 1] - 1) if i else top + 1)),
+          lambda _: lambda t, i, lo, top: range(lo, min(top + 1, t[i - 1] - 1) if i else top + 1),
+          _staircase(lambda _, r: r * (r - 1))),
     "Rprime": (None, lambda _: lambda t, i, v: v > i, _blank,
-               lambda _: lambda t, i, lo, top: range(max(lo, i + 1), top + 1)),
-    "Adiff": (None, lambda _: _adiff_ok, None, lambda _: _adiff_children),
+               lambda _: lambda t, i, lo, top: range(max(lo, i + 1), top + 1), _staircase(lambda _, r: r * (r - 1))),
+    "Adiff": (None, lambda _: _adiff_ok, None, lambda _: _adiff_children,
+              _staircase(lambda _, r: (r + 1) * r * (r - 1) // 6)),
     "N_maxlen": (0, lambda n: lambda t, i, v: i < n, _blank,
-                 lambda n: lambda t, i, lo, top: range(lo, top + 1) if i < n else ()),
+                 lambda n: lambda t, i, lo, top: range(lo, top + 1) if i < n else (),
+                 _staircase(lambda n, r: 0 if r <= n else None)),
     "P_parity": (None, lambda _: lambda t, i, v: not i or (t[0] - v) % 2 == 0, lambda _: _first_mod(2),
-                 lambda _: _congruent(2)),
-    "P_mod": (2, lambda k: lambda t, i, v: not i or (t[0] - v) % k == 0, _first_mod, _congruent),
+                 lambda _: _congruent(2), lambda _, upto: [count_parity_ideal(n) for n in range(upto, -1, -1)][::-1]),
+    "P_mod": (2, lambda k: lambda t, i, v: not i or (t[0] - v) % k == 0, _first_mod, _congruent, None),
     "Pprime": (None, lambda _: lambda t, i, v: not i or (v < t[i - 1] and (t[0] - v) % 2 == 0),
-               lambda _: _first_mod(2), lambda _: _congruent(2, True)),
+               lambda _: _first_mod(2), lambda _: _congruent(2, True), None),
 }
 
 
@@ -170,15 +185,16 @@ class IdealSpec:
     ``_children(t, i, lo, top)`` is the range of parts in [lo, top] that the
     test takes after t[:i], the engines' only way to a prefix's children.
     ``_summary(t)``, when the kind declares one, is what the test reads of a
-    nonempty member prefix t besides its length and last part.
+    nonempty member prefix t besides its length and last part.  ``_counts(spec,
+    upto)``, when the kind declares one, starts with its member counts of sizes 0..upto.
     """
 
-    __slots__ = ("kind", "param", "_member", "_child_ok", "_children", "_summary", "prefix_closed")
+    __slots__ = ("kind", "param", "_member", "_child_ok", "_children", "_summary", "_counts", "prefix_closed")
 
     def __init__(self, kind: str, param: int | None = None):
         if kind not in _KINDS:
             raise DomainError(f"unknown ideal kind {kind!r}; choose from {', '.join(_KINDS)}")
-        least, test, summary, children = _KINDS[kind]
+        least, test, summary, children, self._counts = _KINDS[kind]
         if least is not None:
             if param is None:
                 raise DomainError(f"kind {kind} needs an integer parameter")

@@ -8,8 +8,9 @@ congruent partitions, closed-form membership predicates for the ideal kinds,
 brute-force box filtering for the ideal-kind enumerators, the size-ordered
 scans the ideal engines' pruned walks replaced, the class closure keyed by
 removal sets that the pass over pairs of classes replaced, the modulus and
-linking checks that fold every shifted tuple from its first part, and
-children rules made from an incremental test by filtering.
+linking checks that fold every shifted tuple from its first part, children
+rules made from an incremental test by filtering, and the member walk that
+counted Adiff before its sum side did.
 """
 
 from math import lcm
@@ -24,7 +25,9 @@ from seqcong import (
     LinkReport,
     ModulusReport,
     Partition,
+    ResourceError,
     conjugate,
+    counting,
     enumerate_partitions,
     from_c_notation,
     iter_partition_tuples,
@@ -329,6 +332,26 @@ def children_by_filter(ok):
     """A children rule made from an incremental test by filtering: what a spec walks once a test
     replaces its ``_child_ok``, and a spy that sees every part an engine reads."""
     return lambda t, i, lo, top: FilteredParts(ok, t, i, lo, top)
+
+
+def walked_member_counts(spec, upto):
+    """Members of a prefix-closed spec of every size 0..upto, from one walk of its members.
+
+    The library's former Adiff count, kept as the oracle for its sum side.  It is refused from
+    size ``MAX_COUNT_CELLS`` on, before it starts; below that nothing bounds it.
+    """
+    if upto >= counting.MAX_COUNT_CELLS:
+        raise ResourceError(f"counting {spec} to size {upto} walks its members to {upto + 1} sizes, "
+                            f"above {counting.MAX_COUNT_CELLS}")
+    counts, stack = {0: 1}, [((), 0, iter(spec._children((), 0, 1, upto)))]
+    while stack:  # (member, its size, its children of size <= upto not yet walked)
+        t, size, parts = stack[-1]
+        if v := next(parts, 0):  # parts are positive
+            counts[s] = counts.get(s := size + v, 0) + 1
+            stack.append((c := t + (v,), s, iter(spec._children(c, len(c), 1, min(v, upto - s)))))
+        else:
+            stack.pop()
+    return [counts.get(n, 0) for n in range(upto + 1)]
 
 
 def recursive_member_tuples(spec, max_part, max_length):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqcong import (CNotation, CountSeries, IdealSpec, Partition, bijections, counting, from_c_notation,
-                     generalized, is_seq_congruent)
+                     generalized, ideals, is_seq_congruent)
 from seqcong import cli as cli_module
 from seqcong.cli import run
 from seqcong.partition import MAX_OUTPUT_PARTS
@@ -271,10 +271,10 @@ class TestIdealCountsAndListings:
             assert cli_ok("enumerate", "--pred", tag, "--size", str(n)).splitlines() == want
 
     def test_walk_serves_ideals_and_not_s(self, monkeypatch):
-        # enumerate walks the members of one size; count makes one state count, or
-        # for Adiff one walk of every size up to N, where it once walked each size
-        walked, counted = [], []
-        walk, state_counts = counting.iter_members_of_size, counting._state_counts
+        # enumerate walks the members of one size; count reads one sum side (R, Adiff)
+        # or makes one state count, where it once walked each size
+        walked, counted, summed = [], [], []
+        walk, state_counts, sum_side = counting.iter_members_of_size, counting._state_counts, counting._sum_side
 
         def spy(spec, n):
             walked.append(str(spec))
@@ -284,13 +284,19 @@ class TestIdealCountsAndListings:
             counted.append((str(spec), upto))
             return state_counts(spec, upto)
 
+        def sum_spy(spec, upto, stair):
+            summed.append((str(spec), upto))
+            return sum_side(spec, upto, stair)
+
         monkeypatch.setattr(counting, "iter_members_of_size", spy)
         monkeypatch.setattr(counting, "_state_counts", count_spy)
+        monkeypatch.setattr(ideals, "_sum_side", sum_spy)
         for tag in ("R", "SA_maxlen:2", "S", "Adiff"):
             cli_ok("count", "--pred", tag, "--upto", "3")
             cli_ok("enumerate", "--pred", tag, "--size", "3")
         assert walked == ["R", "SA_maxlen:2", "Adiff"]
-        assert counted == [("R", 3), ("SA_maxlen:2", 3)]
+        assert counted == [("SA_maxlen:2", 3)]
+        assert summed == [("R", 3), ("Adiff", 3)]
 
     def test_distinct_parts_to_200(self):
         # Euler's prod (1 + q^k); the member walk could not reach this size
@@ -619,14 +625,47 @@ class TestProcessExits:
 
 class TestCountCellLimit:
     def test_huge_count_refused_within_memory(self):
-        # it ran until killed: one state count names the cells it would need
+        # it ran until killed: the sum side names the cells it would need before it builds a row
         resource = pytest.importorskip("resource")
         limit = 400_000 * 1024
         cmd, env = _seqcong("count", "--pred", "D", "--upto", "100000")
         done = subprocess.run(cmd, capture_output=True, env=env, timeout=60,
                               preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
         assert (done.returncode, done.stdout, done.stderr) == (
-            1, b"", b"error: counting D to size 100000 needs more than 250000 (class, size) cells in one layer\n")
+            1, b"", b"error: counting D to size 100000 needs 29714750 (size, parts) cells, above 250000\n")
+
+    @staticmethod
+    def _limited(*argv):
+        resource = pytest.importorskip("resource")
+        limit = 400_000 * 1024
+        cmd, env = _seqcong("count", *argv)
+        return subprocess.run(cmd, capture_output=True, env=env, timeout=60,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+    def test_sum_sides_reach_large_sizes_within_memory(self):
+        # Adiff to 200 was walked until killed, and D and R to 2000 passed the class cells
+        want = {"D": [1] + [0] * 2000, "Adiff": counting.member_counts(IdealSpec("Adiff"), 200),
+                "R": CountSeries.from_degrees((k for k in range(1, 2001) if k % 5 in (1, 4)), 2000).coefficients}
+        for k in range(1, 2001):  # Euler's prod (1 + q^k)
+            for n in range(2000, k - 1, -1):
+                want["D"][n] += want["D"][n - k]
+        for tag, counts in want.items():
+            done = self._limited("--pred", tag, "--upto", str(len(counts) - 1))
+            assert (done.returncode, done.stderr) == (0, b"")
+            assert [line.split() for line in done.stdout.decode().splitlines()] == [
+                [str(n), str(c)] for n, c in enumerate(counts)]
+
+    @pytest.mark.parametrize("tag,upto,need", [
+        ("D", "249999", b"117601244 (size, parts) cells"),
+        ("R", "249999", b"83208250 (size, parts) cells"),
+        ("Adiff", "249999", b"21333200 (size, parts) cells"),
+        ("D", "250000", b"250001 series cells"),
+    ])
+    def test_sum_side_refused_unbuilt(self, tag, upto, need):
+        done = self._limited("--pred", tag, "--upto", upto)
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, b"", b"error: counting " + tag.encode() + b" to size " + upto.encode() + b" needs " + need
+            + b", above 250000\n")
 
     def test_huge_series_refused_within_memory(self):
         # it ran until killed: size N is asked first, and its series is refused before it is built
@@ -639,14 +678,14 @@ class TestCountCellLimit:
             1, b"", b"error: counting to size 300000000 needs 300000001 series cells, above 250000\n")
 
     def test_huge_walked_count_refused_within_memory(self):
-        # Adiff, with no summary to class its prefixes by, walked until killed; its walk is refused unstarted
+        # Adiff, with no summary to class its prefixes by, was walked until killed; its sum side is refused unbuilt
         resource = pytest.importorskip("resource")
         limit = 400_000 * 1024
         cmd, env = _seqcong("count", "--pred", "Adiff", "--upto", "1000000000000")
         done = subprocess.run(cmd, capture_output=True, env=env, timeout=60,
                               preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
         assert (done.returncode, done.stdout, done.stderr) == (1, b"", b"error: counting Adiff to size 1000000000000 "
-                                                                b"walks its members to 1000000000001 sizes, above 250000\n")
+                                                                b"needs 1000000000001 series cells, above 250000\n")
 
 
 class TestEnumerateLimitStopsTheWalk:
@@ -720,6 +759,21 @@ class TestOneWritePerAnswer:
         out = CountingWriter()
         assert run(["enumerate", "--pred", "seqcong", "--size", "12", "--limit", "3"], out=out) == 0
         assert out.writes == 3 == len(out.getvalue().splitlines())
+
+    def test_error_lines(self, monkeypatch):
+        # print wrote each message and its newline apart: two writes per line on an unbuffered stderr
+        err = CountingWriter()
+        monkeypatch.setattr("sys.stderr", err)
+        monkeypatch.setattr("sys.stdin", io.StringIO("[1,2]\n[3]\n[2,5]\nx\n"))
+        assert run(["map", "--fn", "pi", "--input", "-"], out=io.StringIO()) == 1
+        assert err.getvalue() == ("error: line 1: parts must be weakly decreasing, got (1, 2)\n"
+                                  "error: line 3: parts must be weakly decreasing, got (2, 5)\n"
+                                  "error: line 4: input is not valid JSON: Expecting value: line 1 column 1 (char 0)\n")
+        assert err.writes == 3
+        err = CountingWriter()
+        monkeypatch.setattr("sys.stderr", err)
+        assert run(["map", "--fn", "pi", "--input", "[1,2]"], out=io.StringIO()) == 1
+        assert (err.getvalue(), err.writes) == ("error: parts must be weakly decreasing, got (1, 2)\n", 1)
 
 
 def _oracle_batch(answer, write) -> int:

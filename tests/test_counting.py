@@ -1,12 +1,13 @@
 import functools
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
 import tracemalloc
 from itertools import islice
-from operator import mul
+from operator import add, mul
 
 import pytest
 
@@ -49,6 +50,7 @@ from conftest import (
     naive_partitions,
     pi_sorted_by_largest,
     recursive_partition_tuples,
+    walked_member_counts,
     zs1_partition_tuples,
 )
 
@@ -927,43 +929,49 @@ class TestStateCount:
     def test_parity_to_100(self):
         assert member_counts(IdealSpec("P_parity"), 100) == [count_parity_ideal(n) for n in range(101)]
 
-    def test_adiff_is_walked(self, monkeypatch):
+    def test_adiff_reads_its_sum_side(self, monkeypatch):
+        # Adiff has no summary to class its prefixes by; its sum side reads neither classes nor its rule
         def refuse(*args):
-            raise AssertionError("Adiff has no summary to class its prefixes by")
+            raise AssertionError("counted over classes or members")
 
         monkeypatch.setattr(counting, "_state_counts", refuse)
         spec = IdealSpec("Adiff")
-        want = walk_counts(spec, 30)
+        want = walked_member_counts(spec, 30)
+        spec._children = spec._child_ok = refuse
         assert [count_members(spec, n) for n in range(31)] == want
         assert member_counts(spec, 30) == want
 
     def test_adiff_walk_refused_unwalked(self, monkeypatch):
         # no layer of classes bounds a walk, which ran until killed at a huge
-        # size: from MAX_COUNT_CELLS on it is refused before it starts
-        monkeypatch.setattr(counting, "MAX_COUNT_CELLS", 40)
+        # size: from MAX_COUNT_CELLS on it is refused before it starts; the sum
+        # side refuses those sizes, and rows of more cells, before it builds a row
+        monkeypatch.setattr(counting, "MAX_COUNT_CELLS", 150)
         spec = IdealSpec("Adiff")
-        want, rule = walk_counts(spec, 39), spec._children
+        want, rule = walked_member_counts(spec, 39), spec._children
 
         def refuse(*args):
             raise AssertionError("walked")
 
         spec._children = refuse
-        for refused in (lambda: member_counts(spec, 40), lambda: count_members(spec, 10**12)):
-            with pytest.raises(ResourceError, match=r"^counting Adiff to size \d+ walks its members to \d+ sizes, above 40$"):
+        for refused, text in ((lambda: member_counts(spec, 150), "to size 150 needs 151 series cells"),
+                              (lambda: count_members(spec, 10**12),
+                               "to size 1000000000000 needs 1000000000001 series cells"),
+                              (lambda: member_counts(spec, 40), r"to size 40 needs 155 \(size, parts\) cells"),
+                              (lambda: walked_member_counts(spec, 150), "to size 150 walks its members to 151 sizes")):
+            with pytest.raises(ResourceError, match=f"^counting Adiff {text}, above 150$"):
                 refused()
         spec._children = rule
         assert member_counts(spec, 39) == want
         assert count_members(spec, 39) == want[39]
 
-    def test_adiff_counts_every_size_in_one_walk(self, monkeypatch):
-        # one walk of the members of size <= 45 reads the rule once per member;
+    def test_adiff_counts_every_size_in_one_walk(self):
+        # the walk oracle reads the rule once per member of size <= 45;
         # counting each size apart walked every smaller member again per size
         spec = IdealSpec("Adiff")
         want = walk_counts(spec, 45)
         rule, reads = spec._children, [0]
         spec._children = lambda *args: reads.__setitem__(0, reads[0] + 1) or rule(*args)
-        monkeypatch.setattr(counting, "count_members", None)
-        assert member_counts(spec, 45) == want
+        assert walked_member_counts(spec, 45) == want
         assert reads[0] == sum(want)
 
     def test_rule_reads_pinned(self):
@@ -973,10 +981,10 @@ class TestStateCount:
         ok, rule = spec._child_ok, spec._children
         spec._child_ok = lambda *args: calls.append("test") or ok(*args)
         spec._children = lambda *args: calls.append("rule") or rule(*args)
-        counts = member_counts(spec, 80)
+        counts = counting._state_counts(spec, 80)  # a hand-patched rule is not the kind's sum side
         assert counts[80] == 77312
         assert (calls.count("test"), calls.count("rule")) == (0, 211)
-        assert len(calls) * 1000 < sum(counts) - 1
+        assert len(calls) * 1000 < sum(counts.values()) - 1
 
     def test_child_ok_calls_pinned(self):
         # a rule made by filtering the test tests each class's candidate parts once
@@ -990,15 +998,15 @@ class TestStateCount:
 
         spec._child_ok = counted
         spec._children = children_by_filter(counted)
-        counts = member_counts(spec, 80)
+        counts = counting._state_counts(spec, 80)  # a hand-patched rule is not the kind's sum side
         assert counts[80] == 77312
         assert calls[0] == 2785
-        assert calls[0] * 100 < sum(counts) - 1
+        assert calls[0] * 100 < sum(counts.values()) - 1
 
     def test_cells_bounded(self, monkeypatch):
         monkeypatch.setattr(counting, "MAX_COUNT_CELLS", 100)
         assert count_members(IdealSpec("R"), 20) == 31
-        with pytest.raises(ResourceError, match=r"counting D to size 60 needs more than 100 \(class, size\) cells"):
+        with pytest.raises(ResourceError, match=r"^counting D to size 60 needs 390 \(size, parts\) cells, above 100$"):
             count_members(IdealSpec("D"), 60)
         with pytest.raises(ResourceError, match="counting S to size 100 needs 101 series cells, above 100"):
             count_members(IdealSpec("S"), 100)
@@ -1048,6 +1056,75 @@ class TestStateCount:
         with pytest.raises(ResourceError, match="needs more than 1000 "):
             count_members(spec, 10**12)
         assert calls[0] == 1001
+
+
+class TestSumSide:
+    """D, R, Rprime, Adiff and N_maxlen are counted by their sum sides, P_parity by the one-parity series."""
+
+    SERIES = [IdealSpec.parse(tag) for tag in ("D", "R", "Rprime", "P_parity", *(f"N_maxlen:{n}" for n in range(6)))]
+
+    def test_kinds_with_a_series(self):
+        assert {k for k, row in _KINDS.items() if row[4] is not None} == {
+            "S", "D", "R", "Rprime", "Adiff", "N_maxlen", "P_parity"}
+
+    @pytest.mark.parametrize("spec", SERIES, ids=str)
+    def test_equals_state_counts_to_60(self, spec):
+        want = counting._state_counts(spec, 60)
+        want = [want.get(n, 0) for n in range(61)]
+        assert member_counts(spec, 60) == want
+        assert [count_members(spec, n) for n in range(61)] == want
+
+    def test_adiff_equals_walk_oracle_to_80(self):
+        spec = IdealSpec("Adiff")
+        assert member_counts(spec, 80) == walked_member_counts(spec, 80)
+
+    @pytest.mark.parametrize("spec", [IdealSpec("Adiff"), *SERIES], ids=str)
+    def test_reads_no_rule_test_or_class(self, monkeypatch, spec):
+        def refuse(*args):
+            raise AssertionError("counted over classes or members")
+
+        spec = IdealSpec(spec.kind, spec.param)  # its rule and test are replaced below
+        want = walk_counts(spec, 25)
+        monkeypatch.setattr(counting, "_state_counts", refuse)
+        monkeypatch.setattr(counting, "_partitions", refuse)
+        spec._children = spec._child_ok = spec._member = refuse
+        assert member_counts(spec, 25) == want
+        assert count_members(spec, 25) == want[25]
+
+    @pytest.mark.parametrize("tag,upto,cells", [
+        ("R", 34, 120), ("D", 35, 168), ("Adiff", 37, 140), ("Rprime", 38, 143),  # counting_mix's sizes
+        ("D", 80, 608), ("Adiff", 200, 1460), ("R", 2000, 58674), ("D", 2000, 82398), ("N_maxlen:3", 60, 177)])
+    def test_cells_pinned(self, monkeypatch, tag, upto, cells):
+        # one addition per (size, parts) cell, sum over r of upto - stair(r) - r + 1: the state count of
+        # D 80 read its rule for 211 classes, and the Adiff walk stepped to every member, 2,723 of
+        # size <= 37 and 177,595,046 of size <= 200
+        calls = [0]
+
+        def spy(a, b):
+            calls[0] += 1
+            return a + b
+
+        monkeypatch.setattr(counting, "add", spy)
+        member_counts(IdealSpec.parse(tag), upto)
+        assert calls[0] == cells
+
+    def test_refused_before_a_row(self, monkeypatch):
+        monkeypatch.setattr(counting, "MAX_COUNT_CELLS", 168)
+        monkeypatch.setattr(counting, "add", None)  # a built row would call it
+        for tag, n, text in (("D", 36, "needs 176 (size, parts) cells"), ("D", 168, "needs 169 series cells"),
+                             ("N_maxlen:0", 168, "needs 169 series cells"), ("P_parity", 168, "needs 169 series cells")):
+            with pytest.raises(ResourceError, match=rf"^counting {'' if tag == 'P_parity' else tag + ' '}to size {n} "
+                                                    rf"{re.escape(text)}, above 168$"):
+                member_counts(IdealSpec.parse(tag), n)
+        monkeypatch.setattr(counting, "add", add)
+        assert count_members(IdealSpec("D"), 35) == 585
+        assert member_counts(IdealSpec("N_maxlen", 0), 167) == [1] + [0] * 167
+
+    def test_answers_are_fresh_lists(self):
+        for spec in (IdealSpec("D"), IdealSpec("S"), IdealSpec("P_parity")):
+            first = member_counts(spec, 30)
+            first[3] = -1
+            assert member_counts(spec, 30)[3] > 0
 
 
 def assert_trusted(partitions):

@@ -1,4 +1,5 @@
 import copy
+import io
 import pickle
 import re
 
@@ -34,6 +35,8 @@ from seqcong import (
     tau,
     to_c_notation,
 )
+from seqcong import generalized
+from seqcong.cli import run
 from seqcong.generalized import _nth_root
 from conftest import _iter_c_vectors
 
@@ -682,3 +685,53 @@ class TestSpecPairs:
         for p in ([3, 2], [5, 3, 1], [2], [9, 7, 5, 4, 4]):
             pi_prime_AB(Partition(p), spec)
         assert sorted(calls) == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+
+
+def _retag_per_call(n, a_exp, b_exp):
+    """The retagged notation as eta and tau built it before: a new spec on every call."""
+    return NNotation(GenSpec(SequenceRule.powers(a_exp), SequenceRule.powers(b_exp), n.spec.horizon), n.coeffs)
+
+
+def _reshaped(out):
+    """What a reshaped notation shows: its counts, its rules, its horizon and its partition."""
+    return out.coeffs, str(out.spec.a), str(out.spec.b), out.spec.horizon, n_decode(out)
+
+
+class TestRetagOnce:
+    """eta and tau build each retagged spec once per (a exponent, b exponent, horizon)."""
+
+    @staticmethod
+    def _reshapes():
+        for horizon in (2, 3, 64):
+            for k in (1, 2, 3):
+                spec = GenSpec.power_widths(k, horizon)
+                for p in all_partitions_upto(9) + [Partition([5] * 9)]:
+                    n = _outcome(n_encode, p, spec)
+                    if isinstance(n, tuple):
+                        continue
+                    for i in range(0, k + 2):
+                        yield _outcome(lambda: _reshaped(eta(n, k, i)))
+                        for j in range(0, k + 2):
+                            if 1 <= i <= k:
+                                m = eta(n, k, i)
+                                yield _outcome(lambda: _reshaped(tau(m, k, i, j)))
+                            yield _outcome(lambda: _reshaped(tau(n, k, i, j)))
+
+    def test_maps_match_the_per_call_construction(self, monkeypatch):
+        got = list(self._reshapes())
+        monkeypatch.setattr(generalized, "_retag", _retag_per_call)
+        assert got == list(self._reshapes())
+        assert len(got) > 1000 and any(isinstance(o[0], type) for o in got)
+
+    def test_gmap_batch_builds_the_spec_once(self, monkeypatch):
+        generalized._retagged.cache_clear()
+        built, init = [], GenSpec.__init__
+        monkeypatch.setattr(GenSpec, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+        members = [p for p in all_partitions_upto(30) if is_in_Sk(p, 2)][:10]
+        lines = "".join(f"[{','.join(map(str, p.parts))}]\n" for p in members * 10)
+        monkeypatch.setattr("sys.stdin", io.StringIO(lines))
+        out = io.StringIO()
+        assert run(["gmap", "--fn", "eta", "--k", "2", "--p", "1", "--input", "-"], out=out) == 0
+        assert len(out.getvalue().splitlines()) == 100
+        assert [(str(a), str(b)) for a, b, _ in built] == [("pow:2", "nat"), ("nat", "nat")]  # the input's, then eta's
+

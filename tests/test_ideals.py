@@ -2,6 +2,7 @@ import copy
 import pickle
 import re
 import tracemalloc
+from itertools import product
 from math import comb
 
 import pytest
@@ -1572,3 +1573,45 @@ class TestCountMembersDispatch:
 
     def test_zero_gives_one(self):
         assert count_members(IdealSpec("D"), 0) == 1
+
+
+class TestOrderOneSubideals:
+    """SA's order 1 subideals (the paper; Andrews, ch. 8): a box that bounds each part's multiplicity
+    on its own lies inside SA exactly when its top partition, every allowed copy taken, is a member."""
+
+    PARTS, MOST = 8, 3
+
+    @classmethod
+    def _top(cls, bounds):
+        return tuple(v for v in range(cls.PARTS, 0, -1) for _ in range(bounds[v - 1]))
+
+    @classmethod
+    def _boxes_inside(cls):
+        # a box is its top partition and the boxes one copy smaller, so it lies inside SA exactly when
+        # its top is a member and each of those does: by increasing total, every multiplicity vector
+        inside = {}
+        for bounds in sorted(product(range(cls.MOST + 1), repeat=cls.PARTS), key=sum):
+            smaller = (bounds[:v] + (bounds[v] - 1,) + bounds[v + 1:] for v in range(cls.PARTS) if bounds[v])
+            inside[bounds] = sa_member(cls._top(bounds)) and all(inside[b] for b in smaller)
+        return inside
+
+    def test_box_inside_exactly_when_its_top_is_a_member(self):
+        spec = IdealSpec("SA")
+        inside = self._boxes_inside()
+        assert len(inside) == 4**8
+        assert all(ok == spec._member(self._top(bounds)) for bounds, ok in inside.items())
+        for bounds, ok in inside.items():  # the small boxes member by member
+            if sum(bounds) <= 3:
+                box = product(*(range(b + 1) for b in bounds))
+                assert ok == all(sa_member(self._top(copies)) for copies in box), bounds
+
+    def test_subideals_counted(self):
+        found = [bounds for bounds, ok in self._boxes_inside().items() if ok]
+        maximal = {self._top(b) for b in found
+                   if not any(c != b and all(x <= y for x, y in zip(b, c)) for c in found)}
+        assert len(found) == 29
+        assert len(maximal) == 17
+        assert {(8, 8, 6), (6, 6, 6), (8, 4), (2, 2), (1,)} <= maximal
+        assert maximal == {(1,), (2, 2), (3, 2), (4, 2), (4, 4), (5, 2), (5, 4), (6, 2), (6, 4), (6, 6, 6),
+                           (7, 2), (7, 4), (7, 6, 6), (8, 2), (8, 4), (8, 6, 6), (8, 8, 6)}
+
