@@ -126,26 +126,26 @@ def _run_diagram(args, payload) -> str:
 
 def _gcheck_answer(args):
     from . import generalized
-    spec = generalized.GenSpec.parse(args.A, args.B, generalized.horizon_from_env())
+    spec = generalized.GenSpec.parse(args.A, args.B)
     return lambda payload: _dumps(generalized.is_in_SBA(_parse_partition(payload), spec))
 
 
 def _gmap_answer(args):
     from . import generalized
     from .generalized import GenSpec, SequenceRule
-    fn, horizon = args.fn, generalized.horizon_from_env()
+    fn = args.fn
     if fn in ("sigmaAB", "piAB", "piPrimeAB", "sigmaPrimeAB"):
-        spec = GenSpec.parse(args.A, args.B, horizon)
+        spec = GenSpec.parse(args.A, args.B)
     elif args.k is None:
         raise DomainError(f"--fn {fn} needs --k")
     elif fn == "tau":
         if args.p is None or args.q is None:
             raise DomainError("--fn tau needs --p and --q")
-        spec = GenSpec(SequenceRule.powers(args.k - args.p), SequenceRule.powers(args.p), horizon)
+        spec = GenSpec(SequenceRule.powers(args.k - args.p), SequenceRule.powers(args.p))
     else:
         if fn == "eta" and args.p is None:
             raise DomainError("--fn eta needs --p")
-        spec = GenSpec(SequenceRule.powers(args.k), SequenceRule.parse(args.B), horizon)
+        spec = GenSpec(SequenceRule.powers(args.k), SequenceRule.parse(args.B))
 
     def answer(payload):
         p = _parse_partition(payload)
@@ -399,8 +399,8 @@ def _each_line(handler):
 
 
 # command -> setup(args) -> answer(payload).  The setup runs once per process,
-# so an argument error (bad --A or --B, a missing --k, --p or --q, a bad
-# SEQCONG_HORIZON) is reported once, without a line number.
+# so an argument error (bad --A or --B, a missing --k, --p or --q) is reported
+# once, without a line number.
 _BATCHABLE = {
     "convert": _each_line(_run_convert),
     "map": _each_line(_run_map),

@@ -30,7 +30,7 @@ class SpecError(DomainError):
 
 
 class HorizonError(SpecError):
-    """A sequence term beyond the configured realization horizon was needed."""
+    """A term past the end of an explicit sequence list was needed."""
 
 
 class ResourceError(DomainError):

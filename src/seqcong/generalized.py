@@ -8,40 +8,22 @@ n-notation.  With A = (1, 2, 3, ...) and B = N everything here collapses to the
 square case of :mod:`seqcong.bijections`.
 
 Each infinite width/height family has one closed form, term i = scale * i**exp
-(naturals, k-th powers, arithmetic multiples), evaluated on demand and checked
-against a horizon: asking for a term past it fails loudly rather than
-guessing.  A spec realizes its (a_i, b_i) pairs once, as far as the longest
-n-notation vector built over it needs; each vector takes its prefix of them
-when it is built, and the maps read them from there.
+(naturals, k-th powers, arithmetic multiples), evaluated on demand at any i:
+a power term past ``MAX_PART`` is refused unbuilt, and an answer past
+``MAX_OUTPUT_PARTS`` before it is built.  An explicit list raises
+``HorizonError`` past its end.  A spec realizes its (a_i, b_i) pairs once, as
+far as the longest n-notation vector built over it needs; each vector takes
+its prefix when it is built, and the maps read them from there.
 """
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import Iterable
 
 from .bijections import _canonical
 from .errors import DomainError, HorizonError, SpecError
 from .partition import MAX_PART, Partition, _check_largest, _check_output_length, _runs
-
-DEFAULT_HORIZON = 64
-HORIZON_ENV_VAR = "SEQCONG_HORIZON"
-
-
-def horizon_from_env() -> int:
-    """Realization horizon taken from $SEQCONG_HORIZON when set."""
-    raw = os.environ.get(HORIZON_ENV_VAR)
-    if raw is None:
-        return DEFAULT_HORIZON
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SpecError(f"{HORIZON_ENV_VAR} must be an integer, got {raw!r}")
-    if value < 1:
-        raise SpecError(f"{HORIZON_ENV_VAR} must be positive, got {value}")
-    return value
-
 
 def _nth_root(value: int, k: int) -> int | None:
     """Exact integer k-th root of a positive integer, or None (for k = 0, only 1 is a power)."""
@@ -120,16 +102,14 @@ class SequenceRule:
             raise SpecError(f"cannot parse sequence rule {text!r}") from None
         return cls.explicit(terms)
 
-    def term(self, i: int, horizon: int) -> int:
-        """1-based term access, bounded by the horizon (or the explicit list)."""
+    def term(self, i: int) -> int:
+        """1-based term access; an explicit list raises past its end."""
         if i < 1:
             raise SpecError("sequence positions are 1-based")
         if self.terms:
             if i > len(self.terms):
                 raise HorizonError(f"sequence {self} has only {len(self.terms)} terms, needed term {i}")
             return self.terms[i - 1]
-        if i > horizon:
-            raise HorizonError(f"term {i} of {self} is beyond the horizon {horizon}")
         # scale is 1 whenever exp is not, so this is scale * i**exp
         if self.exp == 1:
             return self.scale * i
@@ -138,12 +118,9 @@ class SequenceRule:
             raise OverflowError(f"term {i} of {self} exceeds the 64-bit part range")
         return i**self.exp
 
-    def index_of(self, value: int, horizon: int) -> int | None:
-        """Position of ``value`` in the sequence, or None when absent.
-
-        Positions beyond the horizon fail loudly instead of returning None, so
-        a bounded search can never silently misclassify membership.
-        """
+    def index_of(self, value: int) -> int | None:
+        """Position of ``value`` in the sequence, or None when absent: read off a
+        family's closed form at any size, or found in an explicit list."""
         if value < 1:
             return None
         if self.terms:
@@ -152,16 +129,8 @@ class SequenceRule:
             except ValueError:
                 return None
         if self.exp == 1:
-            if value % self.scale:
-                return None
-            i = value // self.scale
-        else:
-            i = _nth_root(value, self.exp)
-            if i is None:
-                return None
-        if i > horizon:
-            raise HorizonError(f"value {value} sits at position {i}, beyond the horizon {horizon}")
-        return i
+            return None if value % self.scale else value // self.scale
+        return _nth_root(value, self.exp)
 
     def is_strictly_increasing(self) -> bool:
         if self.terms:
@@ -195,54 +164,50 @@ class SequenceRule:
 class GenSpec:
     """Rectangle widths A and heights B for a generalized membership test."""
 
-    __slots__ = ("a", "b", "horizon", "_pairs")
+    __slots__ = ("a", "b", "_pairs")
 
-    def __init__(self, a: SequenceRule, b: SequenceRule, horizon: int | None = None):
+    def __init__(self, a: SequenceRule, b: SequenceRule):
         if not b.is_strictly_increasing():
             raise SpecError(f"heights must be strictly increasing, got {b}")
-        horizon = DEFAULT_HORIZON if horizon is None else horizon
-        if type(horizon) is not int:
-            raise SpecError(f"horizon must be an integer, got {horizon!r}")
-        if horizon < 1:
-            raise SpecError("horizon must be positive")
-        self.a, self.b, self.horizon = a, b, horizon
+        self.a, self.b = a, b
         self._pairs: tuple[tuple[int, int], ...] = ()
 
     @classmethod
-    def standard(cls, horizon: int | None = None) -> "GenSpec":
+    def standard(cls) -> "GenSpec":
         """A = (1, 2, 3, ...), B = N: plain sequentially congruent partitions."""
-        return cls(SequenceRule.naturals(), SequenceRule.naturals(), horizon)
+        return cls(SequenceRule.naturals(), SequenceRule.naturals())
 
     @classmethod
-    def power_widths(cls, k: int, horizon: int | None = None) -> "GenSpec":
+    def power_widths(cls, k: int) -> "GenSpec":
         """A = (1^k, 2^k, 3^k, ...), B = N."""
-        return cls(SequenceRule.powers(k), SequenceRule.naturals(), horizon)
+        return cls(SequenceRule.powers(k), SequenceRule.naturals())
 
     @classmethod
-    def parse(cls, a_text: str, b_text: str, horizon: int | None = None) -> "GenSpec":
-        return cls(SequenceRule.parse(a_text), SequenceRule.parse(b_text), horizon)
+    def parse(cls, a_text: str, b_text: str) -> "GenSpec":
+        return cls(SequenceRule.parse(a_text), SequenceRule.parse(b_text))
 
     def a_term(self, i: int) -> int:
-        return self.a.term(i, self.horizon)
+        return self.a.term(i)
 
     def b_term(self, i: int) -> int:
-        return self.b.term(i, self.horizon)
+        return self.b.term(i)
 
     def pairs(self, r: int) -> tuple[tuple[int, int], ...]:
         """The rectangle shapes (a_i, b_i) for i = 1..r, each realized once per spec.
 
         They grow exactly to the r asked, a before b at each i, so a term past
-        the horizon or the part range fails as its own ``term`` call fails.
+        an explicit list's end or the part range fails as its own ``term``
+        call fails.
         Two threads growing them at once build equal prefixes, so either may
         keep its tuple.
         """
         pairs = self._pairs
         if r > len(pairs):
-            a, b, horizon = self.a, self.b, self.horizon
+            a, b = self.a, self.b
             grown = list(pairs)
             # a loop, as a comprehension's closure costs more on CPython 3.11
             for i in range(len(pairs) + 1, r + 1):
-                grown.append((a.term(i, horizon), b.term(i, horizon)))
+                grown.append((a.term(i), b.term(i)))
             self._pairs = pairs = tuple(grown)
         return pairs[:r]
 
@@ -315,19 +280,19 @@ def is_in_SBA(p: Partition, spec: GenSpec) -> bool:
 
     The conjugate is never built: its value h has multiplicity
     part(h) - part(h+1), the drop profile.  Heights are tried in descending
-    order, the order of the conjugate's parts, so a height past the horizon
-    raises before a smaller height can answer False, and the scan stops at
-    the first height that fails.  A power width a_i = i**exp within the
-    horizon that has more bits than the multiplicity exceeds it, so it
-    answers False unrealized.
+    order, the order of the conjugate's parts, so a tall height whose width
+    lies past an explicit list's end raises before a smaller height can
+    answer False, and the scan stops at the first height that fails.  A
+    power width a_i = i**exp that has more bits than the multiplicity exceeds
+    it, so it answers False unrealized.
     """
     t = p.parts + (0,)
-    a, b, horizon = spec.a, spec.b, spec.horizon
+    a, b = spec.a, spec.b
     for h in range(len(t) - 1, 0, -1):
         mult = t[h - 1] - t[h]
-        if mult and ((i := b.index_of(h, horizon)) is None
-                     or a.exp > 1 and i <= horizon and a.exp * (i.bit_length() - 1) >= mult.bit_length()
-                     or mult % a.term(i, horizon)):
+        if mult and ((i := b.index_of(h)) is None
+                     or a.exp > 1 and a.exp * (i.bit_length() - 1) >= mult.bit_length()
+                     or mult % a.term(i)):
             return False
     return True
 
@@ -336,18 +301,18 @@ def n_encode(p: Partition, spec: GenSpec) -> NNotation:
     """Coordinates of a member partition; DomainError when p is not a member."""
     if p.is_empty():
         return NNotation(spec, ())
-    a, b, horizon = spec.a, spec.b, spec.horizon
+    a, b = spec.a, spec.b
     length = len(p)
-    r = b.index_of(length, horizon)
+    r = b.index_of(length)
     if r is None:
         raise DomainError(f"length {length} is not a rectangle height of {spec}")
     coeffs = [0] * r
     for h, mult in _drop_profile(p).items():
         # the last drop is at the length, whose position r is known
-        i = r if h == length else b.index_of(h, horizon)
+        i = r if h == length else b.index_of(h)
         if i is None:
             raise DomainError(f"parts drop at height {h}, which is not in {spec}")
-        a_i = a.term(i, horizon)
+        a_i = a.term(i)
         if mult % a_i:
             raise DomainError(f"drop {mult} at height {h} is not a multiple of width {a_i}")
         coeffs[i - 1] = mult // a_i
@@ -399,7 +364,7 @@ def pi_AB(p: Partition, spec: GenSpec) -> NNotation:
     spec.require_distinct_a()
     counts: dict[int, int] = {}
     for h, mult in _drop_profile(p).items():
-        i = spec.a.index_of(h, spec.horizon)
+        i = spec.a.index_of(h)
         if i is None:
             raise DomainError(f"column height {h} is not a width in {spec}")
         counts[i] = mult
@@ -478,13 +443,13 @@ def psi_k(n: NNotation) -> Partition:
 
 
 @lru_cache(maxsize=64)
-def _retagged(a_exp: int, b_exp: int, horizon: int) -> GenSpec:
-    """The spec A = N^a_exp, B = N^b_exp at a horizon, built once, so its pairs are realized once across calls."""
-    return GenSpec(SequenceRule.powers(a_exp), SequenceRule.powers(b_exp), horizon)
+def _retagged(a_exp: int, b_exp: int) -> GenSpec:
+    """The spec A = N^a_exp, B = N^b_exp, built once, so its pairs are realized once across calls."""
+    return GenSpec(SequenceRule.powers(a_exp), SequenceRule.powers(b_exp))
 
 
 def _retag(n: NNotation, a_exp: int, b_exp: int) -> NNotation:
-    return NNotation(_retagged(a_exp, b_exp, n.spec.horizon), n.coeffs)
+    return NNotation(_retagged(a_exp, b_exp), n.coeffs)
 
 
 def eta(n: NNotation, k: int, p: int) -> NNotation:

@@ -123,6 +123,12 @@ def _staircase(size):
     return lambda spec, upto: _sum_side(spec, upto, lambda r: size(spec.param, r))
 
 
+def _parity_counts(_, upto):
+    # count_parity_ideal(n) for n = 0..upto, read off the two cached lists in one pass
+    odd, p = _cached_odd_parts(upto), _cached_series(1, upto // 2)
+    return [odd[n] + (0 if n % 2 else p[n // 2]) - (n == 0) for n in range(upto + 1)]
+
+
 # kind -> (least parameter, or None when the kind takes none;
 #          parameter -> incremental test ok(t, i, v): S's prefix rule, which every prefix of a member passes;
 #          parameter -> summary of a nonempty prefix (None: the kind declares none); parameter -> children rule;
@@ -147,7 +153,7 @@ _KINDS = {
                  lambda n: lambda t, i, lo, top: range(lo, top + 1) if i < n else (),
                  _staircase(lambda n, r: 0 if r <= n else None)),
     "P_parity": (None, lambda _: lambda t, i, v: not i or (t[0] - v) % 2 == 0, lambda _: _first_mod(2),
-                 lambda _: _congruent(2), lambda _, upto: [count_parity_ideal(n) for n in range(upto, -1, -1)][::-1]),
+                 lambda _: _congruent(2), _parity_counts),
     "P_mod": (2, lambda k: lambda t, i, v: not i or (t[0] - v) % k == 0, _first_mod, _congruent, None),
     "Pprime": (None, lambda _: lambda t, i, v: not i or (v < t[i - 1] and (t[0] - v) % 2 == 0),
                lambda _: _first_mod(2), lambda _: _congruent(2, True), None),

@@ -228,7 +228,7 @@ def sba_by_conjugate(p, spec):
     for x in conjugate(p).parts:
         freq[x] = freq.get(x, 0) + 1
     for value, mult in freq.items():
-        i = spec.b.index_of(value, spec.horizon)
+        i = spec.b.index_of(value)
         if i is None:
             return False
         if mult % spec.a_term(i):

@@ -158,11 +158,11 @@ class TestGeneralizedCommands:
         assert cli_ok("gmap", "--fn", "psik", "--k", "2", "--input", "[4,4]") == "[8]\n"
 
     def test_gcheck_horizon_error_comes_before_a_false_verdict(self, capsys):
-        # the tall column (height 200, position 100 of arith:2) is tried before
-        # the height-1 column that alone would answer false
+        # the tall column (height 200, position 100 of arith:2) passes at any
+        # position, and the height-1 column answers false
         parts = "[2" + ",1" * 199 + "]"
-        assert cli("gcheck", "--B", "arith:2", "--input", parts) == (1, "")
-        assert capsys.readouterr().err == "error: value 200 sits at position 100, beyond the horizon 64\n"
+        assert cli("gcheck", "--B", "arith:2", "--input", parts) == (0, "false\n")
+        assert capsys.readouterr().err == ""
 
     def test_gcheck_huge_part(self):
         assert cli_ok("gcheck", "--input", "[1000000000000]") == "true\n"
@@ -176,11 +176,18 @@ class TestGeneralizedCommands:
         assert cli_ok("gcheck", "--B", "pow:10000000000", "--input", "[1]") == "true\n"
 
     def test_horizon_env(self, monkeypatch):
-        monkeypatch.setenv("SEQCONG_HORIZON", "2")
-        code, _ = cli("gcheck", "--input", "[3,1,1]")  # needs index 3 of B
-        assert code == 1
-        monkeypatch.setenv("SEQCONG_HORIZON", "64")
-        assert cli_ok("gcheck", "--input", "[3,1,1]") == "false\n"
+        # SEQCONG_HORIZON is not read: neither a small nor a malformed value changes an answer
+        for value in ("2", "x"):
+            monkeypatch.setenv("SEQCONG_HORIZON", value)
+            assert cli_ok("gcheck", "--input", "[3,1,1]") == "false\n"  # needs index 3 of B
+            assert cli_ok("gcheck", "--input", "[" + ",".join(["65"] * 65) + "]") == "true\n"
+
+    @pytest.mark.parametrize("parts", [[1] * 65, [7] * 3 + [5] * 30 + [2] * 37],
+                             ids=["65-ones", "70-parts"])
+    def test_square_case_past_64_parts(self, parts):
+        text = json.dumps(parts, separators=(",", ":"))
+        assert cli_ok("gcheck", "--input", text) == cli_ok("check", "--pred", "seqcong", "--input", text)
+        assert cli_ok("gmap", "--fn", "piPrimeAB", "--input", text) == cli_ok("map", "--fn", "pi", "--input", text)
 
 
 class TestEnumerateAndCount:
@@ -476,22 +483,16 @@ class TestBatchIsolation:
     def test_argument_error_reported_once(self, monkeypatch, capsys, argv, err):
         assert self.batch(monkeypatch, capsys, "[2]\n[4,2]\n[3]\n", *argv) == (1, "", f"error: {err}\n")
 
-    def test_bad_horizon_reported_once(self, monkeypatch, capsys):
-        monkeypatch.setenv("SEQCONG_HORIZON", "x")
-        assert self.batch(monkeypatch, capsys, "[2]\n[1]\n", "gcheck") == (
-            1, "", "error: SEQCONG_HORIZON must be an integer, got 'x'\n")
-
     @pytest.mark.parametrize("argv,rules", [(("gcheck", "--A", "arith:2"), 2), (("gmap", "--fn", "piAB"), 2),
                                             (("gmap", "--fn", "eta", "--k", "2", "--p", "1"), 1)])
     def test_spec_built_once_per_batch(self, monkeypatch, capsys, argv, rules):
         calls = []
         # the CLI imports generalized inside the gcheck/gmap handlers, so patch it there
-        parse, horizon = generalized.SequenceRule.parse, generalized.horizon_from_env
+        parse = generalized.SequenceRule.parse
         monkeypatch.setattr(generalized.SequenceRule, "parse", lambda text: calls.append(text) or parse(text))
-        monkeypatch.setattr(generalized, "horizon_from_env", lambda: calls.append(None) or horizon())
         code, out, _ = self.batch(monkeypatch, capsys, "[2]\n[4,4]\n[4]\n", *argv)
         assert (code, out.count("\n")) == (0, 3)
-        assert calls.count(None) == 1 and len(calls) == 1 + rules
+        assert len(calls) == rules
 
 
 class TestOutputSizeGuard:

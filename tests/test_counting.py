@@ -39,6 +39,7 @@ from seqcong import (
     members_within,
 )
 
+from seqcong import ideals
 from seqcong.ideals import _KINDS
 from seqcong.partition import MAX_OUTPUT_PARTS
 
@@ -1090,6 +1091,15 @@ class TestSumSide:
         spec._children = spec._child_ok = spec._member = refuse
         assert member_counts(spec, 25) == want
         assert count_members(spec, 25) == want[25]
+
+    def test_parity_count_reads_the_cached_lists(self, monkeypatch):
+        # one pass over the odd-part and p(n) lists, not one count_parity_ideal call per size
+        want = [count_parity_ideal(n) for n in range(5001)]
+        calls = []
+        monkeypatch.setattr(ideals, "count_parity_ideal", lambda n: calls.append(n) or want[n])
+        assert count_members(IdealSpec("P_parity"), 5000) == want[5000]
+        assert member_counts(IdealSpec("P_parity"), 5000) == want
+        assert calls == []
 
     @pytest.mark.parametrize("tag,upto,cells", [
         ("R", 34, 120), ("D", 35, 168), ("Adiff", 37, 140), ("Rprime", 38, 143),  # counting_mix's sizes

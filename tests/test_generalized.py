@@ -1,6 +1,7 @@
 import copy
 import io
 import pickle
+import random
 import re
 
 import pytest
@@ -55,10 +56,10 @@ def _vectors_with_weight(weights, total):
 
 class TestSequenceRule:
     def test_parse_forms(self):
-        assert SequenceRule.parse("nat").term(5, 64) == 5
-        assert SequenceRule.parse("pow:3").term(2, 64) == 8
-        assert SequenceRule.parse("arith:4").term(3, 64) == 12
-        assert SequenceRule.parse("2,5,9").term(2, 64) == 5
+        assert SequenceRule.parse("nat").term(5) == 5
+        assert SequenceRule.parse("pow:3").term(2) == 8
+        assert SequenceRule.parse("arith:4").term(3) == 12
+        assert SequenceRule.parse("2,5,9").term(2) == 5
 
     def test_parse_garbage(self):
         with pytest.raises(SpecError):
@@ -82,20 +83,18 @@ class TestSequenceRule:
             SequenceRule.parse("arith:0")
 
     def test_index_of(self):
-        assert SequenceRule.parse("pow:2").index_of(9, 64) == 3
-        assert SequenceRule.parse("pow:2").index_of(8, 64) is None
-        assert SequenceRule.parse("arith:3").index_of(12, 64) == 4
-        assert SequenceRule.parse("2,5,9").index_of(9, 64) == 3
-        assert SequenceRule.parse("2,5,9").index_of(4, 64) is None
+        assert SequenceRule.parse("pow:2").index_of(9) == 3
+        assert SequenceRule.parse("pow:2").index_of(8) is None
+        assert SequenceRule.parse("arith:3").index_of(12) == 4
+        assert SequenceRule.parse("2,5,9").index_of(9) == 3
+        assert SequenceRule.parse("2,5,9").index_of(4) is None
 
     def test_horizon_fails_loudly(self):
+        # a family has no term cap; only an explicit list ends, and loudly
         rule = SequenceRule.naturals()
+        assert rule.term(65) == 65 and rule.index_of(100) == 100
         with pytest.raises(HorizonError):
-            rule.term(65, 64)
-        with pytest.raises(HorizonError):
-            rule.index_of(100, 64)
-        with pytest.raises(HorizonError):
-            SequenceRule.parse("1,2").term(3, 64)
+            SequenceRule.parse("1,2").term(3)
 
     def test_b_must_increase(self):
         with pytest.raises(SpecError):
@@ -135,10 +134,9 @@ class TestMembership:
                 assert claimed == encoded, (p, spec)
 
     def test_drop_profile_matches_conjugate_oracle(self):
-        # horizon 3 makes tall columns raise; the verdict or the error must match
+        # a short explicit width list makes tall columns raise; the verdict or the error must match
         specs = [STD, _spec("2", "3"), _spec("pow:2", "nat"), _spec("2,5", "1,3"), _spec("arith:2", "nat"),
-                 _spec("nat", "arith:2"), _spec("1,2", "2,4,6"), GenSpec.parse("nat", "nat", 3),
-                 GenSpec.parse("2", "arith:2", 3)]
+                 _spec("nat", "arith:2"), _spec("1,2", "2,4,6"), _spec("1,2,3", "nat"), _spec("2", "arith:2")]
         for spec in specs:
             for p in all_partitions_upto(12):
                 try:
@@ -367,6 +365,37 @@ class TestPowerFamilies:
             sigma_k(NNotation(_spec("2,5", "nat"), [1]))
 
 
+class TestSquareCasePast64Parts:
+    """With A = B = N every map is the square one at any length: no term cap stops one past 64 parts."""
+
+    @staticmethod
+    def _pairs(r, count=100):
+        """(member, partition) pairs with r parts each: a member built from its c-notation, and any partition."""
+        rng = random.Random(r)
+        for _ in range(count):
+            c = [rng.randrange(3) for _ in range(r - 1)] + [rng.randrange(1, 3)]
+            parts, value = [], 0
+            for i in range(r, 0, -1):  # part i is the sum of j * c_j over j >= i
+                value += i * c[i - 1]
+                parts.append(value)
+            yield Partition(parts[::-1]), Partition(sorted((rng.randrange(1, 2 * r) for _ in range(r)), reverse=True))
+
+    @pytest.mark.parametrize("r", [65, 100, 300, 1000])
+    def test_membership_and_pi(self, r):
+        for member, other in self._pairs(r):
+            assert is_in_SBA(member, STD) and is_seq_congruent(member)
+            assert is_in_SBA(other, STD) == is_seq_congruent(other)
+            for p in (member, other):
+                assert pi_prime_AB(p, STD) == pi_map(p) == n_decode(pi_AB(p, STD))
+
+    @pytest.mark.parametrize("r", [65, 100, 300, 1000])
+    def test_sigma_and_psi(self, r):
+        for member, _ in self._pairs(r):
+            n = n_encode(member, STD)
+            assert sigma_AB(n) == sigma_prime_AB(member, STD) == sigma_map(member)
+            assert psi_k(n) == psi_map(member)
+
+
 class TestHugeExponents:
     """A power too wide for a multiplicity, or too steep for a height, answers without being computed."""
 
@@ -393,14 +422,13 @@ class TestHugeExponents:
         realized = []
         term = SequenceRule.term
         monkeypatch.setattr(SequenceRule, "term",
-                            lambda rule, i, horizon: realized.append(i) or term(rule, i, horizon))
+                            lambda rule, i: realized.append(i) or term(rule, i))
         spec = GenSpec(SequenceRule.powers(10**10), SequenceRule.naturals())
         assert not is_in_SBA(Partition([2, 1]), spec)
         assert is_in_SBA(Partition([1]), spec)
+        # a tall height far past 64 parts answers unrealized too
+        assert not is_in_SBA(Partition([1] * 1000), spec)
         assert realized == [1]
-        # past the horizon the width still raises before any answer
-        with pytest.raises(HorizonError):
-            is_in_SBA(Partition([1] * 4), GenSpec(SequenceRule.powers(10**10), SequenceRule.parse("1,2,3,4"), 3))
 
     def test_steep_power_height(self):
         spec = GenSpec(SequenceRule.naturals(), SequenceRule.powers(10**10))
@@ -497,49 +525,41 @@ FAMILY_TERMS = {
 
 class TestFamiliesAgainstTheirTerms:
     @pytest.mark.parametrize("text", sorted(FAMILY_TERMS))
-    @pytest.mark.parametrize("horizon", range(1, 10))
-    def test_terms_positions_and_horizon(self, text, horizon):
-        rule, listed = SequenceRule.parse(text), FAMILY_TERMS[text][:horizon]
+    @pytest.mark.parametrize("count", range(1, 10))
+    def test_terms_positions_and_horizon(self, text, count):
+        rule, listed = SequenceRule.parse(text), FAMILY_TERMS[text][:count]
         for i, value in enumerate(listed, 1):
-            assert rule.term(i, horizon) == value
+            assert rule.term(i) == value
             # pow:0 repeats 1, whose position is the first
-            assert rule.index_of(rule.term(i, horizon), horizon) == (1 if text == "pow:0" else i)
+            assert rule.index_of(rule.term(i)) == (1 if text == "pow:0" else i)
         for value in range(1, listed[-1]):
             if value not in listed:
-                assert rule.index_of(value, horizon) is None, value
-        with pytest.raises(HorizonError, match=re.escape(
-                f"term {horizon + 1} of {rule} is beyond the horizon {horizon}")):
-            rule.term(horizon + 1, horizon)
-        if text != "pow:0":
-            beyond = FAMILY_TERMS[text][horizon] if horizon < 9 else rule.term(10, 10)
-            with pytest.raises(HorizonError, match=re.escape(
-                    f"value {beyond} sits at position {horizon + 1}, beyond the horizon {horizon}")):
-                rule.index_of(beyond, horizon)
+                assert rule.index_of(value) is None, value
 
     def test_power_past_the_part_range_is_refused_unbuilt(self):
-        assert SequenceRule.powers(62).term(2, 64) == 2**62
-        assert SequenceRule.powers(40).term(3, 64) == 3**40  # past MAX_PART, but its bits alone do not show it
+        assert SequenceRule.powers(62).term(2) == 2**62
+        assert SequenceRule.powers(40).term(3) == 3**40  # past MAX_PART, but its bits alone do not show it
         for rule, i in ((SequenceRule.powers(63), 2), (SequenceRule.powers(10**10), 2), (SequenceRule.powers(2), 2**32)):
             with pytest.raises(OverflowError, match=re.escape(f"term {i} of {rule} exceeds the 64-bit part range")):
-                rule.term(i, 2**40)
+                rule.term(i)
 
     def test_explicit_list_is_its_own_bound(self):
         rule = SequenceRule.explicit([5, 2, 9])
-        assert [rule.term(i, 1) for i in (1, 2, 3)] == [5, 2, 9]
-        assert [rule.index_of(v, 1) for v in (2, 5, 9, 3)] == [2, 1, 3, None]
+        assert [rule.term(i) for i in (1, 2, 3)] == [5, 2, 9]
+        assert [rule.index_of(v) for v in (2, 5, 9, 3)] == [2, 1, 3, None]
         with pytest.raises(HorizonError, match=re.escape("sequence 5,2,9 has only 3 terms, needed term 4")):
-            rule.term(4, 64)
+            rule.term(4)
 
     @pytest.mark.parametrize("rule", [SequenceRule.naturals(), SequenceRule.powers(0), SequenceRule.powers(3),
                                       SequenceRule.arithmetic(2), SequenceRule.explicit([2, 5])])
     def test_rules_pickle_and_copy(self, rule):
         for twin in (pickle.loads(pickle.dumps(rule)), copy.copy(rule), copy.deepcopy(rule)):
             assert twin == rule and hash(twin) == hash(rule) and str(twin) == str(rule)
-            assert [twin.term(i, 2) for i in (1, 2)] == [rule.term(i, 2) for i in (1, 2)]
+            assert [twin.term(i) for i in (1, 2)] == [rule.term(i) for i in (1, 2)]
 
 
 class TestRefusedRules:
-    """A parameter, term or horizon that is not a plain int is refused when the rule is built."""
+    """A parameter or term that is not a plain int is refused when the rule is built."""
 
     @pytest.mark.parametrize("build", [
         lambda: SequenceRule.powers(2.5),
@@ -579,14 +599,14 @@ class TestRefusedRules:
         with pytest.raises(SpecError):
             n_decode(NNotation(GenSpec(SequenceRule.arithmetic(1.5), SequenceRule.naturals()), [1, 1]))
 
-    @pytest.mark.parametrize("horizon", [2.5, True, "3"])
-    def test_horizon_must_be_a_plain_int(self, horizon):
-        with pytest.raises(SpecError, match="horizon must be an integer"):
-            GenSpec(SequenceRule.naturals(), SequenceRule.naturals(), horizon)
-
-    def test_horizon_range_message_unchanged(self):
-        with pytest.raises(SpecError, match="^horizon must be positive$"):
-            GenSpec.standard(0)
+    def test_no_term_cap_is_accepted(self):
+        # a spec and a rule take no horizon, not even one that is then ignored
+        nat = SequenceRule.naturals()
+        for build in (lambda: GenSpec(nat, nat, 64), lambda: GenSpec.standard(64), lambda: GenSpec.power_widths(2, 64),
+                      lambda: GenSpec.parse("nat", "nat", 64), lambda: nat.term(1, 64), lambda: nat.index_of(1, 64)):
+            with pytest.raises(TypeError):
+                build()
+        assert not hasattr(generalized, "horizon_from_env") and not hasattr(STD, "horizon")
 
 
 SAMPLE_SPECS = [("nat", "nat", 3), ("pow:2", "nat", 3), ("2,5", "1,3", 2), ("arith:3", "pow:2", 3)]
@@ -611,7 +631,7 @@ class TestNNotationRealizedOnce:
 
     def test_equality_and_hash_read_spec_and_coefficients(self):
         n = NNotation(STD, [1, 0, 2])
-        assert n == NNotation(GenSpec.standard(5), (1, 0, 2))
+        assert n == NNotation(GenSpec.standard(), (1, 0, 2))
         assert hash(n) == hash((STD, (1, 0, 2)))
         assert n != NNotation(STD, [1, 2]) and n != NNotation(_spec("nat", "pow:2"), [1, 0, 2])
         assert repr(n) == "NNotation(GenSpec(A=nat, B=nat), [1, 0, 2])"
@@ -634,7 +654,7 @@ def _pairs_by_index(spec, r):
     """The pairs as each NNotation used to realize them: two term calls per index, a before b."""
     pairs = []
     for i in range(1, r + 1):
-        pairs.append((spec.a.term(i, spec.horizon), spec.b.term(i, spec.horizon)))
+        pairs.append((spec.a.term(i), spec.b.term(i)))
     return tuple(pairs)
 
 
@@ -658,29 +678,27 @@ class TestSpecPairs:
     @pytest.mark.parametrize("b_text", FUZZ_B)
     @pytest.mark.parametrize("a_text", FUZZ_A)
     def test_pairs_and_their_refusals_match_the_terms(self, a_text, b_text):
-        for horizon in (2, 3, 64):
-            spec = GenSpec.parse(a_text, b_text, horizon)
-            for r in (0, 2, 1, 5, 3, 70, 64, 65, 4, 64):
-                want = _outcome(_pairs_by_index, spec, r)
-                assert _outcome(spec.pairs, r) == want, (horizon, r)
-                assert _outcome(lambda: NNotation(spec, [0] * (r - 1) + [1] if r else []).pairs) == want
+        spec = GenSpec.parse(a_text, b_text)
+        for r in (0, 2, 1, 5, 3, 70, 64, 65, 4, 64):
+            want = _outcome(_pairs_by_index, spec, r)
+            assert _outcome(spec.pairs, r) == want, r
+            assert _outcome(lambda: NNotation(spec, [0] * (r - 1) + [1] if r else []).pairs) == want
 
     @pytest.mark.parametrize("b_text", FUZZ_B)
     @pytest.mark.parametrize("a_text", FUZZ_A)
     def test_maps_match_the_per_index_construction(self, monkeypatch, a_text, b_text):
         inputs = all_partitions_upto(7) + [Partition([9, 7, 5, 4, 4, 3, 2, 1]), Partition([5] * 9)]
-        for horizon in (3, 64):
-            spec = GenSpec.parse(a_text, b_text, horizon)  # one spec, its pairs grown as the inputs need
-            got = [_outcome(f, p, spec) for p in inputs for f in (n_encode, pi_AB, pi_prime_AB)]
-            with monkeypatch.context() as m:
-                m.setattr(GenSpec, "pairs", _pairs_by_index)
-                want = [_outcome(f, p, spec) for p in inputs for f in (n_encode, pi_AB, pi_prime_AB)]
-            assert got == want, horizon
+        spec = GenSpec.parse(a_text, b_text)  # one spec, its pairs grown as the inputs need
+        got = [_outcome(f, p, spec) for p in inputs for f in (n_encode, pi_AB, pi_prime_AB)]
+        with monkeypatch.context() as m:
+            m.setattr(GenSpec, "pairs", _pairs_by_index)
+            want = [_outcome(f, p, spec) for p in inputs for f in (n_encode, pi_AB, pi_prime_AB)]
+        assert got == want
 
     def test_each_term_is_realized_once(self, monkeypatch):
         calls = []
         term = SequenceRule.term
-        monkeypatch.setattr(SequenceRule, "term", lambda self, i, horizon: calls.append(i) or term(self, i, horizon))
+        monkeypatch.setattr(SequenceRule, "term", lambda self, i: calls.append(i) or term(self, i))
         spec = GenSpec.standard()
         for p in ([3, 2], [5, 3, 1], [2], [9, 7, 5, 4, 4]):
             pi_prime_AB(Partition(p), spec)
@@ -689,33 +707,32 @@ class TestSpecPairs:
 
 def _retag_per_call(n, a_exp, b_exp):
     """The retagged notation as eta and tau built it before: a new spec on every call."""
-    return NNotation(GenSpec(SequenceRule.powers(a_exp), SequenceRule.powers(b_exp), n.spec.horizon), n.coeffs)
+    return NNotation(GenSpec(SequenceRule.powers(a_exp), SequenceRule.powers(b_exp)), n.coeffs)
 
 
 def _reshaped(out):
-    """What a reshaped notation shows: its counts, its rules, its horizon and its partition."""
-    return out.coeffs, str(out.spec.a), str(out.spec.b), out.spec.horizon, n_decode(out)
+    """What a reshaped notation shows: its counts, its rules and its partition."""
+    return out.coeffs, str(out.spec.a), str(out.spec.b), n_decode(out)
 
 
 class TestRetagOnce:
-    """eta and tau build each retagged spec once per (a exponent, b exponent, horizon)."""
+    """eta and tau build each retagged spec once per (a exponent, b exponent)."""
 
     @staticmethod
     def _reshapes():
-        for horizon in (2, 3, 64):
-            for k in (1, 2, 3):
-                spec = GenSpec.power_widths(k, horizon)
-                for p in all_partitions_upto(9) + [Partition([5] * 9)]:
-                    n = _outcome(n_encode, p, spec)
-                    if isinstance(n, tuple):
-                        continue
-                    for i in range(0, k + 2):
-                        yield _outcome(lambda: _reshaped(eta(n, k, i)))
-                        for j in range(0, k + 2):
-                            if 1 <= i <= k:
-                                m = eta(n, k, i)
-                                yield _outcome(lambda: _reshaped(tau(m, k, i, j)))
-                            yield _outcome(lambda: _reshaped(tau(n, k, i, j)))
+        for k in (1, 2, 3):
+            spec = GenSpec.power_widths(k)
+            for p in all_partitions_upto(9) + [Partition([5] * 9)]:
+                n = _outcome(n_encode, p, spec)
+                if isinstance(n, tuple):
+                    continue
+                for i in range(0, k + 2):
+                    yield _outcome(lambda: _reshaped(eta(n, k, i)))
+                    for j in range(0, k + 2):
+                        if 1 <= i <= k:
+                            m = eta(n, k, i)
+                            yield _outcome(lambda: _reshaped(tau(m, k, i, j)))
+                        yield _outcome(lambda: _reshaped(tau(n, k, i, j)))
 
     def test_maps_match_the_per_call_construction(self, monkeypatch):
         got = list(self._reshapes())
@@ -726,12 +743,12 @@ class TestRetagOnce:
     def test_gmap_batch_builds_the_spec_once(self, monkeypatch):
         generalized._retagged.cache_clear()
         built, init = [], GenSpec.__init__
-        monkeypatch.setattr(GenSpec, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+        monkeypatch.setattr(GenSpec, "__init__", lambda self, a, b: built.append((a, b)) or init(self, a, b))
         members = [p for p in all_partitions_upto(30) if is_in_Sk(p, 2)][:10]
         lines = "".join(f"[{','.join(map(str, p.parts))}]\n" for p in members * 10)
         monkeypatch.setattr("sys.stdin", io.StringIO(lines))
         out = io.StringIO()
         assert run(["gmap", "--fn", "eta", "--k", "2", "--p", "1", "--input", "-"], out=out) == 0
         assert len(out.getvalue().splitlines()) == 100
-        assert [(str(a), str(b)) for a, b, _ in built] == [("pow:2", "nat"), ("nat", "nat")]  # the input's, then eta's
+        assert [(str(a), str(b)) for a, b in built] == [("pow:2", "nat"), ("nat", "nat")]  # the input's, then eta's
 
