@@ -483,6 +483,13 @@ class TestBatchIsolation:
     def test_argument_error_reported_once(self, monkeypatch, capsys, argv, err):
         assert self.batch(monkeypatch, capsys, "[2]\n[4,2]\n[3]\n", *argv) == (1, "", f"error: {err}\n")
 
+    def test_bad_horizon_reported_once(self, monkeypatch, capsys):
+        # SEQCONG_HORIZON is not read, so 'x' stops nothing; only an explicit list ends,
+        # on the one line that runs past it
+        monkeypatch.setenv("SEQCONG_HORIZON", "x")
+        assert self.batch(monkeypatch, capsys, "[2]\n[3,2,1]\n[6,3]\n[1]\n", "gcheck", "--A", "1,2") == (
+            1, "true\nfalse\ntrue\n", "error: line 2: sequence 1,2 has only 2 terms, needed term 3\n")
+
     @pytest.mark.parametrize("argv,rules", [(("gcheck", "--A", "arith:2"), 2), (("gmap", "--fn", "piAB"), 2),
                                             (("gmap", "--fn", "eta", "--k", "2", "--p", "1"), 1)])
     def test_spec_built_once_per_batch(self, monkeypatch, capsys, argv, rules):

@@ -599,14 +599,24 @@ class TestRefusedRules:
         with pytest.raises(SpecError):
             n_decode(NNotation(GenSpec(SequenceRule.arithmetic(1.5), SequenceRule.naturals()), [1, 1]))
 
-    def test_no_term_cap_is_accepted(self):
-        # a spec and a rule take no horizon, not even one that is then ignored
+    @pytest.mark.parametrize("horizon", [2.5, True, "3"])
+    def test_horizon_must_be_a_plain_int(self, horizon):
+        # a spec and a rule take no horizon of any type, not even one that is then ignored
         nat = SequenceRule.naturals()
-        for build in (lambda: GenSpec(nat, nat, 64), lambda: GenSpec.standard(64), lambda: GenSpec.power_widths(2, 64),
-                      lambda: GenSpec.parse("nat", "nat", 64), lambda: nat.term(1, 64), lambda: nat.index_of(1, 64)):
+        for build in (lambda: GenSpec(nat, nat, horizon), lambda: GenSpec.standard(horizon),
+                      lambda: GenSpec.power_widths(2, horizon), lambda: GenSpec.parse("nat", "nat", horizon),
+                      lambda: nat.term(1, horizon), lambda: nat.index_of(1, horizon)):
             with pytest.raises(TypeError):
                 build()
         assert not hasattr(generalized, "horizon_from_env") and not hasattr(STD, "horizon")
+
+    def test_horizon_range_message_unchanged(self):
+        # a range for the removed horizon is refused as an argument; an explicit list keeps its own bound
+        for horizon in (0, 64):
+            with pytest.raises(TypeError):
+                GenSpec.standard(horizon)
+        with pytest.raises(HorizonError, match="^sequence 1,2 has only 2 terms, needed term 3$"):
+            SequenceRule.parse("1,2").term(3)
 
 
 SAMPLE_SPECS = [("nat", "nat", 3), ("pow:2", "nat", 3), ("2,5", "1,3", 2), ("arith:3", "pow:2", 3)]
