@@ -218,7 +218,7 @@ def _run_enumerate(args) -> list[str]:
 
 
 def _counts_for(tag: str, upto: int) -> list[int]:
-    from . import counting, ideals
+    from . import counting
     if tag.startswith("Sk:"):  # psi_k: S_k's members of size n <-> partitions of n into (k+1)-th powers
         k = _tag_param(tag) + 1
         if k < 2 and upto >= 0:
@@ -227,9 +227,9 @@ def _counts_for(tag: str, upto: int) -> list[int]:
         k = _tag_param(tag)
     else:  # all: k = 1; psi: S's members of size n <-> partitions of n into squares
         k = {"all": 1, "squares": 2, "seqcong": 2, "S": 2}.get(tag)
-    if k is None and tag != "parity":
-        return counting.member_counts(_predicate_for(tag), upto)
-    count = ideals.count_parity_ideal if k is None else partial(counting.count_into_powers, k=k)
+    if k is None:
+        return counting.member_counts(_predicate_for("P_parity" if tag == "parity" else tag), upto)
+    count = partial(counting.count_into_powers, k=k)
     if upto > 0:  # size N first: it builds the series once, or refuses it before any smaller size runs
         count(upto)
     return [count(n) for n in range(upto + 1)]

@@ -7,10 +7,10 @@ members of size n of a prefix-closed ideal, and a walk over the c-notation of
 the sequentially congruent partitions with largest part n, which splices its
 small tails from a second table.  Counts are plain Python integers, so they
 stay exact however large they grow.
-D, R, Rprime, Adiff and N_maxlen are counted by their sum sides, with no member or class visited;
-P_parity reads the one-parity series and S the squares (psi); the other prefix-closed kinds are
-counted over classes of member prefixes, one pass by length for every size.  Each count keeps
-within ``MAX_COUNT_CELLS`` cells.
+Every ideal kind is counted by its generating function, with no member, class or rule read: D, R,
+Rprime, Adiff, N_maxlen, P_mod and Pprime by their sum sides, SA and SA_maxlen by the product over
+the degrees i lcm(1..i), P_parity by the one-parity series and S by the squares (psi).  A count needing
+more than ``MAX_COUNT_CELLS`` series cells or ``MAX_SIDE_CELLS`` (size, parts) cells is refused unbuilt.
 
 Generating-function coefficients are cached per series in one list.  p(n)
 grows in place by Euler's pentagonal recurrence, O(sqrt n) terms per
@@ -149,40 +149,6 @@ def iter_members_of_size(spec, n: int) -> Iterator[tuple[int, ...]]:
     if not getattr(spec, "prefix_closed", False):
         raise DomainError(f"{spec!r} is not prefix-closed; filter the partitions of n instead")
     return _size_walk(n, spec._children)
-
-
-# The most (class, size) cells a count holds in the layer it builds: about 120 MB at worst.
-MAX_COUNT_CELLS = 250_000
-
-
-def _state_counts(spec, upto: int) -> dict[int, int]:
-    """{size: members} for sizes 0..upto of a prefix-closed spec with a summary, one pass by length.
-
-    A member prefix's class is its summary and last part: the children rule
-    answers alike for the class and its members extend to equal classes.  So a
-    class keeps one representative and a {size: count} histogram, and the rule
-    is read once per class, never once per member.
-    """
-    children, summary = spec._children, spec._summary
-    counts, layer, n = {}, [((), {0: 1})], 0
-    while layer:
-        longer, cells = {}, 0
-        for t, sizes in layer:
-            for s, k in sizes.items():
-                counts[s] = counts.get(s, 0) + k
-            for v in children(t, n, 1, min(t[-1], upto - min(sizes)) if t else upto):
-                c = t + (v,)
-                child = longer.setdefault((summary(c), v), (c, {}))[1]
-                cells -= len(child)
-                for s, k in sizes.items():
-                    if s + v <= upto:
-                        child[s + v] = child.get(s + v, 0) + k
-                cells += len(child)
-                if cells > MAX_COUNT_CELLS:
-                    raise ResourceError(f"counting {spec} to size {upto} needs more than "
-                                        f"{MAX_COUNT_CELLS} (class, size) cells in one layer")
-        layer, n = list(longer.values()), n + 1
-    return counts
 
 
 def enumerate_with_parts_from(allowed: Iterable[int], n: int) -> list[Partition]:
@@ -325,9 +291,20 @@ def _odd_parts(p: list[int], n: int) -> int:
             + sum([p[n - 2 * g] for g in even[: bisect_right(even, n // 2)]]))
 
 
+# The most coefficients a count series holds: sizes from it on are refused, for every count.
+MAX_COUNT_CELLS = 250_000
+# The most (size, parts) cells a sum side or a degree product adds up: about 8.4 million additions.
+MAX_SIDE_CELLS = 1 << 23
+
+
 def _refuse_series(upto: int, counted: str = "") -> None:
     if upto >= MAX_COUNT_CELLS:
         raise ResourceError(f"counting {counted}to size {upto} needs {upto + 1} series cells, above {MAX_COUNT_CELLS}")
+
+
+def _refuse_cells(spec, upto: int, cells: int) -> None:
+    if cells > MAX_SIDE_CELLS:
+        raise ResourceError(f"counting {spec} to size {upto} needs {cells} (size, parts) cells, above {MAX_SIDE_CELLS}")
 
 
 def _cached_odd_parts(upto: int) -> list[int]:
@@ -409,15 +386,12 @@ def count_members(pred, n: int) -> int:
     """Number of partitions of n satisfying a predicate.
 
     ``pred`` may be a callable on Partition or anything with a ``contains`` method, such as an
-    IdealSpec from :mod:`seqcong.ideals`.  A spec whose kind declares a count series reads it
-    (:func:`_sum_side`, the one-parity series, :func:`_psi_counts`); another spec with a summary is
-    counted over classes of member prefixes, past ``MAX_COUNT_CELLS`` cells with ``ResourceError``.
-    Every other predicate is tested on each partition of n.
+    IdealSpec from :mod:`seqcong.ideals`.  A spec is counted by its kind's count series (a sum
+    side, a degree product, the one-parity series or the squares), and its rule, test and summary
+    are never read.  Every other predicate is tested on each partition of n.
     """
     if (counts := getattr(pred, "_counts", None)) is not None:
         return counts(pred, _check_size(n))[n]
-    if getattr(pred, "_summary", None) is not None:
-        return _state_counts(pred, _check_size(n)).get(n, 0)
     return sum(1 for _ in filter(_as_predicate(pred), _partitions(n)))
 
 
@@ -428,37 +402,41 @@ def _psi_counts(spec, upto: int) -> list[int]:
     return _cached_series(2, upto)
 
 
-def _sum_side(spec, upto: int, stair: Callable[[int], int | None]) -> list[int]:
-    """Counts of sizes 0..upto of a kind whose members with r parts, less a staircase of size stair(r), are
-    the partitions into exactly r parts (Andrews 1976, ch. 1 and 7): size n has sum over r of E_r(n - stair(r)),
-    E_r(m) = E_{r-1}(m - 1) + E_r(m - r), up to the first r with stair(r) None or stair(r) + r > upto.  Row r
-    holds E_r(r..upto - stair(r)); rows of more than ``MAX_COUNT_CELLS`` cells, or so many sizes, are refused unbuilt."""
+def _sum_side(spec, upto: int, stairs: Iterable[Callable[[int], int | None]], scale: int = 1) -> list[int]:
+    """Counts of sizes 0..upto of a kind whose members with r parts on a stair, less stair(r) and divided by scale,
+    are the partitions into exactly r parts (Andrews 1976, ch. 1 and 7): [n = 0] plus, over the stairs and r >= 1 up
+    to the first r with stair(r) None or stair(r) + scale r > upto, P((n - stair(r))/scale - r, <= r parts) wherever
+    scale divides n - stair(r).  Row r holds P(j, <= r) = P(j, <= r - 1) + P(j - r, <= r) from j = 0, a cell a size,
+    no longer than row r - 1 as no stair falls faster than scale.  Sizes from ``MAX_COUNT_CELLS`` on, and more than
+    ``MAX_SIDE_CELLS`` cells, are refused before a row is built."""
     _refuse_series(upto, f"{spec} ")
-    tops, r = [], 1  # tops[r - 1] = upto - stair(r), the last size row r holds
-    while (s := stair(r)) is not None and s + r <= upto:
-        tops.append(upto - s)
-        r += 1
-    if (cells := sum(top - j for j, top in enumerate(tops))) > MAX_COUNT_CELLS:
-        raise ResourceError(f"counting {spec} to size {upto} needs {cells} (size, parts) cells, above {MAX_COUNT_CELLS}")
-    counts, row = [1] + [0] * upto, [1] + [0] * upto  # E_0: the empty partition
-    for r, top in enumerate(tops, 1):
-        row, last = [0] * (top + 1), row
-        for m in range(r, top + 1):
-            row[m] = last[m - 1] + row[m - r]
-        counts[upto - top + r:] = map(add, counts[upto - top + r:], row[r:])
+    heights, cells = [], 0  # (stair, its rows)
+    for stair in stairs:
+        r = 1
+        while (s := stair(r)) is not None and s + scale * r <= upto:
+            cells += (upto - s) // scale - r + 1
+            r += 1
+        heights.append((stair, r - 1))
+    _refuse_cells(spec, upto, cells)
+    counts, empty = [1] + [0] * upto, [1] + [0] * upto  # P(j, <= 0): the empty partition alone
+    for stair, rows in heights:
+        row = empty
+        for r in range(1, rows + 1):
+            first = stair(r) + scale * r  # the least size with r parts on this stair
+            row = row[:(upto - first) // scale + 1]
+            for j in range(r, len(row)):
+                row[j] += row[j - r]
+            counts[first::scale] = map(add, counts[first::scale], row)
     return counts
 
 
 def member_counts(pred, upto: int) -> list[int]:
-    """``[count_members(pred, n) for n in range(upto + 1)]``, every size from one count series or one class count."""
+    """``[count_members(pred, n) for n in range(upto + 1)]``, every size of a spec from its kind's one count series."""
     if type(upto) is int and upto < 0:
         return []
     if (counts := getattr(pred, "_counts", None)) is not None:
         return counts(pred, _check_size(upto))[:upto + 1]  # a copy: a series may be a cached list
-    if getattr(pred, "_summary", None) is None:
-        return [count_members(pred, n) for n in range(_check_size(upto) + 1)]
-    counts = _state_counts(pred, _check_size(upto))
-    return [counts.get(n, 0) for n in range(upto + 1)]
+    return [count_members(pred, n) for n in range(_check_size(upto) + 1)]
 
 
 def enumerate_members(pred, n: int) -> list[Partition]:

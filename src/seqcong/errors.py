@@ -35,4 +35,4 @@ class HorizonError(SpecError):
 
 class ResourceError(DomainError):
     """An answer would exceed the output-size limit (``partition.MAX_OUTPUT_PARTS``),
-    or a count its cell limit (``counting.MAX_COUNT_CELLS``)."""
+    or a count its cell limits (``counting.MAX_COUNT_CELLS``, ``counting.MAX_SIDE_CELLS``)."""

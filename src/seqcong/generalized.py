@@ -312,6 +312,8 @@ def n_encode(p: Partition, spec: GenSpec) -> NNotation:
         i = r if h == length else b.index_of(h)
         if i is None:
             raise DomainError(f"parts drop at height {h}, which is not in {spec}")
+        if a.exp > 1 and a.exp * (i.bit_length() - 1) >= mult.bit_length():  # a_i has more bits than the drop
+            raise DomainError(f"drop {mult} at height {h} is not a multiple of width {i}**{a.exp}")
         a_i = a.term(i)
         if mult % a_i:
             raise DomainError(f"drop {mult} at height {h} is not a multiple of width {a_i}")

@@ -15,10 +15,11 @@ modulus and linking run on classes of members that the test cannot tell apart
 (``_class_layers``, up to the first empty layer) for a kind with a summary, closure
 over pairs (class of a member, class of one of its removals), and all three down
 the walk (``_carry``) when a class fails or there is none; ``members_within``
-splices each class's tails (``_class_tails``).  A row may declare a *count series*, which
-``counting.count_members`` and ``member_counts`` read in place of classes: the closed sum sides of
-D, R, Rprime, Adiff and N_maxlen, P_parity's one-parity series and S's squares.  The rows, with i
-parts before v:
+splices each class's tails (``_class_tails``).  Every row declares a *count series*, which
+``counting.count_members`` and ``member_counts`` read in place of the rule: the sum sides of D, R, Rprime,
+Adiff and N_maxlen (one stair each), P_mod:k (the stairs -r(k - res), res = 1..k, scale k) and Pprime
+(r(res + r - 3), res = 1, 2, scale 2), the product over the degrees i lcm(1..i) of SA and SA_maxlen,
+P_parity's one-parity series and S's squares.  The rows, with i parts before v:
 
 =============  ======  ========  ====================================================  =============================
 kind           param   summary   part v may follow t[:i] when                          children in [lo, top]
@@ -50,12 +51,15 @@ write their JSON by one rule on their fields.
 
 from __future__ import annotations
 
+from functools import partial
 from heapq import heappop, heappush, heapreplace
 from itertools import takewhile
 from math import lcm
+from operator import mul
 
 from .bijections import _is_congruent, is_seq_congruent
-from .counting import _cached_odd_parts, _cached_series, _check_size, _psi_counts, _sum_side
+from .counting import (CountSeries, _cached_odd_parts, _cached_series, _check_size, _psi_counts, _refuse_cells,
+                       _refuse_series, _sum_side)
 from .errors import DomainError
 from .partition import Partition, _check_largest, _check_output_length
 
@@ -120,7 +124,21 @@ def _first_mod(k):
 
 def _staircase(size):
     # a count series by the sum side: less size(param, r), a member with r parts is a partition into exactly r parts
-    return lambda spec, upto: _sum_side(spec, upto, lambda r: size(spec.param, r))
+    return lambda spec, upto: _sum_side(spec, upto, (lambda r: size(spec.param, r),))
+
+
+def _mod_counts(spec, upto):
+    # take res from each of m parts = res mod k, then divide by k: a partition into m parts, on the stair m(res - k)
+    k = spec.param
+    return _sum_side(spec, upto, (partial(mul, res - k) for res in range(1, min(k, upto) + 1)), k)
+
+
+def _sa_counts(spec, upto):
+    # part i less part i + 1 is c_i lcm(1..i), so a member of size n is a partition of n into the parts i lcm(1..i)
+    _refuse_series(upto, f"{spec} ")
+    degrees = list(takewhile(upto.__ge__, (i * lcm(*range(1, i + 1)) for i in range(1, (spec.param or upto) + 1))))
+    _refuse_cells(spec, upto, sum(upto + 1 - d for d in degrees))
+    return list(CountSeries.from_degrees(degrees, upto).coefficients)
 
 
 def _parity_counts(_, upto):
@@ -132,12 +150,11 @@ def _parity_counts(_, upto):
 # kind -> (least parameter, or None when the kind takes none;
 #          parameter -> incremental test ok(t, i, v): S's prefix rule, which every prefix of a member passes;
 #          parameter -> summary of a nonempty prefix (None: the kind declares none); parameter -> children rule;
-#          count series (spec, upto) -> a list starting with the member counts of sizes 0..upto, or None: the
-#          kinds with a closed sum side declare their staircase, P_parity reads the one-parity series and S
-#          the cached squares by psi, a list that callers must not change)
+#          count series (spec, upto) -> a list starting with the member counts of sizes 0..upto, which may be a
+#          cached list that callers must not change)
 _KINDS = {
-    "SA": (None, lambda _: _sa_ok, _blank, _sa_children, None),
-    "SA_maxlen": (1, lambda r: lambda t, i, v: i < r and _sa_ok(t, i, v), _blank, _sa_children, None),
+    "SA": (None, lambda _: _sa_ok, _blank, _sa_children, _sa_counts),
+    "SA_maxlen": (1, lambda r: lambda t, i, v: i < r and _sa_ok(t, i, v), _blank, _sa_children, _sa_counts),
     "S": (None, lambda _: _seqcong_prefix_ok, None, lambda _: _seqcong_prefix_children, _psi_counts),
     "D": (None, lambda _: lambda t, i, v: not i or v < t[i - 1], _blank,
           lambda _: lambda t, i, lo, top: range(lo, min(top + 1, t[i - 1]) if i else top + 1),
@@ -154,9 +171,11 @@ _KINDS = {
                  _staircase(lambda n, r: 0 if r <= n else None)),
     "P_parity": (None, lambda _: lambda t, i, v: not i or (t[0] - v) % 2 == 0, lambda _: _first_mod(2),
                  lambda _: _congruent(2), _parity_counts),
-    "P_mod": (2, lambda k: lambda t, i, v: not i or (t[0] - v) % k == 0, _first_mod, _congruent, None),
+    "P_mod": (2, lambda k: lambda t, i, v: not i or (t[0] - v) % k == 0, _first_mod, _congruent, _mod_counts),
     "Pprime": (None, lambda _: lambda t, i, v: not i or (v < t[i - 1] and (t[0] - v) % 2 == 0),
-               lambda _: _first_mod(2), lambda _: _congruent(2, True), None),
+               lambda _: _first_mod(2), lambda _: _congruent(2, True),
+               # less res, res + 2, ..., res + 2(m - 1) and halved, m distinct parts = res mod 2 are a partition
+               lambda spec, upto: _sum_side(spec, upto, (lambda m: m * (m - 2), lambda m: m * (m - 1)), 2)),
 }
 
 
@@ -192,7 +211,7 @@ class IdealSpec:
     test takes after t[:i], the engines' only way to a prefix's children.
     ``_summary(t)``, when the kind declares one, is what the test reads of a
     nonempty member prefix t besides its length and last part.  ``_counts(spec,
-    upto)``, when the kind declares one, starts with its member counts of sizes 0..upto.
+    upto)``, the kind's count series, starts with its member counts of sizes 0..upto.
     """
 
     __slots__ = ("kind", "param", "_member", "_child_ok", "_children", "_summary", "_counts", "prefix_closed")

@@ -9,8 +9,9 @@ brute-force box filtering for the ideal-kind enumerators, the size-ordered
 scans the ideal engines' pruned walks replaced, the class closure keyed by
 removal sets that the pass over pairs of classes replaced, the modulus and
 linking checks that fold every shifted tuple from its first part, children
-rules made from an incremental test by filtering, and the member walk that
-counted Adiff before its sum side did.
+rules made from an incremental test by filtering, the member walk that
+counted Adiff before its sum side did, and the count over classes of member
+prefixes that counted the other prefix-closed kinds before their series did.
 """
 
 from math import lcm
@@ -352,6 +353,37 @@ def walked_member_counts(spec, upto):
         else:
             stack.pop()
     return [counts.get(n, 0) for n in range(upto + 1)]
+
+
+def state_counts(spec, upto):
+    """{size: members} for sizes 0..upto of a prefix-closed spec with a summary, one pass by length.
+
+    A member prefix's class is its summary and last part: the children rule
+    answers alike for the class and its members extend to equal classes.  So a
+    class keeps one representative and a {size: count} histogram, and the rule
+    is read once per class, never once per member.  The library's former count
+    of SA, SA_maxlen, P_mod and Pprime, kept as the oracle for their series.
+    """
+    children, summary = spec._children, spec._summary
+    counts, layer, n = {}, [((), {0: 1})], 0
+    while layer:
+        longer, cells = {}, 0
+        for t, sizes in layer:
+            for s, k in sizes.items():
+                counts[s] = counts.get(s, 0) + k
+            for v in children(t, n, 1, min(t[-1], upto - min(sizes)) if t else upto):
+                c = t + (v,)
+                child = longer.setdefault((summary(c), v), (c, {}))[1]
+                cells -= len(child)
+                for s, k in sizes.items():
+                    if s + v <= upto:
+                        child[s + v] = child.get(s + v, 0) + k
+                cells += len(child)
+                if cells > counting.MAX_COUNT_CELLS:
+                    raise ResourceError(f"counting {spec} to size {upto} needs more than "
+                                        f"{counting.MAX_COUNT_CELLS} (class, size) cells in one layer")
+        layer, n = list(longer.values()), n + 1
+    return counts
 
 
 def recursive_member_tuples(spec, max_part, max_length):

@@ -278,31 +278,25 @@ class TestIdealCountsAndListings:
             assert cli_ok("enumerate", "--pred", tag, "--size", str(n)).splitlines() == want
 
     def test_walk_serves_ideals_and_not_s(self, monkeypatch):
-        # enumerate walks the members of one size; count reads one sum side (R, Adiff)
-        # or makes one state count, where it once walked each size
-        walked, counted, summed = [], [], []
-        walk, state_counts, sum_side = counting.iter_members_of_size, counting._state_counts, counting._sum_side
+        # enumerate walks the members of one size; count reads one series: a sum side (R, Adiff)
+        # or SA_maxlen's degree product, where it once walked each size or counted classes
+        walked, summed = [], []
+        walk, sum_side = counting.iter_members_of_size, counting._sum_side
 
         def spy(spec, n):
             walked.append(str(spec))
             return walk(spec, n)
 
-        def count_spy(spec, upto):
-            counted.append((str(spec), upto))
-            return state_counts(spec, upto)
-
-        def sum_spy(spec, upto, stair):
+        def sum_spy(spec, upto, stairs, scale=1):
             summed.append((str(spec), upto))
-            return sum_side(spec, upto, stair)
+            return sum_side(spec, upto, stairs, scale)
 
         monkeypatch.setattr(counting, "iter_members_of_size", spy)
-        monkeypatch.setattr(counting, "_state_counts", count_spy)
         monkeypatch.setattr(ideals, "_sum_side", sum_spy)
         for tag in ("R", "SA_maxlen:2", "S", "Adiff"):
             cli_ok("count", "--pred", tag, "--upto", "3")
             cli_ok("enumerate", "--pred", tag, "--size", "3")
         assert walked == ["R", "SA_maxlen:2", "Adiff"]
-        assert counted == [("SA_maxlen:2", 3)]
         assert summed == [("R", 3), ("Adiff", 3)]
 
     def test_distinct_parts_to_200(self):
@@ -621,14 +615,27 @@ class TestProcessExits:
         ("sigmaPrimeAB", "--A", "pow:10000000000", "--input", "[1,1]"),
     ], ids=["sigmaAB", "piAB", "piPrimeAB", "sigmaPrimeAB"])
     def test_huge_power_term_refused_unbuilt(self, argv):
-        # term 2 of pow:10**10 would take 1.25 GB; it used to end in MemoryError under this limit
+        # term 2 of pow:10**10 would take 1.25 GB; it used to end in MemoryError under this limit.
+        # Encoding [1,1] compares the widths' bits with the drop's before it would build the term.
         resource = pytest.importorskip("resource")
         limit = 400_000 * 1024
         cmd, env = _seqcong("gmap", "--fn", *argv)
         done = subprocess.run(cmd, capture_output=True, env=env, timeout=60,
                               preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        want = (b"drop 1 at height 2 is not a multiple of width 2**10000000000" if argv[-1] == "[1,1]"
+                else b"term 2 of pow:10000000000 exceeds the 64-bit part range")
+        assert (done.returncode, done.stdout, done.stderr) == (1, b"", b"error: " + want + b"\n")
+
+    @pytest.mark.parametrize("fn", ["sigmaAB", "sigmaPrimeAB"])
+    def test_power_width_past_the_part_range_names_the_drop(self, fn):
+        # a_16 = 16**20 passes the 64-bit part range: the encoding of 16 ones, a non-member, failed
+        # asking for it, while gcheck answered false from the widths' bits
+        ones = "[" + ",".join(["1"] * 16) + "]"
+        assert cli_ok("gcheck", "--A", "pow:20", "--input", ones) == "false\n"
+        cmd, env = _seqcong("gmap", "--fn", fn, "--A", "pow:20", "--input", ones)
+        done = subprocess.run(cmd, capture_output=True, env=env, timeout=60)
         assert (done.returncode, done.stdout, done.stderr) == (
-            1, b"", b"error: term 2 of pow:10000000000 exceeds the 64-bit part range\n")
+            1, b"", b"error: drop 1 at height 16 is not a multiple of width 16**20\n")
 
 
 class TestCountCellLimit:
@@ -640,7 +647,7 @@ class TestCountCellLimit:
         done = subprocess.run(cmd, capture_output=True, env=env, timeout=60,
                               preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
         assert (done.returncode, done.stdout, done.stderr) == (
-            1, b"", b"error: counting D to size 100000 needs 29714750 (size, parts) cells, above 250000\n")
+            1, b"", b"error: counting D to size 100000 needs 29714750 (size, parts) cells, above 8388608\n")
 
     @staticmethod
     def _limited(*argv):
@@ -670,10 +677,12 @@ class TestCountCellLimit:
         ("D", "250000", b"250001 series cells"),
     ])
     def test_sum_side_refused_unbuilt(self, tag, upto, need):
+        # series cells are bounded by MAX_COUNT_CELLS, (size, parts) cells by MAX_SIDE_CELLS
         done = self._limited("--pred", tag, "--upto", upto)
+        bound = b"250000" if need.endswith(b"series cells") else b"8388608"
         assert (done.returncode, done.stdout, done.stderr) == (
             1, b"", b"error: counting " + tag.encode() + b" to size " + upto.encode() + b" needs " + need
-            + b", above 250000\n")
+            + b", above " + bound + b"\n")
 
     def test_huge_series_refused_within_memory(self):
         # it ran until killed: size N is asked first, and its series is refused before it is built

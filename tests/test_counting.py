@@ -47,10 +47,10 @@ from conftest import (
     _iter_c_vectors,
     _seqcong_largest_exactly,
     c_tails,
-    children_by_filter,
     naive_partitions,
     pi_sorted_by_largest,
     recursive_partition_tuples,
+    state_counts,
     walked_member_counts,
     zs1_partition_tuples,
 )
@@ -899,8 +899,18 @@ def walk_counts(spec, upto):
     return [sum(1 for _ in iter_members_of_size(spec, n)) for n in range(upto + 1)]
 
 
+def unread(spec):
+    """A fresh copy of spec whose rule, test, membership and summary fail when read."""
+    def refuse(*args):
+        raise AssertionError("counted over classes or members")
+
+    spec = IdealSpec(spec.kind, spec.param)
+    spec._children = spec._child_ok = spec._member = spec._summary = refuse
+    return spec
+
+
 class TestStateCount:
-    """Prefix-closed kinds with a summary are counted over classes of member prefixes."""
+    """The class count oracle over prefix-closed kinds with a summary, and the counts it once made."""
 
     SUMMARIZED = [s for s in PREFIX_CLOSED if s._summary is not None]
 
@@ -912,7 +922,7 @@ class TestStateCount:
         want = walk_counts(spec, 30)
         assert member_counts(spec, 30) == want
         assert [count_members(spec, n) for n in range(31)] == want
-        assert counting._state_counts(spec, 30) == {n: c for n, c in enumerate(want) if c}
+        assert state_counts(spec, 30) == {n: c for n, c in enumerate(want) if c}
 
     def test_distinct_parts_euler_product_to_200(self):
         want = [1] + [0] * 200  # prod (1 + q^k), one factor at a time
@@ -931,22 +941,23 @@ class TestStateCount:
         assert member_counts(IdealSpec("P_parity"), 100) == [count_parity_ideal(n) for n in range(101)]
 
     def test_adiff_reads_its_sum_side(self, monkeypatch):
-        # Adiff has no summary to class its prefixes by; its sum side reads neither classes nor its rule
+        # Adiff has no summary to class its prefixes by; its sum side reads neither partitions nor its rule
         def refuse(*args):
-            raise AssertionError("counted over classes or members")
+            raise AssertionError("filtered the partitions")
 
-        monkeypatch.setattr(counting, "_state_counts", refuse)
-        spec = IdealSpec("Adiff")
-        want = walked_member_counts(spec, 30)
-        spec._children = spec._child_ok = refuse
+        monkeypatch.setattr(counting, "_partitions", refuse)
+        want = walked_member_counts(IdealSpec("Adiff"), 30)
+        spec = unread(IdealSpec("Adiff"))
         assert [count_members(spec, n) for n in range(31)] == want
         assert member_counts(spec, 30) == want
 
     def test_adiff_walk_refused_unwalked(self, monkeypatch):
         # no layer of classes bounds a walk, which ran until killed at a huge
         # size: from MAX_COUNT_CELLS on it is refused before it starts; the sum
-        # side refuses those sizes, and rows of more cells, before it builds a row
+        # side refuses those sizes, and rows of more than MAX_SIDE_CELLS cells,
+        # before it builds a row
         monkeypatch.setattr(counting, "MAX_COUNT_CELLS", 150)
+        monkeypatch.setattr(counting, "MAX_SIDE_CELLS", 150)
         spec = IdealSpec("Adiff")
         want, rule = walked_member_counts(spec, 39), spec._children
 
@@ -975,37 +986,9 @@ class TestStateCount:
         assert walked_member_counts(spec, 45) == want
         assert reads[0] == sum(want)
 
-    def test_rule_reads_pinned(self):
-        # the children rule is read once per class and the kind's test never
-        # runs; the walk reads a rule at least once per prefix of size <= 80
-        spec, calls = IdealSpec("D"), []
-        ok, rule = spec._child_ok, spec._children
-        spec._child_ok = lambda *args: calls.append("test") or ok(*args)
-        spec._children = lambda *args: calls.append("rule") or rule(*args)
-        counts = counting._state_counts(spec, 80)  # a hand-patched rule is not the kind's sum side
-        assert counts[80] == 77312
-        assert (calls.count("test"), calls.count("rule")) == (0, 211)
-        assert len(calls) * 1000 < sum(counts.values()) - 1
-
-    def test_child_ok_calls_pinned(self):
-        # a rule made by filtering the test tests each class's candidate parts once
-        spec = IdealSpec("D")
-        calls = [0]
-        ok = spec._child_ok
-
-        def counted(*args):
-            calls[0] += 1
-            return ok(*args)
-
-        spec._child_ok = counted
-        spec._children = children_by_filter(counted)
-        counts = counting._state_counts(spec, 80)  # a hand-patched rule is not the kind's sum side
-        assert counts[80] == 77312
-        assert calls[0] == 2785
-        assert calls[0] * 100 < sum(counts.values()) - 1
-
     def test_cells_bounded(self, monkeypatch):
         monkeypatch.setattr(counting, "MAX_COUNT_CELLS", 100)
+        monkeypatch.setattr(counting, "MAX_SIDE_CELLS", 100)
         assert count_members(IdealSpec("R"), 20) == 31
         with pytest.raises(ResourceError, match=r"^counting D to size 60 needs 390 \(size, parts\) cells, above 100$"):
             count_members(IdealSpec("D"), 60)
@@ -1041,54 +1024,86 @@ class TestStateCount:
         assert counting._series_cache == {}
 
     def test_huge_size_refused_unbuilt(self, monkeypatch):
-        # the first layer holds one one-cell class per part: refused at the cap, not after n of
-        # them (the spy stops a count that passes the cap, which would grow until killed)
-        monkeypatch.setattr(counting, "MAX_COUNT_CELLS", 1000)
-        spec = IdealSpec("P_mod", 3)
-        ok, calls = spec._child_ok, [0]
-
-        def bounded(*args):
-            calls[0] += 1
-            assert calls[0] <= 1001, "tested past the cap"
-            return ok(*args)
-
-        spec._child_ok = bounded
-        spec._children = children_by_filter(bounded)
-        with pytest.raises(ResourceError, match="needs more than 1000 "):
-            count_members(spec, 10**12)
-        assert calls[0] == 1001
+        # the class count held one one-cell class per part and stopped only at its layer cap,
+        # after 1,001 tests; the sum side is refused from its size or its cells alone, before
+        # a rule read or a row
+        monkeypatch.setattr(counting, "add", None)  # a built row would call it
+        for tag, n, text in (("P_mod:3", 10**12, "1000000000001 series cells, above 250000"),
+                             ("P_mod:2", 249999, "23437437500 (size, parts) cells, above 8388608")):
+            spec = unread(IdealSpec.parse(tag))
+            for refused in (lambda: count_members(spec, n), lambda: member_counts(spec, n)):
+                with pytest.raises(ResourceError, match=rf"^counting {tag} to size {n} needs {re.escape(text)}$"):
+                    refused()
 
 
 class TestSumSide:
-    """D, R, Rprime, Adiff and N_maxlen are counted by their sum sides, P_parity by the one-parity series."""
+    """D, R, Rprime, Adiff, N_maxlen, P_mod and Pprime are counted by their sum sides, SA and SA_maxlen by their
+    degree products, P_parity by the one-parity series."""
 
     SERIES = [IdealSpec.parse(tag) for tag in ("D", "R", "Rprime", "P_parity", *(f"N_maxlen:{n}" for n in range(6)))]
+    ONCE_BY_CLASSES = [IdealSpec.parse(tag) for tag in (
+        "SA", *(f"SA_maxlen:{r}" for r in range(1, 5)), "P_mod:2", "P_mod:3", "P_mod:7", "P_mod:100", "Pprime")]
 
     def test_kinds_with_a_series(self):
-        assert {k for k, row in _KINDS.items() if row[4] is not None} == {
-            "S", "D", "R", "Rprime", "Adiff", "N_maxlen", "P_parity"}
+        assert {k for k, row in _KINDS.items() if row[4] is not None} == set(_KINDS) == {
+            "SA", "SA_maxlen", "S", "D", "R", "Rprime", "Adiff", "N_maxlen", "P_parity", "P_mod", "Pprime"}
 
     @pytest.mark.parametrize("spec", SERIES, ids=str)
     def test_equals_state_counts_to_60(self, spec):
-        want = counting._state_counts(spec, 60)
+        want = state_counts(spec, 60)
         want = [want.get(n, 0) for n in range(61)]
         assert member_counts(spec, 60) == want
         assert [count_members(spec, n) for n in range(61)] == want
+
+    @pytest.mark.parametrize("spec", ONCE_BY_CLASSES, ids=str)
+    def test_equals_state_counts_to_80(self, spec):
+        want = state_counts(spec, 80)
+        want = [want.get(n, 0) for n in range(81)]
+        spec = unread(spec)
+        assert member_counts(spec, 80) == want
+        assert [count_members(spec, n) for n in range(81)] == want
+
+    def test_one_residue_at_a_time_to_1406(self):
+        # a member of P_mod:2 has its parts in one residue class, odd or even: 1 / (1 - q^d) over that class's
+        # d, less the empty partition, which both classes count; Pprime's parts are distinct, prod (1 + q^d)
+        upto, mod, prime = 1406, [1] + [0] * 1406, [1] + [0] * 1406
+        for res in (1, 2):
+            parts = range(res, upto + 1, 2)
+            series = CountSeries.from_degrees(parts, upto).coefficients
+            mod = [a + b - (n == 0) for n, (a, b) in enumerate(zip(mod, series))]
+            distinct = [1] + [0] * upto
+            for d in parts:
+                for n in range(upto, d - 1, -1):
+                    distinct[n] += distinct[n - d]
+            prime = [a + b - (n == 0) for n, (a, b) in enumerate(zip(prime, distinct))]
+        assert member_counts(unread(IdealSpec("P_mod", 2)), upto) == mod
+        assert member_counts(unread(IdealSpec("Pprime")), upto) == prime
+        assert member_counts(IdealSpec("P_parity"), upto) == mod
+
+    def test_sa_product_to_3000(self):
+        # part i less part i + 1 is a multiple of lcm(1..i): the parts i lcm(1..i) are 1, 4, 18, 48, 300, 360
+        # and 2940 below 3000; the class count was refused at this size
+        want = [1] * 3001
+        for d in (4, 18, 48, 300, 360, 2940):
+            for n in range(d, 3001):
+                want[n] += want[n - d]
+        assert member_counts(unread(IdealSpec("SA")), 3000) == want
+        assert member_counts(unread(IdealSpec("SA_maxlen", 3)), 3000)[:48] == want[:48]
+        with pytest.raises(ResourceError, match="needs more than 250000 "):
+            state_counts(IdealSpec("SA"), 3000)
 
     def test_adiff_equals_walk_oracle_to_80(self):
         spec = IdealSpec("Adiff")
         assert member_counts(spec, 80) == walked_member_counts(spec, 80)
 
-    @pytest.mark.parametrize("spec", [IdealSpec("Adiff"), *SERIES], ids=str)
+    @pytest.mark.parametrize("spec", [IdealSpec("Adiff"), *SERIES, *ONCE_BY_CLASSES], ids=str)
     def test_reads_no_rule_test_or_class(self, monkeypatch, spec):
         def refuse(*args):
             raise AssertionError("counted over classes or members")
 
-        spec = IdealSpec(spec.kind, spec.param)  # its rule and test are replaced below
         want = walk_counts(spec, 25)
-        monkeypatch.setattr(counting, "_state_counts", refuse)
         monkeypatch.setattr(counting, "_partitions", refuse)
-        spec._children = spec._child_ok = spec._member = refuse
+        spec = unread(spec)
         assert member_counts(spec, 25) == want
         assert count_members(spec, 25) == want[25]
 
@@ -1103,11 +1118,12 @@ class TestSumSide:
 
     @pytest.mark.parametrize("tag,upto,cells", [
         ("R", 34, 120), ("D", 35, 168), ("Adiff", 37, 140), ("Rprime", 38, 143),  # counting_mix's sizes
-        ("D", 80, 608), ("Adiff", 200, 1460), ("R", 2000, 58674), ("D", 2000, 82398), ("N_maxlen:3", 60, 177)])
+        ("D", 80, 608), ("Adiff", 200, 1460), ("R", 2000, 58674), ("D", 2000, 82398), ("N_maxlen:3", 60, 177),
+        ("P_mod:7", 80, 1265), ("Pprime", 80, 432)])
     def test_cells_pinned(self, monkeypatch, tag, upto, cells):
-        # one addition per (size, parts) cell, sum over r of upto - stair(r) - r + 1: the state count of
-        # D 80 read its rule for 211 classes, and the Adiff walk stepped to every member, 2,723 of
-        # size <= 37 and 177,595,046 of size <= 200
+        # one addition per (size, parts) cell, sum over the stairs and r of (upto - stair(r)) // scale - r + 1:
+        # the state count of D 80 read its rule for 211 classes, and the Adiff walk stepped to every member,
+        # 2,723 of size <= 37 and 177,595,046 of size <= 200
         calls = [0]
 
         def spy(a, b):
@@ -1120,6 +1136,7 @@ class TestSumSide:
 
     def test_refused_before_a_row(self, monkeypatch):
         monkeypatch.setattr(counting, "MAX_COUNT_CELLS", 168)
+        monkeypatch.setattr(counting, "MAX_SIDE_CELLS", 168)
         monkeypatch.setattr(counting, "add", None)  # a built row would call it
         for tag, n, text in (("D", 36, "needs 176 (size, parts) cells"), ("D", 168, "needs 169 series cells"),
                              ("N_maxlen:0", 168, "needs 169 series cells"), ("P_parity", 168, "needs 169 series cells")):
