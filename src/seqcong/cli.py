@@ -185,6 +185,8 @@ def _tag_param(tag: str) -> int:
 
 
 def _predicate_for(tag: str):
+    if tag == "seqcong":  # counted by the squares and listed through psi, as S is
+        return bijections.is_seq_congruent
     if tag == "all":
         return lambda p: True
     if tag == "squares":
@@ -196,7 +198,7 @@ def _predicate_for(tag: str):
     from .ideals import IdealSpec
     # The spec itself, not its bound `contains`, so that counting can read its
     # count series or count over classes, and listing can walk the members.
-    return IdealSpec.parse(tag)
+    return IdealSpec.parse("P_parity" if tag == "parity" else tag)
 
 
 def _run_enumerate(args) -> list[str]:
@@ -208,9 +210,7 @@ def _run_enumerate(args) -> list[str]:
         if args.pred != "seqcong":
             raise DomainError("--largest enumeration is defined for --pred seqcong")
         found = counting._seqcong_largest(args.largest)  # a walk: --limit stops it after that many answers
-    elif args.pred == "seqcong":
-        found = counting.enumerate_seqcong_by_size(args.size)
-    else:  # a walk or a filter, which --limit stops as well
+    else:  # a walk, S's listing through psi or a filter; --limit stops a walk or a filter as well
         found = counting._members(_predicate_for(args.pred), args.size)
     if args.limit is not None:
         found = islice(found, args.limit) if args.limit >= 0 else list(found)[: args.limit]
@@ -226,9 +226,9 @@ def _counts_for(tag: str, upto: int) -> list[int]:
     elif tag.startswith("powers:"):
         k = _tag_param(tag)
     else:  # all: k = 1; psi: S's members of size n <-> partitions of n into squares
-        k = {"all": 1, "squares": 2, "seqcong": 2, "S": 2}.get(tag)
+        k = {"all": 1, "squares": 2, "S": 2}.get(tag)
     if k is None:
-        return counting.member_counts(_predicate_for("P_parity" if tag == "parity" else tag), upto)
+        return counting.member_counts(_predicate_for(tag), upto)
     count = partial(counting.count_into_powers, k=k)
     if upto > 0:  # size N first: it builds the series once, or refuses it before any smaller size runs
         count(upto)

@@ -7,10 +7,10 @@ members of size n of a prefix-closed ideal, and a walk over the c-notation of
 the sequentially congruent partitions with largest part n, which splices its
 small tails from a second table.  Counts are plain Python integers, so they
 stay exact however large they grow.
-Every ideal kind is counted by its generating function, with no member, class or rule read: D, R,
-Rprime, Adiff, N_maxlen, P_mod and Pprime by their sum sides, SA and SA_maxlen by the product over
-the degrees i lcm(1..i), P_parity by the one-parity series and S by the squares (psi).  A count needing
-more than ``MAX_COUNT_CELLS`` series cells or ``MAX_SIDE_CELLS`` (size, parts) cells is refused unbuilt.
+Every ideal kind is counted by its generating function, with no member, class or rule read: D, R, Rprime, Adiff,
+N_maxlen, P_mod and Pprime by their sum sides, SA and SA_maxlen by the product over the degrees i lcm(1..i),
+P_parity by the one-parity series and S and its own test ``is_seq_congruent`` by the squares (psi).  A count
+needing more than ``MAX_COUNT_CELLS`` series cells or ``MAX_SIDE_CELLS`` (size, parts) cells is refused unbuilt.
 
 Generating-function coefficients are cached per series in one list.  p(n)
 grows in place by Euler's pentagonal recurrence, O(sqrt n) terms per
@@ -32,7 +32,7 @@ from math import isqrt
 from operator import add, attrgetter
 from typing import Callable, Iterable, Iterator
 
-from .bijections import psi_inverse
+from .bijections import is_seq_congruent, psi_inverse
 from .errors import DomainError, ResourceError
 from .partition import Partition, _check_largest, _check_output_length
 
@@ -388,11 +388,21 @@ def count_members(pred, n: int) -> int:
     ``pred`` may be a callable on Partition or anything with a ``contains`` method, such as an
     IdealSpec from :mod:`seqcong.ideals`.  A spec is counted by its kind's count series (a sum
     side, a degree product, the one-parity series or the squares), and its rule, test and summary
-    are never read.  Every other predicate is tested on each partition of n.
+    are never read; ``is_seq_congruent`` itself reads S's squares.  Any other is tested on each partition of n.
     """
-    if (counts := getattr(pred, "_counts", None)) is not None:
+    if (counts := _counts_of(pred)) is not None:
         return counts(pred, _check_size(n))[n]
     return sum(1 for _ in filter(_as_predicate(pred), _partitions(n)))
+
+
+def _counts_of(pred) -> Callable[..., list[int]] | None:
+    """pred's count series, or None to filter: a spec's kind's, and for ``is_seq_congruent`` itself S's route."""
+    return _squares if pred is is_seq_congruent else getattr(pred, "_counts", None)
+
+
+def _squares(_, upto: int) -> list[int]:
+    """S's own test's count series: the cached squares, refused from ``MAX_COUNT_CELLS`` as count_into_powers is."""
+    return _cached_series(2, upto)
 
 
 def _psi_counts(spec, upto: int) -> list[int]:
@@ -431,17 +441,17 @@ def _sum_side(spec, upto: int, stairs: Iterable[Callable[[int], int | None]], sc
 
 
 def member_counts(pred, upto: int) -> list[int]:
-    """``[count_members(pred, n) for n in range(upto + 1)]``, every size of a spec from its kind's one count series."""
+    """``[count_members(pred, n) for n in range(upto + 1)]``, every size of a spec or S's test from one count series."""
     if type(upto) is int and upto < 0:
         return []
-    if (counts := getattr(pred, "_counts", None)) is not None:
+    if (counts := _counts_of(pred)) is not None:
         return counts(pred, _check_size(upto))[:upto + 1]  # a copy: a series may be a cached list
     return [count_members(pred, n) for n in range(_check_size(upto) + 1)]
 
 
 def enumerate_members(pred, n: int) -> list[Partition]:
     """Partitions of n satisfying a predicate, reverse lexicographic: a prefix-closed spec's members by
-    :func:`iter_members_of_size`, S's through psi_inverse, any other predicate's by a filter."""
+    :func:`iter_members_of_size`, S's and ``is_seq_congruent``'s through psi_inverse, any other's by a filter."""
     return list(_members(pred, n))
 
 
@@ -449,7 +459,7 @@ def _members(pred, n: int) -> Iterable[Partition]:
     """:func:`enumerate_members` lazily, so a caller that stops early stops the walk; S's listing is whole."""
     if getattr(pred, "prefix_closed", False):
         return map(Partition._of, iter_members_of_size(pred, n))
-    if getattr(pred, "kind", None) == "S":
+    if _counts_of(pred) in (_psi_counts, _squares):  # S, counted through psi, is listed through it
         return enumerate_seqcong_by_size(n)
     return filter(_as_predicate(pred), _partitions(n))
 

@@ -257,6 +257,25 @@ class TestEnumerateAndCount:
             want = [sum(member(Partition(t)) for t in recursive_partition_tuples(n)) for n in range(21)]
             assert json.loads(cli_ok("--format", "json", "count", "--pred", tag, "--upto", "20")) == want
 
+    def test_seqcong_tag_is_the_library_test(self, capsys):
+        # count and enumerate take --pred seqcong to counting's route for is_seq_congruent; the texts are unchanged
+        assert cli_module._predicate_for("seqcong") is is_seq_congruent
+        assert cli_ok("enumerate", "--pred", "seqcong", "--size", "12") == "[12]\n[10,2]\n[8,4]\n[6,6]\n[6,3,3]\n"
+        assert cli_ok("enumerate", "--pred", "seqcong", "--size", "12", "--limit", "-3") == "[12]\n[10,2]\n"
+        for argv, err in ((("count", "--pred", "seqcong", "--upto", "250000"),
+                           "error: counting to size 250000 needs 250001 series cells, above 250000\n"),
+                          (("enumerate", "--pred", "seqcong", "--size", "-1"), "error: n must be nonnegative\n")):
+            assert cli(*argv) == (1, "")
+            assert capsys.readouterr().err == err
+
+    def test_parity_tag_lists_as_it_counts(self):
+        # the alias parity -> P_parity serves enumerate as well as count
+        assert cli_ok("enumerate", "--pred", "parity", "--size", "4") == "[4]\n[3,1]\n[2,2]\n[1,1,1,1]\n"
+        for n in ("0", "4", "12"):
+            assert cli("enumerate", "--pred", "parity", "--size", n) == cli("enumerate", "--pred", "P_parity", "--size", n)
+        assert cli_ok("count", "--pred", "parity", "--upto", "8") == "0 1\n1 1\n2 2\n3 2\n4 4\n5 3\n6 7\n7 5\n8 11\n"
+        assert cli_ok("--format", "json", "count", "--pred", "parity", "--upto", "12") == "[1,1,2,2,4,3,7,5,11,8,17,12,26]\n"
+
 
 class TestIdealCountsAndListings:
     """`count`/`enumerate --pred <ideal>` against a filter over every partition."""

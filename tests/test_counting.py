@@ -39,7 +39,7 @@ from seqcong import (
     members_within,
 )
 
-from seqcong import ideals
+from seqcong import bijections, ideals
 from seqcong.ideals import _KINDS
 from seqcong.partition import MAX_OUTPUT_PARTS
 
@@ -453,8 +453,9 @@ class TestCountMembers:
         assert count_members(lambda p: True, 0) == 1
 
     def test_seqcong_equals_squares_coefficient(self):
+        # count_members(is_seq_congruent, n) reads the squares itself, so the left side is a filter of its own
         for n in range(41):
-            assert count_members(is_seq_congruent, n) == count_into_powers(n, 2)
+            assert sum(is_seq_congruent(Partition(t)) for t in zs1_partition_tuples(n)) == count_into_powers(n, 2)
 
     def test_power_chain_counts(self):
         for k in (1, 2):
@@ -490,6 +491,74 @@ class TestCountMembers:
             want = [t for t in recursive_partition_tuples(n) if spec._member(t)]
             assert count_members(spec, n) == len(want)
             assert [p.parts for p in enumerate_members(spec, n)] == want
+
+
+class TestSeqcongTestRoute:
+    """``is_seq_congruent`` itself is counted by the squares and listed through psi, as IdealSpec('S') is."""
+
+    @staticmethod
+    def spied(monkeypatch):
+        """Count the calls of is_seq_congruent (through the test it calls) and the walks over all partitions."""
+        calls = {"test": 0, "walk": 0}
+        test, walk = bijections._is_congruent, counting._partitions
+
+        def test_spy(parts):
+            calls["test"] += 1
+            return test(parts)
+
+        def walk_spy(*args):
+            calls["walk"] += 1
+            return walk(*args)
+
+        monkeypatch.setattr(bijections, "_is_congruent", test_spy)
+        monkeypatch.setattr(counting, "_partitions", walk_spy)
+        return calls
+
+    def test_equals_the_filter_oracle(self):
+        want = [[Partition(t) for t in naive_partitions(n) if is_seq_congruent(Partition(t))] for n in range(31)]
+        assert member_counts(is_seq_congruent, 30) == [len(members) for members in want]
+        for n, members in enumerate(want):
+            assert count_members(is_seq_congruent, n) == len(members)
+            assert enumerate_members(is_seq_congruent, n) == members  # the same order
+
+    def test_counts_and_lists_without_a_filter(self, monkeypatch):
+        calls = self.spied(monkeypatch)
+        assert count_members(is_seq_congruent, 39) == 50
+        assert member_counts(is_seq_congruent, 39)[-1] == 50
+        assert calls == {"test": 0, "walk": 0}
+        assert len(enumerate_members(is_seq_congruent, 39)) == 50
+        assert calls["walk"] == 0
+
+    def test_a_wrapper_is_filtered(self, monkeypatch):
+        calls = self.spied(monkeypatch)
+        assert count_members(lambda p: is_seq_congruent(p), 39) == 50
+        assert calls == {"test": count_all_partitions(39), "walk": 1}
+
+    def test_size_100_reads_the_squares(self, monkeypatch):
+        # a filter would test all 190,569,292 partitions of 100
+        calls = self.spied(monkeypatch)
+        assert count_members(is_seq_congruent, 100) == count_into_powers(100, 2)
+        assert calls == {"test": 0, "walk": 0}
+
+    @pytest.mark.parametrize("n", [counting.MAX_COUNT_CELLS, 2**63, 10**20])
+    def test_huge_size_refused_unbuilt(self, monkeypatch, n):
+        calls = self.spied(monkeypatch)
+        monkeypatch.setattr(counting, "_series_cache", {})
+        text = f"^counting to size {n} needs {n + 1} series cells, above {counting.MAX_COUNT_CELLS}$"
+        for refused in (count_members, member_counts):
+            with pytest.raises(ResourceError, match=text):
+                refused(is_seq_congruent, n)
+        assert counting._series_cache == {} and calls == {"test": 0, "walk": 0}
+
+    @pytest.mark.parametrize("n,error", [(True, TypeError), (False, TypeError), (4.0, TypeError), ("4", TypeError),
+                                         (-1, ValueError)])
+    def test_bad_size_keeps_its_error(self, n, error):
+        for call in (count_members, enumerate_members):
+            with pytest.raises(error):
+                call(is_seq_congruent, n)
+        if n != -1:
+            with pytest.raises(error):
+                member_counts(is_seq_congruent, n)
 
 
 # Orders of count_parity_ideal sizes (None: extend the shared p(n) series to
