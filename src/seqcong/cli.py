@@ -59,7 +59,8 @@ def _partition_payload(p: Partition) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# per-subcommand handlers; each returns a list of output lines
+# per-subcommand handlers: convert, map, check and diagram (and the gmap and gcheck answers) turn one
+# input into one output line; enumerate, count and ideal return a list of output lines
 # ---------------------------------------------------------------------------
 
 def _decode_any_form(payload) -> Partition:
@@ -225,8 +226,8 @@ def _counts_for(tag: str, upto: int) -> list[int]:
             raise DomainError("k must be a positive integer")
     elif tag.startswith("powers:"):
         k = _tag_param(tag)
-    else:  # all: k = 1; psi: S's members of size n <-> partitions of n into squares
-        k = {"all": 1, "squares": 2, "S": 2}.get(tag)
+    else:
+        k = {"all": 1, "squares": 2}.get(tag)
     if k is None:
         return counting.member_counts(_predicate_for(tag), upto)
     count = partial(counting.count_into_powers, k=k)

@@ -1,26 +1,25 @@
 """Enumerators, member counts and generating-function coefficients.
 
-The enumerators list partitions in reverse lexicographic order,
-duplicate-free: a walk over all partitions of n with optional part/length
-caps that splices its small rests from a table, a pruned walk over the
-members of size n of a prefix-closed ideal, and a walk over the c-notation of
-the sequentially congruent partitions with largest part n, which splices its
-small tails from a second table.  Counts are plain Python integers, so they
-stay exact however large they grow.
+The enumerators list partitions in reverse lexicographic order, duplicate-free: a walk over all
+partitions of n with optional part/length caps, one lazy range of parts per node, that splices its
+small rests from a table, a pruned walk over the members of size n of a prefix-closed ideal, and a
+walk over the c-notation of the sequentially congruent partitions with largest part n, which splices
+its small tails from a second table.  Counts are plain Python integers, so they stay exact however
+large they grow.
 Every ideal kind is counted by its generating function, with no member, class or rule read: D, R, Rprime, Adiff,
 N_maxlen, P_mod and Pprime by their sum sides, SA and SA_maxlen by the product over the degrees i lcm(1..i),
-P_parity by the one-parity series and S and its own test ``is_seq_congruent`` by the squares (psi).  A count
-needing more than ``MAX_COUNT_CELLS`` series cells or ``MAX_SIDE_CELLS`` (size, parts) cells is refused unbuilt.
+P_parity by the one-parity series and S and its own test ``is_seq_congruent`` by the squares (psi), both series
+cached here.  A count needing more than ``MAX_COUNT_CELLS`` series cells or ``MAX_SIDE_CELLS`` (size, parts) cells
+is refused unbuilt.
 
-Generating-function coefficients are cached per series in one list.  p(n)
-grows in place by Euler's pentagonal recurrence, O(sqrt n) terms per
-coefficient.  The odd-part counts, which the one-parity count reads, are a
-cached series grown ahead beside p: each is read off p by the same numbers,
-and a request past the cached length grows p and then the odd parts, in
-place, to at least twice that length.  The k-th powers for k >= 2 are built
-by the product DP prod_{d in D} 1/(1 - q^d); a request past the cached length
-rebuilds the series to at least twice that length.  So an ascent grows or
-rebuilds a series O(log n) times, each odd part or p(n) computed once.
+Generating-function coefficients are cached per series in one list.  p(n) grows in place by Euler's
+pentagonal recurrence, O(sqrt n) terms per coefficient.  P_parity's one-parity counts are a cached
+series grown ahead beside p: each is read off p, its odd parts by the same numbers and its even parts
+as p(n/2), and a request past the cached length grows p and then the one-parity counts, in place, to
+at least twice that length.  The k-th powers for k >= 2 are built by the product DP
+prod_{d in D} 1/(1 - q^d); a request past the cached length rebuilds the series to at least twice
+that length.  So an ascent grows or rebuilds a series O(log n) times, each one-parity count or p(n)
+computed once.
 """
 
 from __future__ import annotations
@@ -62,11 +61,12 @@ def _splice_table() -> tuple[list[list[tuple[int, ...]]], list[list[int]]]:
 def _partitions(n: int, max_part: int | None = None, max_length: int | None = None) -> Iterator[Partition]:
     """All partitions of n within the caps as fresh ``Partition`` values, reverse lexicographic.
 
-    A cap below 1 leaves only the empty partition of 0.  The stack holds (prefix, rest,
-    largest part allowed, parts left).  A node whose rest fits the table and its parts left
-    emits the prefix with each tail the largest part allows.  Any other node pushes,
-    smallest first, the parts v whose rest its parts left can hold, so the largest pops
-    first and no child is a dead end."""
+    A cap below 1 leaves only the empty partition of 0.  A node (prefix, rest, largest part
+    allowed, parts left) whose rest fits the table and its parts left emits the prefix with
+    each tail the largest part allows.  Any other node goes on the stack with one lazy range
+    of its next parts v, largest first, down to the least whose rest its parts left can hold,
+    so no child is a dead end.  Part 1 can only repeat, so it completes the prefix with ones,
+    listed last."""
     for arg in (n, max_part, max_length):
         if arg is not None and type(arg) is not int:
             raise TypeError(f"n, max_part and max_length must be integers, got {arg!r}")
@@ -79,19 +79,26 @@ def _partitions(n: int, max_part: int | None = None, max_length: int | None = No
     _check_largest(cap)
     rows, starts = _tails or _splice_table()
     new = object.__new__
-    stack = [((), n, cap, room)]
-    while stack:
-        t, rest, top, room = stack.pop()
+    t, rest, top, stack = (), n, cap, []
+    while True:
         if rest <= room and rest <= _SPLICE_MAX:
             for s in rows[rest][starts[rest][min(top, rest)]:]:
                 p = new(Partition)
                 p.parts = t + s
                 yield p
-            continue
-        lo = -(-rest // room)
-        if lo == 1:  # part 1 can only repeat, so its child is completed at once
-            stack.append((t + (1,) * rest, 0, 0, 0))
-        stack += [(t + (v,), rest - v, v, room - 1) for v in range(max(lo, 2), min(top, rest) + 1)]
+        else:
+            stack.append((t, rest, room, iter(range(min(top, rest), -(-rest // room) - 1, -1))))
+        while stack:
+            t, rest, room, parts = stack[-1]
+            top = next(parts, 0)
+            if top > 1:
+                t, rest, room = t + (top,), rest - top, room - 1
+                break
+            if top:
+                yield Partition._of(t + (1,) * rest)
+            stack.pop()
+        else:
+            return
 
 
 def iter_partition_tuples(n: int, max_part: int | None = None,
@@ -251,7 +258,8 @@ class CountSeries:
 
     @classmethod
     def from_degrees(cls, degrees: Iterable[int], upto: int) -> "CountSeries":
-        """Product of 1 / (1 - q^d) over the given degrees, coefficients 0..upto."""
+        """Product of 1 / (1 - q^d) over the given degrees, coefficients 0..upto, refused from ``MAX_COUNT_CELLS``."""
+        _refuse_series(_check_size(upto))
         coeffs = [0] * (upto + 1)
         coeffs[0] = 1
         for d in sorted({d for d in degrees if 1 <= d <= upto}):
@@ -274,7 +282,7 @@ class CountSeries:
         return f"CountSeries({list(self.coefficients)!r})"
 
 
-# ("powers", k) -> coefficients, ("parity", 1) -> the odd-part counts.  p's and the odd parts'
+# ("powers", k) -> coefficients, ("parity", 1) -> the one-parity counts.  p's and the one-parity
 # lists only grow, one correct coefficient at a time, under the lock; a k >= 2 list is never
 # mutated, only replaced by a longer one under the lock.  The lock is not re-entrant.
 _series_cache: dict[tuple, list[int]] = {}
@@ -307,8 +315,9 @@ def _refuse_cells(spec, upto: int, cells: int) -> None:
         raise ResourceError(f"counting {spec} to size {upto} needs {cells} (size, parts) cells, above {MAX_SIDE_CELLS}")
 
 
-def _cached_odd_parts(upto: int) -> list[int]:
-    """Partitions of 0..upto, or more, into odd parts, each read off p(n) by :func:`_odd_parts`.
+def _cached_parity(upto: int) -> list[int]:
+    """Partitions of 0..upto, or more, with all parts of one parity: the odd-part count read off p(n)
+    by :func:`_odd_parts`, plus p(n/2) for even n (halve every part), less 1 for the empty partition at 0.
 
     A list too short for upto grows in place to at least twice its length,
     after p(n) has grown that far, so an ascent grows it O(log n) times and
@@ -316,16 +325,16 @@ def _cached_odd_parts(upto: int) -> list[int]:
     of ``MAX_COUNT_CELLS`` or more is refused before anything is built.
     """
     _refuse_series(upto)
-    odd = _series_cache.get(("parity", 1))
-    if odd is not None and len(odd) > upto:  # no published list ever shrinks, so no lock to read it
-        return odd
-    top = min(max(upto, 2 * len(odd or ())), MAX_COUNT_CELLS - 1)
+    counts = _series_cache.get(("parity", 1))
+    if counts is not None and len(counts) > upto:  # no published list ever shrinks, so no lock to read it
+        return counts
+    top = min(max(upto, 2 * len(counts or ())), MAX_COUNT_CELLS - 1)
     p = _cached_series(1, top)  # it takes the lock itself, so before this function does
     with _series_lock:
-        odd = _series_cache.setdefault(("parity", 1), [])
-        for m in range(len(odd), top + 1):
-            odd.append(_odd_parts(p, m))
-        return odd
+        counts = _series_cache.setdefault(("parity", 1), [])
+        for m in range(len(counts), top + 1):
+            counts.append(_odd_parts(p, m) + (0 if m % 2 else p[m // 2]) - (m == 0))
+        return counts
 
 
 def _cached_series(k: int, upto: int) -> list[int]:
@@ -396,19 +405,12 @@ def count_members(pred, n: int) -> int:
 
 
 def _counts_of(pred) -> Callable[..., list[int]] | None:
-    """pred's count series, or None to filter: a spec's kind's, and for ``is_seq_congruent`` itself S's route."""
-    return _squares if pred is is_seq_congruent else getattr(pred, "_counts", None)
+    """pred's count series, or None to filter: a spec's kind's, and for ``is_seq_congruent`` itself S's."""
+    return _psi_counts if pred is is_seq_congruent else getattr(pred, "_counts", None)
 
 
-def _squares(_, upto: int) -> list[int]:
-    """S's own test's count series: the cached squares, refused from ``MAX_COUNT_CELLS`` as count_into_powers is."""
-    return _cached_series(2, upto)
-
-
-def _psi_counts(spec, upto: int) -> list[int]:
+def _psi_counts(_, upto: int) -> list[int]:
     """S's count series, the cached squares: by psi, its members of size n <-> the partitions of n into squares."""
-    _check_largest(upto)  # (upto) is a member
-    _refuse_series(upto, f"{spec} ")
     return _cached_series(2, upto)
 
 
@@ -459,7 +461,7 @@ def _members(pred, n: int) -> Iterable[Partition]:
     """:func:`enumerate_members` lazily, so a caller that stops early stops the walk; S's listing is whole."""
     if getattr(pred, "prefix_closed", False):
         return map(Partition._of, iter_members_of_size(pred, n))
-    if _counts_of(pred) in (_psi_counts, _squares):  # S, counted through psi, is listed through it
+    if _counts_of(pred) is _psi_counts:  # S, counted through psi, is listed through it
         return enumerate_seqcong_by_size(n)
     return filter(_as_predicate(pred), _partitions(n))
 

@@ -19,7 +19,7 @@ splices each class's tails (``_class_tails``).  Every row declares a *count seri
 ``counting.count_members`` and ``member_counts`` read in place of the rule: the sum sides of D, R, Rprime,
 Adiff and N_maxlen (one stair each), P_mod:k (the stairs -r(k - res), res = 1..k, scale k) and Pprime
 (r(res + r - 3), res = 1, 2, scale 2), the product over the degrees i lcm(1..i) of SA and SA_maxlen,
-P_parity's one-parity series and S's squares.  The rows, with i parts before v:
+P_parity's one-parity series and S's squares, both cached by ``counting``.  The rows, with i parts before v:
 
 =============  ======  ========  ====================================================  =============================
 kind           param   summary   part v may follow t[:i] when                          children in [lo, top]
@@ -58,8 +58,7 @@ from math import lcm
 from operator import mul
 
 from .bijections import _is_congruent, is_seq_congruent
-from .counting import (CountSeries, _cached_odd_parts, _cached_series, _check_size, _psi_counts, _refuse_cells,
-                       _refuse_series, _sum_side)
+from .counting import CountSeries, _cached_parity, _check_size, _psi_counts, _refuse_cells, _refuse_series, _sum_side
 from .errors import DomainError
 from .partition import Partition, _check_largest, _check_output_length
 
@@ -141,12 +140,6 @@ def _sa_counts(spec, upto):
     return list(CountSeries.from_degrees(degrees, upto).coefficients)
 
 
-def _parity_counts(_, upto):
-    # count_parity_ideal(n) for n = 0..upto, read off the two cached lists in one pass
-    odd, p = _cached_odd_parts(upto), _cached_series(1, upto // 2)
-    return [odd[n] + (0 if n % 2 else p[n // 2]) - (n == 0) for n in range(upto + 1)]
-
-
 # kind -> (least parameter, or None when the kind takes none;
 #          parameter -> incremental test ok(t, i, v): S's prefix rule, which every prefix of a member passes;
 #          parameter -> summary of a nonempty prefix (None: the kind declares none); parameter -> children rule;
@@ -170,7 +163,7 @@ _KINDS = {
                  lambda n: lambda t, i, lo, top: range(lo, top + 1) if i < n else (),
                  _staircase(lambda n, r: 0 if r <= n else None)),
     "P_parity": (None, lambda _: lambda t, i, v: not i or (t[0] - v) % 2 == 0, lambda _: _first_mod(2),
-                 lambda _: _congruent(2), _parity_counts),
+                 lambda _: _congruent(2), lambda _, upto: _cached_parity(upto)),
     "P_mod": (2, lambda k: lambda t, i, v: not i or (t[0] - v) % k == 0, _first_mod, _congruent, _mod_counts),
     "Pprime": (None, lambda _: lambda t, i, v: not i or (v < t[i - 1] and (t[0] - v) % 2 == 0),
                lambda _: _first_mod(2), lambda _: _congruent(2, True),
@@ -978,15 +971,14 @@ def infer_linking(spec: IdealSpec, m: int, bound: AnalysisBound, span_cap: int =
 # ---- counting and the constructive counterexamples ------------------------
 
 def count_parity_ideal(n: int) -> int:
-    """Partitions of n with all parts of one parity.
+    """Partitions of n with all parts of one parity, read from P_parity's cached count series.
 
-    The odd-part count, read from its cached series, which grows ahead beside p(n): by
-    prod (1 + q^k) = prod (1 - q^2k) / prod (1 - q^k) and Euler's pentagonal theorem, it is
-    sum over j in Z of (-1)^j p(n - j(3j - 1)).  Plus p(n/2) for even n (halve every part),
-    minus 1 to stop counting the empty partition twice.
+    That series grows ahead beside p(n).  Its odd-part count is, by prod (1 + q^k) =
+    prod (1 - q^2k) / prod (1 - q^k) and Euler's pentagonal theorem, the sum over j in Z of
+    (-1)^j p(n - j(3j - 1)).  It adds p(n/2) for even n (halve every part) and subtracts 1 so
+    as not to count the empty partition twice.
     """
-    odd = _cached_odd_parts(_check_size(n))  # p(n) has grown at least as far
-    return odd[n] + (0 if n % 2 else _cached_series(1, n // 2)[n // 2]) - (n == 0)
+    return _cached_parity(_check_size(n))[n]
 
 
 def seqcong_ideal_exit(p: Partition) -> Partition:

@@ -342,9 +342,9 @@ class TestIdealCountsAndListings:
         assert cli("count", "--pred", tag, "--upto", "3") == (1, "")
         assert capsys.readouterr().err == "error: k must be a positive integer\n"
 
-    def test_s_prints_the_seqcong_bytes(self, monkeypatch):
+    def test_s_prints_the_seqcong_bytes(self, monkeypatch, capsys):
         # S is exactly the sequentially congruent set, so it is answered the
-        # same way: the squares series and the psi listing, no filter
+        # same way, refusals too: the squares series and the psi listing, no filter
         def refuse(*args):
             raise AssertionError("filtered every partition")
 
@@ -352,12 +352,16 @@ class TestIdealCountsAndListings:
         monkeypatch.setattr(counting, "_partitions", refuse)
         for head, tail in (
             (("count",), ("--upto", "45")),
+            (("count",), ("--upto", "250000")),
+            (("count",), ("--upto", "-2")),
+            (("count",), ("--upto", "0")),
             (("--format", "json", "count"), ("--upto", "30")),
             (("enumerate",), ("--size", "0")),
             (("enumerate",), ("--size", "24")),
             (("--format", "json", "enumerate"), ("--size", "18", "--limit", "3")),
         ):
-            assert cli(*head, "--pred", "S", *tail) == cli(*head, "--pred", "seqcong", *tail)
+            got = cli(*head, "--pred", "S", *tail), capsys.readouterr().err
+            assert got == (cli(*head, "--pred", "seqcong", *tail), capsys.readouterr().err)
 
 
 class TestIdealCommands:
@@ -738,6 +742,17 @@ class TestEnumerateLimitStopsTheWalk:
         done = subprocess.run(cmd, capture_output=True, env=env, timeout=60,
                               preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
         assert (done.returncode, done.stdout, done.stderr) == (0, want, b"")
+
+    @pytest.mark.parametrize("pred", ["all", "squares"])
+    def test_huge_size_within_memory(self, pred):
+        # each node of the walk over all partitions listed all its children and first built its all-ones
+        # completion, a tuple of 10**12 ones here, which ended in MemoryError
+        resource = pytest.importorskip("resource")
+        limit = 400_000 * 1024
+        cmd, env = _seqcong("enumerate", "--pred", pred, "--size", "1000000000000", "--limit", "1")
+        done = subprocess.run(cmd, capture_output=True, env=env, timeout=60,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"[1000000000000]\n", b"")
 
     def test_walked_kind_of_a_huge_size_within_memory(self):
         # Adiff's size walk holds one lazy range per part; listing the root's

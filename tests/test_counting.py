@@ -144,6 +144,12 @@ class TestSpliceWalk:
         got = list(iter_partition_tuples(n, max_part, max_length))
         assert got == list(zs1_partition_tuples(n, max_part, max_length))
 
+    def test_huge_size_lists_its_first_partitions_lazily(self):
+        # each node listed all its children and first built its all-ones completion, here 10**12 ones
+        n = 10**12
+        assert list(islice(iter_partition_tuples(n), 3)) == [(n,), (n - 1, 1), (n - 2, 2)]
+        assert list(islice(iter_partition_tuples(n, n - 2, 2), 2)) == [(n - 2, 2), (n - 3, 3)]
+
     def test_table_rows_match_zs1(self):
         rows, starts = counting._tails or counting._splice_table()
         assert len(rows) == counting._SPLICE_MAX + 1
@@ -402,6 +408,13 @@ class TestCountSeries:
         series = CountSeries.from_degrees(range(1, 21), 20)
         assert list(series.coefficients) == PARTITION_COUNTS
 
+    @pytest.mark.parametrize("upto,error", [(-1, ValueError), (2.0, TypeError), (True, TypeError),
+                                            (250_000, ResourceError), (10**12, ResourceError)])
+    def test_size_checked_before_a_cell(self, upto, error):
+        # -1 raised IndexError, and 10**8 built its list until MemoryError under 400 MB
+        with pytest.raises(error):
+            CountSeries.from_degrees([1, 2], upto)
+
     def test_count_into_powers_values(self):
         assert count_into_powers(4, 2) == 2
         assert count_into_powers(9, 2) == 4
@@ -550,6 +563,16 @@ class TestSeqcongTestRoute:
                 refused(is_seq_congruent, n)
         assert counting._series_cache == {} and calls == {"test": 0, "walk": 0}
 
+    @pytest.mark.parametrize("n", [300_000, 2**63])
+    def test_spec_and_test_refuse_alike(self, n):
+        # IdealSpec('S') checked the part range first (OverflowError at 2**63) and named itself in its text
+        text = f"counting to size {n} needs {n + 1} series cells, above {counting.MAX_COUNT_CELLS}"
+        for refused in (count_members, member_counts):
+            for pred in (IdealSpec("S"), is_seq_congruent):
+                with pytest.raises(ResourceError) as caught:
+                    refused(pred, n)
+                assert str(caught.value) == text
+
     @pytest.mark.parametrize("n,error", [(True, TypeError), (False, TypeError), (4.0, TypeError), ("4", TypeError),
                                          (-1, ValueError)])
     def test_bad_size_keeps_its_error(self, n, error):
@@ -573,7 +596,7 @@ PARITY_ORDERS = {
 
 
 class TestParitySeries:
-    """The one-parity count reads two cached series: the odd parts, grown off p(n) by Euler's pentagonal
+    """The one-parity count reads one cached series, grown off p(n): the odd parts by Euler's pentagonal
     theorem, and p(n/2) for the even parts."""
 
     @pytest.mark.parametrize("order", PARITY_ORDERS)
@@ -591,6 +614,23 @@ class TestParitySeries:
             seen.add(n)
         assert seen == set(range(301))
 
+    def test_spec_count_reads_one_entry(self, monkeypatch):
+        # IdealSpec('P_parity') read the whole one-parity list, 5,001 entries and 2,501 of p, to answer one size
+        monkeypatch.setattr(counting, "_series_cache", {})
+        want, reads = count_parity_ideal(5000), [0]
+
+        class Counted(list):
+            def __getitem__(self, i):
+                reads[0] += 1
+                return super().__getitem__(i)
+
+        for key, cached in counting._series_cache.items():
+            counting._series_cache[key] = Counted(cached)
+        computed, odd_parts = [], counting._odd_parts
+        monkeypatch.setattr(counting, "_odd_parts", lambda p, m: computed.append(m) or odd_parts(p, m))
+        assert count_members(IdealSpec("P_parity"), 5000) == want
+        assert (computed, reads) == ([], [1])
+
     def test_every_size_to_1500(self, monkeypatch):
         # the odd-part identity against the odd and even part products, from an empty cache
         monkeypatch.setattr(counting, "_series_cache", {})
@@ -604,21 +644,31 @@ SERIES_KEYS = [("powers", k) for k in range(1, 6)] + [("parity", 1)]
 
 
 def series_degrees(key, upto=SERIES_UPTO) -> list[int]:
-    """The degrees up to ``upto`` of the series cached under ``key``."""
+    """The degrees up to ``upto`` of the product series under ``key``: for ("parity", 1) the odd parts."""
     kind, k = key
     return list(range(1, upto + 1, 2)) if kind == "parity" else [i**k for i in range(1, upto + 1) if i**k <= upto]
 
 
 @functools.cache
 def series_oracle(key, upto=SERIES_UPTO) -> tuple[int, ...]:
-    """Coefficients 0..upto of the series cached under ``key``, by the product DP."""
+    """Coefficients 0..upto of the product series under ``key``, by the product DP."""
     return CountSeries.from_degrees(series_degrees(key, upto), upto).coefficients
 
 
+@functools.cache
+def cached_oracle(key, upto=SERIES_UPTO) -> tuple[int, ...]:
+    """Entries 0..upto of the list cached under ``key``: a power series, or for ("parity", 1) P_parity's
+    counts, the odd parts plus p(n/2) for even n, less 1 at 0, from the product DP."""
+    if key[0] == "powers":
+        return series_oracle(key, upto)
+    p = series_oracle(("powers", 1), upto // 2)
+    return tuple(a + (0 if n % 2 else p[n // 2]) - (n == 0) for n, a in enumerate(series_oracle(key, upto)))
+
+
 def assert_cache_matches_oracle():
-    """Each whole cached list equals the product DP to that list's own length."""
+    """Each whole cached list equals the product DP's to that list's own length."""
     for key, coefficients in counting._series_cache.items():
-        assert tuple(coefficients) == series_oracle(key, len(coefficients) - 1), key
+        assert tuple(coefficients) == cached_oracle(key, len(coefficients) - 1), key
 
 
 def series_request(key, n) -> int:
@@ -629,9 +679,7 @@ def series_request(key, n) -> int:
 
 
 def series_answer(key, n) -> int:
-    if key[0] == "powers":
-        return series_oracle(key)[n]
-    return series_oracle(key)[n] + (0 if n % 2 else series_oracle(("powers", 1))[n // 2]) - (n == 0)
+    return cached_oracle(key)[n]
 
 
 def _interleaved_requests(seed):
@@ -655,10 +703,10 @@ def _interleaved_requests(seed):
 
 
 # Request orders over every series key, as (key, size) pairs; ("parity", 1)
-# asks the one-parity count, which reads the odd parts and p(n).  The ascent by one is
+# asks the one-parity count, whose series is read off p(n).  The ascent by one is
 # TestExtendedSeries.test_ascent_divides_exactly.
 SERIES_ORDERS = {
-    # The benchmark's write steps: the odd-part series by 3, squares by 10, cubes by 15.
+    # The benchmark's write steps: the one-parity series by 3, squares by 10, cubes by 15.
     "workload_steps": [(key, first + step * i) for key, first, step in
                        [(("parity", 1), 600, 3), (("powers", 2), 1000, 10), (("powers", 3), 1200, 15)]
                        for i in range((SERIES_UPTO - first) // step + 1)],
@@ -714,8 +762,8 @@ class TestExtendedSeries:
     def test_workload_writes_extend(self, monkeypatch):
         # counting_mix's 32 writes per key, from its first sizes: the squares
         # and cubes build at their first write and rebuild once, to twice their
-        # length, at their second; the one-parity count grows p(n) and then the
-        # odd parts, to 600 and then to 1,202, which builds no product series.
+        # length, at their second; the one-parity count grows p(n) and then its
+        # own series, to 600 and then to 1,202, which builds no product series.
         # The cache then holds its four coefficient lists and nothing beside
         # them: 15,212 integers in all.
         monkeypatch.setattr(counting, "_series_cache", {})
@@ -734,7 +782,7 @@ class TestExtendedSeries:
         # answer and each whole cached series must still equal the product DP.
         monkeypatch.setattr(counting, "_series_cache", {})
         for key in SERIES_KEYS:  # the answers' oracles, built before the threads start
-            series_oracle(key)
+            cached_oracle(key)
         wrong = []
 
         def worker(seed):
@@ -821,14 +869,16 @@ class TestExtendedSeries:
         assert builds == [3000]
 
     def test_odd_parts_build_nothing(self, monkeypatch):
-        # the odd-part counts are read off p(n) at every jump, short or long:
-        # their list grows beside p's and no product series is built
+        # the odd-part counts, and so the one-parity counts, are read off p(n) at
+        # every jump, short or long: their list grows beside p's and no product
+        # series is built
         monkeypatch.setattr(counting, "_series_cache", {})
         odd = CountSeries.from_degrees(range(1, 1400, 2), 1399)
+        parity = cached_oracle(("parity", 1), 1399)
         builds = self.count_builds(monkeypatch)
         for n in (600, 603, 606, 999, 1002, 1399):
             assert counting._odd_parts(counting._cached_series(1, n), n) == odd[n]
-            assert counting._cached_odd_parts(n)[n] == odd[n]
+            assert counting._cached_parity(n)[n] == parity[n]
         assert builds == []
         assert set(counting._series_cache) == {("powers", 1), ("parity", 1)}
         assert len(counting._series_cache[("parity", 1)]) == 2407  # grown to 600, to 1,202 and to 2,406
@@ -846,7 +896,7 @@ class TestExtendedSeries:
         assert sorted(computed) == list(range(1203))
         computed.clear()
         for n in range(1203):
-            assert count_parity_ideal(n) == series_answer(("parity", 1), n), n
+            assert count_parity_ideal(n) == counting._cached_parity(n)[n] == series_answer(("parity", 1), n), n
         assert computed == []
         assert_cache_matches_oracle()
 
@@ -1061,7 +1111,7 @@ class TestStateCount:
         assert count_members(IdealSpec("R"), 20) == 31
         with pytest.raises(ResourceError, match=r"^counting D to size 60 needs 390 \(size, parts\) cells, above 100$"):
             count_members(IdealSpec("D"), 60)
-        with pytest.raises(ResourceError, match="counting S to size 100 needs 101 series cells, above 100"):
+        with pytest.raises(ResourceError, match="^counting to size 100 needs 101 series cells, above 100$"):
             count_members(IdealSpec("S"), 100)
 
     def test_series_refused_unbuilt(self, monkeypatch):
@@ -1088,7 +1138,7 @@ class TestStateCount:
             raise AssertionError("built the degree list")
 
         monkeypatch.setattr(counting, "_power_degrees", degrees)
-        with pytest.raises(ResourceError, match="^counting S to size 300000 needs 300001 series cells, above 250000$"):
+        with pytest.raises(ResourceError, match="^counting to size 300000 needs 300001 series cells, above 250000$"):
             member_counts(IdealSpec("S"), 300000)
         assert counting._series_cache == {}
 
@@ -1294,7 +1344,7 @@ class TestTrustedConstruction:
         # the first partition of 2**63 is one part past the 64-bit range
         with pytest.raises(OverflowError):
             enumerate_partitions(2**63)
-        with pytest.raises(OverflowError):
+        with pytest.raises(ResourceError):  # S's squares are refused from MAX_COUNT_CELLS, before any part
             count_members(IdealSpec("S"), 2**63)
         with pytest.raises(OverflowError):
             enumerate_members(lambda p: True, 2**63)
