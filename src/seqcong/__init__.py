@@ -7,10 +7,11 @@ first, so first use from several threads at once is safe.  A public name
 (``seqcong.Partition``) or a submodule taken by name (``seqcong.ideals``,
 ``from seqcong import ideals``) comes back from a module that has run.
 
-So a ``seqcong map`` process never compiles or runs ``counting``, ``ideals``
-or ``generalized``.  :func:`seqcong.cli.main` then calls ``gc.freeze()``: a
-process keeps what it loaded until it exits, so no collection, the one at
-exit included, needs to walk that heap again.
+So a ``seqcong map`` process never compiles or runs ``counting``, ``ideals``,
+``kinds`` or ``generalized``, and one that builds an ``IdealSpec`` or counts a
+kind runs ``kinds`` and never ``ideals``.  :func:`seqcong.cli.main` then
+calls ``gc.freeze()``: a process keeps what it loaded until it exits, so no
+collection, the one at exit included, needs to walk that heap again.
 """
 
 import sys
@@ -30,10 +31,11 @@ _NAMES = {
         ResourceError SpecError""",
     "generalized": """GenSpec NNotation SequenceRule eta is_in_SBA is_in_Sjk is_in_Sk n_decode n_encode pi_AB
         pi_prime_AB psi_k sigma_AB sigma_k sigma_prime_AB tau""",
-    "ideals": """AnalysisBound ClosureReport IdealSpec LinkEntry LinkReport LSetReport ModulusReport
-        OrderReport SubidealRefutation andrews_compose andrews_decompose check_ideal_closure check_modulus
-        compute_L count_parity_ideal infer_linking is_member linked_refutation_example members_within
-        order_estimate order_refute seqcong_ideal_exit weak_order_estimate weak_order_refute""",
+    "ideals": """ClosureReport LinkEntry LinkReport LSetReport ModulusReport OrderReport SubidealRefutation
+        andrews_compose andrews_decompose check_ideal_closure check_modulus compute_L count_parity_ideal
+        infer_linking linked_refutation_example members_within order_estimate order_refute seqcong_ideal_exit
+        weak_order_estimate weak_order_refute""",
+    "kinds": "AnalysisBound IdealSpec is_member",
     "partition": """EMPTY FrequencyMap Partition conjugate durfee_size from_frequencies head_above
         is_self_conjugate oplus_merge remove_parts render_diagram scalar_mul shift star_add tail unshift""",
 }

@@ -173,10 +173,6 @@ def _gmap_answer(args):
     return answer
 
 
-def _square_parts(p: Partition) -> bool:
-    return all(bijections._exact_sqrt(x) is not None for x in p.parts)
-
-
 def _tag_param(tag: str) -> int:
     """The integer after the colon of a ``name:param`` predicate tag."""
     try:
@@ -190,16 +186,21 @@ def _predicate_for(tag: str):
         return bijections.is_seq_congruent
     if tag == "all":
         return lambda p: True
-    if tag == "squares":
-        return _square_parts
     if tag.startswith("Sk:"):
         from .generalized import is_in_Sk
         k = _tag_param(tag)
         return lambda p: is_in_Sk(p, k)
-    from .ideals import IdealSpec
-    # The spec itself, not its bound `contains`, so that counting can read its
-    # count series or count over classes, and listing can walk the members.
+    from .kinds import IdealSpec
+    # The spec itself, not its bound `contains`, so that counting reads its count series and listing walks it.
     return IdealSpec.parse("P_parity" if tag == "parity" else tag)
+
+
+def _square_partitions(n: int):
+    """The partitions of n into squares, reverse lexicographic, lazily; n is checked as the walk over all checks it."""
+    from math import isqrt
+    from .counting import _size_walk
+    partition._check_largest(n)
+    yield from map(Partition._of, _size_walk(n, lambda t, i, lo, top: [j * j for j in range(1, isqrt(top) + 1)]))
 
 
 def _run_enumerate(args) -> list[str]:
@@ -211,6 +212,8 @@ def _run_enumerate(args) -> list[str]:
         if args.pred != "seqcong":
             raise DomainError("--largest enumeration is defined for --pred seqcong")
         found = counting._seqcong_largest(args.largest)  # a walk: --limit stops it after that many answers
+    elif args.pred == "squares":  # walked over the squares up to each prefix's last part, as a filter lists them
+        found = _square_partitions(args.size)
     else:  # a walk, S's listing through psi or a filter; --limit stops a walk or a filter as well
         found = counting._members(_predicate_for(args.pred), args.size)
     if args.limit is not None:

@@ -6,11 +6,9 @@ small rests from a table, a pruned walk over the members of size n of a prefix-c
 walk over the c-notation of the sequentially congruent partitions with largest part n, which splices
 its small tails from a second table.  Counts are plain Python integers, so they stay exact however
 large they grow.
-Every ideal kind is counted by its generating function, with no member, class or rule read: D, R, Rprime, Adiff,
-N_maxlen, P_mod and Pprime by their sum sides, SA and SA_maxlen by the product over the degrees i lcm(1..i),
-P_parity by the one-parity series and S and its own test ``is_seq_congruent`` by the squares (psi), both series
-cached here.  A count needing more than ``MAX_COUNT_CELLS`` series cells or ``MAX_SIDE_CELLS`` (size, parts) cells
-is refused unbuilt.
+Every ideal kind is counted by the count series its :mod:`seqcong.kinds` row declares, with no member, class or rule
+read, and S's own test ``is_seq_congruent`` by S's, the squares (psi).  A count needing more than ``MAX_COUNT_CELLS``
+series cells or ``MAX_SIDE_CELLS`` (size, parts) cells is refused unbuilt.
 
 Generating-function coefficients are cached per series in one list.  p(n) grows in place by Euler's
 pentagonal recurrence, O(sqrt n) terms per coefficient.  P_parity's one-parity counts are a cached
@@ -33,6 +31,7 @@ from typing import Callable, Iterable, Iterator
 
 from .bijections import is_seq_congruent, psi_inverse
 from .errors import DomainError, ResourceError
+from .kinds import _psi_counts
 from .partition import Partition, _check_largest, _check_output_length
 
 
@@ -95,6 +94,7 @@ def _partitions(n: int, max_part: int | None = None, max_length: int | None = No
                 t, rest, room = t + (top,), rest - top, room - 1
                 break
             if top:
+                _check_output_length(len(t) + rest)
                 yield Partition._of(t + (1,) * rest)
             stack.pop()
         else:
@@ -395,7 +395,7 @@ def count_members(pred, n: int) -> int:
     """Number of partitions of n satisfying a predicate.
 
     ``pred`` may be a callable on Partition or anything with a ``contains`` method, such as an
-    IdealSpec from :mod:`seqcong.ideals`.  A spec is counted by its kind's count series (a sum
+    IdealSpec from :mod:`seqcong.kinds`.  A spec is counted by its kind's count series (a sum
     side, a degree product, the one-parity series or the squares), and its rule, test and summary
     are never read; ``is_seq_congruent`` itself reads S's squares.  Any other is tested on each partition of n.
     """
@@ -407,11 +407,6 @@ def count_members(pred, n: int) -> int:
 def _counts_of(pred) -> Callable[..., list[int]] | None:
     """pred's count series, or None to filter: a spec's kind's, and for ``is_seq_congruent`` itself S's."""
     return _psi_counts if pred is is_seq_congruent else getattr(pred, "_counts", None)
-
-
-def _psi_counts(_, upto: int) -> list[int]:
-    """S's count series, the cached squares: by psi, its members of size n <-> the partitions of n into squares."""
-    return _cached_series(2, upto)
 
 
 def _sum_side(spec, upto: int, stairs: Iterable[Callable[[int], int | None]], scale: int = 1) -> list[int]:

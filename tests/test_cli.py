@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqcong import (CNotation, CountSeries, IdealSpec, Partition, bijections, counting, from_c_notation,
-                     generalized, ideals, is_seq_congruent)
+                     generalized, is_seq_congruent)
 from seqcong import cli as cli_module
 from seqcong.cli import run
 from seqcong.partition import MAX_OUTPUT_PARTS
@@ -311,7 +311,7 @@ class TestIdealCountsAndListings:
             return sum_side(spec, upto, stairs, scale)
 
         monkeypatch.setattr(counting, "iter_members_of_size", spy)
-        monkeypatch.setattr(ideals, "_sum_side", sum_spy)
+        monkeypatch.setattr(counting, "_sum_side", sum_spy)
         for tag in ("R", "SA_maxlen:2", "S", "Adiff"):
             cli_ok("count", "--pred", tag, "--upto", "3")
             cli_ok("enumerate", "--pred", tag, "--size", "3")
@@ -753,6 +753,27 @@ class TestEnumerateLimitStopsTheWalk:
         done = subprocess.run(cmd, capture_output=True, env=env, timeout=60,
                               preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
         assert (done.returncode, done.stdout, done.stderr) == (0, b"[1000000000000]\n", b"")
+
+    def test_squares_of_a_huge_non_square_within_memory(self):
+        # squares filtered every partition, so at 10**7, no square, it ran without bound; the walk
+        # steps through the squares up to each prefix's last part and reaches its first answer at once
+        resource = pytest.importorskip("resource")
+        limit = 400_000 * 1024
+        cmd, env = _seqcong("enumerate", "--pred", "squares", "--size", "10000000", "--limit", "1")
+        done = subprocess.run(cmd, capture_output=True, env=env, timeout=60,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"[9998244,1681,64,9,1,1]\n", b"")
+
+    def test_squares_listed_as_the_filter_lists_them(self, capsys):
+        for n in range(41):
+            want = "".join(f"[{','.join(map(str, t))}]\n" for t in recursive_partition_tuples(n)
+                           if all(isqrt(x) ** 2 == x for x in t))
+            assert cli_ok("enumerate", "--pred", "squares", "--size", str(n)) == want, n
+        for size, limit, want in (("-1", "1", (1, "", "error: n must be nonnegative\n")),
+                                  (str(2**63), "1", (1, "", f"error: part {2**63} exceeds the 64-bit part range\n")),
+                                  (str(2**63), "0", (0, "", ""))):
+            got = cli("enumerate", "--pred", "squares", "--size", size, "--limit", limit)
+            assert (*got, capsys.readouterr().err) == want
 
     def test_walked_kind_of_a_huge_size_within_memory(self):
         # Adiff's size walk holds one lazy range per part; listing the root's

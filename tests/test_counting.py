@@ -150,6 +150,20 @@ class TestSpliceWalk:
         assert list(islice(iter_partition_tuples(n), 3)) == [(n,), (n - 1, 1), (n - 2, 2)]
         assert list(islice(iter_partition_tuples(n, n - 2, 2), 2)) == [(n - 2, 2), (n - 3, 3)]
 
+    def test_huge_ones_completion_refused_within_memory(self):
+        # the all-ones completion was built unchecked: 10**9 ones ended in MemoryError under this limit
+        resource = pytest.importorskip("resource")
+        limit = 400_000 * 1024
+        probe = ("from seqcong import ResourceError, iter_partition_tuples\n"
+                 "try:\n    next(iter_partition_tuples(10**9, 1))\nexcept ResourceError as exc:\n    print(exc)")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(counting.__file__)))
+        done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60,
+                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, "the answer would have 1000000000 parts, above the limit of 10000000\n", "")
+        with pytest.raises(ResourceError, match=f"would have {MAX_OUTPUT_PARTS + 1} parts"):
+            next(iter_partition_tuples(MAX_OUTPUT_PARTS + 1, 1))
+
     def test_table_rows_match_zs1(self):
         rows, starts = counting._tails or counting._splice_table()
         assert len(rows) == counting._SPLICE_MAX + 1

@@ -42,7 +42,7 @@ def _python(*args, stdin=None):
     return subprocess.run([sys.executable, *args], input=stdin, capture_output=True, env=env, timeout=60)
 
 
-ENGINES = {"seqcong.counting", "seqcong.generalized", "seqcong.ideals"}
+ENGINES = {"seqcong.counting", "seqcong.generalized", "seqcong.ideals", "seqcong.kinds"}
 
 
 def test_import_registers_every_submodule_and_runs_none():
@@ -53,7 +53,7 @@ def test_import_registers_every_submodule_and_runs_none():
     assert done.returncode == 0, done.stderr
     registered, ran = json.loads(done.stdout)
     assert registered == ["seqcong.bijections", "seqcong.counting", "seqcong.errors", "seqcong.generalized",
-                          "seqcong.ideals", "seqcong.partition"]
+                          "seqcong.ideals", "seqcong.kinds", "seqcong.partition"]
     assert ran == []
 
 
@@ -70,6 +70,37 @@ def test_batch_commands_run_only_the_modules_they_use(argv, engine):
     ran = set(json.loads(done.stderr.decode().splitlines()[-1]))
     assert {"seqcong.bijections", "seqcong.errors", "seqcong.partition"} <= ran
     assert ran & ENGINES == ({engine} if engine else set())
+
+
+RAN = ("print(json.dumps(sorted(n for n, m in sys.modules.items()"
+       " if n.startswith('seqcong.') and '__builtins__' in vars(m))))")
+
+
+@pytest.mark.parametrize("code,want", [
+    # bench/workloads.py's counting_mix set-up probe
+    ("specs = [seqcong.IdealSpec.parse(k) for k in ['R', 'D', 'P_parity', 'Adiff', 'Rprime']]",
+     ["seqcong.errors", "seqcong.kinds"]),
+    ("bound = seqcong.AnalysisBound(12, 6)", ["seqcong.errors", "seqcong.kinds"]),
+    ("spec = seqcong.IdealSpec.parse('S')",
+     ["seqcong.bijections", "seqcong.errors", "seqcong.kinds", "seqcong.partition"]),
+    ("assert seqcong.count_members(seqcong.IdealSpec('D'), 30) == 296",
+     ["seqcong.bijections", "seqcong.counting", "seqcong.errors", "seqcong.kinds", "seqcong.partition"]),
+], ids=["specs", "bound", "S", "count"])
+def test_specs_and_counts_run_no_engine(code, want):
+    # building a spec compiles neither the engines nor counting; a count adds counting and what it imports
+    done = _python("-c", f"import json, sys, seqcong\n{code}\n{RAN}")
+    assert (done.returncode, json.loads(done.stdout or "null")) == (0, want), done.stderr
+
+
+@pytest.mark.parametrize("argv,lines", [
+    (["count", "--pred", "D", "--upto", "30"], 31),
+    (["enumerate", "--pred", "D", "--size", "12"], 15),
+], ids=["count", "enumerate"])
+def test_ideal_kind_commands_run_no_engine(argv, lines):
+    done = _python(str(SRC.parent / "tests" / "cli_probe.py"), *argv)
+    assert done.returncode == 0 and len(done.stdout.splitlines()) == lines, done.stderr
+    ran = set(json.loads(done.stderr.decode().splitlines()[-1]))
+    assert ran & ENGINES == {"seqcong.counting", "seqcong.kinds"}
 
 
 THREADS = """
