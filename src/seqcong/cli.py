@@ -195,14 +195,6 @@ def _predicate_for(tag: str):
     return IdealSpec.parse("P_parity" if tag == "parity" else tag)
 
 
-def _square_partitions(n: int):
-    """The partitions of n into squares, reverse lexicographic, lazily; n is checked as the walk over all checks it."""
-    from math import isqrt
-    from .counting import _size_walk
-    partition._check_largest(n)
-    yield from map(Partition._of, _size_walk(n, lambda t, i, lo, top: [j * j for j in range(1, isqrt(top) + 1)]))
-
-
 def _run_enumerate(args) -> list[str]:
     from itertools import islice
     from . import counting
@@ -213,7 +205,7 @@ def _run_enumerate(args) -> list[str]:
             raise DomainError("--largest enumeration is defined for --pred seqcong")
         found = counting._seqcong_largest(args.largest)  # a walk: --limit stops it after that many answers
     elif args.pred == "squares":  # walked over the squares up to each prefix's last part, as a filter lists them
-        found = _square_partitions(args.size)
+        found = counting._square_partitions(args.size)
     else:  # a walk, S's listing through psi or a filter; --limit stops a walk or a filter as well
         found = counting._members(_predicate_for(args.pred), args.size)
     if args.limit is not None:

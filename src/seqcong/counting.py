@@ -2,10 +2,10 @@
 
 The enumerators list partitions in reverse lexicographic order, duplicate-free: a walk over all
 partitions of n with optional part/length caps, one lazy range of parts per node, that splices its
-small rests from a table, a pruned walk over the members of size n of a prefix-closed ideal, and a
-walk over the c-notation of the sequentially congruent partitions with largest part n, which splices
-its small tails from a second table.  Counts are plain Python integers, so they stay exact however
-large they grow.
+small rests from a table, a pruned walk over the members of size n of a prefix-closed ideal, a walk
+over the partitions into a sequence of part values (the squares computed as read), and a walk over the
+c-notation of the sequentially congruent partitions with largest part n, which splices its small tails
+from a second table.  Counts are plain Python integers, so they stay exact however large they grow.
 Every ideal kind is counted by the count series its :mod:`seqcong.kinds` row declares, with no member, class or rule
 read, and S's own test ``is_seq_congruent`` by S's, the squares (psi).  A count needing more than ``MAX_COUNT_CELLS``
 series cells or ``MAX_SIDE_CELLS`` (size, parts) cells is refused unbuilt.
@@ -158,31 +158,54 @@ def iter_members_of_size(spec, n: int) -> Iterator[tuple[int, ...]]:
     return _size_walk(n, spec._children)
 
 
-def enumerate_with_parts_from(allowed: Iterable[int], n: int) -> list[Partition]:
-    """Partitions of n using only the given part values, reverse lexicographic.
-
-    The parts are the integers in 1..n equal to an allowed value.  A node
-    tries only the values up to its last part and its rest, pushed smallest
-    first so the largest pops first, as in :func:`iter_partition_tuples`.
-    A child that takes the smallest value can only repeat it, so it is
-    completed at once: when that value divides the rest, else dropped.
-    """
-    _check_size(n)
-    values = sorted({int(v) for v in allowed if 1 <= v <= n and v == int(v)})
-    found = []
-    stack = [((), n, len(values))]  # prefix, rest, how many values fit under its last part
+def _parts_walk(n: int, values) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into parts from ``values``, an increasing sequence in 1..n, as tuples, reverse
+    lexicographic.  A node (prefix, rest, the indices of its values still to try, largest first) tries the
+    values up to its last part and its rest, one lazy range per node; the smallest value can only repeat,
+    so once a node's other values are done it completes the prefix at once, if it divides the rest."""
+    top = bisect_right(values, n, 0, len(values))
+    stack = [((), n, iter(range(top - 1, 0, -1)))] if top else []
+    if not n:
+        yield ()
     while stack:
-        t, rest, fit = stack.pop()
-        if not rest:
-            found.append(Partition._of(t))
-            continue
-        top = bisect_right(values, rest, 0, fit)
-        if top and not rest % values[0]:
-            _check_output_length(len(t) + rest // values[0])
-            stack.append((t + (values[0],) * (rest // values[0]), 0, 1))
-        for j in range(1, top):
-            stack.append((t + (values[j],), rest - values[j], j + 1))
-    return found
+        t, rest, js = stack[-1]
+        for j in js:
+            if (v := values[j]) == rest:
+                yield t + (v,)
+            else:
+                top = bisect_right(values, rest - v, 0, j + 1)
+                stack.append((t + (v,), rest - v, iter(range(top - 1, 0, -1))))
+                break
+        else:
+            stack.pop()
+            if not rest % values[0]:
+                _check_output_length(len(t) + rest // values[0])
+                yield t + (values[0],) * (rest // values[0])
+
+
+def enumerate_with_parts_from(allowed: Iterable[int], n: int) -> list[Partition]:
+    """Partitions of n using only the given part values (the integers in 1..n equal to one), reverse lexicographic."""
+    _check_size(n)
+    return list(map(Partition._of, _parts_walk(n, sorted({int(v) for v in allowed if 1 <= v <= n and v == int(v)}))))
+
+
+class _Squares:
+    """The squares up to n as a sequence whose items are computed when read, so none is stored."""
+
+    def __init__(self, n: int):
+        self._len = isqrt(n)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, j: int) -> int:
+        return (j + 1) * (j + 1)
+
+
+def _square_partitions(n: int) -> Iterator[Partition]:
+    """The partitions of n into squares, reverse lexicographic, lazily; n is checked as the walk over all checks it."""
+    _check_largest(_check_size(n))
+    yield from map(Partition._of, _parts_walk(n, _Squares(n)))
 
 
 def enumerate_seqcong_by_size(n: int) -> list[Partition]:

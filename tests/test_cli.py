@@ -746,13 +746,15 @@ class TestEnumerateLimitStopsTheWalk:
     @pytest.mark.parametrize("pred", ["all", "squares"])
     def test_huge_size_within_memory(self, pred):
         # each node of the walk over all partitions listed all its children and first built its all-ones
-        # completion, a tuple of 10**12 ones here, which ended in MemoryError
+        # completion, a tuple of 10**12 ones here, which ended in MemoryError; a squares walk that listed
+        # the squares up to the root's rest held isqrt(n) of them, about 86 GB at 2**62
         resource = pytest.importorskip("resource")
         limit = 400_000 * 1024
-        cmd, env = _seqcong("enumerate", "--pred", pred, "--size", "1000000000000", "--limit", "1")
-        done = subprocess.run(cmd, capture_output=True, env=env, timeout=60,
-                              preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
-        assert (done.returncode, done.stdout, done.stderr) == (0, b"[1000000000000]\n", b"")
+        for size in (10**12, 10**14, 2**62):
+            cmd, env = _seqcong("enumerate", "--pred", pred, "--size", str(size), "--limit", "1")
+            done = subprocess.run(cmd, capture_output=True, env=env, timeout=60,
+                                  preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+            assert (done.returncode, done.stdout, done.stderr) == (0, f"[{size}]\n".encode(), b""), size
 
     def test_squares_of_a_huge_non_square_within_memory(self):
         # squares filtered every partition, so at 10**7, no square, it ran without bound; the walk
